@@ -18,7 +18,7 @@ from .errors import (
 )
 from .evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
 from .inference import ModelBundle, ScenePrediction, predict_scene
-from .membank import MemoryBankPair, MemoryEntry, bank_filter, bank_init, bank_load, bank_save
+from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
 from .pipeline import (
     load_model_bundle,
     run_eval,
@@ -38,7 +38,6 @@ __all__ = [
     "DependencyError",
     "FormatError",
     "MemoryBankPair",
-    "MemoryEntry",
     "MemtrajError",
     "MetricReport",
     "ModelBundle",

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import Scene, normalize_scene
-from .errors import NumericError
 from .features import FeatureNets, decode_batch, prepare_social_batch, social_forward_batch
 from .membank import MemoryBankPair
 from .numkit import (
@@ -29,8 +28,7 @@ from .numkit import (
     mlp_backward_from_cache,
     mlp_forward,
     mlp_forward_cached,
-    sgd_step,
-    shuffled_batches,
+    sgd_loop,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,7 +82,7 @@ def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def key_table(nets: AddresserNets, bank: MemoryBankPair) -> np.ndarray:
     """Projected keys for a whole bank; compute once per frozen (nets, bank)."""
-    return mlp_forward(nets.key_proj, bank.past_matrix)
+    return mlp_forward(nets.key_proj, bank.past_feats)
 
 
 def score_all(nets: AddresserNets, query_feat, bank: MemoryBankPair, keys: np.ndarray | None = None) -> np.ndarray:
@@ -139,24 +137,15 @@ def addresser_loss(scores, labels) -> float:
     return float(np.sum((s - l) ** 2))
 
 
-def top_l(nets: AddresserNets, query_feat, bank: MemoryBankPair, count: int, keys: np.ndarray | None = None) -> list[int]:
-    """Addresses of the ``count`` best-scoring entries, best first.
+def top_l(scores: np.ndarray, count: int) -> np.ndarray:
+    """Addresses of the ``count`` highest of one query's bank scores, best first.
 
-    Score ties resolve toward the lower address, so retrieval is
-    deterministic for a frozen bank and nets.
+    The sort is stable, so score ties resolve toward the lower address and
+    retrieval is deterministic for a frozen bank and nets.
     """
-    addresses, _ = top_l_scored(nets, query_feat, bank, count, keys=keys)
-    return addresses
-
-
-def top_l_scored(
-    nets: AddresserNets, query_feat, bank: MemoryBankPair, count: int, keys: np.ndarray | None = None
-) -> tuple[list[int], np.ndarray]:
-    if not 1 <= count <= len(bank):
-        raise ValueError(f"count must be in [1, {len(bank)}] (bank size), got {count}")
-    scores = score_all(nets, query_feat, bank, keys=keys)
-    order = np.argsort(-scores, kind="stable")[:count]
-    return [int(i) for i in order], scores[order]
+    if not 1 <= count <= len(scores):
+        raise ValueError(f"count must be in [1, {len(scores)}] (bank size), got {count}")
+    return np.argsort(-scores, kind="stable")[:count]
 
 
 @dataclass
@@ -205,8 +194,72 @@ def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndar
 
 def decoded_intentions(feature_nets: FeatureNets, bank: MemoryBankPair) -> np.ndarray:
     """Every entry's decoded destination from its own stored feature pair."""
-    _, dest_hat = decode_batch(feature_nets, bank.past_matrix, bank.intent_matrix)
+    _, dest_hat = decode_batch(feature_nets, bank.past_feats, bank.intent_feats)
     return dest_hat
+
+
+def addresser_training_data(
+    bank: MemoryBankPair, feature_nets: FeatureNets, dataset: Sequence[Scene]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What addresser training reads: query past features, true destinations, decoded intentions.
+
+    Queries are the training scenes' own past features (encoders frozen);
+    destinations are in each scene's normalized frame; the decoded intention
+    of every bank entry comes from its own stored feature pair.
+    """
+    if not len(bank):
+        raise ValueError("cannot train an addresser against an empty bank")
+    if not dataset:
+        raise ValueError("empty dataset")
+    normalized = [normalize_scene(s)[0] for s in dataset]
+    for scene in normalized:
+        if scene.ego_future is None:
+            raise ValueError(f"scene {scene.scene_id!r} has no future; addresser training needs destinations")
+    queries, _ = social_forward_batch(feature_nets, prepare_social_batch(normalized))
+    dests = np.stack([s.ego_future[-1] for s in normalized])
+    return queries, dests, decoded_intentions(feature_nets, bank)
+
+
+def fit_addresser(
+    nets: AddresserNets,
+    bank: MemoryBankPair,
+    data: tuple[np.ndarray, np.ndarray, np.ndarray],
+    config,
+    phases: list[tuple[int, float]],
+) -> None:
+    """Train ``nets`` in place on :func:`addresser_training_data` output.
+
+    Every call starts a fresh ``addresser-batches`` RNG. A step scores the
+    full bank only when it has at most ``CANDIDATE_CAP`` entries; above that
+    it scores a uniform sample of ``CANDIDATE_CAP`` entries plus each query's
+    oracle-nearest entry, so the strongest positive is always present.
+    """
+    queries, dests, decoded = data
+    threshold = config.label_threshold_value()
+    rng = np.random.default_rng(config.seed_for("addresser-batches"))
+    m = len(bank)
+
+    def step(idx):
+        # distances of each query's destination to every decoded intention
+        full_dists = np.linalg.norm(dests[idx][:, None, :] - decoded[None, :, :], axis=2)
+        if m <= CANDIDATE_CAP:
+            cand = np.arange(m)
+        else:
+            sampled = rng.choice(m, size=CANDIDATE_CAP, replace=False)
+            cand = np.union1d(sampled, np.argmin(full_dists, axis=1))
+        labels = pseudo_labels(full_dists[:, cand], threshold)
+        u, u_cache = mlp_forward_cached(nets.query_proj, queries[idx])
+        w, w_cache = mlp_forward_cached(nets.key_proj, bank.past_feats[cand])
+        state = _cosine_forward(u, w)
+        residual = state.scores - labels
+        d_u, d_w = _cosine_backward(state, (2.0 / len(idx)) * residual)
+        updates = [
+            (nets.query_proj, mlp_backward_from_cache(nets.query_proj, u_cache, d_u)),
+            (nets.key_proj, mlp_backward_from_cache(nets.key_proj, w_cache, d_w)),
+        ]
+        return float(np.sum(residual**2)), updates
+
+    sgd_loop("addresser", len(queries), config.batch_size, phases, rng, step)
 
 
 def train_addresser(
@@ -218,63 +271,10 @@ def train_addresser(
 ) -> AddresserNets:
     """Fit the projections so scores track the pseudo-labels.
 
-    Queries are the training scenes' own past features (encoders frozen).
-    For tractability a step scores the full bank only when it has at most
-    ``CANDIDATE_CAP`` entries; above that it scores a uniform sample of
-    ``CANDIDATE_CAP`` entries plus each query's oracle-nearest entry, so the
-    strongest positive is always present. The input nets are not mutated.
+    Trains a copy of ``nets`` over the config's addresser phases; the input
+    nets are not mutated.
     """
-    if not len(bank):
-        raise ValueError("cannot train an addresser against an empty bank")
-    if not dataset:
-        raise ValueError("empty dataset")
+    data = addresser_training_data(bank, feature_nets, dataset)
     nets = nets.copy()
-    normalized = [normalize_scene(s)[0] for s in dataset]
-    for scene in normalized:
-        if scene.ego_future is None:
-            raise ValueError(f"scene {scene.scene_id!r} has no future; addresser training needs destinations")
-    queries, _ = social_forward_batch(feature_nets, prepare_social_batch(normalized))
-    dests = np.stack([s.ego_future[-1] for s in normalized])
-    decoded = decoded_intentions(feature_nets, bank)
-    threshold = config.label_threshold_value()
-    bank_feats = bank.past_matrix
-    rng = np.random.default_rng(config.seed_for("addresser-batches"))
-    n = len(normalized)
-    m = len(bank)
-    epochs = config.epochs_addresser
-    phases = [(epochs, config.lr_addresser)]
-    if config.finetune and config.epochs_finetune > 0:
-        phases.append((config.epochs_finetune, config.lr_finetune))
-    epoch_no = 0
-    for phase_epochs, lr in phases:
-        for _ in range(phase_epochs):
-            epoch_no += 1
-            total = 0.0
-            for idx in shuffled_batches(n, config.batch_size, rng):
-                q_batch = queries[idx]
-                # distances of each query's destination to every decoded intention
-                full_dists = np.linalg.norm(dests[idx][:, None, :] - decoded[None, :, :], axis=2)
-                if m <= CANDIDATE_CAP:
-                    cand = np.arange(m)
-                else:
-                    sampled = rng.choice(m, size=CANDIDATE_CAP, replace=False)
-                    oracle_nearest = np.argmin(full_dists, axis=1)
-                    cand = np.union1d(sampled, oracle_nearest)
-                labels = pseudo_labels(full_dists[:, cand], threshold)
-                u, u_cache = mlp_forward_cached(nets.query_proj, q_batch)
-                w, w_cache = mlp_forward_cached(nets.key_proj, bank_feats[cand])
-                state = _cosine_forward(u, w)
-                residual = state.scores - labels
-                batch_loss = float(np.sum(residual**2))
-                if not np.isfinite(batch_loss):
-                    raise NumericError(f"non-finite addresser loss at epoch {epoch_no}")
-                total += batch_loss / len(idx)
-                d_scores = (2.0 / len(idx)) * residual
-                d_u, d_w = _cosine_backward(state, d_scores)
-                q_grads = mlp_backward_from_cache(nets.query_proj, u_cache, d_u)
-                k_grads = mlp_backward_from_cache(nets.key_proj, w_cache, d_w)
-                sgd_step(nets.query_proj, q_grads, lr)
-                sgd_step(nets.key_proj, k_grads, lr)
-            if epoch_no == 1 or epoch_no % 10 == 0:
-                logger.info("addresser epoch %d: mean per-query loss %.6f", epoch_no, total / max(1, (n + config.batch_size - 1) // config.batch_size))
+    fit_addresser(nets, bank, data, config, config.sgd_phases("addresser"))
     return nets

@@ -130,6 +130,13 @@ class Config:
         if self.decode_mode not in ("query", "stored"):
             raise ConfigError(f"must be 'query' or 'stored', got {self.decode_mode!r}", key="decode_mode")
 
+    def sgd_phases(self, stage: str) -> list[tuple[int, float]]:
+        """``(epochs, learning rate)`` of a stage's training, then of its finetune phase when enabled."""
+        phases = [(getattr(self, f"epochs_{stage}"), getattr(self, f"lr_{stage}"))]
+        if self.finetune and self.epochs_finetune > 0:
+            phases.append((self.epochs_finetune, self.lr_finetune))
+        return phases
+
     def label_threshold_value(self) -> float:
         """Pseudo-label cutoff distance; defaults to five destination thresholds."""
         if self.label_threshold is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -71,10 +72,12 @@ def load_tsv(path) -> list[RawTrack]:
     """Parse ``frame agent_id x y`` rows into per-agent tracks.
 
     Agents appear in first-seen order; samples are sorted by frame. Blank
-    lines are skipped. A malformed line raises ParseError with its 1-based
+    lines are skipped. A malformed line, a NaN or infinite coordinate, or a
+    second row for the same (frame, agent) raises ParseError with its 1-based
     line number.
     """
     by_agent: dict[int, list[tuple[int, float, float]]] = {}
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -88,8 +91,13 @@ def load_tsv(path) -> list[RawTrack]:
                 agent_id = int(float(tokens[1]))
                 x = float(tokens[2])
                 y = float(tokens[3])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"non-numeric field ({exc})", line_no=line_no) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite coordinate ({tokens[2]}, {tokens[3]})", line_no=line_no)
+            seen_on = first_line.setdefault((frame, agent_id), line_no)
+            if seen_on != line_no:
+                raise ParseError(f"duplicate row for frame {frame}, agent {agent_id} (first on line {seen_on})", line_no=line_no)
             by_agent.setdefault(agent_id, []).append((frame, x, y))
     tracks = []
     for agent_id, samples in by_agent.items():

@@ -9,14 +9,13 @@ chain over a dataset and aggregates per-scene rows into a report.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .datasets import Scene
-from .inference import ModelBundle, predict_scene, scene_seed, worker_count
+from .inference import ModelBundle, predict_scenes
 
 logger = logging.getLogger(__name__)
 
@@ -104,8 +103,9 @@ def evaluate(
 ) -> MetricReport:
     """Predict every scene and aggregate best-of-K metrics.
 
-    Per-scene clustering seeds derive from (seed, scene index), so the report
-    is reproducible and independent of the MEMTRAJ_THREADS fan-out.
+    Scenes go through :func:`~memtraj.inference.predict_scenes`, so each
+    clustering seed derives from (seed, scene index) and the report is
+    reproducible. Predictions are reduced to their row as they arrive.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -113,31 +113,18 @@ def evaluate(
         if scene.ego_future is None:
             raise ValueError(f"scene {scene.scene_id!r} has no future; evaluation needs ground truth")
 
-    def one(index_scene: tuple[int, Scene]) -> SceneMetrics:
-        index, scene = index_scene
-        pred = predict_scene(
-            bundle,
-            scene,
-            n_retrieve=n_retrieve,
-            n_predict=n_predict,
-            seed=scene_seed(seed, index),
-            decode_mode=decode_mode,
-            snap_destination=snap_destination,
-        )
+    rows = []
+    predictions = predict_scenes(bundle, dataset, n_retrieve, n_predict, seed, decode_mode, snap_destination)
+    for scene, pred in zip(dataset, predictions):
         end_dists = np.linalg.norm(pred.trajectories[:, -1, :] - scene.ego_future[-1], axis=1)
-        return SceneMetrics(
-            scene_id=scene.scene_id,
-            min_ade=min_ade(pred.trajectories, scene.ego_future),
-            min_fde=min_fde(pred.trajectories, scene.ego_future),
-            best_k=int(np.argmin(end_dists)),
+        rows.append(
+            SceneMetrics(
+                scene_id=scene.scene_id,
+                min_ade=min_ade(pred.trajectories, scene.ego_future),
+                min_fde=min_fde(pred.trajectories, scene.ego_future),
+                best_k=int(np.argmin(end_dists)),
+            )
         )
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, enumerate(dataset)))
-    else:
-        rows = [one(item) for item in enumerate(dataset)]
     return MetricReport(
         min_ade_k=float(np.mean([r.min_ade for r in rows])),
         min_fde_k=float(np.mean([r.min_fde for r in rows])),

@@ -13,14 +13,12 @@ All positions here are in the ego-centered normalized frame.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .datasets import Scene, normalize_scene
-from .errors import NumericError
 from .numkit import (
     GradBundle,
     Mlp,
@@ -29,11 +27,8 @@ from .numkit import (
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
-    sgd_step,
-    shuffled_batches,
+    sgd_loop,
 )
-
-logger = logging.getLogger(__name__)
 
 EMBED_DIM = 64  # ego/neighbor embedding width; the fuse input is twice this
 
@@ -263,47 +258,30 @@ def train_features(dataset: Sequence[Scene], config) -> FeatureNets:
     normalized = [normalize_scene(s)[0] for s in dataset]
     past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
     dests = np.stack([s.ego_future[-1] for s in normalized])
-    epochs = config.epochs_features
-    phases = [(epochs, config.lr_features)]
-    if config.finetune and config.epochs_finetune > 0:
-        phases.append((config.epochs_finetune, config.lr_finetune))
-    rng = np.random.default_rng(config.seed_for("features-batches"))
-    n = len(normalized)
+    n_past = 2 * config.past_len
     weight = config.intent_weight
-    epoch_no = 0
-    for phase_epochs, lr in phases:
-        for _ in range(phase_epochs):
-            epoch_no += 1
-            total = 0.0
-            for idx in shuffled_batches(n, config.batch_size, rng):
-                batch_scenes = [normalized[i] for i in idx]
-                social = prepare_social_batch(batch_scenes)
-                k, social_cache = social_forward_batch(nets, social)
-                v, intent_cache = mlp_forward_cached(nets.intention_enc, dests[idx])
-                dec_in = np.hstack([k, v])
-                out, dec_cache = mlp_forward_cached(nets.joint_dec, dec_in)
-                n_past = 2 * config.past_len
-                res_past = out[:, :n_past] - past_x[idx]
-                res_dest = out[:, n_past:] - dests[idx]
-                batch_loss = float(np.sum(res_past**2) + weight * np.sum(res_dest**2))
-                if not np.isfinite(batch_loss):
-                    raise NumericError(f"non-finite feature loss at epoch {epoch_no}")
-                total += batch_loss
-                scale = 2.0 / len(idx)
-                upstream = np.hstack([scale * res_past, (weight * scale) * res_dest])
-                dec_grads = mlp_backward_from_cache(nets.joint_dec, dec_cache, upstream)
-                d_k = dec_grads.d_input[:, : config.past_dim]
-                d_v = dec_grads.d_input[:, config.past_dim :]
-                ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, d_k)
-                intent_g = mlp_backward_from_cache(nets.intention_enc, intent_cache, d_v)
-                sgd_step(nets.joint_dec, dec_grads, lr)
-                sgd_step(nets.social_fuse, fuse_g, lr)
-                sgd_step(nets.ego_embed, ego_g, lr)
-                if nb_g is not None:
-                    sgd_step(nets.neighbor_embed, nb_g, lr)
-                sgd_step(nets.intention_enc, intent_g, lr)
-            if epoch_no == 1 or epoch_no % 25 == 0:
-                logger.info("features epoch %d: mean rec loss %.6f", epoch_no, total / n)
+
+    def step(idx):
+        k, social_cache = social_forward_batch(nets, prepare_social_batch([normalized[i] for i in idx]))
+        v, intent_cache = mlp_forward_cached(nets.intention_enc, dests[idx])
+        out, dec_cache = mlp_forward_cached(nets.joint_dec, np.hstack([k, v]))
+        res_past = out[:, :n_past] - past_x[idx]
+        res_dest = out[:, n_past:] - dests[idx]
+        loss = float(np.sum(res_past**2) + weight * np.sum(res_dest**2))
+        scale = 2.0 / len(idx)
+        upstream = np.hstack([scale * res_past, (weight * scale) * res_dest])
+        dec_grads = mlp_backward_from_cache(nets.joint_dec, dec_cache, upstream)
+        d_k = dec_grads.d_input[:, : config.past_dim]
+        d_v = dec_grads.d_input[:, config.past_dim :]
+        ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, d_k)
+        intent_g = mlp_backward_from_cache(nets.intention_enc, intent_cache, d_v)
+        updates = [(nets.joint_dec, dec_grads), (nets.social_fuse, fuse_g), (nets.ego_embed, ego_g)]
+        if nb_g is not None:
+            updates.append((nets.neighbor_embed, nb_g))
+        return loss, updates + [(nets.intention_enc, intent_g)]
+
+    rng = np.random.default_rng(config.seed_for("features-batches"))
+    sgd_loop("features", len(normalized), config.batch_size, config.sgd_phases("features"), rng, step)
     return nets
 
 

@@ -12,14 +12,12 @@ snap its final point onto the conditioning destination.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .datasets import Scene, normalize_scene
-from .errors import NumericError
 from .features import EMBED_DIM, prepare_social_batch, social_backward_batch, social_forward_batch
 from .numkit import (
     Mlp,
@@ -27,11 +25,8 @@ from .numkit import (
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
-    sgd_step,
-    shuffled_batches,
+    sgd_loop,
 )
-
-logger = logging.getLogger(__name__)
 
 DEST_EMBED_DIM = 64
 
@@ -157,45 +152,29 @@ def train_fulfillment(nets: FulfillNets, dataset: Sequence[Scene], config) -> Fu
     past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
     future_x = np.stack([s.ego_future.reshape(-1) for s in normalized])
     dests = np.stack([s.ego_future[-1] for s in normalized])
-    n = len(normalized)
     n_past = 2 * config.past_len
     weight = config.future_weight
+    feat_dim = nets.social_fuse.out_dim
+
+    def step(idx):
+        feat, social_cache = social_forward_batch(nets, prepare_social_batch([normalized[i] for i in idx]))
+        dest_emb, dest_cache = mlp_forward_cached(nets.dest_embed, dests[idx])
+        out, dec_cache = mlp_forward_cached(nets.full_dec, np.hstack([feat, dest_emb]))
+        res_past = out[:, :n_past] - past_x[idx]
+        res_future = out[:, n_past:] - future_x[idx]
+        loss = float(np.sum(res_past**2) + weight * np.sum(res_future**2))
+        scale = 2.0 / len(idx)
+        upstream = np.hstack([scale * res_past, (weight * scale) * res_future])
+        dec_grads = mlp_backward_from_cache(nets.full_dec, dec_cache, upstream)
+        d_feat = dec_grads.d_input[:, :feat_dim]
+        d_dest_emb = dec_grads.d_input[:, feat_dim:]
+        ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, d_feat)
+        dest_g = mlp_backward_from_cache(nets.dest_embed, dest_cache, d_dest_emb)
+        updates = [(nets.full_dec, dec_grads), (nets.social_fuse, fuse_g), (nets.ego_embed, ego_g)]
+        if nb_g is not None:
+            updates.append((nets.neighbor_embed, nb_g))
+        return loss, updates + [(nets.dest_embed, dest_g)]
+
     rng = np.random.default_rng(config.seed_for("fulfillment-batches"))
-    phases = [(config.epochs_fulfillment, config.lr_fulfillment)]
-    if config.finetune and config.epochs_finetune > 0:
-        phases.append((config.epochs_finetune, config.lr_finetune))
-    epoch_no = 0
-    for phase_epochs, lr in phases:
-        for _ in range(phase_epochs):
-            epoch_no += 1
-            total = 0.0
-            for idx in shuffled_batches(n, config.batch_size, rng):
-                batch_scenes = [normalized[i] for i in idx]
-                social = prepare_social_batch(batch_scenes)
-                feat, social_cache = social_forward_batch(nets, social)
-                dest_emb, dest_cache = mlp_forward_cached(nets.dest_embed, dests[idx])
-                dec_in = np.hstack([feat, dest_emb])
-                out, dec_cache = mlp_forward_cached(nets.full_dec, dec_in)
-                res_past = out[:, :n_past] - past_x[idx]
-                res_future = out[:, n_past:] - future_x[idx]
-                batch_loss = float(np.sum(res_past**2) + weight * np.sum(res_future**2))
-                if not np.isfinite(batch_loss):
-                    raise NumericError(f"non-finite fulfillment loss at epoch {epoch_no}")
-                total += batch_loss
-                scale = 2.0 / len(idx)
-                upstream = np.hstack([scale * res_past, (weight * scale) * res_future])
-                dec_grads = mlp_backward_from_cache(nets.full_dec, dec_cache, upstream)
-                feat_dim = nets.social_fuse.out_dim
-                d_feat = dec_grads.d_input[:, :feat_dim]
-                d_dest_emb = dec_grads.d_input[:, feat_dim:]
-                ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, d_feat)
-                dest_g = mlp_backward_from_cache(nets.dest_embed, dest_cache, d_dest_emb)
-                sgd_step(nets.full_dec, dec_grads, lr)
-                sgd_step(nets.social_fuse, fuse_g, lr)
-                sgd_step(nets.ego_embed, ego_g, lr)
-                if nb_g is not None:
-                    sgd_step(nets.neighbor_embed, nb_g, lr)
-                sgd_step(nets.dest_embed, dest_g, lr)
-            if epoch_no == 1 or epoch_no % 25 == 0:
-                logger.info("fulfillment epoch %d: mean traj loss %.6f", epoch_no, total / n)
+    sgd_loop("fulfillment", len(normalized), config.batch_size, config.sgd_phases("fulfillment"), rng, step)
     return nets

@@ -2,34 +2,25 @@
 
 Bundles the four trained artifacts and runs the prediction chain: normalize,
 encode the past, score and retrieve from the bank, decode anchors, cluster
-into destinations, fulfill each destination, denormalize. Per-scene work is
-independent, so callers may fan scenes out across threads; everything here
-is read-only on the bundle.
+into destinations, fulfill each destination, denormalize. Everything here is
+read-only on the bundle. :func:`predict_scenes` is the one loop over a split
+that evaluation and prediction files share.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .addresser import AddresserNets, key_table, score_all
+from .addresser import AddresserNets, key_table, score_all, top_l
 from .datasets import Scene, normalize_scene
+from .errors import ConfigError
 from .features import FeatureNets, social_encode
 from .fulfillment import FulfillNets, fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans
 from .membank import MemoryBankPair
-
-
-def worker_count() -> int:
-    """Thread cap from MEMTRAJ_THREADS (default 1)."""
-    raw = os.environ.get("MEMTRAJ_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass
@@ -45,14 +36,6 @@ class ModelBundle:
     def __post_init__(self):
         self.keys = key_table(self.addresser_nets, self.bank)
 
-    def with_addresser(self, nets: AddresserNets) -> "ModelBundle":
-        return ModelBundle(
-            feature_nets=self.feature_nets,
-            bank=self.bank,
-            addresser_nets=nets,
-            fulfill_nets=self.fulfill_nets,
-        )
-
 
 @dataclass
 class ScenePrediction:
@@ -61,9 +44,9 @@ class ScenePrediction:
     scene_id: str
     destinations: np.ndarray  # (k, 2)
     trajectories: np.ndarray  # (k, future_len, 2)
-    addresses: list[int]  # retrieved bank addresses, best first
+    addresses: np.ndarray  # retrieved bank addresses, best first
     scores: np.ndarray  # their addresser scores
-    sample_ids: list[int]  # their originating training-scene ordinals
+    sample_ids: np.ndarray  # their originating training-scene ordinals
     intention_set: IntentionSet
 
 
@@ -71,7 +54,7 @@ class ScenePrediction:
 class DestinationProposal:
     """Normalized-frame destination candidates for one scene."""
 
-    addresses: list[int]
+    addresses: np.ndarray
     scores: np.ndarray
     intention_set: IntentionSet
 
@@ -80,6 +63,26 @@ def scene_seed(master_seed: int, scene_index: int) -> int:
     """Stable per-scene seed for the clustering step."""
     ss = np.random.SeedSequence([master_seed, 0x6B6D, scene_index])
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
+
+
+def retrieval_counts(bank_size: int, n_retrieve: int, n_predict: int, clamp_k: bool = False) -> tuple[int, int]:
+    """``(L, K)`` for retrieving from a bank: L is ``n_retrieve`` limited to the bank size.
+
+    Predict and eval raise ConfigError when K exceeds that L, since they
+    would hand back fewer futures than asked for. Addresser selection passes
+    ``clamp_k`` and clusters into ``min(K, L)`` instead: its holdout error
+    only ranks training snapshots against each other, so a small bank must
+    not stop the stage.
+    """
+    n_retrieve = min(n_retrieve, bank_size)
+    if n_predict > n_retrieve:
+        if not clamp_k:
+            raise ConfigError(
+                f"n_predict ({n_predict}) exceeds the {n_retrieve} entries a bank of {bank_size} can retrieve",
+                key="n_predict",
+            )
+        n_predict = n_retrieve
+    return n_retrieve, n_predict
 
 
 def propose_destinations(
@@ -100,18 +103,14 @@ def propose_destinations(
     """
     if not 1 <= n_predict <= n_retrieve:
         raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
-    if n_retrieve > len(bank):
-        raise ValueError(f"n_retrieve ({n_retrieve}) exceeds bank size ({len(bank)})")
     query = social_encode(feature_nets, normalized)
     scores = score_all(addresser_nets, query, bank, keys=keys)
-    order = np.argsort(-scores, kind="stable")[:n_retrieve]
-    addresses = [int(i) for i in order]
-    anchors = decode_anchors(
-        query, addresses, bank, feature_nets, decode_mode=decode_mode, scores=scores[order]
-    )
+    addresses = top_l(scores, n_retrieve)
+    top_scores = scores[addresses]
+    anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode, scores=top_scores)
     positions = np.stack([a.position for a in anchors])
     iset = kmeans(positions, n_predict, seed)
-    return DestinationProposal(addresses=addresses, scores=scores[order], intention_set=iset)
+    return DestinationProposal(addresses=addresses, scores=top_scores, intention_set=iset)
 
 
 def destination_error(
@@ -184,6 +183,27 @@ def predict_scene(
         trajectories=trajectories,
         addresses=proposal.addresses,
         scores=proposal.scores,
-        sample_ids=[bundle.bank.entries[a].sample_id for a in proposal.addresses],
+        sample_ids=bundle.bank.sample_ids[proposal.addresses],
         intention_set=iset,
+    )
+
+
+def predict_scenes(
+    bundle: ModelBundle,
+    scenes: Sequence[Scene],
+    n_retrieve: int,
+    n_predict: int,
+    seed: int,
+    decode_mode: str = DECODE_QUERY,
+    snap_destination: bool = False,
+) -> Iterator[ScenePrediction]:
+    """Predict scene ``i`` with ``scene_seed(seed, i)``, yielding in scene order.
+
+    L and K are checked against the bank by :func:`retrieval_counts` before
+    the first scene, so a bad K fails before any output is written.
+    """
+    n_retrieve, n_predict = retrieval_counts(len(bundle.bank), n_retrieve, n_predict)
+    return (
+        predict_scene(bundle, scene, n_retrieve, n_predict, scene_seed(seed, i), decode_mode, snap_destination)
+        for i, scene in enumerate(scenes)
     )

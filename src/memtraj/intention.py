@@ -19,9 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .addresser import AddresserNets, top_l_scored
-from .datasets import Scene
-from .features import FeatureNets, decode_batch, social_encode
+from .features import FeatureNets, decode_batch
 from .membank import MemoryBankPair
 
 logger = logging.getLogger(__name__)
@@ -70,12 +68,12 @@ def decode_anchors(
         raise ValueError(f"address out of range for bank of {len(bank)} entries")
     if scores is not None and len(scores) != len(addresses):
         raise ValueError(f"{len(scores)} scores for {len(addresses)} addresses")
-    intent_feats = bank.intent_matrix[addr]
+    intent_feats = bank.intent_feats[addr]
     if decode_mode == DECODE_QUERY:
         q = np.asarray(query_feat, dtype=np.float64)
         past_feats = np.broadcast_to(q, (len(addr), q.shape[0]))
     else:
-        past_feats = bank.past_matrix[addr]
+        past_feats = bank.past_feats[addr]
     _, dest_hat = decode_batch(feature_nets, past_feats, intent_feats)
     return [
         IntentionAnchor(
@@ -151,40 +149,3 @@ def kmeans_cost(points, iset: IntentionSet) -> float:
     """Total squared distance of points to their assigned centroids."""
     pts = np.asarray(points, dtype=np.float64)
     return float(np.sum((pts - iset.destinations[iset.anchor_assignment]) ** 2))
-
-
-def predict_intentions(
-    scene: Scene,
-    bank: MemoryBankPair,
-    addresser_nets: AddresserNets,
-    feature_nets: FeatureNets,
-    n_retrieve: int,
-    n_predict: int,
-    seed: int,
-    decode_mode: str = DECODE_QUERY,
-) -> IntentionSet:
-    """Retrieve, decode, and cluster: the destination half of a prediction.
-
-    The scene must already be normalized (models only see the ego-centered
-    frame); destinations come back in that same frame.
-    """
-    if not 1 <= n_predict <= n_retrieve:
-        raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
-    query = social_encode(feature_nets, scene)
-    addresses, scores = top_l_scored(addresser_nets, query, bank, n_retrieve)
-    anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode, scores=scores)
-    positions = np.stack([a.position for a in anchors])
-    return kmeans(positions, n_predict, seed)
-
-
-def save_intention_sets(path, items: Sequence[tuple[str, IntentionSet]]) -> None:
-    """CSV export: scene_id, cluster_index, x, y, member_count."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("scene_id,cluster_index,x,y,member_count\n")
-        for scene_id, iset in items:
-            counts = np.bincount(iset.anchor_assignment, minlength=iset.k)
-            for c in range(iset.k):
-                fh.write(
-                    "%s,%d,%r,%r,%d\n"
-                    % (scene_id, c, float(iset.destinations[c, 0]), float(iset.destinations[c, 1]), int(counts[c]))
-                )

@@ -2,21 +2,19 @@
 
 Every training scene contributes one entry holding its frozen past feature,
 its frozen intention feature, and the raw geometry (start position and
-destination in the normalized frame) used for redundancy filtering. Filtering
-visits entries in a seed-shuffled order and keeps an entry only when no
-already-kept entry is redundant with it, where redundant means both the start
-positions and the destinations are within their thresholds. Each visited
-entry is either kept or discarded, so one pass always terminates.
-
-Banks are immutable once built; lookups from multiple threads are safe.
+destination in the normalized frame) used for redundancy filtering. The bank
+stores each of these as one array whose row ``a`` is bank address ``a``.
+Filtering visits entries in a seed-shuffled order and keeps an entry only
+when no already-kept entry is redundant with it, where redundant means both
+the start positions and the destinations are within their thresholds. Each
+visited entry is either kept or discarded, so one pass always terminates.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -34,17 +32,14 @@ _VERSION = 1
 # magic, version, past_dim, intent_dim, past_len, future_len, theta_past,
 # theta_int, filter_seed, entry count, source fingerprint
 _HEADER = struct.Struct("<4sIIIIIddqQ32s")
-
-
-@dataclass
-class MemoryEntry:
-    """One memorized training instance."""
-
-    past_feat: np.ndarray  # (past_dim,)
-    intent_feat: np.ndarray  # (intent_dim,)
-    start_pos: np.ndarray  # (2,) first observed point, normalized frame
-    destination: np.ndarray  # (2,) last future point, normalized frame
-    sample_id: int  # ordinal of the originating scene in the source dataset
+# bank array -> field of the on-disk record, in record order
+_RECORD_FIELDS = {
+    "past_feats": "past_feat",
+    "intent_feats": "intent_feat",
+    "starts": "start_pos",
+    "dests": "destination",
+    "sample_ids": "sample_id",
+}
 
 
 @dataclass
@@ -61,29 +56,20 @@ class BankMeta:
 
 @dataclass
 class MemoryBankPair:
-    """Paired feature banks plus the geometry needed for filtering."""
+    """Paired feature banks plus the geometry needed for filtering.
 
-    entries: list[MemoryEntry]
+    Row ``a`` of every array belongs to bank address ``a``.
+    """
+
+    past_feats: np.ndarray  # (m, past_dim) frozen past features
+    intent_feats: np.ndarray  # (m, intent_dim) frozen intention features
+    starts: np.ndarray  # (m, 2) first observed point, normalized frame
+    dests: np.ndarray  # (m, 2) last future point, normalized frame
+    sample_ids: np.ndarray  # (m,) int64 ordinal of the originating scene in the source dataset
     meta: BankMeta
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def past_matrix(self) -> np.ndarray:
-        return np.stack([e.past_feat for e in self.entries])
-
-    @cached_property
-    def intent_matrix(self) -> np.ndarray:
-        return np.stack([e.intent_feat for e in self.entries])
-
-    @cached_property
-    def start_matrix(self) -> np.ndarray:
-        return np.stack([e.start_pos for e in self.entries])
-
-    @cached_property
-    def dest_matrix(self) -> np.ndarray:
-        return np.stack([e.destination for e in self.entries])
+        return len(self.sample_ids)
 
 
 def bank_init(nets: FeatureNets, dataset: Sequence[Scene]) -> MemoryBankPair:
@@ -101,17 +87,6 @@ def bank_init(nets: FeatureNets, dataset: Sequence[Scene]) -> MemoryBankPair:
     normalized = [normalize_scene(s)[0] for s in dataset]
     past_feats, _ = social_forward_batch(nets, prepare_social_batch(normalized))
     dests = np.stack([s.ego_future[-1] for s in normalized])
-    intent_feats = mlp_forward(nets.intention_enc, dests)
-    entries = [
-        MemoryEntry(
-            past_feat=past_feats[i],
-            intent_feat=intent_feats[i],
-            start_pos=normalized[i].ego_past[0].copy(),
-            destination=dests[i].copy(),
-            sample_id=i,
-        )
-        for i in range(len(normalized))
-    ]
     meta = BankMeta(
         past_dim=nets.past_dim,
         intent_dim=nets.intent_dim,
@@ -119,16 +94,23 @@ def bank_init(nets: FeatureNets, dataset: Sequence[Scene]) -> MemoryBankPair:
         future_len=dataset[0].ego_future.shape[0],
         source_hash=dataset_fingerprint(dataset),
     )
-    logger.info("memory bank: %d entries before filtering", len(entries))
-    return MemoryBankPair(entries=entries, meta=meta)
+    logger.info("memory bank: %d entries before filtering", len(normalized))
+    return MemoryBankPair(
+        past_feats=past_feats,
+        intent_feats=mlp_forward(nets.intention_enc, dests),
+        starts=np.stack([s.ego_past[0] for s in normalized]),
+        dests=dests,
+        sample_ids=np.arange(len(normalized), dtype=np.int64),
+        meta=meta,
+    )
 
 
-def is_redundant(a: MemoryEntry, b: MemoryEntry, theta_past: float, theta_int: float) -> bool:
-    """True when both the starts and the destinations are within threshold."""
+def is_redundant(a, b, theta_past: float, theta_int: float) -> bool:
+    """True when two ``(start, destination)`` pairs are within both thresholds."""
     if theta_past < 0 or theta_int < 0:
         raise ValueError(f"thresholds must be >= 0, got {theta_past}, {theta_int}")
-    d_start = float(np.linalg.norm(a.start_pos - b.start_pos))
-    d_dest = float(np.linalg.norm(a.destination - b.destination))
+    d_start = float(np.linalg.norm(np.subtract(a[0], b[0])))
+    d_dest = float(np.linalg.norm(np.subtract(a[1], b[1])))
     return d_start <= theta_past and d_dest <= theta_int
 
 
@@ -148,8 +130,8 @@ def bank_filter(bank: MemoryBankPair, theta_past: float, theta_int: float, seed:
     if theta_past < 0 or theta_int < 0:
         raise ValueError(f"thresholds must be >= 0, got {theta_past}, {theta_int}")
     order = filter_visit_order(len(bank), seed)
-    starts = bank.start_matrix
-    dests = bank.dest_matrix
+    starts = bank.starts
+    dests = bank.dests
     kept_idx: list[int] = []
     kept_starts = np.empty((len(bank), 2))
     kept_dests = np.empty((len(bank), 2))
@@ -164,17 +146,8 @@ def bank_filter(bank: MemoryBankPair, theta_past: float, theta_int: float, seed:
         kept_starts[n_kept] = starts[i]
         kept_dests[n_kept] = dests[i]
         n_kept += 1
-    meta = BankMeta(
-        past_dim=bank.meta.past_dim,
-        intent_dim=bank.meta.intent_dim,
-        past_len=bank.meta.past_len,
-        future_len=bank.meta.future_len,
-        theta_past=float(theta_past),
-        theta_int=float(theta_int),
-        filter_seed=int(seed),
-        source_hash=bank.meta.source_hash,
-    )
-    kept = [bank.entries[i] for i in kept_idx]
+    meta = replace(bank.meta, theta_past=float(theta_past), theta_int=float(theta_int), filter_seed=int(seed))
+    kept = np.array(kept_idx, dtype=np.int64)
     logger.info(
         "memory bank filter (theta_past=%g, theta_int=%g): kept %d of %d (%.1f%%)",
         theta_past,
@@ -183,7 +156,7 @@ def bank_filter(bank: MemoryBankPair, theta_past: float, theta_int: float, seed:
         len(bank),
         100.0 * len(kept) / len(bank),
     )
-    return MemoryBankPair(entries=kept, meta=meta)
+    return MemoryBankPair(**{name: getattr(bank, name)[kept] for name in _RECORD_FIELDS}, meta=meta)
 
 
 def bank_save(bank: MemoryBankPair, path) -> None:
@@ -210,8 +183,8 @@ def bank_save(bank: MemoryBankPair, path) -> None:
         meta.source_hash,
     )
     records = np.zeros(len(bank), dtype=_record_dtype(meta.past_dim, meta.intent_dim))
-    for i, entry in enumerate(bank.entries):
-        records[i] = (entry.past_feat, entry.intent_feat, entry.start_pos, entry.destination, entry.sample_id)
+    for name, field in _RECORD_FIELDS.items():
+        records[field] = getattr(bank, name)
     Path(path).write_bytes(header + records.tobytes())
 
 
@@ -247,16 +220,10 @@ def bank_load(path) -> MemoryBankPair:
             offset=min(len(raw), expected),
         )
     records = np.frombuffer(raw, dtype=dtype, count=count, offset=_HEADER.size)
-    entries = [
-        MemoryEntry(
-            past_feat=np.array(rec["past_feat"]),
-            intent_feat=np.array(rec["intent_feat"]),
-            start_pos=np.array(rec["start_pos"]),
-            destination=np.array(rec["destination"]),
-            sample_id=int(rec["sample_id"]),
-        )
-        for rec in records
-    ]
+    columns = {
+        name: np.ascontiguousarray(records[field], dtype=np.int64 if name == "sample_ids" else np.float64)
+        for name, field in _RECORD_FIELDS.items()
+    }
     meta = BankMeta(
         past_dim=past_dim,
         intent_dim=intent_dim,
@@ -267,4 +234,4 @@ def bank_load(path) -> MemoryBankPair:
         filter_seed=None if filter_seed == -1 else int(filter_seed),
         source_hash=source_hash,
     )
-    return MemoryBankPair(entries=entries, meta=meta)
+    return MemoryBankPair(**columns, meta=meta)

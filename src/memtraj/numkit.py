@@ -14,14 +14,17 @@ by ``1/n`` themselves).
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import FormatError, NumericError
+
+logger = logging.getLogger(__name__)
 
 RELU = "relu"
 TANH = "tanh"
@@ -291,6 +294,38 @@ def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for lo in range(0, n, batch_size):
         yield order[lo : lo + batch_size]
+
+
+def sgd_loop(
+    name: str,
+    n: int,
+    batch_size: int,
+    phases: Sequence[tuple[int, float]],
+    rng: np.random.Generator,
+    step: Callable[[np.ndarray], tuple[float, list[tuple[Mlp, GradBundle]]]],
+) -> None:
+    """Mini-batch SGD over ``n`` samples, one ``(epochs, learning_rate)`` phase after another.
+
+    Every epoch draws its batches from ``rng`` with :func:`shuffled_batches`.
+    ``step(idx)`` returns the batch's summed loss and the ``(net, grads)``
+    pairs to update; a non-finite loss raises NumericError before any of
+    them is applied. Epochs are numbered across phases, and the mean loss
+    per sample is logged for the first epoch and every 25th.
+    """
+    epoch = 0
+    for epochs, learning_rate in phases:
+        for _ in range(epochs):
+            epoch += 1
+            total = 0.0
+            for idx in shuffled_batches(n, batch_size, rng):
+                loss, updates = step(idx)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite {name} loss at epoch {epoch}")
+                total += loss
+                for net, grads in updates:
+                    sgd_step(net, grads, learning_rate)
+            if epoch == 1 or epoch % 25 == 0:
+                logger.info("%s epoch %d: mean loss %.6f", name, epoch, total / n)
 
 
 def save_mlp(net: Mlp, path) -> None:

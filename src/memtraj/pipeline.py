@@ -20,15 +20,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .addresser import AddresserNets, fixed_cosine_nets, init_addresser_nets, train_addresser
+from .addresser import AddresserNets, addresser_training_data, fit_addresser, fixed_cosine_nets, init_addresser_nets
 from .config import Config
 from .datasets import (
     Scene,
@@ -42,7 +42,7 @@ from .errors import ConfigError, DependencyError
 from .evalkit import MetricReport, evaluate
 from .features import FeatureNets, train_features
 from .fulfillment import FulfillNets, init_fulfill_nets, train_fulfillment
-from .inference import ModelBundle, destination_error, predict_scene, scene_seed, worker_count
+from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes, retrieval_counts
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
 from .numkit import load_mlp, save_mlp
 
@@ -212,7 +212,8 @@ def train_addresser_selected(
     start competes too, so when the pseudo-labels carry no ranking signal the
     addresser keeps its starting point instead of degrading retrieval. Ties
     resolve toward the earlier snapshot. Returns the winning nets plus a
-    report dict with the per-snapshot errors.
+    report dict with the per-snapshot errors. L and K for the holdout come
+    from :func:`retrieval_counts` with K clamped to L.
     """
     dataset = list(dataset)
     if not dataset:
@@ -220,26 +221,25 @@ def train_addresser_selected(
     n_hold = min(SELECTION_HOLDOUT_CAP, max(1, int(len(dataset) * SELECTION_HOLDOUT_FRACTION)))
     holdout = dataset[-n_hold:]
     train_slice = dataset[:-n_hold] or dataset
-    n_retrieve = min(config.n_retrieve, len(bank))
-    n_predict = min(config.n_predict, n_retrieve)
+    n_retrieve, n_predict = retrieval_counts(len(bank), config.n_retrieve, config.n_predict, clamp_k=True)
     seed = config.seed_for("addresser-selection")
 
     def score(candidate: AddresserNets) -> float:
         return destination_error(feature_nets, candidate, bank, holdout, n_retrieve, n_predict, seed)
 
-    phases = [(config.epochs_addresser, config.lr_addresser)]
-    if config.finetune and config.epochs_finetune > 0:
-        phases.append((config.epochs_finetune, config.lr_finetune))
+    data = None  # built once, on the first segment, so a stage without epochs never encodes the slice
     best = nets.copy()
     best_error = score(nets)
     errors = [(0, best_error)]
     best_epoch = 0
-    current = nets
+    current = nets.copy()
     epoch_no = 0
-    for phase_epochs, lr in phases:
+    for phase_epochs, lr in config.sgd_phases("addresser"):
         for chunk in _segment_epochs(phase_epochs, SELECTION_SEGMENTS):
-            chunk_config = replace(config, epochs_addresser=chunk, lr_addresser=lr, finetune=False)
-            current = train_addresser(current, bank, feature_nets, train_slice, chunk_config)
+            if data is None:
+                data = addresser_training_data(bank, feature_nets, train_slice)
+            # Each segment restarts the addresser-batches RNG, so segments replay the same shuffles.
+            fit_addresser(current, bank, data, config, [(chunk, lr)])
             epoch_no += chunk
             error = score(current)
             errors.append((epoch_no, error))
@@ -350,61 +350,54 @@ def run_predict(
     fixed_cosine: bool = False,
     trace: bool = False,
 ) -> Path:
-    """Predict every test scene; write predictions.csv (and trace.csv).
-
-    predictions.csv rows are scene_id,k,t,x,y in world coordinates, t being
-    the 1-based future step. destinations.csv carries the clustered
-    destination proposals with their anchor member counts.
-    """
+    """Predict every test scene into the files of :func:`write_predictions`."""
     scenes = list(scenes) if scenes is not None else _load_scenes(config, "test_manifest")
     bundle = load_model_bundle(config, fixed_cosine=fixed_cosine)
-    preds = _predict_all(bundle, scenes, config)
-    out_dir = Path(config.out_dir)
-    out_path = out_dir / "predictions.csv"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("scene_id,k,t,x,y\n")
-        for pred in preds:
-            for k in range(pred.trajectories.shape[0]):
-                for t in range(pred.trajectories.shape[1]):
-                    x, y = pred.trajectories[k, t]
-                    fh.write("%s,%d,%d,%r,%r\n" % (pred.scene_id, k, t + 1, float(x), float(y)))
-    with open(out_dir / "destinations.csv", "w", encoding="utf-8") as fh:
-        fh.write("scene_id,cluster_index,x,y,member_count\n")
-        for pred in preds:
-            counts = np.bincount(pred.intention_set.anchor_assignment, minlength=pred.intention_set.k)
-            for c in range(pred.intention_set.k):
-                fh.write(
-                    "%s,%d,%r,%r,%d\n"
-                    % (pred.scene_id, c, float(pred.destinations[c, 0]), float(pred.destinations[c, 1]), int(counts[c]))
-                )
-    if trace:
-        with open(out_dir / "trace.csv", "w", encoding="utf-8") as fh:
-            fh.write("scene_id,rank,address,sample_id,score\n")
-            for pred in preds:
-                for rank, (addr, sid, s) in enumerate(zip(pred.addresses, pred.sample_ids, pred.scores)):
-                    fh.write("%s,%d,%d,%d,%r\n" % (pred.scene_id, rank, addr, sid, float(s)))
-    logger.info("wrote predictions for %d scenes to %s", len(preds), out_path)
+    preds = predict_scenes(
+        bundle,
+        scenes,
+        n_retrieve=config.n_retrieve,
+        n_predict=config.n_predict,
+        seed=config.seed,
+        decode_mode=config.decode_mode,
+        snap_destination=config.snap_destination,
+    )
+    count = write_predictions(config.out_dir, preds, trace=trace)
+    out_path = Path(config.out_dir) / "predictions.csv"
+    logger.info("wrote predictions for %d scenes to %s", count, out_path)
     return out_path
 
 
-def _predict_all(bundle: ModelBundle, scenes: Sequence[Scene], config: Config):
-    def one(item):
-        index, scene = item
-        return predict_scene(
-            bundle,
-            scene,
-            n_retrieve=config.n_retrieve,
-            n_predict=config.n_predict,
-            seed=scene_seed(config.seed, index),
-            decode_mode=config.decode_mode,
-            snap_destination=config.snap_destination,
-        )
+def write_predictions(out_dir, preds: Iterable[ScenePrediction], trace: bool = False) -> int:
+    """Stream predictions into predictions.csv, destinations.csv and, with ``trace``, trace.csv.
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, enumerate(scenes)))
-    return [one(item) for item in enumerate(scenes)]
+    predictions.csv rows are scene_id,k,t,x,y in world coordinates, t being
+    the 1-based future step. destinations.csv carries the world-frame
+    destination proposals with their anchor member counts; trace.csv the
+    retrieved addresses, sample ids and scores, best first. Returns the
+    number of predictions written.
+    """
+    out_dir = Path(out_dir)
+    count = 0
+    with ExitStack() as stack:
+        traj_fh = stack.enter_context(open(out_dir / "predictions.csv", "w", encoding="utf-8"))
+        dest_fh = stack.enter_context(open(out_dir / "destinations.csv", "w", encoding="utf-8"))
+        trace_fh = stack.enter_context(open(out_dir / "trace.csv", "w", encoding="utf-8")) if trace else None
+        traj_fh.write("scene_id,k,t,x,y\n")
+        dest_fh.write("scene_id,cluster_index,x,y,member_count\n")
+        if trace_fh:
+            trace_fh.write("scene_id,rank,address,sample_id,score\n")
+        for count, pred in enumerate(preds, start=1):
+            for k, trajectory in enumerate(pred.trajectories):
+                for t, (x, y) in enumerate(trajectory, start=1):
+                    traj_fh.write("%s,%d,%d,%r,%r\n" % (pred.scene_id, k, t, float(x), float(y)))
+            members = np.bincount(pred.intention_set.anchor_assignment, minlength=pred.intention_set.k)
+            for c, (x, y) in enumerate(pred.destinations):
+                dest_fh.write("%s,%d,%r,%r,%d\n" % (pred.scene_id, c, float(x), float(y), int(members[c])))
+            if trace_fh:
+                for rank, (addr, sid, s) in enumerate(zip(pred.addresses, pred.sample_ids, pred.scores)):
+                    trace_fh.write("%s,%d,%d,%d,%r\n" % (pred.scene_id, rank, addr, sid, float(s)))
+    return count
 
 
 def run_eval(

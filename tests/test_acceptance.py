@@ -39,7 +39,6 @@ from memtraj.intention import kmeans, kmeans_cost
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
-    MemoryEntry,
     bank_filter,
     bank_init,
     filter_visit_order,
@@ -99,18 +98,19 @@ def test_criterion_1_gradient_suite(capsys):
 
 
 def _random_bank(rng, m: int, spread: float) -> MemoryBankPair:
-    entries = [
-        MemoryEntry(
-            past_feat=rng.normal(size=4),
-            intent_feat=rng.normal(size=3),
-            start_pos=rng.uniform(-spread, spread, size=2),
-            destination=rng.uniform(-spread, spread, size=2),
-            sample_id=i,
+    # one entry's four draws at a time, in the order the bank stores them
+    rows = [
+        (
+            rng.normal(size=4),
+            rng.normal(size=3),
+            rng.uniform(-spread, spread, size=2),
+            rng.uniform(-spread, spread, size=2),
         )
-        for i in range(m)
+        for _ in range(m)
     ]
+    past, intent, starts, dests = (np.stack(column) for column in zip(*rows))
     meta = BankMeta(past_dim=4, intent_dim=3, past_len=PAST_LEN, future_len=FUTURE_LEN)
-    return MemoryBankPair(entries=entries, meta=meta)
+    return MemoryBankPair(past, intent, starts, dests, np.arange(m, dtype=np.int64), meta)
 
 
 def test_criterion_2_filter_properties(capsys):
@@ -129,8 +129,8 @@ def test_criterion_2_filter_properties(capsys):
         kept = bank_filter(bank, theta_p, theta_i, seed)
 
         # exhaustive pairwise non-redundancy among the kept entries
-        d_start = np.linalg.norm(kept.start_matrix[:, None] - kept.start_matrix[None], axis=2)
-        d_dest = np.linalg.norm(kept.dest_matrix[:, None] - kept.dest_matrix[None], axis=2)
+        d_start = np.linalg.norm(kept.starts[:, None] - kept.starts[None], axis=2)
+        d_dest = np.linalg.norm(kept.dests[:, None] - kept.dests[None], axis=2)
         redundant = (d_start <= theta_p) & (d_dest <= theta_i)
         np.fill_diagonal(redundant, False)
         assert not redundant.any(), "kept entries must be pairwise non-redundant"
@@ -138,7 +138,7 @@ def test_criterion_2_filter_properties(capsys):
         # every removed entry is redundant against some entry kept EARLIER in
         # the visit order, and the kept entries appear in visit order
         order = filter_visit_order(m, seed)
-        kept_ids = [e.sample_id for e in kept.entries]
+        kept_ids = kept.sample_ids.tolist()
         visit_rank = {int(idx): r for r, idx in enumerate(order)}
         kept_ranks = np.array([visit_rank[i] for i in kept_ids])
         assert list(kept_ranks) == sorted(kept_ranks), "kept entries must follow the visit order"
@@ -146,13 +146,14 @@ def test_criterion_2_filter_properties(capsys):
         for idx in order:
             if int(idx) in kept_set:
                 continue
-            entry = bank.entries[int(idx)]
-            ds = np.linalg.norm(kept.start_matrix - entry.start_pos, axis=1)
-            dd = np.linalg.norm(kept.dest_matrix - entry.destination, axis=1)
+            start, dest = bank.starts[idx], bank.dests[idx]
+            ds = np.linalg.norm(kept.starts - start, axis=1)
+            dd = np.linalg.norm(kept.dests - dest, axis=1)
             earlier = kept_ranks < visit_rank[int(idx)]
             culprits = np.flatnonzero((ds <= theta_p) & (dd <= theta_i) & earlier)
             assert culprits.size, f"removed entry {idx} has no earlier-kept redundancy witness"
-            assert is_redundant(entry, kept.entries[int(culprits[0])], theta_p, theta_i)
+            witness = int(culprits[0])
+            assert is_redundant((start, dest), (kept.starts[witness], kept.dests[witness]), theta_p, theta_i)
             n_removed_checked += 1
 
     # an infinite threshold collapses any bank to exactly one entry
@@ -218,7 +219,7 @@ def test_criterion_3_addresser_oracle(capsys):
     hits = 0
     rhos = []
     for i, scene in enumerate(scenes):
-        scores = score_all(nets, bank.entries[i].past_feat, bank)
+        scores = score_all(nets, bank.past_feats[i], bank)
         dists = np.linalg.norm(scene.ego_future[-1] - decoded, axis=1)
         labels = pseudo_labels(dists, config.label_threshold_value())
         hits += int(np.argmax(scores) == np.argmin(dists))

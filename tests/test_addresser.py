@@ -16,7 +16,6 @@ from memtraj.addresser import (
     score,
     score_all,
     top_l,
-    top_l_scored,
     train_addresser,
 )
 from memtraj.datasets import synth_generate
@@ -70,7 +69,7 @@ def test_score_all_matches_pairwise(small_scenes):
     scores = score_all(nets, q, bank)
     assert scores.shape == (len(bank),)
     for i in range(len(bank)):
-        assert scores[i] == pytest.approx(score(nets, q, bank.entries[i].past_feat), abs=1e-10)
+        assert scores[i] == pytest.approx(score(nets, q, bank.past_feats[i]), abs=1e-10)
     # cached keys give the same answer
     keys = key_table(nets, bank)
     np.testing.assert_allclose(score_all(nets, q, bank, keys=keys), scores, atol=0)
@@ -81,8 +80,7 @@ def test_degenerate_projections_score_zero(caplog):
     nets = fixed_cosine_nets(32)
     scores = score_all(nets, np.zeros(32), bank)
     np.testing.assert_array_equal(scores, np.zeros(len(bank)))
-    bank.entries[2].past_feat = np.zeros(32)
-    bank.__dict__.pop("past_matrix", None)  # rebuild the cached matrix
+    bank.past_feats[2] = 0.0
     scores = score_all(nets, np.ones(32), bank)
     assert scores[2] == 0.0
     assert score(nets, np.zeros(32), np.ones(32)) == 0.0
@@ -110,18 +108,19 @@ def test_addresser_loss_hand_case():
 def test_top_l_orders_and_breaks_ties_low_address():
     bank, _, _ = make_bank(n=8)
     # duplicate past features produce exactly tied scores
-    bank.entries[5].past_feat = bank.entries[1].past_feat.copy()
-    bank.__dict__.pop("past_matrix", None)
+    bank.past_feats[5] = bank.past_feats[1]
     nets = fixed_cosine_nets(32)
-    q = bank.entries[1].past_feat
-    addrs, scores = top_l_scored(nets, q, bank, count=8)
+    q = bank.past_feats[1]
+    all_scores = score_all(nets, q, bank)
+    addrs = top_l(all_scores, count=8)
+    scores = all_scores[addrs]
     assert addrs[0] == 1 and addrs[1] == 5  # tie at score 1.0, lower address first
     assert scores[0] == scores[1] == pytest.approx(1.0, abs=1e-12)
     assert all(scores[i] >= scores[i + 1] for i in range(7))
     with pytest.raises(ValueError):
-        top_l(nets, q, bank, count=0)
+        top_l(all_scores, count=0)
     with pytest.raises(ValueError):
-        top_l(nets, q, bank, count=9)
+        top_l(all_scores, count=9)
 
 
 def test_cosine_backward_matches_finite_difference():
@@ -183,9 +182,9 @@ def test_train_addresser_reduces_label_loss():
 
     def total_loss(nets):
         total = 0.0
-        for i, entry in enumerate(bank.entries):
-            labels = pseudo_labels(np.linalg.norm(decoded - entry.destination, axis=1), threshold)
-            total += addresser_loss(score_all(nets, entry.past_feat, bank), labels)
+        for past_feat, dest in zip(bank.past_feats, bank.dests):
+            labels = pseudo_labels(np.linalg.norm(decoded - dest, axis=1), threshold)
+            total += addresser_loss(score_all(nets, past_feat, bank), labels)
         return total
 
     assert total_loss(trained) < total_loss(init)

@@ -8,6 +8,16 @@ from memtraj.config import Config, RUNTIME_ONLY_FIELDS, load_config
 from memtraj.errors import ConfigError
 
 
+def test_sgd_phases_append_finetune_when_enabled():
+    config = Config(epochs_addresser=7, lr_addresser=0.5, epochs_finetune=3, lr_finetune=0.25)
+    assert config.sgd_phases("addresser") == [(7, 0.5)]
+    config.finetune = True
+    assert config.sgd_phases("addresser") == [(7, 0.5), (3, 0.25)]
+    assert config.sgd_phases("features") == [(config.epochs_features, config.lr_features), (3, 0.25)]
+    config.epochs_finetune = 0
+    assert config.sgd_phases("fulfillment") == [(config.epochs_fulfillment, config.lr_fulfillment)]
+
+
 def test_scale_defaults():
     pixel = Config(scale="pixel")
     assert pixel.theta_past == 1.0

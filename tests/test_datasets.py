@@ -52,6 +52,30 @@ def test_load_tsv_errors_carry_line_numbers(tmp_path):
         load_tsv(path)
 
 
+def test_load_tsv_rejects_non_finite_coordinates(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = write(tmp_path, f"{bad}.tsv", f"1 1 0.0 0.0\n2 1 {bad} 0.5\n")
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_tsv(path)
+        path = write(tmp_path, f"{bad}-y.tsv", f"1 1 0.0 0.0\n\n2 1 0.5 {bad}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_tsv(path)
+    # an infinite frame number is not a frame at all
+    path = write(tmp_path, "inf-frame.tsv", "inf 1 0.0 0.0\n")
+    with pytest.raises(ParseError, match="line 1"):
+        load_tsv(path)
+
+
+def test_load_tsv_rejects_duplicate_rows(tmp_path):
+    # the same (frame, agent) twice, even with other rows between: the second occurrence is reported
+    path = write(tmp_path, "dup.tsv", "1 7 0.0 0.0\n2 7 1.0 1.0\n1 3 0.0 0.0\n2 7 1.5 1.0\n")
+    with pytest.raises(ParseError, match="line 4: duplicate row for frame 2, agent 7 \\(first on line 2\\)"):
+        load_tsv(path)
+    # the same frame for different agents is fine
+    tracks = load_tsv(write(tmp_path, "ok.tsv", "1 7 0.0 0.0\n1 3 0.0 0.0\n"))
+    assert [t.agent_id for t in tracks] == [7, 3]
+
+
 def test_save_load_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(4)
     coords = np.vstack([rng.normal(scale=100.0, size=(5, 2)), [[1e-17, -3.25]]])

@@ -14,10 +14,10 @@ from memtraj.intention import (
     decode_anchors,
     kmeans,
     kmeans_cost,
-    predict_intentions,
-    save_intention_sets,
 )
+from memtraj.inference import ScenePrediction, propose_destinations
 from memtraj.membank import bank_init
+from memtraj.pipeline import write_predictions
 
 
 def exhaustive_best_cost(points, k):
@@ -167,20 +167,30 @@ def test_predict_intentions_shapes_and_determinism():
     scenes, nets, bank = make_stack(12)
     addresser = fixed_cosine_nets(32)
     normalized, _ = normalize_scene(scenes[0])
-    a = predict_intentions(normalized, bank, addresser, nets, n_retrieve=8, n_predict=3, seed=5)
-    b = predict_intentions(normalized, bank, addresser, nets, n_retrieve=8, n_predict=3, seed=5)
+    # retrieve, decode and cluster: the destination half of a prediction
+    a = propose_destinations(nets, addresser, bank, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
+    b = propose_destinations(nets, addresser, bank, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
     assert a.destinations.shape == (3, 2)
     assert a.anchor_assignment.shape == (8,)
     np.testing.assert_array_equal(a.destinations, b.destinations)
     with pytest.raises(ValueError):
-        predict_intentions(normalized, bank, addresser, nets, n_retrieve=2, n_predict=3, seed=5)
+        propose_destinations(nets, addresser, bank, normalized, n_retrieve=2, n_predict=3, seed=5)
 
 
 def test_save_intention_sets(tmp_path):
     rng = np.random.default_rng(8)
     iset = kmeans(rng.normal(size=(6, 2)), 2, seed=1)
-    path = tmp_path / "intentions.csv"
-    save_intention_sets(path, [("scene-a", iset)])
+    pred = ScenePrediction(
+        scene_id="scene-a",
+        destinations=iset.destinations,
+        trajectories=np.zeros((2, 1, 2)),
+        addresses=np.arange(6),
+        scores=np.zeros(6),
+        sample_ids=np.arange(6),
+        intention_set=iset,
+    )
+    assert write_predictions(tmp_path, [pred]) == 1
+    path = tmp_path / "destinations.csv"
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "scene_id,cluster_index,x,y,member_count"
     assert len(lines) == 3

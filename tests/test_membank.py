@@ -9,7 +9,6 @@ from memtraj.features import init_feature_nets, social_encode
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
-    MemoryEntry,
     bank_filter,
     bank_init,
     bank_load,
@@ -22,42 +21,42 @@ HEADER_SIZE = 88  # magic + version + 4 dims + 2 thresholds + seed + count + has
 
 
 def random_bank(rng, m, past_dim=6, intent_dim=4, spread=1.0):
-    entries = [
-        MemoryEntry(
-            past_feat=rng.normal(size=past_dim),
-            intent_feat=rng.normal(size=intent_dim),
-            start_pos=rng.uniform(-spread, spread, size=2),
-            destination=rng.uniform(-spread, spread, size=2),
-            sample_id=i,
+    # one entry's four draws at a time, in the order the bank stores them
+    rows = [
+        (
+            rng.normal(size=past_dim),
+            rng.normal(size=intent_dim),
+            rng.uniform(-spread, spread, size=2),
+            rng.uniform(-spread, spread, size=2),
         )
-        for i in range(m)
+        for _ in range(m)
     ]
+    past, intent, starts, dests = (np.stack(column) for column in zip(*rows))
     meta = BankMeta(past_dim=past_dim, intent_dim=intent_dim, past_len=8, future_len=12)
-    return MemoryBankPair(entries=entries, meta=meta)
+    return MemoryBankPair(past, intent, starts, dests, np.arange(m, dtype=np.int64), meta)
+
+
+def pair(bank, i):
+    """The (start, destination) pair of one bank entry."""
+    return bank.starts[i], bank.dests[i]
 
 
 def test_bank_init_entries(small_scenes):
     nets = init_feature_nets(2, past_len=8)
     bank = bank_init(nets, small_scenes)
     assert len(bank) == len(small_scenes)
-    assert [e.sample_id for e in bank.entries] == list(range(len(small_scenes)))
+    assert bank.sample_ids.tolist() == list(range(len(small_scenes)))
     assert bank.meta.theta_past is None and bank.meta.filter_seed is None
     assert bank.meta.future_len == 12
     normalized, _ = normalize_scene(small_scenes[3])
-    np.testing.assert_allclose(bank.entries[3].past_feat, social_encode(nets, normalized), rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(bank.entries[3].start_pos, normalized.ego_past[0], atol=0)
-    np.testing.assert_allclose(bank.entries[3].destination, normalized.ego_future[-1], atol=0)
-    assert bank.past_matrix.shape == (len(small_scenes), nets.past_dim)
+    np.testing.assert_allclose(bank.past_feats[3], social_encode(nets, normalized), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(bank.starts[3], normalized.ego_past[0], atol=0)
+    np.testing.assert_allclose(bank.dests[3], normalized.ego_future[-1], atol=0)
+    assert bank.past_feats.shape == (len(small_scenes), nets.past_dim)
 
 
 def entry_at(start, dest):
-    return MemoryEntry(
-        past_feat=np.zeros(2),
-        intent_feat=np.zeros(2),
-        start_pos=np.asarray(start, dtype=np.float64),
-        destination=np.asarray(dest, dtype=np.float64),
-        sample_id=0,
-    )
+    return np.asarray(start, dtype=np.float64), np.asarray(dest, dtype=np.float64)
 
 
 def test_is_redundant_hand_case():
@@ -84,9 +83,9 @@ def test_filter_matches_replay_oracle():
         # replay the documented greedy pass entry by entry
         kept = []
         for i in filter_visit_order(m, seed):
-            if not any(is_redundant(bank.entries[i], bank.entries[j], theta_p, theta_i) for j in kept):
+            if not any(is_redundant(pair(bank, i), pair(bank, j), theta_p, theta_i) for j in kept):
                 kept.append(int(i))
-        assert [e.sample_id for e in filtered.entries] == kept
+        assert filtered.sample_ids.tolist() == kept
         assert filtered.meta.theta_past == theta_p
         assert filtered.meta.filter_seed == seed
         assert filtered.meta.source_hash == bank.meta.source_hash
@@ -103,9 +102,8 @@ def test_filter_zero_thetas_keep_distinct_drop_duplicates():
     bank = random_bank(rng, 30)
     assert len(bank_filter(bank, 0.0, 0.0, seed=1)) == 30
     dup = random_bank(rng, 4)
-    for e in dup.entries:
-        e.start_pos = np.array([1.0, 2.0])
-        e.destination = np.array([3.0, 4.0])
+    dup.starts[:] = [1.0, 2.0]
+    dup.dests[:] = [3.0, 4.0]
     assert len(bank_filter(dup, 0.0, 0.0, seed=1)) == 1
 
 
@@ -120,7 +118,7 @@ def test_filter_deterministic():
     bank = random_bank(np.random.default_rng(8), 60)
     a = bank_filter(bank, 0.3, 0.3, seed=2)
     b = bank_filter(bank, 0.3, 0.3, seed=2)
-    assert [e.sample_id for e in a.entries] == [e.sample_id for e in b.entries]
+    assert a.sample_ids.tolist() == b.sample_ids.tolist()
 
 
 def test_save_load_roundtrip(tmp_path, small_scenes):
@@ -131,17 +129,17 @@ def test_save_load_roundtrip(tmp_path, small_scenes):
     loaded = bank_load(path)
     assert len(loaded) == len(bank)
     assert loaded.meta == bank.meta
-    np.testing.assert_array_equal(loaded.past_matrix, bank.past_matrix)
-    np.testing.assert_array_equal(loaded.intent_matrix, bank.intent_matrix)
-    np.testing.assert_array_equal(loaded.dest_matrix, bank.dest_matrix)
-    assert [e.sample_id for e in loaded.entries] == [e.sample_id for e in bank.entries]
+    np.testing.assert_array_equal(loaded.past_feats, bank.past_feats)
+    np.testing.assert_array_equal(loaded.intent_feats, bank.intent_feats)
+    np.testing.assert_array_equal(loaded.dests, bank.dests)
+    assert loaded.sample_ids.tolist() == bank.sample_ids.tolist()
 
     filtered = bank_filter(bank, 0.05, 0.05, seed=11)
     bank_save(filtered, path)
     again = bank_load(path)
     assert again.meta.theta_past == 0.05
     assert again.meta.filter_seed == 11
-    assert [e.sample_id for e in again.entries] == [e.sample_id for e in filtered.entries]
+    assert again.sample_ids.tolist() == filtered.sample_ids.tolist()
 
     # a second save of the loaded bank is byte-identical
     path2 = tmp_path / "bank2.mtbk"

@@ -16,6 +16,7 @@ from memtraj.numkit import (
     mlp_forward,
     mlp_init,
     save_mlp,
+    sgd_loop,
     sgd_step,
     shuffled_batches,
 )
@@ -165,6 +166,39 @@ def test_sgd_rejects_nonfinite_gradients():
     grads.d_biases[0][1] = np.nan
     with pytest.raises(NumericError):
         sgd_step(net, grads, 0.1)
+
+
+def test_sgd_loop_counts_epochs_across_phases():
+    net = identity_mlp(2)
+    seen = []
+
+    def step(idx):
+        seen.append(idx.tolist())
+        grads = mlp_backward(net, np.ones((len(idx), 2)), np.zeros((len(idx), 2)))
+        grads.d_biases[0] = np.ones(2)
+        return 1.0, [(net, grads)]
+
+    sgd_loop("test", 5, 2, [(2, 0.1), (1, 0.01)], np.random.default_rng(3), step)
+    # three epochs of three batches, each epoch a fresh permutation from the same RNG
+    rng = np.random.default_rng(3)
+    assert seen == [idx.tolist() for _ in range(3) for idx in shuffled_batches(5, 2, rng)]
+    np.testing.assert_allclose(net.biases[0], -(6 * 0.1 + 3 * 0.01) * np.ones(2), rtol=1e-12)
+
+
+def test_sgd_loop_raises_before_updating_on_nonfinite_loss():
+    net = identity_mlp(2)
+    weights_seen = []
+
+    def step(idx):
+        weights_seen.append(net.weights[0].copy())
+        grads = mlp_backward(net, np.ones((len(idx), 2)), np.ones((len(idx), 2)))
+        return (np.nan if len(weights_seen) == 4 else 1.0), [(net, grads)]
+
+    # three batches per epoch, so the fourth is the first batch of epoch 2
+    with pytest.raises(NumericError, match="non-finite test loss at epoch 2"):
+        sgd_loop("test", 6, 2, [(1, 0.1), (3, 0.1)], np.random.default_rng(0), step)
+    assert len(weights_seen) == 4
+    np.testing.assert_array_equal(net.weights[0], weights_seen[-1])
 
 
 def test_sgd_rejects_mismatched_shapes():

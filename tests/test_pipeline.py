@@ -12,6 +12,8 @@ from memtraj.cli import main
 from memtraj.config import Config
 from memtraj.datasets import load_manifest, synth_generate, synth_meta
 from memtraj.errors import DependencyError
+from memtraj.evalkit import evaluate, min_ade, min_fde
+from memtraj.inference import predict_scene, scene_seed
 from memtraj.pipeline import (
     MANIFEST_NAME,
     STAGE_ADDRESSER,
@@ -185,6 +187,30 @@ def test_predict_outputs(trained_run):
     assert len(trace_lines) == 1 + config.synth_scenes * config.n_retrieve
 
 
+def test_shared_loop_seeds_scenes_in_order(trained_run):
+    config = trained_run
+    scenes = load_manifest(config.test_manifest, past_len=config.past_len, future_len=config.future_len)
+    bundle = load_model_bundle(config)
+    direct = [
+        predict_scene(bundle, scene, config.n_retrieve, config.n_predict, seed=scene_seed(config.seed, i))
+        for i, scene in enumerate(scenes)
+    ]
+    report = evaluate(bundle, scenes, n_predict=config.n_predict, n_retrieve=config.n_retrieve, seed=config.seed)
+    assert [row.scene_id for row in report.rows] == [scene.scene_id for scene in scenes]
+    for row, pred, scene in zip(report.rows, direct, scenes):
+        assert row.min_ade == min_ade(pred.trajectories, scene.ego_future)
+        assert row.min_fde == min_fde(pred.trajectories, scene.ego_future)
+
+    run_predict(config)
+    expected = ["scene_id,k,t,x,y"] + [
+        "%s,%d,%d,%r,%r" % (pred.scene_id, k, t + 1, float(x), float(y))
+        for pred in direct
+        for k in range(config.n_predict)
+        for t, (x, y) in enumerate(pred.trajectories[k])
+    ]
+    assert (Path(config.out_dir) / "predictions.csv").read_text(encoding="utf-8").splitlines() == expected
+
+
 def test_eval_outputs(trained_run, capsys):
     config = trained_run
     report = run_eval(config)
@@ -309,3 +335,36 @@ def test_cli_seed_and_out_overrides(tmp_path):
     # a different seed produces different scene data
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert (out_a / "synth" / "scenes.tsv").read_bytes() != (out_b / "synth" / "scenes.tsv").read_bytes()
+
+
+def _cli_train(tmp_path, name, **overrides):
+    """Synthesize and train a meter-scale run through the CLI; return its config arguments."""
+    config = tiny_config(tmp_path / name, n_retrieve=None, **overrides)
+    cfg_path = tmp_path / f"{name}.cfg"
+    config.to_file(cfg_path)
+    args = ["--config", str(cfg_path)]
+    for command in ("synth", "train-features", "build-memory", "train-addresser", "train-fulfillment"):
+        assert main([command, *args]) == 0
+    return config, args
+
+
+def test_cli_small_bank_limits_retrieval(tmp_path, capsys):
+    # the meter default retrieves 320 entries, more than 100 scenes can fill
+    config, args = _cli_train(tmp_path, "small", synth_scenes=100)
+    bank_size = len(load_model_bundle(config).bank)
+    assert config.n_retrieve == 320 and bank_size <= 100
+    assert main(["predict", "--trace", *args]) == 0
+    assert main(["eval", *args]) == 0
+    trace_lines = (Path(config.out_dir) / "trace.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert len(trace_lines) == 1 + config.synth_scenes * bank_size
+    capsys.readouterr()
+
+    # K above every retrievable entry is a clean error, not a traceback
+    config, args = _cli_train(tmp_path, "tiny", synth_scenes=12, n_predict=20)
+    bank_size = len(load_model_bundle(config).bank)
+    capsys.readouterr()
+    for command in ("predict", "eval"):
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"n_predict (20) exceeds the {bank_size} entries" in err
