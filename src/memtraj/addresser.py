@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import Scene, normalize_scene
-from .features import FeatureNets, decode_batch, prepare_social_batch, social_forward_batch
+from .features import EncoderDecoder, decode_batch, prepare_social_batch, social_forward_batch
 from .membank import MemoryBankPair
 from .numkit import (
     Mlp,
@@ -192,14 +192,14 @@ def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndar
     return d_u, d_w
 
 
-def decoded_intentions(feature_nets: FeatureNets, bank: MemoryBankPair) -> np.ndarray:
+def decoded_intentions(feature_nets: EncoderDecoder, bank: MemoryBankPair) -> np.ndarray:
     """Every entry's decoded destination from its own stored feature pair."""
     _, dest_hat = decode_batch(feature_nets, bank.past_feats, bank.intent_feats)
     return dest_hat
 
 
 def addresser_training_data(
-    bank: MemoryBankPair, feature_nets: FeatureNets, dataset: Sequence[Scene]
+    bank: MemoryBankPair, feature_nets: EncoderDecoder, dataset: Sequence[Scene]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What addresser training reads: query past features, true destinations, decoded intentions.
 
@@ -265,7 +265,7 @@ def fit_addresser(
 def train_addresser(
     nets: AddresserNets,
     bank: MemoryBankPair,
-    feature_nets: FeatureNets,
+    feature_nets: EncoderDecoder,
     dataset: Sequence[Scene],
     config,
 ) -> AddresserNets:

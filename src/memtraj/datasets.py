@@ -68,13 +68,30 @@ class NormTransform:
         return np.asarray(points, dtype=np.float64) - self.translation
 
 
+def _parse_index(token: str, what: str, line_no: int) -> int:
+    """A frame or agent id: an int64 integer, also when spelled as a float such as ``3.0``.
+
+    A token that is no number at all raises ValueError for the caller to report.
+    """
+    try:
+        value = int(token)
+    except ValueError:
+        number = float(token)
+        if not number.is_integer():
+            raise ParseError(f"{what} {token} is not an integer", line_no=line_no) from None
+        value = int(number)
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"{what} {token} is out of the int64 range", line_no=line_no)
+    return value
+
+
 def load_tsv(path) -> list[RawTrack]:
     """Parse ``frame agent_id x y`` rows into per-agent tracks.
 
     Agents appear in first-seen order; samples are sorted by frame. Blank
-    lines are skipped. A malformed line, a NaN or infinite coordinate, or a
-    second row for the same (frame, agent) raises ParseError with its 1-based
-    line number.
+    lines are skipped. A malformed line, a frame or agent id that is not an
+    integer, a NaN or infinite coordinate, or a second row for the same
+    (frame, agent) raises ParseError with its 1-based line number.
     """
     by_agent: dict[int, list[tuple[int, float, float]]] = {}
     first_line: dict[tuple[int, int], int] = {}
@@ -87,11 +104,11 @@ def load_tsv(path) -> list[RawTrack]:
             if len(tokens) != 4:
                 raise ParseError(f"expected 4 fields, got {len(tokens)}", line_no=line_no)
             try:
-                frame = int(float(tokens[0]))
-                agent_id = int(float(tokens[1]))
+                frame = _parse_index(tokens[0], "frame", line_no)
+                agent_id = _parse_index(tokens[1], "agent id", line_no)
                 x = float(tokens[2])
                 y = float(tokens[3])
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"non-numeric field ({exc})", line_no=line_no) from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ParseError(f"non-finite coordinate ({tokens[2]}, {tokens[3]})", line_no=line_no)
@@ -417,6 +434,8 @@ def load_manifest(
 
     The manifest holds one TSV path per line (relative paths resolve against
     the manifest's directory); blank lines and ``#`` comments are skipped.
+    A file's stem prefixes its scene ids, so a stem holding ``,`` or ``"``
+    raises ParseError with the manifest line number.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -430,6 +449,11 @@ def load_manifest(
                 continue
             saw_entry = True
             tsv_path = Path(entry)
+            if "," in tsv_path.stem or '"' in tsv_path.stem:
+                raise ParseError(
+                    f"file name {tsv_path.name!r} holds ',' or '\"', which would shift the CSV columns of its scene ids",
+                    line_no=line_no,
+                )
             if not tsv_path.is_absolute():
                 tsv_path = manifest_path.parent / tsv_path
             if not tsv_path.exists():

@@ -8,12 +8,16 @@ past and the destination from the concatenated pair, which forces the two
 feature spaces to line up. After this stage the encoders are frozen and feed
 the memory bank, the addresser, and anchor decoding.
 
+The fulfillment stage reuses this network shape (:class:`EncoderDecoder`)
+and its trainer (:func:`fit_encoder_decoder`), decoding a future where this
+stage decodes a destination.
+
 All positions here are in the ego-centered normalized frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -34,20 +38,28 @@ EMBED_DIM = 64  # ego/neighbor embedding width; the fuse input is twice this
 
 
 @dataclass
-class FeatureNets:
-    """The trainable pieces of the feature stage.
+class EncoderDecoder:
+    """The network shape of both trained stages.
 
-    ego_embed: (2*past_len -> EMBED_DIM), neighbor_embed: same shape,
-    social_fuse: (2*EMBED_DIM -> past_dim), intention_enc: (2 -> intent_dim),
-    joint_dec: (past_dim + intent_dim -> 2*past_len + 2).
+    A social encoder (ego_embed and neighbor_embed: 2*past_len -> EMBED_DIM,
+    neighbors max-pooled, social_fuse: 2*EMBED_DIM -> past_dim) and a point
+    embedder (point_embed: 2 -> intent_dim) feed one decoder (decoder:
+    past_dim + intent_dim -> 2*past_len + 2*target_len) whose outputs are the
+    flattened past followed by the flattened target. The feature stage
+    embeds a destination into its intention feature and decodes that
+    destination (target_len 1); the fulfillment stage embeds the
+    conditioning destination and decodes the future.
     """
 
     ego_embed: Mlp
     neighbor_embed: Mlp
     social_fuse: Mlp
-    intention_enc: Mlp
-    joint_dec: Mlp
-    past_len: int
+    point_embed: Mlp
+    decoder: Mlp
+
+    @property
+    def past_len(self) -> int:
+        return self.ego_embed.in_dim // 2
 
     @property
     def past_dim(self) -> int:
@@ -55,31 +67,29 @@ class FeatureNets:
 
     @property
     def intent_dim(self) -> int:
-        return self.intention_enc.out_dim
+        return self.point_embed.out_dim
 
-    def copy(self) -> "FeatureNets":
-        return FeatureNets(
-            ego_embed=self.ego_embed.copy(),
-            neighbor_embed=self.neighbor_embed.copy(),
-            social_fuse=self.social_fuse.copy(),
-            intention_enc=self.intention_enc.copy(),
-            joint_dec=self.joint_dec.copy(),
-            past_len=self.past_len,
-        )
+    @property
+    def target_len(self) -> int:
+        return self.decoder.out_dim // 2 - self.past_len
+
+    def copy(self) -> "EncoderDecoder":
+        return EncoderDecoder(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
 
-def init_feature_nets(seed: int, past_len: int, past_dim: int = 128, intent_dim: int = 64) -> FeatureNets:
-    """Glorot-initialized feature nets; one child seed per net."""
+def init_encoder_decoder(
+    seed: int, past_len: int, target_len: int, past_dim: int = 128, intent_dim: int = 64
+) -> EncoderDecoder:
+    """Glorot-initialized nets; one child seed per net, drawn in field order."""
     rng = np.random.default_rng(seed)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=5)]
     in_dim = 2 * past_len
-    return FeatureNets(
+    return EncoderDecoder(
         ego_embed=mlp_init(seeds[0], [in_dim, 64, EMBED_DIM]),
         neighbor_embed=mlp_init(seeds[1], [in_dim, 64, EMBED_DIM]),
         social_fuse=mlp_init(seeds[2], [2 * EMBED_DIM, 128, past_dim]),
-        intention_enc=mlp_init(seeds[3], [2, 64, intent_dim]),
-        joint_dec=mlp_init(seeds[4], [past_dim + intent_dim, 256, 2 * past_len + 2]),
-        past_len=past_len,
+        point_embed=mlp_init(seeds[3], [2, 64, intent_dim]),
+        decoder=mlp_init(seeds[4], [past_dim + intent_dim, 256, 2 * (past_len + target_len)]),
     )
 
 
@@ -184,30 +194,30 @@ def social_encode(nets, scene: Scene) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def intention_encode(nets: FeatureNets, destination) -> np.ndarray:
+def intention_encode(nets: EncoderDecoder, destination) -> np.ndarray:
     """Intention feature of a destination (a 2-vector in the normalized frame)."""
     dest = np.asarray(destination, dtype=np.float64)
     if dest.shape != (2,):
         raise ValueError(f"destination must have shape (2,), got {dest.shape}")
-    return mlp_forward(nets.intention_enc, dest)
+    return mlp_forward(nets.point_embed, dest)
 
 
-def joint_decode(nets: FeatureNets, past_feat, intent_feat) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a feature pair into (past reconstruction, destination estimate).
+def joint_decode(nets: EncoderDecoder, past_feat, intent_feat) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a feature-stage pair into (past reconstruction, destination estimate).
 
     Returns ``(past_hat, dest_hat)`` with shapes (past_len, 2) and (2,).
     The decoder input is the concatenation [past_feat; intent_feat].
     """
     k = np.asarray(past_feat, dtype=np.float64)
     v = np.asarray(intent_feat, dtype=np.float64)
-    out = mlp_forward(nets.joint_dec, np.concatenate([k, v]))
+    out = mlp_forward(nets.decoder, np.concatenate([k, v]))
     n_past = 2 * nets.past_len
     return out[:n_past].reshape(nets.past_len, 2), out[n_past:]
 
 
-def decode_batch(nets: FeatureNets, past_feats: np.ndarray, intent_feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized joint_decode: rows of features in, rows of decodings out."""
-    out = mlp_forward(nets.joint_dec, np.hstack([past_feats, intent_feats]))
+def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of (past feature, point embedding) in; rows of (flat past, flat target) out."""
+    out = mlp_forward(nets.decoder, np.hstack([past_feats, point_feats]))
     n_past = 2 * nets.past_len
     return out[:, :n_past], out[:, n_past:]
 
@@ -232,67 +242,81 @@ def rec_loss(past_hat, past_true, dest_hat, dest_true, intent_weight: float = 1.
 # ---------------------------------------------------------------------------
 
 
-def _require_futures(scenes: Sequence[Scene], what: str) -> None:
-    for scene in scenes:
-        if scene.ego_future is None:
-            raise ValueError(f"{what} needs ego futures, scene {scene.scene_id!r} has none")
-
-
-def train_features(dataset: Sequence[Scene], config) -> FeatureNets:
-    """Train the encoders and joint decoder on raw scenes.
-
-    Scenes are normalized internally. One step: mean over a mini-batch of the
-    per-scene summed squared reconstruction error, plain SGD on all five
-    nets. With ``config.epochs_features == 0`` the returned nets are exactly
-    the seeded initialization.
-    """
+def normalize_with_futures(dataset: Sequence[Scene], what: str) -> list[Scene]:
+    """Normalized copies of raw training scenes, each of which must have a future."""
     if not dataset:
         raise ValueError("empty dataset")
-    _require_futures(dataset, "train_features")
-    nets = init_feature_nets(
-        config.seed_for("features"),
-        past_len=config.past_len,
-        past_dim=config.past_dim,
-        intent_dim=config.intent_dim,
-    )
-    normalized = [normalize_scene(s)[0] for s in dataset]
+    for scene in dataset:
+        if scene.ego_future is None:
+            raise ValueError(f"{what} needs ego futures, scene {scene.scene_id!r} has none")
+    return [normalize_scene(s)[0] for s in dataset]
+
+
+def fit_encoder_decoder(
+    nets: EncoderDecoder, normalized: Sequence[Scene], targets: np.ndarray, weight: float, stage: str, config
+) -> None:
+    """Train all five nets in place on normalized scenes with futures.
+
+    Each scene's social past and embedded destination (its last future
+    point) are decoded into [past; target], ``targets`` holding one flat
+    target row per scene. One step: mean over a mini-batch of the summed
+    squared past error plus ``weight`` times the summed squared target
+    error, plain SGD on all five nets. Batches are drawn from the
+    ``<stage>-batches`` seed over ``config.sgd_phases(stage)``.
+    """
     past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
     dests = np.stack([s.ego_future[-1] for s in normalized])
-    n_past = 2 * config.past_len
-    weight = config.intent_weight
+    n_past = past_x.shape[1]
+    past_dim = nets.past_dim
 
     def step(idx):
         k, social_cache = social_forward_batch(nets, prepare_social_batch([normalized[i] for i in idx]))
-        v, intent_cache = mlp_forward_cached(nets.intention_enc, dests[idx])
-        out, dec_cache = mlp_forward_cached(nets.joint_dec, np.hstack([k, v]))
+        v, point_cache = mlp_forward_cached(nets.point_embed, dests[idx])
+        out, dec_cache = mlp_forward_cached(nets.decoder, np.hstack([k, v]))
         res_past = out[:, :n_past] - past_x[idx]
-        res_dest = out[:, n_past:] - dests[idx]
-        loss = float(np.sum(res_past**2) + weight * np.sum(res_dest**2))
+        res_target = out[:, n_past:] - targets[idx]
+        loss = float(np.sum(res_past**2) + weight * np.sum(res_target**2))
         scale = 2.0 / len(idx)
-        upstream = np.hstack([scale * res_past, (weight * scale) * res_dest])
-        dec_grads = mlp_backward_from_cache(nets.joint_dec, dec_cache, upstream)
-        d_k = dec_grads.d_input[:, : config.past_dim]
-        d_v = dec_grads.d_input[:, config.past_dim :]
-        ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, d_k)
-        intent_g = mlp_backward_from_cache(nets.intention_enc, intent_cache, d_v)
-        updates = [(nets.joint_dec, dec_grads), (nets.social_fuse, fuse_g), (nets.ego_embed, ego_g)]
+        upstream = np.hstack([scale * res_past, (weight * scale) * res_target])
+        dec_grads = mlp_backward_from_cache(nets.decoder, dec_cache, upstream)
+        ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, dec_grads.d_input[:, :past_dim])
+        point_g = mlp_backward_from_cache(nets.point_embed, point_cache, dec_grads.d_input[:, past_dim:])
+        updates = [(nets.decoder, dec_grads), (nets.social_fuse, fuse_g), (nets.ego_embed, ego_g)]
         if nb_g is not None:
             updates.append((nets.neighbor_embed, nb_g))
-        return loss, updates + [(nets.intention_enc, intent_g)]
+        return loss, updates + [(nets.point_embed, point_g)]
 
-    rng = np.random.default_rng(config.seed_for("features-batches"))
-    sgd_loop("features", len(normalized), config.batch_size, config.sgd_phases("features"), rng, step)
+    rng = np.random.default_rng(config.seed_for(f"{stage}-batches"))
+    sgd_loop(stage, len(normalized), config.batch_size, config.sgd_phases(stage), rng, step)
+
+
+def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
+    """Train the encoders and joint decoder on raw scenes.
+
+    The decoder reconstructs each scene's past and its destination, weighted
+    by ``config.intent_weight``. With ``config.epochs_features == 0`` the
+    returned nets are exactly the seeded initialization.
+    """
+    normalized = normalize_with_futures(dataset, "train_features")
+    nets = init_encoder_decoder(
+        config.seed_for("features"),
+        past_len=config.past_len,
+        target_len=1,
+        past_dim=config.past_dim,
+        intent_dim=config.intent_dim,
+    )
+    dests = np.stack([s.ego_future[-1] for s in normalized])
+    fit_encoder_decoder(nets, normalized, dests, config.intent_weight, "features", config)
     return nets
 
 
-def mean_rec_loss(nets: FeatureNets, dataset: Sequence[Scene], intent_weight: float = 1.0) -> float:
+def mean_rec_loss(nets: EncoderDecoder, dataset: Sequence[Scene], intent_weight: float = 1.0) -> float:
     """Mean reconstruction loss of frozen nets over raw scenes."""
-    _require_futures(dataset, "mean_rec_loss")
-    normalized = [normalize_scene(s)[0] for s in dataset]
+    normalized = normalize_with_futures(dataset, "mean_rec_loss")
     batch = prepare_social_batch(normalized)
     k, _ = social_forward_batch(nets, batch)
     dests = np.stack([s.ego_future[-1] for s in normalized])
-    v = mlp_forward(nets.intention_enc, dests)
+    v = mlp_forward(nets.point_embed, dests)
     past_hat, dest_hat = decode_batch(nets, k, v)
     past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
     per_scene = np.sum((past_hat - past_x) ** 2, axis=1) + intent_weight * np.sum(

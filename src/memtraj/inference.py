@@ -17,8 +17,8 @@ import numpy as np
 from .addresser import AddresserNets, key_table, score_all, top_l
 from .datasets import Scene, normalize_scene
 from .errors import ConfigError
-from .features import FeatureNets, social_encode
-from .fulfillment import FulfillNets, fulfill_many
+from .features import EncoderDecoder, social_encode
+from .fulfillment import fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans
 from .membank import MemoryBankPair
 
@@ -27,10 +27,10 @@ from .membank import MemoryBankPair
 class ModelBundle:
     """Everything needed to predict, with the projected keys cached."""
 
-    feature_nets: FeatureNets
+    feature_nets: EncoderDecoder
     bank: MemoryBankPair
     addresser_nets: AddresserNets
-    fulfill_nets: FulfillNets
+    fulfill_nets: EncoderDecoder
     keys: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -86,7 +86,7 @@ def retrieval_counts(bank_size: int, n_retrieve: int, n_predict: int, clamp_k: b
 
 
 def propose_destinations(
-    feature_nets: FeatureNets,
+    feature_nets: EncoderDecoder,
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
     normalized: Scene,
@@ -106,15 +106,13 @@ def propose_destinations(
     query = social_encode(feature_nets, normalized)
     scores = score_all(addresser_nets, query, bank, keys=keys)
     addresses = top_l(scores, n_retrieve)
-    top_scores = scores[addresses]
-    anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode, scores=top_scores)
-    positions = np.stack([a.position for a in anchors])
-    iset = kmeans(positions, n_predict, seed)
-    return DestinationProposal(addresses=addresses, scores=top_scores, intention_set=iset)
+    anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)
+    iset = kmeans(anchors, n_predict, seed)
+    return DestinationProposal(addresses=addresses, scores=scores[addresses], intention_set=iset)
 
 
 def destination_error(
-    feature_nets: FeatureNets,
+    feature_nets: EncoderDecoder,
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
     scenes,

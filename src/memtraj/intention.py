@@ -13,28 +13,16 @@ anchors, so the result does not depend on the order the anchors arrive in.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureNets, decode_batch
+from .features import EncoderDecoder, decode_batch
 from .membank import MemoryBankPair
-
-logger = logging.getLogger(__name__)
 
 DECODE_QUERY = "query"  # decode [query past feature ; stored intention feature]
 DECODE_STORED = "stored"  # decode [stored past feature ; stored intention feature]
-
-
-@dataclass
-class IntentionAnchor:
-    """One decoded destination candidate."""
-
-    position: np.ndarray  # (2,)
-    source_address: int  # bank address it was decoded from
-    score: float  # addresser score carried along for inspection
 
 
 @dataclass
@@ -54,11 +42,10 @@ def decode_anchors(
     query_feat,
     addresses: Sequence[int],
     bank: MemoryBankPair,
-    feature_nets: FeatureNets,
+    feature_nets: EncoderDecoder,
     decode_mode: str = DECODE_QUERY,
-    scores: Sequence[float] | None = None,
-) -> list[IntentionAnchor]:
-    """Decode one anchor per retrieved address, preserving address order."""
+) -> np.ndarray:
+    """Decode one anchor per retrieved address: an (L, 2) array in address order."""
     if decode_mode not in (DECODE_QUERY, DECODE_STORED):
         raise ValueError(f"decode_mode must be '{DECODE_QUERY}' or '{DECODE_STORED}', got {decode_mode!r}")
     if len(addresses) == 0:
@@ -66,8 +53,6 @@ def decode_anchors(
     addr = np.asarray(addresses, dtype=np.int64)
     if addr.min() < 0 or addr.max() >= len(bank):
         raise ValueError(f"address out of range for bank of {len(bank)} entries")
-    if scores is not None and len(scores) != len(addresses):
-        raise ValueError(f"{len(scores)} scores for {len(addresses)} addresses")
     intent_feats = bank.intent_feats[addr]
     if decode_mode == DECODE_QUERY:
         q = np.asarray(query_feat, dtype=np.float64)
@@ -75,14 +60,7 @@ def decode_anchors(
     else:
         past_feats = bank.past_feats[addr]
     _, dest_hat = decode_batch(feature_nets, past_feats, intent_feats)
-    return [
-        IntentionAnchor(
-            position=dest_hat[i],
-            source_address=int(addr[i]),
-            score=float(scores[i]) if scores is not None else 0.0,
-        )
-        for i in range(len(addr))
-    ]
+    return dest_hat
 
 
 def kmeans(points, k: int, seed: int, max_iters: int = 100) -> IntentionSet:

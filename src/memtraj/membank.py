@@ -22,7 +22,7 @@ import numpy as np
 
 from .datasets import Scene, dataset_fingerprint, normalize_scene
 from .errors import FormatError
-from .features import FeatureNets, prepare_social_batch, social_forward_batch
+from .features import EncoderDecoder, prepare_social_batch, social_forward_batch
 from .numkit import mlp_forward
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ class MemoryBankPair:
         return len(self.sample_ids)
 
 
-def bank_init(nets: FeatureNets, dataset: Sequence[Scene]) -> MemoryBankPair:
+def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
     """Encode every training scene into one memory entry (unfiltered bank).
 
     Entry ``i`` comes from ``dataset[i]`` and carries ``sample_id == i``.
@@ -97,7 +97,7 @@ def bank_init(nets: FeatureNets, dataset: Sequence[Scene]) -> MemoryBankPair:
     logger.info("memory bank: %d entries before filtering", len(normalized))
     return MemoryBankPair(
         past_feats=past_feats,
-        intent_feats=mlp_forward(nets.intention_enc, dests),
+        intent_feats=mlp_forward(nets.point_embed, dests),
         starts=np.stack([s.ego_past[0] for s in normalized]),
         dests=dests,
         sample_ids=np.arange(len(normalized), dtype=np.int64),

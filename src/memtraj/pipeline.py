@@ -21,7 +21,7 @@ import hashlib
 import json
 import logging
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,8 +40,8 @@ from .datasets import (
 )
 from .errors import ConfigError, DependencyError
 from .evalkit import MetricReport, evaluate
-from .features import FeatureNets, train_features
-from .fulfillment import FulfillNets, init_fulfill_nets, train_fulfillment
+from .features import EncoderDecoder, init_encoder_decoder, train_features
+from .fulfillment import DEST_EMBED_DIM, train_fulfillment
 from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes, retrieval_counts
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
 from .numkit import load_mlp, save_mlp
@@ -55,8 +55,18 @@ STAGE_BANK = "bank"
 STAGE_ADDRESSER = "addresser"
 STAGE_FULFILLMENT = "fulfillment"
 
-_FEATURE_NET_NAMES = ("ego_embed", "neighbor_embed", "social_fuse", "intention_enc", "joint_dec")
-_FULFILL_NET_NAMES = ("ego_embed", "neighbor_embed", "social_fuse", "dest_embed", "full_dec")
+# Per encoder-decoder stage: the file stem of each EncoderDecoder net, in
+# field order, and the manifest.json written beside them.
+_NET_STAGES = {
+    STAGE_FEATURES: (
+        ("ego_embed", "neighbor_embed", "social_fuse", "intention_enc", "joint_dec"),
+        lambda nets: {"past_dim": nets.past_dim, "intent_dim": nets.intent_dim, "past_len": nets.past_len},
+    ),
+    STAGE_FULFILLMENT: (
+        ("ego_embed", "neighbor_embed", "social_fuse", "dest_embed", "full_dec"),
+        lambda nets: {"past_len": nets.past_len, "future_len": nets.target_len},
+    ),
+}
 
 
 @dataclass
@@ -130,13 +140,20 @@ def _load_scenes(config: Config, which: str) -> list[Scene]:
     manifest_path = getattr(config, which)
     if not manifest_path:
         raise ConfigError("no manifest path configured", key=which)
-    return load_manifest(
+    scenes = load_manifest(
         manifest_path,
         past_len=config.past_len,
         future_len=config.future_len,
         stride=config.window_stride,
         max_neighbors=config.max_neighbors,
     )
+    if not scenes:
+        window = config.past_len + config.future_len
+        raise ConfigError(
+            f"{manifest_path} gives no scenes: no track covers past_len + future_len = {window} evenly spaced frames",
+            key=which,
+        )
+    return scenes
 
 
 def _save_nets_dir(stage_dir: Path, nets_by_name: dict, meta: dict) -> None:
@@ -151,28 +168,28 @@ def _save_nets_dir(stage_dir: Path, nets_by_name: dict, meta: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_train_features(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
-    nets = train_features(scenes, config)
-    stage_dir = Path(config.out_dir) / STAGE_FEATURES
-    _save_nets_dir(
-        stage_dir,
-        {name: getattr(nets, name) for name in _FEATURE_NET_NAMES},
-        {"past_dim": nets.past_dim, "intent_dim": nets.intent_dim, "past_len": nets.past_len},
-    )
-    _record_stage(config, STAGE_FEATURES, stage_dir)
+def _save_stage_nets(config: Config, stage: str, nets: EncoderDecoder) -> Path:
+    files, meta = _NET_STAGES[stage]
+    stage_dir = Path(config.out_dir) / stage
+    _save_nets_dir(stage_dir, {file: getattr(nets, f.name) for file, f in zip(files, fields(nets))}, meta(nets))
+    _record_stage(config, stage, stage_dir)
     return stage_dir
 
 
-def load_feature_nets(stage_dir: Path) -> FeatureNets:
-    meta = json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))
-    nets = {name: load_mlp(stage_dir / f"{name}.mtnn") for name in _FEATURE_NET_NAMES}
-    return FeatureNets(past_len=meta["past_len"], **nets)
+def load_stage_nets(stage_dir: Path, stage: str) -> EncoderDecoder:
+    """The EncoderDecoder saved by the features or the fulfillment stage."""
+    files, _ = _NET_STAGES[stage]
+    return EncoderDecoder(*(load_mlp(stage_dir / f"{file}.mtnn") for file in files))
+
+
+def stage_train_features(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
+    scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
+    return _save_stage_nets(config, STAGE_FEATURES, train_features(scenes, config))
 
 
 def stage_build_memory(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
     features_dir = _require_stage(config, STAGE_FEATURES)
-    nets = load_feature_nets(features_dir)
+    nets = load_stage_nets(features_dir, STAGE_FEATURES)
     scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
     bank = bank_init(nets, scenes)
     bank = bank_filter(bank, config.theta_past, config.theta_int, config.seed_for("bank-filter"))
@@ -200,7 +217,7 @@ def _segment_epochs(total: int, segments: int) -> list[int]:
 def train_addresser_selected(
     nets: AddresserNets,
     bank: MemoryBankPair,
-    feature_nets: FeatureNets,
+    feature_nets: EncoderDecoder,
     dataset: Sequence[Scene],
     config: Config,
 ) -> tuple[AddresserNets, dict]:
@@ -258,7 +275,7 @@ def train_addresser_selected(
 def stage_train_addresser(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
     features_dir = _require_stage(config, STAGE_FEATURES)
     bank_dir = _require_stage(config, STAGE_BANK)
-    feature_nets = load_feature_nets(features_dir)
+    feature_nets = load_stage_nets(features_dir, STAGE_FEATURES)
     bank = bank_load(bank_dir / "bank.mtbk")
     scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
     nets = init_addresser_nets(past_dim=config.past_dim, addr_dim=config.addr_dim)
@@ -292,27 +309,14 @@ def stage_train_fulfillment(config: Config, scenes: Sequence[Scene] | None = Non
     _require_stage(config, STAGE_BANK)
     _require_stage(config, STAGE_ADDRESSER)
     scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
-    nets = init_fulfill_nets(
+    nets = init_encoder_decoder(
         config.seed_for("fulfillment"),
         past_len=config.past_len,
-        future_len=config.future_len,
-        feat_dim=config.past_dim,
+        target_len=config.future_len,
+        past_dim=config.past_dim,
+        intent_dim=DEST_EMBED_DIM,
     )
-    nets = train_fulfillment(nets, scenes, config)
-    stage_dir = Path(config.out_dir) / STAGE_FULFILLMENT
-    _save_nets_dir(
-        stage_dir,
-        {name: getattr(nets, name) for name in _FULFILL_NET_NAMES},
-        {"past_len": nets.past_len, "future_len": nets.future_len},
-    )
-    _record_stage(config, STAGE_FULFILLMENT, stage_dir)
-    return stage_dir
-
-
-def load_fulfill_nets(stage_dir: Path) -> FulfillNets:
-    meta = json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))
-    nets = {name: load_mlp(stage_dir / f"{name}.mtnn") for name in _FULFILL_NET_NAMES}
-    return FulfillNets(past_len=meta["past_len"], future_len=meta["future_len"], **nets)
+    return _save_stage_nets(config, STAGE_FULFILLMENT, train_fulfillment(nets, scenes, config))
 
 
 def load_model_bundle(config: Config, fixed_cosine: bool = False) -> ModelBundle:
@@ -321,7 +325,7 @@ def load_model_bundle(config: Config, fixed_cosine: bool = False) -> ModelBundle
     bank_dir = _require_stage(config, STAGE_BANK)
     addresser_dir = _require_stage(config, STAGE_ADDRESSER)
     fulfillment_dir = _require_stage(config, STAGE_FULFILLMENT)
-    feature_nets = load_feature_nets(features_dir)
+    feature_nets = load_stage_nets(features_dir, STAGE_FEATURES)
     bank = bank_load(bank_dir / "bank.mtbk")
     addresser_nets, trained_against = load_addresser_nets(addresser_dir)
     actual_bank_hash = artifact_hash(bank_dir / "bank.mtbk")
@@ -333,7 +337,7 @@ def load_model_bundle(config: Config, fixed_cosine: bool = False) -> ModelBundle
         )
     if fixed_cosine:
         addresser_nets = fixed_cosine_nets(bank.meta.past_dim)
-    fulfill_nets = load_fulfill_nets(fulfillment_dir)
+    fulfill_nets = load_stage_nets(fulfillment_dir, STAGE_FULFILLMENT)
     return ModelBundle(
         feature_nets=feature_nets, bank=bank, addresser_nets=addresser_nets, fulfill_nets=fulfill_nets
     )

@@ -32,8 +32,8 @@ from memtraj.datasets import (
     synth_mode_endpoints,
 )
 from memtraj.evalkit import constant_velocity, min_ade, min_fde
-from memtraj.features import train_features
-from memtraj.fulfillment import init_fulfill_nets, train_fulfillment
+from memtraj.features import init_encoder_decoder, train_features
+from memtraj.fulfillment import train_fulfillment
 from memtraj.inference import ModelBundle, predict_scene, scene_seed
 from memtraj.intention import kmeans, kmeans_cost
 from memtraj.membank import (
@@ -304,11 +304,11 @@ def synth_stack():
         config,
     )
     fulfill_nets = train_fulfillment(
-        init_fulfill_nets(
+        init_encoder_decoder(
             config.seed_for("fulfillment"),
             past_len=config.past_len,
-            future_len=config.future_len,
-            feat_dim=config.past_dim,
+            target_len=config.future_len,
+            past_dim=config.past_dim,
         ),
         train,
         config,

@@ -19,7 +19,7 @@ from memtraj.addresser import (
     train_addresser,
 )
 from memtraj.datasets import synth_generate
-from memtraj.features import init_feature_nets, train_features
+from memtraj.features import init_encoder_decoder, train_features
 from memtraj.membank import bank_init
 
 from conftest import quick_config
@@ -31,7 +31,7 @@ def cosine(a, b):
 
 def make_bank(seed=1, n=12):
     scenes = synth_generate(seed, n)
-    nets = init_feature_nets(seed, past_len=8, past_dim=32, intent_dim=16)
+    nets = init_encoder_decoder(seed, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     return bank_init(nets, scenes), nets, scenes
 
 
@@ -196,7 +196,7 @@ def test_train_addresser_reduces_label_loss():
 def test_train_addresser_deterministic():
     config = quick_config(epochs_addresser=5, seed=2)
     scenes = synth_generate(23, 10)
-    feature_nets = init_feature_nets(1, past_len=8, past_dim=32, intent_dim=16)
+    feature_nets = init_encoder_decoder(1, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     bank = bank_init(feature_nets, scenes)
     init = init_addresser_nets(past_dim=32, addr_dim=32)
     a = train_addresser(init, bank, feature_nets, scenes, config)
@@ -209,7 +209,7 @@ def test_train_addresser_deterministic():
 def test_train_addresser_validation():
     config = quick_config()
     scenes = synth_generate(1, 4)
-    feature_nets = init_feature_nets(1, past_len=8, past_dim=32, intent_dim=16)
+    feature_nets = init_encoder_decoder(1, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     bank = bank_init(feature_nets, scenes)
     nets = init_addresser_nets(past_dim=32)
     with pytest.raises(ValueError, match="empty"):

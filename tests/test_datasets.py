@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtraj.datasets import (
     RawTrack,
@@ -64,6 +66,49 @@ def test_load_tsv_rejects_non_finite_coordinates(tmp_path):
     path = write(tmp_path, "inf-frame.tsv", "inf 1 0.0 0.0\n")
     with pytest.raises(ParseError, match="line 1"):
         load_tsv(path)
+
+
+def test_load_tsv_rejects_fractional_frames(tmp_path):
+    # truncating would load frames [1 2]; integral float spellings still load
+    with pytest.raises(ParseError, match="line 2: frame 2.5 is not an integer"):
+        load_tsv(write(tmp_path, "frac.tsv", "1 7 0.0 0.0\n2.5 7 1.0 1.0\n"))
+    tracks = load_tsv(write(tmp_path, "spelled.tsv", "3.0 7 0.0 0.0\n1e1 7 1.0 1.0\n4 2.0 0.0 0.0\n"))
+    np.testing.assert_array_equal(tracks[0].frames, [3, 10])
+    assert [t.agent_id for t in tracks] == [7, 2]
+    # frames are int64; a larger one is an input error, not an overflow while building the track
+    with pytest.raises(ParseError, match="line 1: frame 9223372036854775808 is out of the int64 range"):
+        load_tsv(write(tmp_path, "huge.tsv", "9223372036854775808 7 0.0 0.0\n"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    value=st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer()),
+    good_rows=st.integers(0, 3),
+    field=st.sampled_from(["frame", "agent id"]),
+)
+def test_load_tsv_rejects_any_non_integral_index(tmp_path_factory, value, good_rows, field):
+    rows = [f"{frame} 1 0.0 0.0" for frame in range(good_rows)]
+    rows.append(f"{value!r} 1 0.0 0.0" if field == "frame" else f"{good_rows} {value!r} 0.0 0.0")
+    path = tmp_path_factory.mktemp("frac") / "bad.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line {good_rows + 1}: {field} .* is not an integer") as info:
+        load_tsv(path)
+    assert info.value.line_no == good_rows + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6, unique=True),
+    agent_id=st.integers(-(2**63), 2**63 - 1),
+)
+def test_integral_frames_and_ids_round_trip(tmp_path_factory, frames, agent_id):
+    frames = np.sort(np.array(frames, dtype=np.int64))
+    track = RawTrack(agent_id=agent_id, frames=frames, coords=np.zeros((len(frames), 2)))
+    path = tmp_path_factory.mktemp("ints") / "round.tsv"
+    save_tsv([track], path)
+    (back,) = load_tsv(path)
+    assert back.agent_id == agent_id
+    np.testing.assert_array_equal(back.frames, frames)
 
 
 def test_load_tsv_rejects_duplicate_rows(tmp_path):
@@ -292,6 +337,22 @@ def test_load_manifest(tmp_path):
     manifest.write_text("part1.tsv\nmissing.tsv\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         load_manifest(manifest, past_len=8, future_len=12)
+
+
+def test_load_manifest_rejects_csv_breaking_file_names(tmp_path):
+    # the stem becomes the scene-id prefix, which the CSV outputs write unquoted
+    tracks = scenes_to_tracks(synth_generate(7, 1, n_neighbors=0))
+    manifest = tmp_path / "manifest.txt"
+    for name in ("a,b.tsv", 'say"hi".tsv'):
+        save_tsv(tracks, tmp_path / name)
+        manifest.write_text(f"# split one\n{name}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: file name"):
+            load_manifest(manifest, past_len=8, future_len=12)
+    # a comma elsewhere in the path does not reach the scene ids
+    (tmp_path / "x,y").mkdir()
+    save_tsv(tracks, tmp_path / "x,y" / "ok.tsv")
+    manifest.write_text("x,y/ok.tsv\n", encoding="utf-8")
+    assert load_manifest(manifest, past_len=8, future_len=12)[0].scene_id.startswith("ok:")
 
 
 def test_dataset_fingerprint_tracks_content(small_scenes):

@@ -7,8 +7,7 @@ from conftest import quick_config
 from memtraj.addresser import fixed_cosine_nets
 from memtraj.datasets import Scene, normalize_scene, synth_generate
 from memtraj.evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
-from memtraj.features import init_feature_nets
-from memtraj.fulfillment import init_fulfill_nets
+from memtraj.features import init_encoder_decoder
 from memtraj.inference import ModelBundle, destination_error, predict_scene, propose_destinations, scene_seed
 from memtraj.membank import bank_init
 
@@ -67,13 +66,13 @@ def test_constant_velocity_hand_case():
 
 
 def make_bundle(config, scenes):
-    feature_nets = init_feature_nets(
-        config.seed_for("features"), config.past_len, config.past_dim, config.intent_dim
+    feature_nets = init_encoder_decoder(
+        config.seed_for("features"), config.past_len, 1, config.past_dim, config.intent_dim
     )
     bank = bank_init(feature_nets, scenes)
     addresser = fixed_cosine_nets(config.past_dim)
-    fulfill_nets = init_fulfill_nets(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, feat_dim=config.past_dim
+    fulfill_nets = init_encoder_decoder(
+        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
     )
     return ModelBundle(
         feature_nets=feature_nets, bank=bank, addresser_nets=addresser, fulfill_nets=fulfill_nets

@@ -5,8 +5,7 @@ import pytest
 
 from memtraj.datasets import Scene, normalize_scene, synth_generate
 from memtraj.features import (
-    FeatureNets,
-    init_feature_nets,
+    init_encoder_decoder,
     intention_encode,
     joint_decode,
     mean_rec_loss,
@@ -27,20 +26,20 @@ def norm_scenes(scenes):
 
 
 def test_init_dims_and_determinism():
-    nets = init_feature_nets(3, past_len=8, past_dim=96, intent_dim=48)
+    nets = init_encoder_decoder(3, past_len=8, target_len=1, past_dim=96, intent_dim=48)
     assert nets.past_dim == 96
     assert nets.intent_dim == 48
     assert nets.ego_embed.in_dim == 16
-    assert nets.joint_dec.in_dim == 96 + 48
-    assert nets.joint_dec.out_dim == 2 * 8 + 2
-    again = init_feature_nets(3, past_len=8, past_dim=96, intent_dim=48)
+    assert nets.decoder.in_dim == 96 + 48
+    assert nets.decoder.out_dim == 2 * 8 + 2
+    again = init_encoder_decoder(3, past_len=8, target_len=1, past_dim=96, intent_dim=48)
     np.testing.assert_array_equal(nets.social_fuse.weights[0], again.social_fuse.weights[0])
     # ego and neighbor embedders start from different child seeds
     assert not np.array_equal(nets.ego_embed.weights[0], nets.neighbor_embed.weights[0])
 
 
 def test_social_encode_is_neighbor_permutation_invariant(small_scenes):
-    nets = init_feature_nets(1, past_len=8)
+    nets = init_encoder_decoder(1, past_len=8, target_len=1)
     scene = norm_scenes(small_scenes)[0]
     assert scene.n_neighbors >= 2
     shuffled = Scene(
@@ -55,7 +54,7 @@ def test_social_encode_is_neighbor_permutation_invariant(small_scenes):
 
 
 def test_social_encode_without_neighbors(small_scenes):
-    nets = init_feature_nets(1, past_len=8)
+    nets = init_encoder_decoder(1, past_len=8, target_len=1)
     scene = norm_scenes(small_scenes)[0]
     alone = Scene(
         ego_past=scene.ego_past,
@@ -69,7 +68,7 @@ def test_social_encode_without_neighbors(small_scenes):
 
 
 def test_social_batch_matches_single_scene(small_scenes):
-    nets = init_feature_nets(2, past_len=8)
+    nets = init_encoder_decoder(2, past_len=8, target_len=1)
     scenes = norm_scenes(small_scenes)[:5]
     batch_out, _ = social_forward_batch(nets, prepare_social_batch(scenes))
     for i, scene in enumerate(scenes):
@@ -135,7 +134,7 @@ def test_social_backward_matches_finite_difference():
 
 
 def test_intention_encode_validation():
-    nets = init_feature_nets(0, past_len=8)
+    nets = init_encoder_decoder(0, past_len=8, target_len=1)
     with pytest.raises(ValueError):
         intention_encode(nets, np.zeros(3))
     feat = intention_encode(nets, np.array([1.0, -2.0]))
@@ -143,7 +142,7 @@ def test_intention_encode_validation():
 
 
 def test_joint_decode_shapes():
-    nets = init_feature_nets(0, past_len=8, past_dim=32, intent_dim=16)
+    nets = init_encoder_decoder(0, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     past_hat, dest_hat = joint_decode(nets, np.zeros(32), np.zeros(16))
     assert past_hat.shape == (8, 2)
     assert dest_hat.shape == (2,)
@@ -170,7 +169,7 @@ def test_rec_loss_validation():
 
 
 def test_mean_rec_loss_matches_scalar_path(small_scenes):
-    nets = init_feature_nets(5, past_len=8)
+    nets = init_encoder_decoder(5, past_len=8, target_len=1)
     scenes = small_scenes[:6]
     total = 0.0
     for scene in scenes:
@@ -185,7 +184,7 @@ def test_mean_rec_loss_matches_scalar_path(small_scenes):
 def test_train_features_descends_to_small_loss():
     config = quick_config(epochs_features=200, batch_size=16, seed=5)
     scenes = synth_generate(41, 48, mode_spec=single_mode_spec())
-    init = init_feature_nets(config.seed_for("features"), past_len=8, past_dim=32, intent_dim=16)
+    init = init_encoder_decoder(config.seed_for("features"), past_len=8, target_len=1, past_dim=32, intent_dim=16)
     before = mean_rec_loss(init, scenes, config.intent_weight)
     nets = train_features(scenes, config)
     after = mean_rec_loss(nets, scenes, config.intent_weight)
@@ -196,8 +195,8 @@ def test_train_features_zero_epochs_returns_init():
     config = quick_config(epochs_features=0)
     scenes = synth_generate(2, 8)
     nets = train_features(scenes, config)
-    init = init_feature_nets(config.seed_for("features"), past_len=8, past_dim=32, intent_dim=16)
-    for a, b in zip(nets.joint_dec.weights, init.joint_dec.weights):
+    init = init_encoder_decoder(config.seed_for("features"), past_len=8, target_len=1, past_dim=32, intent_dim=16)
+    for a, b in zip(nets.decoder.weights, init.decoder.weights):
         np.testing.assert_array_equal(a, b)
 
 
@@ -207,7 +206,7 @@ def test_train_features_is_deterministic():
     a = train_features(scenes, config)
     b = train_features(scenes, config)
     np.testing.assert_array_equal(a.social_fuse.weights[0], b.social_fuse.weights[0])
-    np.testing.assert_array_equal(a.joint_dec.weights[1], b.joint_dec.weights[1])
+    np.testing.assert_array_equal(a.decoder.weights[1], b.decoder.weights[1])
 
 
 def test_train_features_requires_futures(small_scenes):

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import quick_config, single_mode_spec
 from memtraj.datasets import Scene, normalize_scene, synth_generate
+from memtraj.features import init_encoder_decoder
 from memtraj.fulfillment import (
     FullPrediction,
     fulfill,
     fulfill_many,
-    init_fulfill_nets,
     train_fulfillment,
     traj_loss,
 )
@@ -23,20 +23,20 @@ def make_scene(rng, past_len=8, future_len=12, n_neighbors=2):
 
 
 def test_init_shapes_and_determinism():
-    nets = init_fulfill_nets(5, past_len=8, future_len=12, feat_dim=32)
-    assert nets.dest_embed.in_dim == 2
-    assert nets.full_dec.in_dim == 32 + 64
-    assert nets.full_dec.out_dim == 2 * (8 + 12)
-    again = init_fulfill_nets(5, past_len=8, future_len=12, feat_dim=32)
-    for a, b in zip(nets.full_dec.weights, again.full_dec.weights):
+    nets = init_encoder_decoder(5, past_len=8, target_len=12, past_dim=32)
+    assert nets.point_embed.in_dim == 2
+    assert nets.decoder.in_dim == 32 + 64
+    assert nets.decoder.out_dim == 2 * (8 + 12)
+    again = init_encoder_decoder(5, past_len=8, target_len=12, past_dim=32)
+    for a, b in zip(nets.decoder.weights, again.decoder.weights):
         np.testing.assert_array_equal(a, b)
-    other = init_fulfill_nets(6, past_len=8, future_len=12, feat_dim=32)
-    assert not np.array_equal(nets.full_dec.weights[0], other.full_dec.weights[0])
+    other = init_encoder_decoder(6, past_len=8, target_len=12, past_dim=32)
+    assert not np.array_equal(nets.decoder.weights[0], other.decoder.weights[0])
 
 
 def test_fulfill_shapes():
     rng = np.random.default_rng(1)
-    nets = init_fulfill_nets(2, past_len=8, future_len=12, feat_dim=32)
+    nets = init_encoder_decoder(2, past_len=8, target_len=12, past_dim=32)
     scene = make_scene(rng)
     pred = fulfill(nets, scene, np.array([1.0, 2.0]))
     assert isinstance(pred, FullPrediction)
@@ -46,7 +46,7 @@ def test_fulfill_shapes():
 
 def test_fulfill_many_matches_single():
     rng = np.random.default_rng(2)
-    nets = init_fulfill_nets(3, past_len=8, future_len=12, feat_dim=32)
+    nets = init_encoder_decoder(3, past_len=8, target_len=12, past_dim=32)
     scene = make_scene(rng)
     dests = rng.normal(size=(4, 2))
     many = fulfill_many(nets, scene, dests)
@@ -59,7 +59,7 @@ def test_fulfill_many_matches_single():
 
 def test_snap_destination_pins_endpoint():
     rng = np.random.default_rng(3)
-    nets = init_fulfill_nets(4, past_len=8, future_len=12, feat_dim=32)
+    nets = init_encoder_decoder(4, past_len=8, target_len=12, past_dim=32)
     scene = make_scene(rng)
     dests = rng.normal(size=(3, 2))
     preds = fulfill_many(nets, scene, dests, snap_destination=True)
@@ -114,8 +114,8 @@ def mean_teacher_loss(nets, scenes):
 def test_training_reduces_loss():
     scenes = synth_generate(31, 48, mode_spec=single_mode_spec())
     config = quick_config(epochs_fulfillment=200, batch_size=16, seed=5)
-    init = init_fulfill_nets(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, feat_dim=config.past_dim
+    init = init_encoder_decoder(
+        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
     )
     before = mean_teacher_loss(init, scenes)
     trained = train_fulfillment(init, scenes, config)
@@ -123,18 +123,18 @@ def test_training_reduces_loss():
     assert after < 0.1 * before
     # the input nets were copied, not mutated
     np.testing.assert_array_equal(
-        init.full_dec.weights[0],
-        init_fulfill_nets(
-            config.seed_for("fulfillment"), config.past_len, config.future_len, feat_dim=config.past_dim
-        ).full_dec.weights[0],
+        init.decoder.weights[0],
+        init_encoder_decoder(
+            config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
+        ).decoder.weights[0],
     )
 
 
 def test_true_destination_beats_offset_destination():
     scenes = synth_generate(33, 48, mode_spec=single_mode_spec())
     config = quick_config(epochs_fulfillment=200, batch_size=16, seed=7)
-    init = init_fulfill_nets(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, feat_dim=config.past_dim
+    init = init_encoder_decoder(
+        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
     )
     trained = train_fulfillment(init, scenes, config)
     offset = np.array([5 * 0.02, 0.0])  # five jitter sigmas sideways
@@ -153,30 +153,30 @@ def test_true_destination_beats_offset_destination():
 def test_zero_epochs_returns_copy():
     scenes = synth_generate(35, 8)
     config = quick_config(epochs_fulfillment=0)
-    init = init_fulfill_nets(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, feat_dim=config.past_dim
+    init = init_encoder_decoder(
+        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
     )
     trained = train_fulfillment(init, scenes, config)
     assert trained is not init
-    for a, b in zip(trained.full_dec.weights, init.full_dec.weights):
+    for a, b in zip(trained.decoder.weights, init.decoder.weights):
         np.testing.assert_array_equal(a, b)
 
 
 def test_training_deterministic():
     scenes = synth_generate(37, 16)
     config = quick_config(epochs_fulfillment=5)
-    init = init_fulfill_nets(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, feat_dim=config.past_dim
+    init = init_encoder_decoder(
+        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
     )
     a = train_fulfillment(init, scenes, config)
     b = train_fulfillment(init, scenes, config)
-    for wa, wb in zip(a.full_dec.weights, b.full_dec.weights):
+    for wa, wb in zip(a.decoder.weights, b.decoder.weights):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_training_validation():
     config = quick_config()
-    init = init_fulfill_nets(1, config.past_len, config.future_len, feat_dim=config.past_dim)
+    init = init_encoder_decoder(1, config.past_len, config.future_len, past_dim=config.past_dim)
     with pytest.raises(ValueError):
         train_fulfillment(init, [], config)
     rng = np.random.default_rng(5)

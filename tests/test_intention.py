@@ -7,7 +7,7 @@ import pytest
 
 from memtraj.addresser import fixed_cosine_nets
 from memtraj.datasets import normalize_scene, synth_generate
-from memtraj.features import init_feature_nets
+from memtraj.features import init_encoder_decoder
 from memtraj.intention import (
     DECODE_QUERY,
     DECODE_STORED,
@@ -128,7 +128,7 @@ def test_kmeans_matches_exhaustive_on_small_instances():
 
 def make_stack(n=10):
     scenes = synth_generate(9, n)
-    nets = init_feature_nets(4, past_len=8, past_dim=32, intent_dim=16)
+    nets = init_encoder_decoder(4, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     bank = bank_init(nets, scenes)
     return scenes, nets, bank
 
@@ -140,14 +140,14 @@ def test_decode_anchors_modes_and_shapes():
 
     query = social_encode(nets, normalized)
     addresses = [3, 0, 7]
-    anchors_q = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_QUERY, scores=[0.9, 0.8, 0.7])
-    assert [a.source_address for a in anchors_q] == addresses
-    assert [a.score for a in anchors_q] == [0.9, 0.8, 0.7]
-    assert all(a.position.shape == (2,) for a in anchors_q)
+    anchors_q = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_QUERY)
+    # row i is the anchor of addresses[i]
+    for i, address in enumerate(addresses):
+        np.testing.assert_allclose(anchors_q[i], decode_anchors(query, [address], bank, nets)[0], rtol=1e-12, atol=1e-14)
+    assert anchors_q.shape == (3, 2)
     anchors_s = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_STORED)
-    assert anchors_s[0].score == 0.0
     # pairing with the stored past feature decodes a different anchor in general
-    assert not np.allclose(anchors_q[0].position, anchors_s[0].position)
+    assert not np.allclose(anchors_q[0], anchors_s[0])
 
 
 def test_decode_anchors_validation():
@@ -159,8 +159,6 @@ def test_decode_anchors_validation():
         decode_anchors(query, [], bank, nets)
     with pytest.raises(ValueError, match="range"):
         decode_anchors(query, [4], bank, nets)
-    with pytest.raises(ValueError, match="scores"):
-        decode_anchors(query, [0, 1], bank, nets, scores=[1.0])
 
 
 def test_predict_intentions_shapes_and_determinism():

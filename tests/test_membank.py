@@ -5,7 +5,7 @@ import pytest
 
 from memtraj.datasets import normalize_scene, synth_generate
 from memtraj.errors import FormatError
-from memtraj.features import init_feature_nets, social_encode
+from memtraj.features import init_encoder_decoder, social_encode
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
@@ -42,7 +42,7 @@ def pair(bank, i):
 
 
 def test_bank_init_entries(small_scenes):
-    nets = init_feature_nets(2, past_len=8)
+    nets = init_encoder_decoder(2, past_len=8, target_len=1)
     bank = bank_init(nets, small_scenes)
     assert len(bank) == len(small_scenes)
     assert bank.sample_ids.tolist() == list(range(len(small_scenes)))
@@ -122,7 +122,7 @@ def test_filter_deterministic():
 
 
 def test_save_load_roundtrip(tmp_path, small_scenes):
-    nets = init_feature_nets(4, past_len=8)
+    nets = init_encoder_decoder(4, past_len=8, target_len=1)
     bank = bank_init(nets, small_scenes)
     path = tmp_path / "bank.mtbk"
     bank_save(bank, path)
@@ -189,7 +189,7 @@ def test_filter_validation():
 
 
 def test_bank_init_requires_futures(small_scenes):
-    nets = init_feature_nets(0, past_len=8)
+    nets = init_encoder_decoder(0, past_len=8, target_len=1)
     scenes = synth_generate(1, 2)
     scenes[0].ego_future = None
     with pytest.raises(ValueError, match="future"):

@@ -105,7 +105,7 @@ def test_bundle_and_fixed_cosine_swap(trained_run):
     bundle = load_model_bundle(config)
     assert bundle.feature_nets.past_dim == config.past_dim
     assert len(bundle.bank) > 0
-    assert bundle.fulfill_nets.future_len == config.future_len
+    assert bundle.fulfill_nets.target_len == config.future_len
 
     swapped = load_model_bundle(config, fixed_cosine=True)
     from memtraj.addresser import fixed_cosine_nets
@@ -321,6 +321,17 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert main(["eval", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "no_such_key" in err
+    # a manifest whose tracks are too short for one window gives no scenes
+    (tmp_path / "short.tsv").write_text("1 1 0.0 0.0\n2 1 0.1 0.0\n", encoding="utf-8")
+    (tmp_path / "short.txt").write_text("short.tsv\n", encoding="utf-8")
+    short = tmp_path / "short.cfg"
+    replace(config, train_manifest=str(tmp_path / "short.txt"), test_manifest=str(tmp_path / "short.txt")).to_file(short)
+    for command, key in (("train-features", "train_manifest"), ("eval", "test_manifest")):
+        assert main([command, "--config", str(short)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert f"key '{key}'" in err and "past_len + future_len = 20" in err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
