@@ -22,14 +22,7 @@ import numpy as np
 from .datasets import Scene, normalize_scene
 from .features import EncoderDecoder, decode_batch, prepare_social_batch, social_forward_batch
 from .membank import MemoryBankPair
-from .numkit import (
-    Mlp,
-    identity_mlp,
-    mlp_backward_from_cache,
-    mlp_forward,
-    mlp_forward_cached,
-    sgd_loop,
-)
+from .numkit import Mlp, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +62,7 @@ def init_addresser_nets(past_dim: int = 128, addr_dim: int = 128) -> AddresserNe
 
 def fixed_cosine_nets(past_dim: int) -> AddresserNets:
     """Identity projections: scoring degrades to raw cosine similarity."""
-    return AddresserNets(query_proj=identity_mlp(past_dim), key_proj=identity_mlp(past_dim))
+    return init_addresser_nets(past_dim, past_dim)
 
 
 def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,26 +74,26 @@ def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def key_table(nets: AddresserNets, bank: MemoryBankPair) -> np.ndarray:
-    """Projected keys for a whole bank; compute once per frozen (nets, bank)."""
-    return mlp_forward(nets.key_proj, bank.past_feats)
+    """The bank's projected keys at unit length; build once per frozen (nets, bank).
+
+    A degenerate key (norm below DEGENERATE_NORM) becomes a zero row, so it
+    scores exactly 0.0 against every query; it is warned about here, once.
+    """
+    keys, _, degenerate = _normalize_rows(mlp_forward(nets.key_proj, bank.past_feats))
+    if degenerate.any():
+        logger.warning("%d degenerate key projections; they score 0", int(degenerate.sum()))
+        keys[degenerate] = 0.0
+    return keys
 
 
-def score_all(nets: AddresserNets, query_feat, bank: MemoryBankPair, keys: np.ndarray | None = None) -> np.ndarray:
-    """Cosine scores of one query against every bank entry."""
-    q = np.asarray(query_feat, dtype=np.float64)
-    u = mlp_forward(nets.query_proj, q)
-    if keys is None:
-        keys = key_table(nets, bank)
-    kn, _, k_degenerate = _normalize_rows(keys)
+def score_all(nets: AddresserNets, query_feat, keys: np.ndarray) -> np.ndarray:
+    """Cosine scores of one query against every row of a :func:`key_table`."""
+    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64))
     u_norm = float(np.linalg.norm(u))
     if u_norm < DEGENERATE_NORM:
         logger.warning("degenerate query projection (norm %.3e); scoring 0", u_norm)
-        return np.zeros(len(bank))
-    scores = kn @ (u / u_norm)
-    if k_degenerate.any():
-        logger.warning("%d degenerate key projections; scoring 0", int(k_degenerate.sum()))
-        scores[k_degenerate] = 0.0
-    return scores
+        return np.zeros(len(keys))
+    return keys @ (u / u_norm)
 
 
 def score(nets: AddresserNets, query_feat, key_feat) -> float:
@@ -226,17 +219,18 @@ def fit_addresser(
     data: tuple[np.ndarray, np.ndarray, np.ndarray],
     config,
     phases: list[tuple[int, float]],
+    rng: np.random.Generator,
 ) -> None:
     """Train ``nets`` in place on :func:`addresser_training_data` output.
 
-    Every call starts a fresh ``addresser-batches`` RNG. A step scores the
-    full bank only when it has at most ``CANDIDATE_CAP`` entries; above that
-    it scores a uniform sample of ``CANDIDATE_CAP`` entries plus each query's
+    Batch shuffles and candidate samples come from ``rng``, so calls that
+    share one generator continue a single stream. A step scores the full
+    bank only when it has at most ``CANDIDATE_CAP`` entries; above that it
+    scores a uniform sample of ``CANDIDATE_CAP`` entries plus each query's
     oracle-nearest entry, so the strongest positive is always present.
     """
     queries, dests, decoded = data
     threshold = config.label_threshold_value()
-    rng = np.random.default_rng(config.seed_for("addresser-batches"))
     m = len(bank)
 
     def step(idx):
@@ -276,5 +270,6 @@ def train_addresser(
     """
     data = addresser_training_data(bank, feature_nets, dataset)
     nets = nets.copy()
-    fit_addresser(nets, bank, data, config, config.sgd_phases("addresser"))
+    rng = np.random.default_rng(config.seed_for("addresser-batches"))
+    fit_addresser(nets, bank, data, config, config.sgd_phases("addresser"), rng)
     return nets

@@ -79,7 +79,7 @@ def _config_from_args(args: argparse.Namespace) -> Config:
         config.finetune = True
     if getattr(args, "decode_mode", None):
         config.decode_mode = args.decode_mode
-    if getattr(args, "scenes", None):
+    if getattr(args, "scenes", None) is not None:
         config.synth_scenes = args.scenes
     config.validate()
     return config

@@ -204,17 +204,22 @@ def load_config(path) -> Config:
     """Parse a flat key=value config file."""
     field_types = {f.name: f.type for f in fields(Config)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, eq, value = stripped.partition("=")
-            if not eq:
-                raise ConfigError(f"line {line_no} is not 'key = value': {stripped!r}", key=None)
-            key = key.strip()
-            value = value.strip()
-            if key not in field_types:
-                raise ConfigError("unknown config key", key=key)
-            values[key] = _coerce(key, field_types[key], value)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start})") from None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, value = stripped.partition("=")
+        if not eq:
+            raise ConfigError(f"line {line_no} is not 'key = value': {stripped!r}", key=None)
+        key = key.strip()
+        value = value.strip()
+        if key not in field_types:
+            raise ConfigError("unknown config key", key=key)
+        values[key] = _coerce(key, field_types[key], value)
     return Config(**values)

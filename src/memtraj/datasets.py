@@ -90,13 +90,20 @@ def load_tsv(path) -> list[RawTrack]:
 
     Agents appear in first-seen order; samples are sorted by frame. Blank
     lines are skipped. A malformed line, a frame or agent id that is not an
-    integer, a NaN or infinite coordinate, or a second row for the same
-    (frame, agent) raises ParseError with its 1-based line number.
+    integer, a NaN or infinite coordinate, a second row for the same
+    (frame, agent), or bytes that are not UTF-8 raise ParseError with the
+    1-based line number.
     """
     by_agent: dict[int, list[tuple[int, float, float]]] = {}
     first_line: dict[tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so they are caught on their own line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not UTF-8 text", line_no=line_no) from None
             stripped = line.strip()
             if not stripped:
                 continue

@@ -25,7 +25,7 @@ from .membank import MemoryBankPair
 
 @dataclass
 class ModelBundle:
-    """Everything needed to predict, with the projected keys cached."""
+    """Everything needed to predict, with the bank's unit-length key table built once."""
 
     feature_nets: EncoderDecoder
     bank: MemoryBankPair
@@ -89,22 +89,23 @@ def propose_destinations(
     feature_nets: EncoderDecoder,
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
+    keys: np.ndarray,
     normalized: Scene,
     n_retrieve: int,
     n_predict: int,
     seed: int,
     decode_mode: str = DECODE_QUERY,
-    keys: np.ndarray | None = None,
 ) -> DestinationProposal:
     """Retrieve, decode anchors, and cluster for one already-normalized scene.
 
-    This is the destination half of the prediction chain; it needs no
-    fulfillment nets, so it also serves training-time model selection.
+    ``keys`` is the bank's :func:`key_table` under ``addresser_nets``. This is
+    the destination half of the prediction chain; it needs no fulfillment
+    nets, so it also serves training-time model selection.
     """
     if not 1 <= n_predict <= n_retrieve:
         raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
     query = social_encode(feature_nets, normalized)
-    scores = score_all(addresser_nets, query, bank, keys=keys)
+    scores = score_all(addresser_nets, query, keys)
     addresses = top_l(scores, n_retrieve)
     anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)
     iset = kmeans(anchors, n_predict, seed)
@@ -135,14 +136,7 @@ def destination_error(
             raise ValueError(f"scene {scene.scene_id!r} has no future; destination error needs one")
         normalized, _ = normalize_scene(scene)
         proposal = propose_destinations(
-            feature_nets,
-            addresser_nets,
-            bank,
-            normalized,
-            n_retrieve,
-            n_predict,
-            scene_seed(master_seed, i),
-            keys=keys,
+            feature_nets, addresser_nets, bank, keys, normalized, n_retrieve, n_predict, scene_seed(master_seed, i)
         )
         gaps = np.linalg.norm(proposal.intention_set.destinations - normalized.ego_future[-1], axis=1)
         errors.append(float(gaps.min()))
@@ -164,12 +158,12 @@ def predict_scene(
         bundle.feature_nets,
         bundle.addresser_nets,
         bundle.bank,
+        bundle.keys,
         normalized,
         n_retrieve,
         n_predict,
         seed,
         decode_mode=decode_mode,
-        keys=bundle.keys,
     )
     iset = proposal.intention_set
     preds = fulfill_many(bundle.fulfill_nets, normalized, iset.destinations, snap_destination=snap_destination)

@@ -87,9 +87,9 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100) -> IntentionSet:
 
     rng = np.random.default_rng(seed)
     center_idx = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)  # each point's squared distance to its nearest chosen center
     for _ in range(k - 1):
-        diffs = sorted_pts[:, None, :] - sorted_pts[center_idx][None, :, :]
-        d2 = np.min(np.sum(diffs**2, axis=2), axis=1)
+        d2 = np.minimum(d2, np.sum((sorted_pts - sorted_pts[center_idx[-1]]) ** 2, axis=1))
         total = float(d2.sum())
         if total <= 0.0:
             center_idx.append(int(rng.integers(n)))

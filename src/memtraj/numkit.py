@@ -125,13 +125,6 @@ def mlp_init(seed: int, layer_dims: Sequence[int], hidden_activation: str = RELU
     return Mlp(layer_dims=dims, weights=weights, biases=biases, hidden_activation=hidden_activation)
 
 
-def identity_mlp(dim: int) -> Mlp:
-    """Single affine layer that maps x to x exactly (used for raw-cosine scoring)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return Mlp(layer_dims=[dim, dim], weights=[np.eye(dim)], biases=[np.zeros(dim)])
-
-
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
         return np.maximum(z, 0.0)

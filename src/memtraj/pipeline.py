@@ -86,8 +86,14 @@ class RunManifest:
         path = Path(out_dir) / MANIFEST_NAME
         if not path.exists():
             return cls()
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return cls(stages={name: StageRecord(**rec) for name, rec in data.get("stages", {}).items()})
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            stages = {name: StageRecord(**rec) for name, rec in data.get("stages", {}).items()}
+            if not all(isinstance(value, str) for rec in stages.values() for value in vars(rec).values()):
+                raise TypeError("stage record fields must be strings")
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise DependencyError(f"{path} is not a valid run manifest ({exc}); rerun the stages") from None
+        return cls(stages=stages)
 
     def save(self, out_dir) -> None:
         out_dir = Path(out_dir)
@@ -245,6 +251,7 @@ def train_addresser_selected(
         return destination_error(feature_nets, candidate, bank, holdout, n_retrieve, n_predict, seed)
 
     data = None  # built once, on the first segment, so a stage without epochs never encodes the slice
+    rng = np.random.default_rng(config.seed_for("addresser-batches"))
     best = nets.copy()
     best_error = score(nets)
     errors = [(0, best_error)]
@@ -255,8 +262,7 @@ def train_addresser_selected(
         for chunk in _segment_epochs(phase_epochs, SELECTION_SEGMENTS):
             if data is None:
                 data = addresser_training_data(bank, feature_nets, train_slice)
-            # Each segment restarts the addresser-batches RNG, so segments replay the same shuffles.
-            fit_addresser(current, bank, data, config, [(chunk, lr)])
+            fit_addresser(current, bank, data, config, [(chunk, lr)], rng)
             epoch_no += chunk
             error = score(current)
             errors.append((epoch_no, error))

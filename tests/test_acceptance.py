@@ -19,6 +19,7 @@ from memtraj.addresser import (
     decoded_intentions,
     fixed_cosine_nets,
     init_addresser_nets,
+    key_table,
     pseudo_labels,
     score_all,
     train_addresser,
@@ -216,10 +217,11 @@ def test_criterion_3_addresser_oracle(capsys):
         config,
     )
     decoded = decoded_intentions(feature_nets, bank)
+    keys = key_table(nets, bank)
     hits = 0
     rhos = []
     for i, scene in enumerate(scenes):
-        scores = score_all(nets, bank.past_feats[i], bank)
+        scores = score_all(nets, bank.past_feats[i], keys)
         dists = np.linalg.norm(scene.ego_future[-1] - decoded, axis=1)
         labels = pseudo_labels(dists, config.label_threshold_value())
         hits += int(np.argmax(scores) == np.argmin(dists))

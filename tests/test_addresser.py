@@ -66,24 +66,41 @@ def test_score_all_matches_pairwise(small_scenes):
     nets = init_addresser_nets(past_dim=32, addr_dim=16)
     rng = np.random.default_rng(4)
     q = rng.normal(size=32)
-    scores = score_all(nets, q, bank)
+    keys = key_table(nets, bank)
+    scores = score_all(nets, q, keys)
     assert scores.shape == (len(bank),)
     for i in range(len(bank)):
         assert scores[i] == pytest.approx(score(nets, q, bank.past_feats[i]), abs=1e-10)
-    # cached keys give the same answer
-    keys = key_table(nets, bank)
-    np.testing.assert_allclose(score_all(nets, q, bank, keys=keys), scores, atol=0)
+    # the table holds unit-length keys
+    np.testing.assert_allclose(np.linalg.norm(keys, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_degenerate_projections_score_zero(caplog):
     bank, _, _ = make_bank()
     nets = fixed_cosine_nets(32)
-    scores = score_all(nets, np.zeros(32), bank)
+    scores = score_all(nets, np.zeros(32), key_table(nets, bank))
     np.testing.assert_array_equal(scores, np.zeros(len(bank)))
     bank.past_feats[2] = 0.0
-    scores = score_all(nets, np.ones(32), bank)
+    scores = score_all(nets, np.ones(32), key_table(nets, bank))
     assert scores[2] == 0.0
     assert score(nets, np.zeros(32), np.ones(32)) == 0.0
+
+
+def test_degenerate_key_is_a_zero_row_warned_once(caplog):
+    bank, _, _ = make_bank()
+    bank.past_feats[2] = 0.0
+    nets = fixed_cosine_nets(32)
+    with caplog.at_level("WARNING", logger="memtraj.addresser"):
+        keys = key_table(nets, bank)
+        rng = np.random.default_rng(9)
+        scores = [score_all(nets, rng.normal(size=32), keys) for _ in range(3)]
+    warnings = [r for r in caplog.records if "degenerate key" in r.getMessage()]
+    assert len(warnings) == 1
+    np.testing.assert_array_equal(keys[2], np.zeros(32))
+    norms = np.linalg.norm(np.delete(keys, 2, axis=0), axis=1)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+    for s in scores:
+        assert s[2] == 0.0 and not np.signbit(s[2])  # +0.0, as trace.csv writes it
 
 
 def test_pseudo_label_hand_cases():
@@ -111,7 +128,7 @@ def test_top_l_orders_and_breaks_ties_low_address():
     bank.past_feats[5] = bank.past_feats[1]
     nets = fixed_cosine_nets(32)
     q = bank.past_feats[1]
-    all_scores = score_all(nets, q, bank)
+    all_scores = score_all(nets, q, key_table(nets, bank))
     addrs = top_l(all_scores, count=8)
     scores = all_scores[addrs]
     assert addrs[0] == 1 and addrs[1] == 5  # tie at score 1.0, lower address first
@@ -181,10 +198,11 @@ def test_train_addresser_reduces_label_loss():
     threshold = config.label_threshold_value()
 
     def total_loss(nets):
+        keys = key_table(nets, bank)
         total = 0.0
         for past_feat, dest in zip(bank.past_feats, bank.dests):
             labels = pseudo_labels(np.linalg.norm(decoded - dest, axis=1), threshold)
-            total += addresser_loss(score_all(nets, past_feat, bank), labels)
+            total += addresser_loss(score_all(nets, past_feat, keys), labels)
         return total
 
     assert total_loss(trained) < total_loss(init)

@@ -121,6 +121,13 @@ def test_load_config_errors(tmp_path):
     path.write_text("seed = banana\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="seed"):
         load_config(path)
+    path.write_bytes(b"seed = 3\n\x80 = 1\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(tmp_path / "missing.cfg")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(tmp_path)
 
 
 def test_load_config_parses_types(tmp_path):

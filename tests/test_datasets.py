@@ -52,6 +52,10 @@ def test_load_tsv_errors_carry_line_numbers(tmp_path):
     path = write(tmp_path, "bad2.tsv", "1 1 0.0 0.0\n\n3 1 x 0.0\n")
     with pytest.raises(ParseError, match="line 3"):
         load_tsv(path)
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"1 1 0.0 0.0\n2 1 0.5 0.0\n3 1 1.0 0.0 \xe9\n")
+    with pytest.raises(ParseError, match="line 3: not UTF-8"):
+        load_tsv(path)
 
 
 def test_load_tsv_rejects_non_finite_coordinates(tmp_path):

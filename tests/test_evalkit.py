@@ -87,7 +87,7 @@ def test_propose_destinations_matches_predict_scene():
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
     normalized, transform = normalize_scene(scene)
     proposal = propose_destinations(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, normalized, 6, 3, 11
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, 6, 3, 11
     )
     np.testing.assert_array_equal(proposal.addresses, pred.addresses)
     np.testing.assert_array_equal(proposal.scores, pred.scores)
@@ -95,10 +95,10 @@ def test_propose_destinations_matches_predict_scene():
         transform.invert(proposal.intention_set.destinations), pred.destinations, rtol=1e-12
     )
     with pytest.raises(ValueError, match="n_predict"):
-        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, normalized, 3, 6, 11)
+        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, 3, 6, 11)
     with pytest.raises(ValueError, match="bank size"):
         propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, normalized, len(bundle.bank) + 1, 3, 11
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, len(bundle.bank) + 1, 3, 11
         )
 
 
@@ -119,7 +119,7 @@ def test_destination_error_properties():
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
         proposal = propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, normalized, 6, 3, scene_seed(3, i)
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, 6, 3, scene_seed(3, i)
         )
         gaps.append(
             np.linalg.norm(proposal.intention_set.destinations - normalized.ego_future[-1], axis=1).min()

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from memtraj.addresser import fixed_cosine_nets
+from memtraj.addresser import fixed_cosine_nets, key_table
 from memtraj.datasets import normalize_scene, synth_generate
 from memtraj.features import init_encoder_decoder
 from memtraj.intention import (
@@ -164,15 +164,16 @@ def test_decode_anchors_validation():
 def test_predict_intentions_shapes_and_determinism():
     scenes, nets, bank = make_stack(12)
     addresser = fixed_cosine_nets(32)
+    keys = key_table(addresser, bank)
     normalized, _ = normalize_scene(scenes[0])
     # retrieve, decode and cluster: the destination half of a prediction
-    a = propose_destinations(nets, addresser, bank, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
-    b = propose_destinations(nets, addresser, bank, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
+    a = propose_destinations(nets, addresser, bank, keys, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
+    b = propose_destinations(nets, addresser, bank, keys, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
     assert a.destinations.shape == (3, 2)
     assert a.anchor_assignment.shape == (8,)
     np.testing.assert_array_equal(a.destinations, b.destinations)
     with pytest.raises(ValueError):
-        propose_destinations(nets, addresser, bank, normalized, n_retrieve=2, n_predict=3, seed=5)
+        propose_destinations(nets, addresser, bank, keys, normalized, n_retrieve=2, n_predict=3, seed=5)
 
 
 def test_save_intention_sets(tmp_path):

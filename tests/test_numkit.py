@@ -10,7 +10,6 @@ from memtraj.numkit import (
     TANH,
     finite_diff_check,
     hidden_preactivations,
-    identity_mlp,
     load_mlp,
     mlp_backward,
     mlp_forward,
@@ -51,12 +50,6 @@ def test_init_validation():
         mlp_init(0, [4, 0, 2])
     with pytest.raises(ValueError):
         mlp_init(0, [4, 2], hidden_activation="sigmoid")
-
-
-def test_identity_mlp_is_identity():
-    net = identity_mlp(5)
-    x = np.linspace(-2, 2, 5)
-    np.testing.assert_array_equal(mlp_forward(net, x), x)
 
 
 def test_forward_vector_vs_batch():
@@ -169,7 +162,7 @@ def test_sgd_rejects_nonfinite_gradients():
 
 
 def test_sgd_loop_counts_epochs_across_phases():
-    net = identity_mlp(2)
+    net = Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
     seen = []
 
     def step(idx):
@@ -186,7 +179,7 @@ def test_sgd_loop_counts_epochs_across_phases():
 
 
 def test_sgd_loop_raises_before_updating_on_nonfinite_loss():
-    net = identity_mlp(2)
+    net = Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
     weights_seen = []
 
     def step(idx):

@@ -159,6 +159,29 @@ def test_train_addresser_selected_reports_best(tmp_path):
     np.testing.assert_array_equal(nets.key_proj.weights[0], nets_again.key_proj.weights[0])
 
 
+def test_selection_segments_continue_one_batch_stream(tmp_path, monkeypatch):
+    from memtraj import pipeline
+    from memtraj.addresser import init_addresser_nets, train_addresser
+    from memtraj.features import train_features
+    from memtraj.membank import bank_init
+
+    config = tiny_config(tmp_path, epochs_addresser=2, lr_addresser=1e-2)
+    scenes = synth_generate(41, 20)
+    feature_nets = train_features(scenes, config)
+    bank = bank_init(feature_nets, scenes)
+    init = init_addresser_nets(past_dim=config.past_dim, addr_dim=config.addr_dim)
+    # each snapshot scores better than the last, so the final one (two 1-epoch segments) is kept
+    errors = iter([3.0, 2.0, 1.0])
+    monkeypatch.setattr(pipeline, "destination_error", lambda *args: next(errors))
+    segmented, report = train_addresser_selected(init, bank, feature_nets, scenes, config)
+    assert [e for e, _ in report["errors"]] == [0, 1, 2] and report["selected_epoch"] == 2
+    # one 2-epoch run on the same training slice (the last two scenes are held out)
+    whole = train_addresser(init, bank, feature_nets, scenes[:-2], config)
+    for a, b in ((segmented.query_proj, whole.query_proj), (segmented.key_proj, whole.key_proj)):
+        np.testing.assert_array_equal(a.weights[0], b.weights[0])
+        np.testing.assert_array_equal(a.biases[0], b.biases[0])
+
+
 def test_predict_outputs(trained_run):
     config = trained_run
     out_dir = Path(config.out_dir)
@@ -332,6 +355,52 @@ def test_cli_reports_errors(tmp_path, capsys):
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert f"key '{key}'" in err and "past_len + future_len = 20" in err
+    # an unreadable config file names its path
+    missing = tmp_path / "nope.cfg"
+    _assert_cli_error(["eval", "--config", str(missing)], capsys, str(missing))
+    _assert_cli_error(["eval", "--config", str(tmp_path)], capsys, str(tmp_path))
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed = 3\n\xff\xfe = 1\n")
+    _assert_cli_error(["eval", "--config", str(binary)], capsys, str(binary), "UTF-8")
+    # an explicit zero is validated, not mistaken for "not given"
+    _assert_cli_error(["synth", "--config", str(cfg_path), "--scenes", "0"], capsys, "synth_scenes")
+    assert not (tmp_path / "synth").exists()
+
+
+def _assert_cli_error(argv, capsys, *needles):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = tiny_config(out)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    tsv = out / "synth" / "scenes.tsv"
+    good = tsv.read_bytes()
+    lines = good.split(b"\n")
+    tsv.write_bytes(b"\n".join(lines[:2] + [lines[2].replace(b" ", b" \xe9", 1)] + lines[3:]))
+    _assert_cli_error(["train-features", "--config", str(cfg_path)], capsys, "line 3", "UTF-8")
+    tsv.write_bytes(good)
+    assert main(["train-features", "--config", str(cfg_path)]) == 0
+    manifest = out / MANIFEST_NAME
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text[: len(text) // 2], encoding="utf-8")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "rerun the stages")
+    data = json.loads(text)
+    del data["stages"][STAGE_FEATURES]["sha256"]
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "sha256")
+    data = json.loads(text)
+    data["stages"][STAGE_FEATURES]["path"] = 5
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "must be strings")
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
