@@ -15,8 +15,10 @@ ground truth for tests.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -85,17 +87,8 @@ def _parse_index(token: str, what: str, line_no: int) -> int:
     return value
 
 
-def load_tsv(path) -> list[RawTrack]:
-    """Parse ``frame agent_id x y`` rows into per-agent tracks.
-
-    Agents appear in first-seen order; samples are sorted by frame. Blank
-    lines are skipped. A malformed line, a frame or agent id that is not an
-    integer, a NaN or infinite coordinate, a second row for the same
-    (frame, agent), or bytes that are not UTF-8 raise ParseError with the
-    1-based line number.
-    """
-    by_agent: dict[int, list[tuple[int, float, float]]] = {}
-    first_line: dict[tuple[int, int], int] = {}
+def _utf8_lines(path):
+    """``(line number, line)`` for each line of a text file; non-UTF-8 bytes raise ParseError on their line."""
     # Undecodable bytes become lone surrogates, so they are caught on their own line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -103,7 +96,64 @@ def load_tsv(path) -> list[RawTrack]:
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
-                    raise ParseError("not UTF-8 text", line_no=line_no) from None
+                    raise ParseError("not UTF-8 text", line_no=line_no, path=path) from None
+            yield line_no, line
+
+
+def load_tsv(path) -> list[RawTrack]:
+    """Parse ``frame agent_id x y`` rows into per-agent tracks.
+
+    Agents appear in first-seen order; samples are sorted by frame. Blank
+    lines are skipped. A malformed line, a frame or agent id that is not an
+    integer, a NaN or infinite coordinate, a second row for the same
+    (frame, agent), or bytes that are not UTF-8 raise ParseError with the
+    path and the 1-based line number.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        tracks = _load_plain_tsv(fh.read())
+    return tracks if tracks is not None else _load_tsv_lines(path)
+
+
+# The characters of a TSV of plain numbers. On such text np.loadtxt splits
+# lines and fields as str.split does and reads each number as int() or
+# float() reads it.
+_PLAIN_TSV = re.compile(r"[0-9eE+\-. \t\n]*")
+_TSV_ROW = np.dtype([("frame", "<i8"), ("agent", "<i8"), ("x", "<f8"), ("y", "<f8")])
+
+
+def _load_plain_tsv(text: str) -> list[RawTrack] | None:
+    """:func:`load_tsv` in whole arrays for well-formed plain-number text; None for any other text.
+
+    Other text, well formed or not, goes through the line-by-line parse,
+    which reports the first bad line.
+    """
+    if not _PLAIN_TSV.fullmatch(text):
+        return None
+    if not text.split():
+        return []
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=_TSV_ROW, comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    frames, agents = rows["frame"], rows["agent"]
+    coords = np.stack([rows["x"], rows["y"]], axis=1)
+    by_key = np.lexsort((frames, agents))
+    repeated = (np.diff(agents[by_key]) == 0) & (np.diff(frames[by_key]) == 0)
+    if repeated.any() or not np.isfinite(coords).all():
+        return None
+    _, first, inverse = np.unique(agents, return_index=True, return_inverse=True)
+    first_row = first[inverse]  # the row where each row's agent first appears
+    order = np.lexsort((frames, first_row))
+    groups = np.split(order, np.flatnonzero(np.diff(first_row[order])) + 1)
+    return [RawTrack(agent_id=int(agents[g[0]]), frames=frames[g], coords=coords[g]) for g in groups]
+
+
+def _load_tsv_lines(path) -> list[RawTrack]:
+    """:func:`load_tsv` one checked line at a time."""
+    by_agent: dict[int, list[tuple[int, float, float]]] = {}
+    first_line: dict[tuple[int, int], int] = {}
+    try:
+        for line_no, line in _utf8_lines(path):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -123,6 +173,8 @@ def load_tsv(path) -> list[RawTrack]:
             if seen_on != line_no:
                 raise ParseError(f"duplicate row for frame {frame}, agent {agent_id} (first on line {seen_on})", line_no=line_no)
             by_agent.setdefault(agent_id, []).append((frame, x, y))
+    except ParseError as exc:
+        raise ParseError(exc.reason, line_no=exc.line_no, path=path) from None
     tracks = []
     for agent_id, samples in by_agent.items():
         samples.sort(key=lambda s: s[0])
@@ -144,20 +196,6 @@ def save_tsv(tracks: Sequence[RawTrack], path) -> None:
                 fh.write("%d %d %.17g %.17g\n" % (frame, track.agent_id, x, y))
 
 
-def _frame_step(tracks: Sequence[RawTrack]) -> int:
-    """Smallest positive frame gap in the data; 1 if nothing has two samples."""
-    step = None
-    for track in tracks:
-        if len(track.frames) < 2:
-            continue
-        diffs = np.diff(track.frames)
-        positive = diffs[diffs > 0]
-        if positive.size:
-            smallest = int(positive.min())
-            step = smallest if step is None else min(step, smallest)
-    return step if step is not None else 1
-
-
 def build_scenes(
     tracks: Sequence[RawTrack],
     past_len: int,
@@ -173,8 +211,27 @@ def build_scenes(
     advance by ``stride`` samples. Every other agent present at all
     ``past_len`` past frames becomes a neighbor; if there are more than
     ``max_neighbors``, the nearest ones at the last observed frame win (ties
-    broken by agent id). The emitted set of scenes does not depend on the
-    ordering of ``tracks``.
+    broken by agent id). Scenes come in track order, then in window-start
+    order; the emitted set of scenes does not depend on the ordering of
+    ``tracks``. Each track's frames must be strictly increasing.
+    """
+    return _window_tracks(tracks, past_len, future_len, stride, max_neighbors, tag)[0]
+
+
+def _window_tracks(
+    tracks: Sequence[RawTrack],
+    past_len: int,
+    future_len: int,
+    stride: int,
+    max_neighbors: int,
+    tag: str,
+) -> tuple[list[Scene], int]:
+    """:func:`build_scenes` plus the number of stride positions skipped for a frame gap.
+
+    All tracks are windowed at once over their concatenated rows. A row's run
+    position counts the evenly spaced frames of its track just before it, so
+    a window is valid where its last row has ``window - 1`` of them, and a
+    row can close a neighbor's past where it has ``past_len - 1``.
     """
     if past_len < 1 or future_len < 1:
         raise ValueError(f"past_len and future_len must be >= 1, got {past_len}, {future_len}")
@@ -182,68 +239,84 @@ def build_scenes(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if max_neighbors < 0:
         raise ValueError(f"max_neighbors must be >= 0, got {max_neighbors}")
-    step = _frame_step(tracks)
     window = past_len + future_len
-    # Who is where: frame -> [(track index, row index)], for neighbor lookup.
-    presence: dict[int, list[tuple[int, int]]] = {}
-    for t_idx, track in enumerate(tracks):
-        for row, frame in enumerate(track.frames):
-            presence.setdefault(int(frame), []).append((t_idx, row))
-    row_of = [
-        {int(f): r for r, f in enumerate(track.frames)}
-        for track in tracks
-    ]
+    lengths = np.array([len(track.frames) for track in tracks], dtype=np.int64)
+    n_rows = int(lengths.sum())
+    if n_rows == 0:
+        return [], 0
+    frames = np.concatenate([track.frames for track in tracks]).astype(np.int64, copy=False)
+    coords = np.concatenate([track.coords for track in tracks])
+    track_of = np.repeat(np.arange(len(tracks)), lengths)
+    rows = np.arange(n_rows)
+    local = rows - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    gaps = np.diff(frames)
+    in_track = track_of[1:] == track_of[:-1]
+    unsorted = in_track & (gaps <= 0)
+    if unsorted.any():
+        bad = int(track_of[1:][unsorted][0])
+        raise ValueError(f"frames of track {bad} (agent {tracks[bad].agent_id}) are not strictly increasing")
+    # the dataset's frame step: its smallest gap within a track, 1 if no track has two samples
+    step = int(gaps[in_track].min()) if in_track.any() else 1
+    evenly = np.concatenate([[False], in_track & (gaps == step)])
+    run_pos = rows - np.maximum.accumulate(np.where(evenly, 0, rows))
+
+    # a window is valid where its last row closes a run of `window` evenly spaced frames
+    starts = np.flatnonzero(run_pos >= window - 1) - (window - 1)
+    starts = starts[local[starts] % stride == 0]
+    fits = (local % stride == 0) & (local + window <= np.repeat(lengths, lengths))
+    skipped = int(fits.sum()) - len(starts)
+    last = starts + (past_len - 1)
+    offsets = np.arange(past_len)
+    ego_pasts = coords[starts[:, None] + offsets]
+    ego_futures = coords[starts[:, None] + (past_len + np.arange(future_len))]
+
+    agent_ids = [track.agent_id for track in tracks]
+    sel_win, sel_rows = _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_neighbors, agent_ids)
+    neighbor_pasts = coords[sel_rows[:, None] + (offsets - (past_len - 1))]
+    bounds = np.searchsorted(sel_win, np.arange(len(starts) + 1)).tolist()
+
     prefix = f"{tag}:" if tag else ""
     scenes = []
-    for t_idx, track in enumerate(tracks):
-        n = len(track.frames)
-        for start in range(0, n - window + 1, stride):
-            frames = track.frames[start : start + window]
-            if np.any(np.diff(frames) != step):
-                continue
-            past_frames = frames[:past_len]
-            last_frame = int(past_frames[-1])
-            ego_past = track.coords[start : start + past_len]
-            ego_future = track.coords[start + past_len : start + window]
-            # Candidates must at least be present at the last observed frame.
-            neighbors = []
-            for o_idx, o_row in presence.get(last_frame, ()):
-                if o_idx == t_idx:
-                    continue
-                rows = row_of[o_idx]
-                try:
-                    first_row = rows[int(past_frames[0])]
-                except KeyError:
-                    continue
-                if all(int(f) in rows for f in past_frames[1:-1]):
-                    other = tracks[o_idx]
-                    past = other.coords[first_row : first_row + past_len]
-                    # Gappy tracks can have the frames but not contiguously.
-                    if past.shape[0] != past_len or np.any(
-                        other.frames[first_row : first_row + past_len] != past_frames
-                    ):
-                        past = np.stack([other.coords[rows[int(f)]] for f in past_frames])
-                    dist = float(np.linalg.norm(past[-1] - ego_past[-1]))
-                    neighbors.append((dist, other.agent_id, past))
-            neighbors.sort(key=lambda item: (item[0], item[1]))
-            if max_neighbors:
-                neighbors = neighbors[:max_neighbors]
-            else:
-                neighbors = []
-            neighbor_pasts = (
-                np.stack([nb[2] for nb in neighbors])
-                if neighbors
-                else np.zeros((0, past_len, 2))
+    for w, (t_idx, last_frame) in enumerate(zip(track_of[starts].tolist(), frames[last].tolist())):
+        scenes.append(
+            Scene(
+                ego_past=ego_pasts[w],
+                neighbor_pasts=neighbor_pasts[bounds[w] : bounds[w + 1]],
+                ego_future=ego_futures[w],
+                scene_id=f"{prefix}{agent_ids[t_idx]}:{last_frame}",
             )
-            scenes.append(
-                Scene(
-                    ego_past=ego_past.copy(),
-                    neighbor_pasts=neighbor_pasts,
-                    ego_future=ego_future.copy(),
-                    scene_id=f"{prefix}{track.agent_id}:{last_frame}",
-                )
-            )
-    return scenes
+        )
+    return scenes, skipped
+
+
+def _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_neighbors, agent_ids):
+    """(window, row) of every kept neighbor, by window, nearest first, ties by agent id.
+
+    ``row`` is the neighbor's row at the window's last observed frame. A
+    candidate is any other track's row at that frame whose run covers the
+    whole past.
+    """
+    if max_neighbors == 0 or len(last) == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    cand = np.flatnonzero(run_pos >= past_len - 1)
+    cand = cand[np.lexsort((track_of[cand], frames[cand]))]
+    lo = np.searchsorted(frames[cand], frames[last], side="left")
+    counts = np.searchsorted(frames[cand], frames[last], side="right") - lo
+    # one (window, candidate) pair for each of cand[lo[w] : lo[w] + counts[w]]
+    win = np.repeat(np.arange(len(last)), counts)
+    pair_rows = cand[np.arange(len(win)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    other = track_of[pair_rows] != track_of[last[win]]
+    win, pair_rows = win[other], pair_rows[other]
+    # vecdot takes the same dot product as np.linalg.norm of one 2-vector, so each
+    # distance rounds, and ties, as the norm of that vector does
+    diff = np.asarray(coords[pair_rows] - coords[last[win]], dtype=np.float64)
+    dist = np.sqrt(np.vecdot(diff, diff))
+    order = np.lexsort((np.asarray(agent_ids)[track_of[pair_rows]], dist, win))
+    win, pair_rows = win[order], pair_rows[order]
+    rank = np.arange(len(win)) - np.searchsorted(win, win, side="left")
+    keep = rank < max_neighbors
+    return win[keep], pair_rows[keep]
 
 
 def normalize_scene(scene: Scene) -> tuple[Scene, NormTransform]:
@@ -442,40 +515,36 @@ def load_manifest(
     The manifest holds one TSV path per line (relative paths resolve against
     the manifest's directory); blank lines and ``#`` comments are skipped.
     A file's stem prefixes its scene ids, so a stem holding ``,`` or ``"``
-    raises ParseError with the manifest line number.
+    raises ParseError with the manifest line number; so do non-UTF-8 bytes.
+    Each listed file logs its track, window and skipped-window counts.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ParseError(f"manifest file does not exist: {manifest_path}")
     scenes = []
     saw_entry = False
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            saw_entry = True
-            tsv_path = Path(entry)
-            if "," in tsv_path.stem or '"' in tsv_path.stem:
-                raise ParseError(
-                    f"file name {tsv_path.name!r} holds ',' or '\"', which would shift the CSV columns of its scene ids",
-                    line_no=line_no,
-                )
-            if not tsv_path.is_absolute():
-                tsv_path = manifest_path.parent / tsv_path
-            if not tsv_path.exists():
-                raise ParseError(f"listed file does not exist: {tsv_path}", line_no=line_no)
-            tracks = load_tsv(tsv_path)
-            scenes.extend(
-                build_scenes(
-                    tracks,
-                    past_len=past_len,
-                    future_len=future_len,
-                    stride=stride,
-                    max_neighbors=max_neighbors,
-                    tag=tsv_path.stem,
-                )
+    for line_no, line in _utf8_lines(manifest_path):
+        entry = line.strip()
+        if not entry or entry.startswith("#"):
+            continue
+        saw_entry = True
+        tsv_path = Path(entry)
+        if "," in tsv_path.stem or '"' in tsv_path.stem:
+            raise ParseError(
+                f"file name {tsv_path.name!r} holds ',' or '\"', which would shift the CSV columns of its scene ids",
+                line_no=line_no,
+                path=manifest_path,
             )
+        if not tsv_path.is_absolute():
+            tsv_path = manifest_path.parent / tsv_path
+        if not tsv_path.exists():
+            raise ParseError(f"listed file does not exist: {tsv_path}", line_no=line_no, path=manifest_path)
+        tracks = load_tsv(tsv_path)
+        windows, skipped = _window_tracks(tracks, past_len, future_len, stride, max_neighbors, tag=tsv_path.stem)
+        logger.info(
+            "%s: %d tracks, %d windows, %d skipped for a frame gap", tsv_path, len(tracks), len(windows), skipped
+        )
+        scenes.extend(windows)
     if not saw_entry:
         logger.warning("manifest %s lists no files", manifest_path)
     return scenes

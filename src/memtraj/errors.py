@@ -15,9 +15,12 @@ class MemtrajError(Exception):
 class ParseError(MemtrajError):
     """A text input (TSV, manifest) could not be parsed."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None, path=None):
+        self.reason = message
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_no = line_no
 

@@ -13,8 +13,10 @@ visited entry is either kept or discarded, so one pass always terminates.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -124,30 +126,16 @@ def bank_filter(bank: MemoryBankPair, theta_past: float, theta_int: float, seed:
 
     Entries are visited in the order given by :func:`filter_visit_order` and
     kept iff no already-kept entry is redundant with them; kept entries appear
-    in visit order. The thresholds and seed are recorded in the bank meta, so
-    the pass is reproducible after a save/load round trip.
+    in visit order. Only kept entries whose start points hash to nearby grid
+    cells are tested (see :func:`_greedy_keep`), which keeps the same entries
+    as testing every kept entry. The thresholds and seed are recorded in the
+    bank meta, so the pass is reproducible after a save/load round trip.
     """
     if theta_past < 0 or theta_int < 0:
         raise ValueError(f"thresholds must be >= 0, got {theta_past}, {theta_int}")
     order = filter_visit_order(len(bank), seed)
-    starts = bank.starts
-    dests = bank.dests
-    kept_idx: list[int] = []
-    kept_starts = np.empty((len(bank), 2))
-    kept_dests = np.empty((len(bank), 2))
-    n_kept = 0
-    for i in order:
-        if n_kept:
-            d_start = np.linalg.norm(kept_starts[:n_kept] - starts[i], axis=1)
-            d_dest = np.linalg.norm(kept_dests[:n_kept] - dests[i], axis=1)
-            if np.any((d_start <= theta_past) & (d_dest <= theta_int)):
-                continue
-        kept_idx.append(int(i))
-        kept_starts[n_kept] = starts[i]
-        kept_dests[n_kept] = dests[i]
-        n_kept += 1
+    kept = _greedy_keep(bank.starts, bank.dests, order, theta_past, theta_int)
     meta = replace(bank.meta, theta_past=float(theta_past), theta_int=float(theta_int), filter_seed=int(seed))
-    kept = np.array(kept_idx, dtype=np.int64)
     logger.info(
         "memory bank filter (theta_past=%g, theta_int=%g): kept %d of %d (%.1f%%)",
         theta_past,
@@ -157,6 +145,80 @@ def bank_filter(bank: MemoryBankPair, theta_past: float, theta_int: float, seed:
         100.0 * len(kept) / len(bank),
     )
     return MemoryBankPair(**{name: getattr(bank, name)[kept] for name in _RECORD_FIELDS}, meta=meta)
+
+
+# A start distance that rounds to <= theta_past leaves each coordinate
+# difference within a few ulps of theta_past, or below 2**-511 where the
+# squares underflow to 0; the grid searches this radius with room to spare.
+_MIN_RADIUS = 2.0**-500
+_RADIUS_SLACK = 1.0 + 2.0**-20
+_SCALAR_TESTS = 48  # above this many candidates one array test is faster
+
+
+def _redundant(start_a, dest_a, start_b, dest_b, theta_past: float, theta_int: float) -> bool:
+    """The filter's test on two entries' ``[x, y]`` rows, rounded as ``np.linalg.norm(..., axis=1)`` rounds it."""
+    sx, sy = start_a[0] - start_b[0], start_a[1] - start_b[1]
+    if not math.sqrt(sx * sx + sy * sy) <= theta_past:
+        return False
+    dx, dy = dest_a[0] - dest_b[0], dest_a[1] - dest_b[1]
+    return math.sqrt(dx * dx + dy * dy) <= theta_int
+
+
+def _greedy_keep(starts: np.ndarray, dests: np.ndarray, order: np.ndarray, theta_past: float, theta_int: float) -> np.ndarray:
+    """Indices kept by the greedy pass, in visit order; kept starts are hashed to a grid.
+
+    A pair the test calls redundant has both start coordinates within
+    ``radius`` of each other. A start's cell is ``floor(coordinate / side)``
+    per axis, with ``side`` a power of two of at least ``2 * radius``, so the
+    division is exact and the cell never decreases as the coordinate grows.
+    Rounding therefore cannot hide a kept start in reach of a visited start:
+    its cell lies between the cells of ``start - radius`` and
+    ``start + radius``, a block of at most 3 x 3 and mostly 2 x 2 cells. At
+    theta_past = 0 two starts share a cell only when they are equal or have
+    a coordinate below 2**-445, so the grid is an exact match on the start. A start
+    whose cells are not finite (a non-finite coordinate, a division that
+    overflows, or theta_past = inf) stays out of the grid and its visit tests
+    every kept entry; it can only be redundant with a start at the same
+    point, which is out of the grid too.
+    """
+    radius = max(float(theta_past), _MIN_RADIUS) * _RADIUS_SLACK
+    # a radius near the top of the float range (or infinite or NaN) gets one cell for all
+    side = 2.0 ** math.frexp(2.0 * radius)[1] if radius < 2.0**1000 else math.inf
+    with np.errstate(all="ignore"):
+        low = np.floor((starts - radius) / side)
+        high = np.floor((starts + radius) / side)
+        own = np.floor(starts / side)
+    gridded = (np.isfinite(low) & np.isfinite(high)).all(axis=1).tolist()
+    low, high, own = low.tolist(), high.tolist(), own.tolist()
+    start_rows, dest_rows = starts.tolist(), dests.tolist()
+    grid: dict[tuple[int, int], list[int]] = {}  # cell -> kept slots
+    kept: list[int] = []
+    kept_starts, kept_dests = np.empty_like(starts), np.empty_like(dests)
+    for i in order.tolist():
+        n_kept = len(kept)
+        if gridded[i]:
+            (x0, y0), (x1, y1) = low[i], high[i]
+            cells = [grid.get((cx, cy), ()) for cx in range(int(x0), int(x1) + 1) for cy in range(int(y0), int(y1) + 1)]
+            n_near = sum(map(len, cells))
+        if gridded[i] and n_near <= _SCALAR_TESTS:
+            redundant = any(
+                _redundant(start_rows[kept[j]], dest_rows[kept[j]], start_rows[i], dest_rows[i], theta_past, theta_int)
+                for j in chain.from_iterable(cells)
+            )
+        else:
+            # one array test; a block holding a quarter of the kept entries or more tests them all
+            rows = list(chain.from_iterable(cells)) if gridded[i] and 4 * n_near <= n_kept else slice(0, n_kept)
+            d_start = np.linalg.norm(kept_starts[rows] - starts[i], axis=1)
+            d_dest = np.linalg.norm(kept_dests[rows] - dests[i], axis=1)
+            redundant = np.any((d_start <= theta_past) & (d_dest <= theta_int))
+        if redundant:
+            continue
+        if gridded[i]:
+            grid.setdefault((int(own[i][0]), int(own[i][1])), []).append(n_kept)
+        kept.append(i)
+        kept_starts[n_kept] = starts[i]
+        kept_dests[n_kept] = dests[i]
+    return np.array(kept, dtype=np.int64)
 
 
 def bank_save(bank: MemoryBankPair, path) -> None:

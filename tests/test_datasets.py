@@ -1,5 +1,7 @@
 """Unit tests for TSV parsing, scene windowing, and the synthetic generator."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from memtraj.datasets import (
     RawTrack,
+    Scene,
     SynthMode,
     build_scenes,
     dataset_fingerprint,
@@ -20,6 +23,7 @@ from memtraj.datasets import (
     synth_meta,
     synth_mode_endpoints,
 )
+from memtraj.datasets import _load_tsv_lines
 from memtraj.errors import ParseError
 
 
@@ -115,6 +119,66 @@ def test_integral_frames_and_ids_round_trip(tmp_path_factory, frames, agent_id):
     np.testing.assert_array_equal(back.frames, frames)
 
 
+def _tsv_outcome(parse, path):
+    try:
+        return [(t.agent_id, t.frames.tolist(), t.coords.tobytes(), t.frames.dtype, t.coords.dtype) for t in parse(path)]
+    except ParseError as exc:
+        return str(exc)
+
+
+_TSV_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["+1", "-0", "007", "3.0", "1e1", "9223372036854775807", "9223372036854775808"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", ".5", "5.", "1E-3", "1e400", "nan", "-inf", "x", "1_0", "--1", "\u0663"]),
+)
+
+
+_PLAIN_INDEX = st.integers(0, 9).map(str) | st.sampled_from(["+1", "-0", "007"])
+_PLAIN_NUMBER = st.floats(-5.0, 5.0).map(repr) | st.sampled_from(["-0.0", ".5", "5.", "1E-3", "1e-320"])
+_PLAIN_ROW = st.tuples(_PLAIN_INDEX, _PLAIN_INDEX, _PLAIN_NUMBER, _PLAIN_NUMBER)
+_PLAIN_ODD = st.sampled_from(["3.0", "1e400", "-1e999", "9223372036854775808"])  # plain characters, checked parse
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(_PLAIN_ROW, max_size=12)
+    | st.lists(
+        st.one_of(
+            _PLAIN_ROW,
+            st.tuples(_PLAIN_INDEX | _PLAIN_ODD, _PLAIN_INDEX, _PLAIN_NUMBER | _PLAIN_ODD, _PLAIN_NUMBER),
+            st.lists(_TSV_TOKENS, min_size=4, max_size=4),
+            st.lists(_TSV_TOKENS, max_size=5),
+        ),
+        max_size=12,
+    ),
+    gap=st.sampled_from([" ", " ", "\t", "  \t", "\x0c"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_tsv_reads_plain_and_other_text_alike(tmp_path_factory, rows, gap, newline):
+    # the whole-array read of plain-number text gives what the line-by-line parse gives
+    path = tmp_path_factory.mktemp("tsv") / "rows.tsv"
+    path.write_bytes((newline.join(gap.join(row) for row in rows) + newline).encode("utf-8"))
+    assert _tsv_outcome(load_tsv, path) == _tsv_outcome(_load_tsv_lines, path)
+
+
+def test_load_tsv_plain_text_keeps_every_check(tmp_path):
+    # plain-number text that the line-by-line parse rejects or reads differently
+    for text, expected in (
+        ("1 1 0.0 0.0\n2 1 1e400 0.0\n", "line 2: non-finite"),
+        ("1 7 0.0 0.0\n1 3 0.0 0.0\n1 7 0.5 0.0\n", "line 3: duplicate row for frame 1, agent 7"),
+        ("1 7 0.0 0.0\n2 7 0.0\n", "line 2: expected 4 fields"),
+        ("9223372036854775808 7 0.0 0.0\n", "line 1: frame 9223372036854775808 is out of the int64 range"),
+    ):
+        path = write(tmp_path, "plain.tsv", text)
+        with pytest.raises(ParseError, match=expected):
+            load_tsv(path)
+    tracks = load_tsv(write(tmp_path, "plain.tsv", "2 9 0.0 0.0\n1 9 -0.0 .5\n1 3 1e1 0\n"))
+    assert [t.agent_id for t in tracks] == [9, 3]
+    np.testing.assert_array_equal(tracks[0].frames, [1, 2])
+    assert tracks[0].coords.tobytes() == np.array([[-0.0, 0.5], [0.0, 0.0]]).tobytes()
+
+
 def test_load_tsv_rejects_duplicate_rows(tmp_path):
     # the same (frame, agent) twice, even with other rows between: the second occurrence is reported
     path = write(tmp_path, "dup.tsv", "1 7 0.0 0.0\n2 7 1.0 1.0\n1 3 0.0 0.0\n2 7 1.5 1.0\n")
@@ -140,6 +204,178 @@ def make_line_track(agent_id, n, start=0.0, frame0=0, step=1):
     frames = frame0 + step * np.arange(n, dtype=np.int64)
     coords = np.stack([start + np.arange(n, dtype=np.float64), np.zeros(n)], axis=1)
     return RawTrack(agent_id=agent_id, frames=frames, coords=coords)
+
+
+# ---------------------------------------------------------------------------
+# Reference windowing: one Python pass per window, against which the
+# whole-array build_scenes is checked.
+# ---------------------------------------------------------------------------
+
+
+def _reference_frame_step(tracks: Sequence[RawTrack]) -> int:
+    """Smallest positive frame gap in the data; 1 if nothing has two samples."""
+    step = None
+    for track in tracks:
+        if len(track.frames) < 2:
+            continue
+        diffs = np.diff(track.frames)
+        positive = diffs[diffs > 0]
+        if positive.size:
+            smallest = int(positive.min())
+            step = smallest if step is None else min(step, smallest)
+    return step if step is not None else 1
+
+
+def reference_build_scenes(
+    tracks: Sequence[RawTrack],
+    past_len: int,
+    future_len: int,
+    stride: int = 1,
+    max_neighbors: int = 8,
+    tag: str = "",
+) -> list[Scene]:
+    """The per-window loop ``build_scenes`` replaced, kept as its oracle.
+
+    A window is valid when the ego agent covers it with evenly spaced frames
+    (spacing = the dataset's smallest frame gap). Window start positions
+    advance by ``stride`` samples. Every other agent present at all
+    ``past_len`` past frames becomes a neighbor; if there are more than
+    ``max_neighbors``, the nearest ones at the last observed frame win (ties
+    broken by agent id). The emitted set of scenes does not depend on the
+    ordering of ``tracks``.
+    """
+    if past_len < 1 or future_len < 1:
+        raise ValueError(f"past_len and future_len must be >= 1, got {past_len}, {future_len}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if max_neighbors < 0:
+        raise ValueError(f"max_neighbors must be >= 0, got {max_neighbors}")
+    step = _reference_frame_step(tracks)
+    window = past_len + future_len
+    # Who is where: frame -> [(track index, row index)], for neighbor lookup.
+    presence: dict[int, list[tuple[int, int]]] = {}
+    for t_idx, track in enumerate(tracks):
+        for row, frame in enumerate(track.frames):
+            presence.setdefault(int(frame), []).append((t_idx, row))
+    row_of = [
+        {int(f): r for r, f in enumerate(track.frames)}
+        for track in tracks
+    ]
+    prefix = f"{tag}:" if tag else ""
+    scenes = []
+    for t_idx, track in enumerate(tracks):
+        n = len(track.frames)
+        for start in range(0, n - window + 1, stride):
+            frames = track.frames[start : start + window]
+            if np.any(np.diff(frames) != step):
+                continue
+            past_frames = frames[:past_len]
+            last_frame = int(past_frames[-1])
+            ego_past = track.coords[start : start + past_len]
+            ego_future = track.coords[start + past_len : start + window]
+            # Candidates must at least be present at the last observed frame.
+            neighbors = []
+            for o_idx, o_row in presence.get(last_frame, ()):
+                if o_idx == t_idx:
+                    continue
+                rows = row_of[o_idx]
+                try:
+                    first_row = rows[int(past_frames[0])]
+                except KeyError:
+                    continue
+                if all(int(f) in rows for f in past_frames[1:-1]):
+                    other = tracks[o_idx]
+                    past = other.coords[first_row : first_row + past_len]
+                    # Gappy tracks can have the frames but not contiguously.
+                    if past.shape[0] != past_len or np.any(
+                        other.frames[first_row : first_row + past_len] != past_frames
+                    ):
+                        past = np.stack([other.coords[rows[int(f)]] for f in past_frames])
+                    dist = float(np.linalg.norm(past[-1] - ego_past[-1]))
+                    neighbors.append((dist, other.agent_id, past))
+            neighbors.sort(key=lambda item: (item[0], item[1]))
+            if max_neighbors:
+                neighbors = neighbors[:max_neighbors]
+            else:
+                neighbors = []
+            neighbor_pasts = (
+                np.stack([nb[2] for nb in neighbors])
+                if neighbors
+                else np.zeros((0, past_len, 2))
+            )
+            scenes.append(
+                Scene(
+                    ego_past=ego_past.copy(),
+                    neighbor_pasts=neighbor_pasts,
+                    ego_future=ego_future.copy(),
+                    scene_id=f"{prefix}{track.agent_id}:{last_frame}",
+                )
+            )
+    return scenes
+
+
+
+@st.composite
+def random_tracks(draw, unique_ids=False):
+    """Tracks with gaps, a shared coarser frame step and many exactly equidistant neighbors."""
+    step = draw(st.sampled_from([1, 2, 10]))
+    n_tracks = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(-3, 9), min_size=n_tracks, max_size=n_tracks, unique=unique_ids))
+    # mostly small integers, so distances tie exactly; -0.0 and finer values break some ties
+    lattice = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+    coordinate = st.one_of(lattice, lattice, lattice, st.sampled_from([-0.0, 0.5, 1e-300]), st.floats(-3.0, 3.0))
+    tracks = []
+    for agent_id in ids:
+        first = draw(st.integers(0, 6))
+        gaps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 2, 3]), max_size=14))
+        frames = step * (first + np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)]))
+        coords = draw(st.lists(st.tuples(coordinate, coordinate), min_size=len(frames), max_size=len(frames)))
+        tracks.append(RawTrack(agent_id=agent_id, frames=frames.astype(np.int64), coords=np.array(coords, dtype=np.float64)))
+    return tracks
+
+
+window_args = dict(
+    past_len=st.integers(1, 4),
+    future_len=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    max_neighbors=st.integers(0, 4),
+)
+
+
+def assert_same_scenes(got, want):
+    assert [s.scene_id for s in got] == [s.scene_id for s in want]
+    for a, b in zip(got, want):
+        for field in ("ego_past", "neighbor_pasts", "ego_future"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()  # bit for bit, so -0.0 is not 0.0
+    assert dataset_fingerprint(got) == dataset_fingerprint(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tracks=random_tracks(), **window_args)
+def test_build_scenes_matches_reference(tracks, past_len, future_len, stride, max_neighbors):
+    args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors, tag="t")
+    assert_same_scenes(build_scenes(tracks, **args), reference_build_scenes(tracks, **args))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tracks=random_tracks(unique_ids=True), seed=st.integers(0, 2**32 - 1), **window_args)
+def test_build_scenes_invariant_to_track_order(tracks, seed, past_len, future_len, stride, max_neighbors):
+    args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors)
+    shuffled = [tracks[i] for i in np.random.default_rng(seed).permutation(len(tracks))]
+    a = {s.scene_id: s for s in build_scenes(tracks, **args)}
+    b = {s.scene_id: s for s in build_scenes(shuffled, **args)}
+    assert a.keys() == b.keys()
+    for sid in a:
+        assert_same_scenes([a[sid]], [b[sid]])
+
+
+def test_build_scenes_rejects_unsorted_frames():
+    track = make_line_track(1, 20)
+    track.frames[[3, 4]] = track.frames[[4, 3]]
+    with pytest.raises(ValueError, match="agent 1.* not strictly increasing"):
+        build_scenes([track], past_len=8, future_len=12)
 
 
 def test_window_counts():
@@ -341,6 +577,18 @@ def test_load_manifest(tmp_path):
     manifest.write_text("part1.tsv\nmissing.tsv\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         load_manifest(manifest, past_len=8, future_len=12)
+
+
+def test_load_manifest_logs_window_counts(tmp_path, caplog):
+    gappy = make_line_track(1, 24)
+    gappy.frames = np.delete(gappy.frames, 21)  # starts 2 and 3 cross the gap; 0 and 1 fit; 4 does not fit
+    gappy.coords = np.delete(gappy.coords, 21, axis=0)
+    save_tsv([gappy, make_line_track(2, 5, frame0=40)], tmp_path / "gap.tsv")
+    (tmp_path / "manifest.txt").write_text("gap.tsv\n", encoding="utf-8")
+    with caplog.at_level("INFO", logger="memtraj.datasets"):
+        scenes = load_manifest(tmp_path / "manifest.txt", past_len=8, future_len=12)
+    assert [s.scene_id for s in scenes] == ["gap:1:7", "gap:1:8"]
+    assert f"{tmp_path / 'gap.tsv'}: 2 tracks, 2 windows, 2 skipped for a frame gap" in caplog.messages
 
 
 def test_load_manifest_rejects_csv_breaking_file_names(tmp_path):

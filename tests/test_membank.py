@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtraj.datasets import normalize_scene, synth_generate
 from memtraj.errors import FormatError
@@ -89,6 +91,95 @@ def test_filter_matches_replay_oracle():
         assert filtered.meta.theta_past == theta_p
         assert filtered.meta.filter_seed == seed
         assert filtered.meta.source_hash == bank.meta.source_hash
+
+
+def replay_keep(starts, dests, theta_p, theta_i, seed):
+    """Brute-force greedy pass: every visited entry is tested against every kept entry."""
+    kept = []
+    for i in filter_visit_order(len(starts), seed):
+        if kept:
+            d_start = np.linalg.norm(starts[kept] - starts[i], axis=1)
+            d_dest = np.linalg.norm(dests[kept] - dests[i], axis=1)
+            if np.any((d_start <= theta_p) & (d_dest <= theta_i)):
+                continue
+        kept.append(int(i))
+    return kept
+
+
+def bank_of(starts, dests):
+    starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+    dests = np.asarray(dests, dtype=np.float64).reshape(-1, 2)
+    m = len(starts)
+    meta = BankMeta(past_dim=1, intent_dim=1, past_len=8, future_len=12)
+    return MemoryBankPair(np.zeros((m, 1)), np.zeros((m, 1)), starts, dests, np.arange(m, dtype=np.int64), meta)
+
+
+def test_filter_finds_redundant_entry_across_a_cell_edge():
+    # starts exactly theta apart on either side of x = 1.0 (a cell edge at theta = 0.25),
+    # and the same for a start at the origin against one just below it
+    for theta, starts in ((0.25, [[0.875, 3.0], [1.125, 3.0]]), (0.25, [[0.0, 0.0], [0.0, -0.25]]), (0.02, [[-0.01, 0.5], [0.01, 0.5]])):
+        bank = bank_of(starts, [[2.0, 2.0], [2.0, 2.0]])
+        assert np.linalg.norm(bank.starts[0] - bank.starts[1]) <= theta
+        assert len(bank_filter(bank, theta, theta, seed=0)) == 1
+    # theta = 0 drops only exact repeats; starts whose squared difference underflows count as repeats
+    bank = bank_of([[1.0, 2.0], [1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)], [0.0, 0.0], [-0.0, 5e-324], [1e-170, 0.0]], np.zeros((6, 2)))
+    kept = bank_filter(bank, 0.0, 0.0, seed=3).sample_ids.tolist()
+    assert len(kept) == 3 and kept == replay_keep(bank.starts, bank.dests, 0.0, 0.0, 3)
+
+
+def _coordinate_pool(theta):
+    """Lattice points theta/2 apart around cell edges, their repeats, -0.0 and a few far or tiny values."""
+    unit = theta / 2.0 if 0.0 < theta < np.inf else 0.125
+    lattice = [k * unit for k in range(-8, 9)]
+    return st.sampled_from(lattice + [-0.0, 5e-324, 1e-170, 3.0 * unit / 5.0, 4.0 * unit / 5.0, 1e6 + unit, 1e6 - unit, 2.0**60])
+
+
+@st.composite
+def filter_cases(draw):
+    theta_p = draw(st.sampled_from([0.0, np.inf, 0.25, 0.02, 1.0]) | st.floats(0.0, 2.0))
+    theta_i = draw(st.sampled_from([0.0, np.inf, 0.25, theta_p]) | st.floats(0.0, 2.0))
+    coordinate = _coordinate_pool(theta_p) | st.floats(-3.0, 3.0)
+    m = draw(st.integers(1, 40))
+    starts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=m, max_size=m))
+    dests = draw(st.lists(st.tuples(_coordinate_pool(theta_i), _coordinate_pool(theta_i)), min_size=m, max_size=m))
+    return bank_of(starts, dests), theta_p, theta_i, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_cases())
+def test_grid_filter_matches_brute_force_replay(case):
+    bank, theta_p, theta_i, seed = case
+    kept = bank_filter(bank, theta_p, theta_i, seed).sample_ids.tolist()
+    assert kept == replay_keep(bank.starts, bank.dests, theta_p, theta_i, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=filter_cases())
+def test_filter_keeps_a_non_redundant_maximal_set(case):
+    bank, theta_p, theta_i, seed = case
+    kept = bank_filter(bank, theta_p, theta_i, seed).sample_ids
+    d_start = np.linalg.norm(bank.starts[:, None, :] - bank.starts[None, kept, :], axis=2)
+    d_dest = np.linalg.norm(bank.dests[:, None, :] - bank.dests[None, kept, :], axis=2)
+    redundant = (d_start <= theta_p) & (d_dest <= theta_i)  # (entry, kept entry)
+    # no kept entry is redundant with another kept entry...
+    sub = redundant[kept]
+    np.fill_diagonal(sub, False)
+    assert not sub.any()
+    # ...and every dropped entry is redundant with one that was kept
+    dropped = np.setdiff1d(np.arange(len(bank)), kept)
+    assert redundant[dropped].any(axis=1).all()
+
+
+def test_filter_matches_replay_on_crowded_cells():
+    # tight clusters of starts put many kept entries in one cell, so the pass
+    # takes its array tests on a block and on every kept entry, not only its loop
+    rng = np.random.default_rng(21)
+    centers = rng.uniform(-20.0, 20.0, size=(6, 2))
+    for size, theta_p, theta_i in ((80, 0.25, 0.05), (150, 0.25, 0.3), (120, 2.0, 0.02), (60, np.inf, 0.1)):
+        starts = np.repeat(centers, size, axis=0) + rng.normal(0.0, 0.05, size=(6 * size, 2))
+        dests = rng.uniform(-2.0, 2.0, size=(6 * size, 2))
+        kept = bank_filter(bank_of(starts, dests), theta_p, theta_i, seed=size).sample_ids.tolist()
+        assert kept == replay_keep(starts, dests, theta_p, theta_i, size)
 
 
 def test_filter_infinite_thetas_keep_one():

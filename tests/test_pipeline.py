@@ -365,6 +365,18 @@ def test_cli_reports_errors(tmp_path, capsys):
     # an explicit zero is validated, not mistaken for "not given"
     _assert_cli_error(["synth", "--config", str(cfg_path), "--scenes", "0"], capsys, "synth_scenes")
     assert not (tmp_path / "synth").exists()
+    # a bad byte in one of several listed track files names that file and its line
+    lines = "".join(f"{frame} 1 {0.1 * frame!r} 0.0\n" for frame in range(25)).encode("ascii")
+    (tmp_path / "good.tsv").write_bytes(lines)
+    (tmp_path / "bad.tsv").write_bytes(lines.replace(b"\n1 1", b"\n1 1\xff", 1))
+    listing = tmp_path / "two.txt"
+    listing.write_text("good.tsv\nbad.tsv\n", encoding="utf-8")
+    two = tmp_path / "two.cfg"
+    replace(config, train_manifest=str(listing)).to_file(two)
+    _assert_cli_error(["train-features", "--config", str(two)], capsys, f"{tmp_path / 'bad.tsv'}: line 2: not UTF-8")
+    # a manifest line that is not UTF-8 is reported with its line number
+    listing.write_bytes(b"good.tsv\n\xff.tsv\n")
+    _assert_cli_error(["train-features", "--config", str(two)], capsys, f"{listing}: line 2: not UTF-8")
 
 
 def _assert_cli_error(argv, capsys, *needles):
