@@ -96,38 +96,11 @@ def score_all(nets: AddresserNets, query_feat, keys: np.ndarray) -> np.ndarray:
     return keys @ (u / u_norm)
 
 
-def score(nets: AddresserNets, query_feat, key_feat) -> float:
-    """Cosine similarity of the projected query and one projected key."""
-    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64))
-    w = mlp_forward(nets.key_proj, np.asarray(key_feat, dtype=np.float64))
-    nu = float(np.linalg.norm(u))
-    nw = float(np.linalg.norm(w))
-    if nu < DEGENERATE_NORM or nw < DEGENERATE_NORM:
-        logger.warning("degenerate projection (norms %.3e, %.3e); scoring 0", nu, nw)
-        return 0.0
-    return float(u @ w / (nu * nw))
-
-
-def pseudo_label(dist: float, threshold: float) -> float:
-    """Regression target for one entry: 1 at distance 0, 0 beyond threshold."""
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    return max(0.0, (threshold - float(dist)) / threshold)
-
-
 def pseudo_labels(dists: np.ndarray, threshold: float) -> np.ndarray:
+    """Regression targets for entries at ``dists``: 1 at distance 0, 0 from ``threshold`` on."""
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     return np.maximum(0.0, (threshold - dists) / threshold)
-
-
-def addresser_loss(scores, labels) -> float:
-    """Summed squared error between scores and pseudo-labels."""
-    s = np.asarray(scores, dtype=np.float64)
-    l = np.asarray(labels, dtype=np.float64)
-    if s.shape != l.shape:
-        raise ValueError(f"scores shape {s.shape} != labels shape {l.shape}")
-    return float(np.sum((s - l) ** 2))
 
 
 def top_l(scores: np.ndarray, count: int) -> np.ndarray:

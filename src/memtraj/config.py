@@ -10,6 +10,7 @@ pixels or meters; explicit keys always win.
 from __future__ import annotations
 
 import hashlib
+import math
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -96,6 +97,12 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a redundancy threshold of +inf makes the bank filter ignore that distance
+            if isinstance(value, float) and not math.isfinite(value):
+                if not (f.name in ("theta_past", "theta_int") and value == math.inf):
+                    raise ConfigError(f"must be a finite number, got {value!r}", key=f.name)
         positive_ints = (
             "past_len",
             "future_len",
@@ -173,7 +180,21 @@ class Config:
         return hashlib.sha256(self.canonical_text(exclude=RUNTIME_ONLY_FIELDS).encode("utf-8")).hexdigest()
 
     def to_file(self, path) -> None:
+        """Write the config as a file :func:`load_config` reads back into an equal Config.
+
+        Raises ConfigError for a string value the file format cannot hold: one
+        with a line break, leading or trailing whitespace, or no UTF-8 encoding.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and not _writable(value):
+                raise ConfigError(f"cannot be written to a config file: {value!r}", key=f.name)
         Path(path).write_text(self.canonical_text(), encoding="utf-8")
+
+
+def _writable(text: str) -> bool:
+    """True when ``text`` survives as the value of one UTF-8 ``key = value`` line."""
+    return text == text.strip() and not any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in text)
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

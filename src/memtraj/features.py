@@ -190,29 +190,8 @@ def social_encode(nets, scene: Scene) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Intention encoding and joint decoding
+# Joint decoding
 # ---------------------------------------------------------------------------
-
-
-def intention_encode(nets: EncoderDecoder, destination) -> np.ndarray:
-    """Intention feature of a destination (a 2-vector in the normalized frame)."""
-    dest = np.asarray(destination, dtype=np.float64)
-    if dest.shape != (2,):
-        raise ValueError(f"destination must have shape (2,), got {dest.shape}")
-    return mlp_forward(nets.point_embed, dest)
-
-
-def joint_decode(nets: EncoderDecoder, past_feat, intent_feat) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a feature-stage pair into (past reconstruction, destination estimate).
-
-    Returns ``(past_hat, dest_hat)`` with shapes (past_len, 2) and (2,).
-    The decoder input is the concatenation [past_feat; intent_feat].
-    """
-    k = np.asarray(past_feat, dtype=np.float64)
-    v = np.asarray(intent_feat, dtype=np.float64)
-    out = mlp_forward(nets.decoder, np.concatenate([k, v]))
-    n_past = 2 * nets.past_len
-    return out[:n_past].reshape(nets.past_len, 2), out[n_past:]
 
 
 def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,21 +199,6 @@ def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.n
     out = mlp_forward(nets.decoder, np.hstack([past_feats, point_feats]))
     n_past = 2 * nets.past_len
     return out[:, :n_past], out[:, n_past:]
-
-
-def rec_loss(past_hat, past_true, dest_hat, dest_true, intent_weight: float = 1.0) -> float:
-    """Summed squared reconstruction error with a weighted intention term."""
-    if intent_weight < 0:
-        raise ValueError(f"intent_weight must be >= 0, got {intent_weight}")
-    px = np.asarray(past_hat, dtype=np.float64)
-    pt = np.asarray(past_true, dtype=np.float64)
-    dx = np.asarray(dest_hat, dtype=np.float64)
-    dt = np.asarray(dest_true, dtype=np.float64)
-    if px.shape != pt.shape:
-        raise ValueError(f"past shapes differ: {px.shape} vs {pt.shape}")
-    if dx.shape != dt.shape:
-        raise ValueError(f"destination shapes differ: {dx.shape} vs {dt.shape}")
-    return float(np.sum((px - pt) ** 2) + intent_weight * np.sum((dx - dt) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +273,3 @@ def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
     fit_encoder_decoder(nets, normalized, dests, config.intent_weight, "features", config)
     return nets
 
-
-def mean_rec_loss(nets: EncoderDecoder, dataset: Sequence[Scene], intent_weight: float = 1.0) -> float:
-    """Mean reconstruction loss of frozen nets over raw scenes."""
-    normalized = normalize_with_futures(dataset, "mean_rec_loss")
-    batch = prepare_social_batch(normalized)
-    k, _ = social_forward_batch(nets, batch)
-    dests = np.stack([s.ego_future[-1] for s in normalized])
-    v = mlp_forward(nets.point_embed, dests)
-    past_hat, dest_hat = decode_batch(nets, k, v)
-    past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
-    per_scene = np.sum((past_hat - past_x) ** 2, axis=1) + intent_weight * np.sum(
-        (dest_hat - dests) ** 2, axis=1
-    )
-    return float(per_scene.mean())

@@ -13,7 +13,6 @@ conditioning destination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,57 +31,23 @@ from .numkit import mlp_forward
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
 
 
-@dataclass
-class FullPrediction:
-    """One fulfilled trajectory."""
-
-    future: np.ndarray  # (future_len, 2)
-    past_recon: np.ndarray  # (past_len, 2)
-
-
-def fulfill_many(
-    nets: EncoderDecoder, scene: Scene, destinations, snap_destination: bool = False
-) -> list[FullPrediction]:
+def fulfill_many(nets: EncoderDecoder, scene: Scene, destinations, snap_destination: bool = False) -> np.ndarray:
     """Fulfill one normalized scene against several destinations at once.
 
-    The scene is encoded once; each destination row yields one prediction.
+    The scene is encoded once; destination row ``i`` yields the ``i``-th of
+    the returned (k, future_len, 2) futures. With ``snap_destination`` each
+    future ends exactly on its destination.
     """
     dests = np.asarray(destinations, dtype=np.float64)
     if dests.ndim != 2 or dests.shape[1] != 2:
         raise ValueError(f"destinations must have shape (k, 2), got {dests.shape}")
     feat, _ = social_forward_batch(nets, prepare_social_batch([scene]))
     dest_emb = mlp_forward(nets.point_embed, dests)
-    past_recon, futures = decode_batch(nets, np.broadcast_to(feat[0], (dests.shape[0], feat.shape[1])), dest_emb)
-    preds = []
-    for i in range(dests.shape[0]):
-        future = futures[i].reshape(-1, 2).copy()
-        if snap_destination:
-            future[-1] = dests[i]
-        preds.append(FullPrediction(future=future, past_recon=past_recon[i].reshape(-1, 2).copy()))
-    return preds
-
-
-def fulfill(nets: EncoderDecoder, scene: Scene, destination, snap_destination: bool = False) -> FullPrediction:
-    """Fulfill one normalized scene conditioned on one destination."""
-    dest = np.asarray(destination, dtype=np.float64)
-    if dest.shape != (2,):
-        raise ValueError(f"destination must have shape (2,), got {dest.shape}")
-    return fulfill_many(nets, scene, dest[None, :], snap_destination=snap_destination)[0]
-
-
-def traj_loss(pred: FullPrediction, scene: Scene, future_weight: float = 1.0) -> float:
-    """Summed squared error of past reconstruction plus weighted future error."""
-    if future_weight < 0:
-        raise ValueError(f"future_weight must be >= 0, got {future_weight}")
-    if scene.ego_future is None:
-        raise ValueError(f"scene {scene.scene_id!r} has no future to score against")
-    if pred.past_recon.shape != scene.ego_past.shape:
-        raise ValueError(f"past shapes differ: {pred.past_recon.shape} vs {scene.ego_past.shape}")
-    if pred.future.shape != scene.ego_future.shape:
-        raise ValueError(f"future shapes differ: {pred.future.shape} vs {scene.ego_future.shape}")
-    past_err = float(np.sum((pred.past_recon - scene.ego_past) ** 2))
-    future_err = float(np.sum((pred.future - scene.ego_future) ** 2))
-    return past_err + future_weight * future_err
+    _, futures = decode_batch(nets, np.broadcast_to(feat[0], (dests.shape[0], feat.shape[1])), dest_emb)
+    futures = futures.reshape(dests.shape[0], -1, 2)
+    if snap_destination:
+        futures[:, -1] = dests
+    return futures
 
 
 def train_fulfillment(nets: EncoderDecoder, dataset: Sequence[Scene], config) -> EncoderDecoder:

@@ -166,13 +166,11 @@ def predict_scene(
         decode_mode=decode_mode,
     )
     iset = proposal.intention_set
-    preds = fulfill_many(bundle.fulfill_nets, normalized, iset.destinations, snap_destination=snap_destination)
-    trajectories = np.stack([transform.invert(p.future) for p in preds])
-    destinations = transform.invert(iset.destinations)
+    futures = fulfill_many(bundle.fulfill_nets, normalized, iset.destinations, snap_destination=snap_destination)
     return ScenePrediction(
         scene_id=scene.scene_id,
-        destinations=destinations,
-        trajectories=trajectories,
+        destinations=transform.invert(iset.destinations),
+        trajectories=transform.invert(futures),
         addresses=proposal.addresses,
         scores=proposal.scores,
         sample_ids=bundle.bank.sample_ids[proposal.addresses],

@@ -122,8 +122,3 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100) -> IntentionSet:
     assignment[order] = assign
     return IntentionSet(destinations=centers, anchor_assignment=assignment, iter_costs=costs)
 
-
-def kmeans_cost(points, iset: IntentionSet) -> float:
-    """Total squared distance of points to their assigned centroids."""
-    pts = np.asarray(points, dtype=np.float64)
-    return float(np.sum((pts - iset.destinations[iset.anchor_assignment]) ** 2))

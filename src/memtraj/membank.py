@@ -107,15 +107,6 @@ def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
     )
 
 
-def is_redundant(a, b, theta_past: float, theta_int: float) -> bool:
-    """True when two ``(start, destination)`` pairs are within both thresholds."""
-    if theta_past < 0 or theta_int < 0:
-        raise ValueError(f"thresholds must be >= 0, got {theta_past}, {theta_int}")
-    d_start = float(np.linalg.norm(np.subtract(a[0], b[0])))
-    d_dest = float(np.linalg.norm(np.subtract(a[1], b[1])))
-    return d_start <= theta_past and d_dest <= theta_int
-
-
 def filter_visit_order(n_entries: int, seed: int) -> np.ndarray:
     """The seed-shuffled order in which :func:`bank_filter` visits entries."""
     return np.random.default_rng(seed).permutation(n_entries)

@@ -70,9 +70,6 @@ class Mlp:
             hidden_activation=self.hidden_activation,
         )
 
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass
 class GradBundle:

@@ -1,12 +1,14 @@
 """Pipeline stages, artifact layout, and staleness tracking.
 
 Each stage writes its artifacts under the config's out_dir and records the
-artifact hash plus the config's stage hash in ``run_manifest.json``. A stage
-refuses to run when a prerequisite is missing, was built under a different
-config, or no longer matches its recorded hash, so stale artifact mixes are
-caught instead of silently mispredicting. The stage hash skips keys no
-training stage reads (decode mode, destination snapping, output location,
-val/test manifests), so trained artifacts stay usable when only those change.
+artifact hash, the config's stage hash and the hash of every prerequisite
+artifact it read in ``run_manifest.json``. A stage refuses to run when a
+prerequisite is missing, was built under a different config, no longer
+matches its recorded hash, or was built from a prerequisite artifact that
+has been rebuilt since, so stale artifact mixes are caught instead of
+silently mispredicting. The stage hash skips keys no training stage reads
+(decode mode, destination snapping, output location, val/test manifests),
+so trained artifacts stay usable when only those change.
 
 Stage artifacts:
   features/     five nets + manifest.json
@@ -68,6 +70,9 @@ _NET_STAGES = {
     ),
 }
 
+# The prerequisite stages whose artifacts a stage reads; it records their hashes.
+_READS = {STAGE_BANK: (STAGE_FEATURES,), STAGE_ADDRESSER: (STAGE_FEATURES, STAGE_BANK)}
+
 
 @dataclass
 class StageRecord:
@@ -75,6 +80,7 @@ class StageRecord:
     sha256: str
     config_hash: str
     created: str
+    inputs: dict[str, str]  # prerequisite stage -> sha256 of the artifact this stage read
 
 
 @dataclass
@@ -89,8 +95,11 @@ class RunManifest:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             stages = {name: StageRecord(**rec) for name, rec in data.get("stages", {}).items()}
-            if not all(isinstance(value, str) for rec in stages.values() for value in vars(rec).values()):
-                raise TypeError("stage record fields must be strings")
+            for rec in stages.values():
+                if not all(isinstance(value, str) for value in (rec.path, rec.sha256, rec.config_hash, rec.created)):
+                    raise TypeError("stage record fields must be strings")
+                if not isinstance(rec.inputs, dict) or not all(isinstance(value, str) for value in rec.inputs.values()):
+                    raise TypeError("stage record inputs must map stage names to hash strings")
         except (ValueError, TypeError, AttributeError) as exc:
             raise DependencyError(f"{path} is not a valid run manifest ({exc}); rerun the stages") from None
         return cls(stages=stages)
@@ -122,6 +131,7 @@ def _record_stage(config: Config, name: str, artifact: Path) -> None:
         sha256=artifact_hash(artifact),
         config_hash=config.stage_hash(),
         created=datetime.now(timezone.utc).isoformat(),
+        inputs={read: manifest.stages[read].sha256 for read in _READS.get(name, ())},
     )
     manifest.save(out_dir)
 
@@ -139,6 +149,10 @@ def _require_stage(config: Config, name: str) -> Path:
         raise DependencyError(f"stage '{name}' artifact {artifact} is missing")
     if artifact_hash(artifact) != record.sha256:
         raise DependencyError(f"stage '{name}' artifact {artifact} does not match its recorded hash")
+    for read, sha256 in record.inputs.items():
+        current = manifest.stages.get(read)
+        if current is None or current.sha256 != sha256:
+            raise DependencyError(f"stage '{name}' was built from a '{read}' artifact that has changed since; rerun '{name}'")
     return artifact
 
 
@@ -247,13 +261,13 @@ def train_addresser_selected(
     n_retrieve, n_predict = retrieval_counts(len(bank), config.n_retrieve, config.n_predict, clamp_k=True)
     seed = config.seed_for("addresser-selection")
 
-    def score(candidate: AddresserNets) -> float:
+    def selection_error(candidate: AddresserNets) -> float:
         return destination_error(feature_nets, candidate, bank, holdout, n_retrieve, n_predict, seed)
 
     data = None  # built once, on the first segment, so a stage without epochs never encodes the slice
     rng = np.random.default_rng(config.seed_for("addresser-batches"))
     best = nets.copy()
-    best_error = score(nets)
+    best_error = selection_error(nets)
     errors = [(0, best_error)]
     best_epoch = 0
     current = nets.copy()
@@ -264,7 +278,7 @@ def train_addresser_selected(
                 data = addresser_training_data(bank, feature_nets, train_slice)
             fit_addresser(current, bank, data, config, [(chunk, lr)], rng)
             epoch_no += chunk
-            error = score(current)
+            error = selection_error(current)
             errors.append((epoch_no, error))
             if error < best_error:
                 best, best_error, best_epoch = current.copy(), error, epoch_no
@@ -292,7 +306,6 @@ def stage_train_addresser(config: Config, scenes: Sequence[Scene] | None = None)
         {"query_proj": nets.query_proj, "key_proj": nets.key_proj},
         {
             "addr_dim": config.addr_dim,
-            "bank_sha256": artifact_hash(bank_dir / "bank.mtbk"),
             "selected_epoch": report["selected_epoch"],
             "holdout_error": report["holdout_error"],
         },
@@ -301,13 +314,11 @@ def stage_train_addresser(config: Config, scenes: Sequence[Scene] | None = None)
     return stage_dir
 
 
-def load_addresser_nets(stage_dir: Path) -> tuple[AddresserNets, str]:
-    meta = json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))
-    nets = AddresserNets(
+def load_addresser_nets(stage_dir: Path) -> AddresserNets:
+    return AddresserNets(
         query_proj=load_mlp(stage_dir / "query_proj.mtnn"),
         key_proj=load_mlp(stage_dir / "key_proj.mtnn"),
     )
-    return nets, meta.get("bank_sha256", "")
 
 
 def stage_train_fulfillment(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
@@ -333,16 +344,7 @@ def load_model_bundle(config: Config, fixed_cosine: bool = False) -> ModelBundle
     fulfillment_dir = _require_stage(config, STAGE_FULFILLMENT)
     feature_nets = load_stage_nets(features_dir, STAGE_FEATURES)
     bank = bank_load(bank_dir / "bank.mtbk")
-    addresser_nets, trained_against = load_addresser_nets(addresser_dir)
-    actual_bank_hash = artifact_hash(bank_dir / "bank.mtbk")
-    if trained_against and trained_against != actual_bank_hash:
-        logger.warning(
-            "addresser was trained against bank %s but the loaded bank is %s",
-            trained_against[:12],
-            actual_bank_hash[:12],
-        )
-    if fixed_cosine:
-        addresser_nets = fixed_cosine_nets(bank.meta.past_dim)
+    addresser_nets = fixed_cosine_nets(bank.meta.past_dim) if fixed_cosine else load_addresser_nets(addresser_dir)
     fulfill_nets = load_stage_nets(fulfillment_dir, STAGE_FULFILLMENT)
     return ModelBundle(
         feature_nets=feature_nets, bank=bank, addresser_nets=addresser_nets, fulfill_nets=fulfill_nets

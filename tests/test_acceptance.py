@@ -36,14 +36,13 @@ from memtraj.evalkit import constant_velocity, min_ade, min_fde
 from memtraj.features import init_encoder_decoder, train_features
 from memtraj.fulfillment import train_fulfillment
 from memtraj.inference import ModelBundle, predict_scene, scene_seed
-from memtraj.intention import kmeans, kmeans_cost
+from memtraj.intention import kmeans
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
     bank_filter,
     bank_init,
     filter_visit_order,
-    is_redundant,
 )
 from memtraj.numkit import RELU, TANH, finite_diff_check, hidden_preactivations, mlp_init
 from memtraj.pipeline import (
@@ -56,6 +55,8 @@ from memtraj.pipeline import (
     stage_train_fulfillment,
     train_addresser_selected,
 )
+
+from oracles import is_redundant, kmeans_cost
 
 SYNTH_SIGMA = 0.02  # per-step jitter of the synthetic generator
 FUTURE_LEN = 12

@@ -6,14 +6,11 @@ import pytest
 from memtraj.addresser import (
     _cosine_backward,
     _cosine_forward,
-    addresser_loss,
     decoded_intentions,
     fixed_cosine_nets,
     init_addresser_nets,
     key_table,
-    pseudo_label,
     pseudo_labels,
-    score,
     score_all,
     top_l,
     train_addresser,
@@ -23,6 +20,7 @@ from memtraj.features import init_encoder_decoder, train_features
 from memtraj.membank import bank_init
 
 from conftest import quick_config
+from oracles import score
 
 
 def cosine(a, b):
@@ -104,22 +102,10 @@ def test_degenerate_key_is_a_zero_row_warned_once(caplog):
 
 
 def test_pseudo_label_hand_cases():
-    assert pseudo_label(0.0, 2.0) == 1.0
-    assert pseudo_label(1.0, 2.0) == 0.5
-    assert pseudo_label(2.0, 2.0) == 0.0
-    assert pseudo_label(5.0, 2.0) == 0.0
+    labels = pseudo_labels(np.array([0.0, 1.0, 2.0, 5.0]), 2.0)
+    assert labels.tolist() == [1.0, 0.5, 0.0, 0.0]
     with pytest.raises(ValueError):
-        pseudo_label(1.0, 0.0)
-    np.testing.assert_allclose(
-        pseudo_labels(np.array([0.0, 1.0, 2.0, 5.0]), 2.0), [1.0, 0.5, 0.0, 0.0], atol=0
-    )
-
-
-def test_addresser_loss_hand_case():
-    assert addresser_loss([1.0, 0.0], [0.0, 0.0]) == 1.0
-    assert addresser_loss([0.5, 0.25], [0.5, 0.25]) == 0.0
-    with pytest.raises(ValueError):
-        addresser_loss([1.0], [1.0, 2.0])
+        pseudo_labels(np.array([1.0]), 0.0)
 
 
 def test_top_l_orders_and_breaks_ties_low_address():
@@ -202,7 +188,7 @@ def test_train_addresser_reduces_label_loss():
         total = 0.0
         for past_feat, dest in zip(bank.past_feats, bank.dests):
             labels = pseudo_labels(np.linalg.norm(decoded - dest, axis=1), threshold)
-            total += addresser_loss(score_all(nets, past_feat, keys), labels)
+            total += float(np.sum((score_all(nets, past_feat, keys) - labels) ** 2))
         return total
 
     assert total_loss(trained) < total_loss(init)

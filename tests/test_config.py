@@ -1,9 +1,13 @@
 """Unit tests for run configuration, scale defaults, and seed derivation."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memtraj.cli import main
 from memtraj.config import Config, RUNTIME_ONLY_FIELDS, load_config
 from memtraj.errors import ConfigError
 
@@ -142,3 +146,105 @@ def test_load_config_parses_types(tmp_path):
     assert config.label_threshold is None
     assert config.out_dir == "runs/z"
     assert config.scale == "pixel"
+
+
+STRING_KEYS = ("train_manifest", "val_manifest", "test_manifest", "out_dir", "synth_modes")
+# text that reads back as written, and text a key = value line cannot hold
+strings = st.one_of(st.text(), st.sampled_from(["runs/x", "", " lead", "trail ", "x\ny = 1", "a\rb", "\udcff", "a = b"]))
+
+
+@st.composite
+def configs(draw):
+    """A valid Config with every key drawn, strings included."""
+    n_retrieve = draw(st.integers(1, 400))
+    counts = st.integers(0, 300)
+    threshold = st.one_of(st.none(), st.floats(0.0, 1e300), st.just(math.inf))
+    values = dict(
+        scale=draw(st.sampled_from(["pixel", "meter"])),
+        theta_past=draw(threshold),
+        theta_int=draw(threshold),
+        n_retrieve=n_retrieve,
+        n_predict=draw(st.integers(1, n_retrieve)),
+        label_threshold=draw(st.one_of(st.none(), st.floats(1e-300, 1e300))),
+        decode_mode=draw(st.sampled_from(["query", "stored"])),
+        finetune=draw(st.booleans()),
+        snap_destination=draw(st.booleans()),
+        seed=draw(st.integers(-(2**63), 2**63 - 1)),
+    )
+    for name in ("past_len", "future_len", "past_dim", "intent_dim", "addr_dim", "batch_size", "window_stride", "synth_scenes"):
+        values[name] = draw(st.integers(1, 10**6))
+    for name in ("epochs_features", "epochs_addresser", "epochs_fulfillment", "epochs_finetune", "max_neighbors", "synth_neighbors"):
+        values[name] = draw(counts)
+    for name in ("lr_features", "lr_addresser", "lr_fulfillment", "lr_finetune", "synth_speed"):
+        values[name] = draw(st.floats(5e-324, 1e300))
+    for name in ("intent_weight", "future_weight", "synth_jitter"):
+        values[name] = draw(st.floats(0.0, 1e300))
+    for name in STRING_KEYS:
+        values[name] = draw(strings)
+    return Config(**values)
+
+
+def reads_back(path, key, value) -> bool:
+    """Whether a one-line config file holding ``key = value`` loads with that exact value."""
+    try:
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        return getattr(load_config(path), key) == value
+    except (UnicodeEncodeError, ConfigError):
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs())
+def test_config_file_round_trip_property(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    try:
+        config.to_file(path)
+    except ConfigError as exc:
+        # refused only for a string that the file could not carry back
+        assert exc.key in STRING_KEYS
+        assert not reads_back(path, exc.key, getattr(config, exc.key))
+    else:
+        assert load_config(path) == config
+
+
+def test_to_file_rejects_strings_it_cannot_write_back(tmp_path):
+    path = tmp_path / "run.cfg"
+    for key, value in (("out_dir", "x\ny = 1"), ("out_dir", " lead"), ("train_manifest", "trail\t"), ("synth_modes", "a\rb")):
+        with pytest.raises(ConfigError, match=key):
+            Config(**{key: value}).to_file(path)
+        assert not path.exists()
+
+
+# One line each: NaN passed the old range checks, and an infinite rate or speed failed only later.
+NON_FINITE_LINES = [
+    ("theta_past", "nan"),
+    ("theta_past", "-inf"),
+    ("theta_int", "nan"),
+    ("intent_weight", "nan"),
+    ("intent_weight", "inf"),
+    ("future_weight", "nan"),
+    ("synth_jitter", "nan"),
+    ("lr_features", "inf"),
+    ("lr_addresser", "inf"),
+    ("lr_fulfillment", "inf"),
+    ("lr_finetune", "inf"),
+    ("synth_speed", "inf"),
+    ("label_threshold", "inf"),
+    ("label_threshold", "nan"),
+]
+
+
+def test_cli_rejects_non_finite_config_values(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for key, value in NON_FINITE_LINES:
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["synth", "--config", str(path), "--out", str(out), "--scenes", "2"]) == 1, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"key '{key}'" in err and "finite" in err
+    assert not out.exists()
+    # an infinite redundancy threshold stays allowed: the filter then ignores that distance
+    path.write_text("theta_past = inf\ntheta_int = inf\n", encoding="utf-8")
+    config = load_config(path)
+    assert config.theta_past == config.theta_int == math.inf

@@ -5,20 +5,18 @@ import pytest
 
 from memtraj.datasets import Scene, normalize_scene, synth_generate
 from memtraj.features import (
+    decode_batch,
     init_encoder_decoder,
-    intention_encode,
-    joint_decode,
-    mean_rec_loss,
     prepare_social_batch,
-    rec_loss,
     social_backward_batch,
     social_encode,
     social_forward_batch,
     train_features,
 )
-from memtraj.numkit import TANH, mlp_init
+from memtraj.numkit import TANH, mlp_forward, mlp_init
 
 from conftest import quick_config, single_mode_spec
+from oracles import mean_rec_loss
 
 
 def norm_scenes(scenes):
@@ -134,38 +132,19 @@ def test_social_backward_matches_finite_difference():
 
 
 def test_intention_encode_validation():
+    # the intention encoder is the point embedder: one destination in, one intention feature out
     nets = init_encoder_decoder(0, past_len=8, target_len=1)
     with pytest.raises(ValueError):
-        intention_encode(nets, np.zeros(3))
-    feat = intention_encode(nets, np.array([1.0, -2.0]))
+        mlp_forward(nets.point_embed, np.zeros(3))
+    feat = mlp_forward(nets.point_embed, np.array([1.0, -2.0]))
     assert feat.shape == (nets.intent_dim,)
 
 
 def test_joint_decode_shapes():
     nets = init_encoder_decoder(0, past_len=8, target_len=1, past_dim=32, intent_dim=16)
-    past_hat, dest_hat = joint_decode(nets, np.zeros(32), np.zeros(16))
-    assert past_hat.shape == (8, 2)
-    assert dest_hat.shape == (2,)
-
-
-def test_rec_loss_hand_case():
-    # past residual all ones over 8 steps: 16; destination residual (3, 4): 25
-    past_true = np.zeros((8, 2))
-    past_hat = np.ones((8, 2))
-    dest_true = np.zeros(2)
-    dest_hat = np.array([3.0, 4.0])
-    assert rec_loss(past_hat, past_true, dest_hat, dest_true, intent_weight=1.0) == pytest.approx(41.0, abs=1e-12)
-    assert rec_loss(past_hat, past_true, dest_hat, dest_true, intent_weight=0.5) == pytest.approx(28.5, abs=1e-12)
-    assert rec_loss(past_true, past_true, dest_true, dest_true) == 0.0
-
-
-def test_rec_loss_validation():
-    with pytest.raises(ValueError):
-        rec_loss(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(2), np.zeros(2), intent_weight=-1.0)
-    with pytest.raises(ValueError):
-        rec_loss(np.zeros((7, 2)), np.zeros((8, 2)), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        rec_loss(np.zeros((8, 2)), np.zeros((8, 2)), np.zeros(3), np.zeros(2))
+    past_hat, dest_hat = decode_batch(nets, np.zeros((3, 32)), np.zeros((3, 16)))
+    assert past_hat.shape == (3, 16)
+    assert dest_hat.shape == (3, 2)
 
 
 def test_mean_rec_loss_matches_scalar_path(small_scenes):
@@ -174,10 +153,11 @@ def test_mean_rec_loss_matches_scalar_path(small_scenes):
     total = 0.0
     for scene in scenes:
         normalized, _ = normalize_scene(scene)
+        dest = normalized.ego_future[-1]
         k = social_encode(nets, normalized)
-        v = intention_encode(nets, normalized.ego_future[-1])
-        past_hat, dest_hat = joint_decode(nets, k, v)
-        total += rec_loss(past_hat, normalized.ego_past, dest_hat, normalized.ego_future[-1])
+        v = mlp_forward(nets.point_embed, dest)
+        past_hat, dest_hat = decode_batch(nets, k[None, :], v[None, :])
+        total += float(np.sum((past_hat[0] - normalized.ego_past.reshape(-1)) ** 2) + np.sum((dest_hat[0] - dest) ** 2))
     np.testing.assert_allclose(mean_rec_loss(nets, scenes), total / 6, rtol=1e-9)
 
 

@@ -5,14 +5,9 @@ import pytest
 
 from conftest import quick_config, single_mode_spec
 from memtraj.datasets import Scene, normalize_scene, synth_generate
-from memtraj.features import init_encoder_decoder
-from memtraj.fulfillment import (
-    FullPrediction,
-    fulfill,
-    fulfill_many,
-    train_fulfillment,
-    traj_loss,
-)
+from memtraj.features import decode_batch, init_encoder_decoder, prepare_social_batch, social_forward_batch
+from memtraj.fulfillment import fulfill_many, train_fulfillment
+from memtraj.numkit import mlp_forward
 
 
 def make_scene(rng, past_len=8, future_len=12, n_neighbors=2):
@@ -38,10 +33,11 @@ def test_fulfill_shapes():
     rng = np.random.default_rng(1)
     nets = init_encoder_decoder(2, past_len=8, target_len=12, past_dim=32)
     scene = make_scene(rng)
-    pred = fulfill(nets, scene, np.array([1.0, 2.0]))
-    assert isinstance(pred, FullPrediction)
-    assert pred.future.shape == (12, 2)
-    assert pred.past_recon.shape == (8, 2)
+    futures = fulfill_many(nets, scene, np.array([[1.0, 2.0]]))
+    assert futures.shape == (1, 12, 2)
+    assert fulfill_many(nets, scene, np.zeros((3, 2))).shape == (3, 12, 2)
+    with pytest.raises(ValueError):
+        fulfill_many(nets, scene, np.array([1.0, 2.0]))
 
 
 def test_fulfill_many_matches_single():
@@ -51,10 +47,9 @@ def test_fulfill_many_matches_single():
     dests = rng.normal(size=(4, 2))
     many = fulfill_many(nets, scene, dests)
     assert len(many) == 4
-    for i, pred in enumerate(many):
-        single = fulfill(nets, scene, dests[i])
-        np.testing.assert_allclose(pred.future, single.future, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(pred.past_recon, single.past_recon, rtol=1e-12, atol=1e-14)
+    for i, future in enumerate(many):
+        single = fulfill_many(nets, scene, dests[i : i + 1])[0]
+        np.testing.assert_allclose(future, single, rtol=1e-12, atol=1e-14)
 
 
 def test_snap_destination_pins_endpoint():
@@ -62,53 +57,20 @@ def test_snap_destination_pins_endpoint():
     nets = init_encoder_decoder(4, past_len=8, target_len=12, past_dim=32)
     scene = make_scene(rng)
     dests = rng.normal(size=(3, 2))
-    preds = fulfill_many(nets, scene, dests, snap_destination=True)
-    for i, pred in enumerate(preds):
-        np.testing.assert_array_equal(pred.future[-1], dests[i])
-
-
-def test_traj_loss_hand_case():
-    future_len = 12
-    past_len = 8
-    future_true = np.zeros((future_len, 2))
-    past_true = np.ones((past_len, 2)) * 3.0
-    # past reconstructed exactly; every future coordinate off by 0.5
-    pred = FullPrediction(future=np.full((future_len, 2), 0.5), past_recon=past_true.copy())
-    scene = Scene(
-        ego_past=past_true,
-        neighbor_pasts=np.zeros((0, past_len, 2)),
-        ego_future=future_true,
-        scene_id="t:0:0",
-    )
-    # 12 steps * 2 coords * 0.25 = 6, past term zero
-    assert traj_loss(pred, scene) == pytest.approx(6.0, abs=1e-12)
-    assert traj_loss(pred, scene, future_weight=0.5) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_traj_loss_validation():
-    rng = np.random.default_rng(4)
-    scene = make_scene(rng)
-    pred = FullPrediction(future=np.zeros((5, 2)), past_recon=np.zeros((8, 2)))
-    with pytest.raises(ValueError):
-        traj_loss(pred, scene)
-    no_future = Scene(
-        ego_past=scene.ego_past,
-        neighbor_pasts=scene.neighbor_pasts,
-        ego_future=None,
-        scene_id="t:0:0",
-    )
-    good = FullPrediction(future=np.zeros((12, 2)), past_recon=np.zeros((8, 2)))
-    with pytest.raises(ValueError):
-        traj_loss(good, no_future)
+    futures = fulfill_many(nets, scene, dests, snap_destination=True)
+    for i, future in enumerate(futures):
+        np.testing.assert_array_equal(future[-1], dests[i])
 
 
 def mean_teacher_loss(nets, scenes):
-    total = 0.0
-    for scene in scenes:
-        normalized, _ = normalize_scene(scene)
-        pred = fulfill(nets, normalized, normalized.ego_future[-1])
-        total += traj_loss(pred, normalized)
-    return total / len(scenes)
+    """Mean over scenes of the summed squared past and future error, conditioned on the true destination."""
+    normalized = [normalize_scene(scene)[0] for scene in scenes]
+    feats, _ = social_forward_batch(nets, prepare_social_batch(normalized))
+    dests = np.stack([s.ego_future[-1] for s in normalized])
+    past_hat, future_hat = decode_batch(nets, feats, mlp_forward(nets.point_embed, dests))
+    past = np.stack([s.ego_past.reshape(-1) for s in normalized])
+    future = np.stack([s.ego_future.reshape(-1) for s in normalized])
+    return float(np.sum((past_hat - past) ** 2) + np.sum((future_hat - future) ** 2)) / len(scenes)
 
 
 def test_training_reduces_loss():
@@ -143,10 +105,9 @@ def test_true_destination_beats_offset_destination():
     for scene in scenes:
         normalized, _ = normalize_scene(scene)
         dest = normalized.ego_future[-1]
-        pred_true = fulfill(trained, normalized, dest)
-        pred_off = fulfill(trained, normalized, dest + offset)
-        fde_true += float(np.linalg.norm(pred_true.future[-1] - normalized.ego_future[-1]))
-        fde_off += float(np.linalg.norm(pred_off.future[-1] - normalized.ego_future[-1]))
+        pred_true, pred_off = fulfill_many(trained, normalized, np.stack([dest, dest + offset]))
+        fde_true += float(np.linalg.norm(pred_true[-1] - normalized.ego_future[-1]))
+        fde_off += float(np.linalg.norm(pred_off[-1] - normalized.ego_future[-1]))
     assert fde_true < fde_off
 
 

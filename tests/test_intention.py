@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memtraj.addresser import fixed_cosine_nets, key_table
 from memtraj.datasets import normalize_scene, synth_generate
@@ -13,11 +15,12 @@ from memtraj.intention import (
     DECODE_STORED,
     decode_anchors,
     kmeans,
-    kmeans_cost,
 )
 from memtraj.inference import ScenePrediction, propose_destinations
 from memtraj.membank import bank_init
 from memtraj.pipeline import write_predictions
+
+from oracles import kmeans_cost
 
 
 def exhaustive_best_cost(points, k):
@@ -76,14 +79,38 @@ def test_kmeans_costs_non_increasing():
     assert costs[-1] == pytest.approx(kmeans_cost(points, iset), abs=1e-9)
 
 
-def test_kmeans_order_invariance():
-    rng = np.random.default_rng(5)
-    points = rng.normal(size=(15, 2))
-    perm = rng.permutation(15)
-    a = kmeans(points, 3, seed=6)
-    b = kmeans(points[perm], 3, seed=6)
+@st.composite
+def kmeans_cases(draw):
+    """Points with frequent exact duplicates, a k in [1, n], a permutation and a seed."""
+    n = draw(st.integers(1, 12))
+    coord = st.one_of(st.sampled_from([0.0, 1.0, -1.5]), st.floats(-10.0, 10.0))
+    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)), dtype=np.float64)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return points, draw(st.integers(1, n)), perm, draw(st.integers(0, 2**32 - 1))
+
+
+def labelled(points, assignment):
+    """(point, cluster) pairs in sorted order: the assignment up to the order of identical points."""
+    return sorted(zip(map(tuple, points.tolist()), assignment.tolist()))
+
+
+_ORDER_RNG = np.random.default_rng(5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=kmeans_cases())
+@example(case=(_ORDER_RNG.normal(size=(15, 2)), 3, _ORDER_RNG.permutation(15), 6))
+def test_kmeans_order_invariance(case):
+    points, k, perm, seed = case
+    a = kmeans(points, k, seed=seed)
+    b = kmeans(points[perm], k, seed=seed)
+    for iset in (a, b):
+        assert np.bincount(iset.anchor_assignment, minlength=k).min() >= 1
     np.testing.assert_array_equal(a.destinations, b.destinations)
-    np.testing.assert_array_equal(a.anchor_assignment[perm], b.anchor_assignment)
+    # copies of one point are interchangeable, so only their clusters' multiset is fixed
+    assert labelled(points[perm], a.anchor_assignment[perm]) == labelled(points[perm], b.anchor_assignment)
+    if len(np.unique(points, axis=0)) == len(points):
+        np.testing.assert_array_equal(a.anchor_assignment[perm], b.anchor_assignment)
 
 
 def test_kmeans_deterministic_by_seed():
@@ -95,12 +122,20 @@ def test_kmeans_deterministic_by_seed():
     np.testing.assert_array_equal(a.anchor_assignment, b.anchor_assignment)
 
 
-def test_kmeans_identical_points_do_not_crash():
-    points = np.tile([2.0, -1.0], (6, 1))
-    iset = kmeans(points, 3, seed=2)
-    assert iset.k == 3
-    np.testing.assert_allclose(iset.destinations, np.tile([2.0, -1.0], (3, 1)), atol=0)
-    assert np.bincount(iset.anchor_assignment, minlength=3).min() >= 1
+@settings(max_examples=100, deadline=None)
+@given(
+    point=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    n_k=st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(point=(2.0, -1.0), n_k=(6, 3), seed=2)
+def test_kmeans_identical_points_do_not_crash(point, n_k, seed):
+    n, k = n_k
+    points = np.tile(point, (n, 1))
+    iset = kmeans(points, k, seed=seed)
+    assert iset.k == k
+    np.testing.assert_allclose(iset.destinations, np.tile(point, (k, 1)), atol=0)
+    assert np.bincount(iset.anchor_assignment, minlength=k).min() >= 1
 
 
 def test_kmeans_validation():

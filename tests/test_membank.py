@@ -16,8 +16,9 @@ from memtraj.membank import (
     bank_load,
     bank_save,
     filter_visit_order,
-    is_redundant,
 )
+
+from oracles import is_redundant
 
 HEADER_SIZE = 88  # magic + version + 4 dims + 2 thresholds + seed + count + hash
 
@@ -112,6 +113,25 @@ def bank_of(starts, dests):
     m = len(starts)
     meta = BankMeta(past_dim=1, intent_dim=1, past_len=8, future_len=12)
     return MemoryBankPair(np.zeros((m, 1)), np.zeros((m, 1)), starts, dests, np.arange(m, dtype=np.int64), meta)
+
+
+def test_filter_and_oracle_agree_at_the_last_bit():
+    # Each theta is the smaller of two roundings of the pair's distance: the 1-D
+    # np.linalg.norm and the row-wise norm(axis=1). Where those differ, an oracle
+    # that rounds unlike the filter calls the pair the other way.
+    rng = np.random.default_rng(29)
+    differing = 0
+    for _ in range(3000):
+        starts, dests = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        thetas = []
+        for rows in (starts, dests):
+            gap = rows[0] - rows[1]
+            one_d, row_wise = float(np.linalg.norm(gap)), float(np.linalg.norm(gap[None, :], axis=1)[0])
+            differing += one_d != row_wise
+            thetas.append(min(one_d, row_wise))
+        kept = bank_filter(bank_of(starts, dests), thetas[0], thetas[1], seed=0)
+        assert (len(kept) == 1) == is_redundant((starts[0], dests[0]), (starts[1], dests[1]), *thetas)
+    assert differing > 0  # the draws reach the band where the two roundings differ
 
 
 def test_filter_finds_redundant_entry_across_a_cell_edge():

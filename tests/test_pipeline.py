@@ -312,6 +312,40 @@ def test_deleted_artifact_detected(tmp_path):
         stage_build_memory(config)
 
 
+def test_retrained_prerequisite_makes_later_stages_stale(tmp_path, capsys):
+    config = tiny_config(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    run_synth(config)
+    for stage in (stage_train_features, stage_build_memory, stage_train_addresser, stage_train_fulfillment):
+        stage(config)
+    stages = RunManifest.load(config.out_dir).stages
+    assert stages[STAGE_FEATURES].inputs == {} and stages[STAGE_FULFILLMENT].inputs == {}
+    assert stages[STAGE_BANK].inputs == {STAGE_FEATURES: stages[STAGE_FEATURES].sha256}
+    assert stages[STAGE_ADDRESSER].inputs == {STAGE_FEATURES: stages[STAGE_FEATURES].sha256, STAGE_BANK: stages[STAGE_BANK].sha256}
+    # new scenes under the same path, and only the feature nets retrained on them
+    run_synth(replace(config, seed=config.seed + 1))
+    stage_train_features(config)
+    with pytest.raises(DependencyError, match=f"stage '{STAGE_BANK}' was built from a '{STAGE_FEATURES}' artifact"):
+        load_model_bundle(config)
+    _assert_cli_error(["predict", "--config", str(cfg_path)], capsys, f"'{STAGE_BANK}'", f"'{STAGE_FEATURES}'")
+    with pytest.raises(DependencyError, match=f"stage '{STAGE_BANK}'"):
+        stage_train_addresser(config)
+    # a rebuilt bank clears the bank stage; the addresser read both older artifacts
+    stage_build_memory(config)
+    with pytest.raises(DependencyError, match=f"stage '{STAGE_ADDRESSER}' was built from a '{STAGE_BANK}' artifact"):
+        load_model_bundle(config)
+    stage_train_addresser(config)
+    load_model_bundle(config)
+    # the recorded inputs are validated like the other record fields
+    manifest = Path(config.out_dir) / MANIFEST_NAME
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    for bad in (["features"], {STAGE_FEATURES: 5}):
+        data["stages"][STAGE_BANK]["inputs"] = bad
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        _assert_cli_error(["predict", "--config", str(cfg_path)], capsys, str(manifest), "inputs", "rerun the stages")
+
+
 def test_cli_full_run(tmp_path, capsys):
     config = tiny_config(tmp_path)
     cfg_path = tmp_path / "run.cfg"
