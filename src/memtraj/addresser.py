@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene, normalize_scene
-from .features import EncoderDecoder, decode_batch, prepare_social_batch, social_forward_batch
+from .datasets import Scene, scene_batch
+from .features import EncoderDecoder, decode_batch, social_forward_batch
 from .membank import MemoryBankPair
 from .numkit import Mlp, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
@@ -170,20 +170,14 @@ def addresser_training_data(
     """What addresser training reads: query past features, true destinations, decoded intentions.
 
     Queries are the training scenes' own past features (encoders frozen);
-    destinations are in each scene's normalized frame; the decoded intention
-    of every bank entry comes from its own stored feature pair.
+    destinations are in each scene's ego frame; the decoded intention of
+    every bank entry comes from its own stored feature pair.
     """
     if not len(bank):
         raise ValueError("cannot train an addresser against an empty bank")
-    if not dataset:
-        raise ValueError("empty dataset")
-    normalized = [normalize_scene(s)[0] for s in dataset]
-    for scene in normalized:
-        if scene.ego_future is None:
-            raise ValueError(f"scene {scene.scene_id!r} has no future; addresser training needs destinations")
-    queries, _ = social_forward_batch(feature_nets, prepare_social_batch(normalized))
-    dests = np.stack([s.ego_future[-1] for s in normalized])
-    return queries, dests, decoded_intentions(feature_nets, bank)
+    batch = scene_batch(dataset, "addresser training")
+    queries, _ = social_forward_batch(feature_nets, batch)
+    return queries, batch.futures[:, -1], decoded_intentions(feature_nets, bank)
 
 
 def fit_addresser(

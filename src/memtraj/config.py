@@ -145,10 +145,18 @@ class Config:
         return phases
 
     def label_threshold_value(self) -> float:
-        """Pseudo-label cutoff distance; defaults to five destination thresholds."""
+        """Pseudo-label cutoff distance; defaults to five destination thresholds.
+
+        Raises ConfigError when that default is not a finite number > 0, as
+        for theta_int = 0 or inf; an explicit label_threshold then fixes it.
+        """
         if self.label_threshold is not None:
             return self.label_threshold
-        return 5.0 * self.theta_int
+        value = 5.0 * self.theta_int
+        if not (math.isfinite(value) and value > 0):
+            message = f"must be a finite number > 0; its default 5 * theta_int is {value!r} for theta_int = {self.theta_int!r}"
+            raise ConfigError(message, key="label_threshold")
+        return value
 
     def seed_for(self, purpose: str) -> int:
         """A per-purpose integer seed derived stably from the master seed."""

@@ -1,11 +1,12 @@
-"""Trajectory data: TSV loading, scene windowing, normalization, synthesis.
+"""Trajectory data: TSV loading, scene windowing, scene batches, synthesis.
 
 The on-disk format is whitespace-separated ``frame agent_id x y`` rows, one
 row per agent per frame.  A *scene* is one prediction instance: an ego agent
 with ``past_len`` observed steps, the other agents fully co-present over
 those steps as neighbors, and (for training/evaluation) ``future_len`` future
-ego steps.  Coordinates are translated so the ego's last observed position is
-the origin; models only ever see normalized scenes.
+ego steps.  Scenes stay in world coordinates; :func:`scene_batch` stacks them
+into the arrays every net reads, translated so each ego's last observed
+position is the origin. No other module subtracts a scene origin.
 
 The synthetic generator produces constant-speed walks whose future heading is
 drawn from a small set of turn modes, which gives a controlled multimodal
@@ -55,19 +56,6 @@ class Scene:
     @property
     def n_neighbors(self) -> int:
         return self.neighbor_pasts.shape[0]
-
-
-@dataclass
-class NormTransform:
-    """Translation taking world coordinates to the ego-centered frame."""
-
-    translation: np.ndarray  # (2,), added to world points
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) + self.translation
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) - self.translation
 
 
 def _parse_index(token: str, what: str, line_no: int) -> int:
@@ -319,21 +307,64 @@ def _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_ne
     return win[keep], pair_rows[keep]
 
 
-def normalize_scene(scene: Scene) -> tuple[Scene, NormTransform]:
-    """Translate a scene so the ego's last observed position is the origin."""
-    origin = np.asarray(scene.ego_past[-1], dtype=np.float64)
-    transform = NormTransform(translation=-origin)
-    normalized = Scene(
-        ego_past=transform.apply(scene.ego_past),
-        neighbor_pasts=(
-            transform.apply(scene.neighbor_pasts)
-            if scene.n_neighbors
-            else scene.neighbor_pasts.copy()
-        ),
-        ego_future=None if scene.ego_future is None else transform.apply(scene.ego_future),
-        scene_id=scene.scene_id,
+@dataclass
+class SceneBatch:
+    """Scenes stacked into arrays in the ego frame; the only form in which scenes reach a net.
+
+    Every coordinate of scene ``b`` is translated by ``-origins[b]``, so its
+    ego's last observed point is the origin. Build one with :func:`scene_batch`.
+    """
+
+    ego_x: np.ndarray  # (B, 2*past_len) flattened ego pasts
+    nb_x: np.ndarray  # (R, 2*past_len) flattened neighbor pasts of all scenes, stacked
+    offsets: np.ndarray  # (B+1,) scene b owns nb_x rows offsets[b]:offsets[b+1]
+    futures: np.ndarray | None  # (B, future_len, 2) ego futures; None unless asked for
+    origins: np.ndarray  # (B, 2) each ego's last observed world point
+
+    def __len__(self) -> int:
+        return len(self.ego_x)
+
+    def take(self, idx) -> "SceneBatch":
+        """The batch of scenes ``idx``, in that order and with any repeats, row for row as :func:`scene_batch` builds it."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lo = self.offsets[idx]
+        counts = self.offsets[idx + 1] - lo
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        rows = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+        return SceneBatch(
+            ego_x=self.ego_x[idx],
+            nb_x=self.nb_x[rows],
+            offsets=offsets,
+            futures=None if self.futures is None else self.futures[idx],
+            origins=self.origins[idx],
+        )
+
+
+def scene_batch(scenes: Sequence[Scene], future_for: str | None = None) -> SceneBatch:
+    """Stack scenes into one :class:`SceneBatch`, each translated to its own ego frame.
+
+    ``future_for`` names what needs the ego futures: then every scene must
+    have one, and ``futures`` holds them. Raises ValueError for an empty
+    list, or naming the first scene without a future.
+    """
+    if not len(scenes):
+        raise ValueError("empty scene list" + (f" for {future_for}" if future_for else ""))
+    if future_for is not None:
+        for scene in scenes:
+            if scene.ego_future is None:
+                raise ValueError(f"scene {scene.scene_id!r} has no future; {future_for} needs one")
+    pasts = np.stack([s.ego_past for s in scenes]).astype(np.float64, copy=False)
+    origins = pasts[:, -1].copy()
+    counts = np.array([s.n_neighbors for s in scenes], dtype=np.int64)
+    neighbors = np.concatenate([np.reshape(s.neighbor_pasts, (-1,) + pasts.shape[1:]) for s in scenes])
+    width = 2 * pasts.shape[1]
+    return SceneBatch(
+        ego_x=(pasts - origins[:, None]).reshape(-1, width),
+        nb_x=(neighbors.astype(np.float64, copy=False) - np.repeat(origins, counts, axis=0)[:, None]).reshape(-1, width),
+        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        futures=None if future_for is None else np.stack([s.ego_future for s in scenes]) - origins[:, None],
+        origins=origins,
     )
-    return normalized, transform
 
 
 @dataclass
@@ -454,15 +485,6 @@ def synth_meta(scene_id: str) -> dict:
         elif key == "v":
             meta["speed"] = float(value)
     return meta
-
-
-def synth_mode_endpoints(meta: dict, mode_spec: Sequence[SynthMode], future_len: int) -> np.ndarray:
-    """Noise-free world endpoint of every mode for one synthetic scene."""
-    endpoints = []
-    for mode in mode_spec:
-        direction = _unit(meta["heading"] + mode.turn)
-        endpoints.append(meta["turn_point"] + future_len * meta["speed"] * direction)
-    return np.stack(endpoints)
 
 
 def scenes_to_tracks(scenes: Sequence[Scene], frame_gap: int = 1000) -> list[RawTrack]:

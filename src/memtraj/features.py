@@ -12,7 +12,7 @@ The fulfillment stage reuses this network shape (:class:`EncoderDecoder`)
 and its trainer (:func:`fit_encoder_decoder`), decoding a future where this
 stage decodes a destination.
 
-All positions here are in the ego-centered normalized frame.
+All positions here are in the ego frame of a :class:`~memtraj.datasets.SceneBatch`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene, normalize_scene
+from .datasets import Scene, SceneBatch, scene_batch
 from .numkit import (
     GradBundle,
     Mlp,
@@ -99,38 +99,15 @@ def init_encoder_decoder(
 
 
 @dataclass
-class SocialBatch:
-    """Flattened inputs for a batch of scenes."""
-
-    ego_x: np.ndarray  # (B, 2*past_len)
-    nb_x: np.ndarray  # (R, 2*past_len), all neighbors of all scenes stacked
-    offsets: np.ndarray  # (B+1,), scene b owns nb rows offsets[b]:offsets[b+1]
-
-
-@dataclass
 class SocialCache:
-    batch: SocialBatch
     ego_cache: ForwardCache
     nb_cache: ForwardCache | None
     fuse_cache: ForwardCache
     pool_rows: np.ndarray  # (B, E) winning nb row per pooled dim, -1 if none
 
 
-def prepare_social_batch(scenes: Sequence[Scene]) -> SocialBatch:
-    ego_x = np.stack([s.ego_past.reshape(-1) for s in scenes])
-    counts = [s.n_neighbors for s in scenes]
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    if offsets[-1] > 0:
-        nb_x = np.concatenate(
-            [s.neighbor_pasts.reshape(s.n_neighbors, -1) for s in scenes if s.n_neighbors]
-        )
-    else:
-        nb_x = np.zeros((0, ego_x.shape[1]))
-    return SocialBatch(ego_x=ego_x, nb_x=nb_x, offsets=offsets)
-
-
-def social_forward_batch(nets, batch: SocialBatch) -> tuple[np.ndarray, SocialCache]:
-    """Encode a batch of scenes with any net holder exposing the social trio."""
+def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCache]:
+    """Past features of a batch of scenes (no neighbors pool to zeros), from any net holder with the social trio."""
     ego_out, ego_cache = mlp_forward_cached(nets.ego_embed, batch.ego_x)
     n_scenes, embed = ego_out.shape
     pooled = np.zeros((n_scenes, embed))
@@ -148,9 +125,7 @@ def social_forward_batch(nets, batch: SocialBatch) -> tuple[np.ndarray, SocialCa
                 pool_rows[b] = lo + winners
     concat = np.hstack([ego_out, pooled])
     out, fuse_cache = mlp_forward_cached(nets.social_fuse, concat)
-    return out, SocialCache(
-        batch=batch, ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows
-    )
+    return out, SocialCache(ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows)
 
 
 def social_backward_batch(
@@ -178,17 +153,6 @@ def social_backward_batch(
     return ego_grads, nb_grads, fuse_grads
 
 
-def social_encode(nets, scene: Scene) -> np.ndarray:
-    """Past feature of one normalized scene.
-
-    Works for any net holder with ego_embed / neighbor_embed / social_fuse
-    (both the feature and the fulfillment stage use this encoder shape).
-    Scenes without neighbors pool to a zero vector.
-    """
-    out, _ = social_forward_batch(nets, prepare_social_batch([scene]))
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
 # Joint decoding
 # ---------------------------------------------------------------------------
@@ -206,38 +170,27 @@ def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.n
 # ---------------------------------------------------------------------------
 
 
-def normalize_with_futures(dataset: Sequence[Scene], what: str) -> list[Scene]:
-    """Normalized copies of raw training scenes, each of which must have a future."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    for scene in dataset:
-        if scene.ego_future is None:
-            raise ValueError(f"{what} needs ego futures, scene {scene.scene_id!r} has none")
-    return [normalize_scene(s)[0] for s in dataset]
-
-
-def fit_encoder_decoder(
-    nets: EncoderDecoder, normalized: Sequence[Scene], targets: np.ndarray, weight: float, stage: str, config
-) -> None:
-    """Train all five nets in place on normalized scenes with futures.
+def fit_encoder_decoder(nets: EncoderDecoder, batch: SceneBatch, weight: float, stage: str, config) -> None:
+    """Train all five nets in place on a batch of scenes with futures.
 
     Each scene's social past and embedded destination (its last future
-    point) are decoded into [past; target], ``targets`` holding one flat
-    target row per scene. One step: mean over a mini-batch of the summed
+    point) are decoded into [past; target], the target being the last
+    ``nets.target_len`` future points. One step: mean over a mini-batch of the summed
     squared past error plus ``weight`` times the summed squared target
     error, plain SGD on all five nets. Batches are drawn from the
     ``<stage>-batches`` seed over ``config.sgd_phases(stage)``.
     """
-    past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
-    dests = np.stack([s.ego_future[-1] for s in normalized])
-    n_past = past_x.shape[1]
+    dests = batch.futures[:, -1]
+    targets = batch.futures[:, -nets.target_len :].reshape(len(batch), -1)
+    n_past = batch.ego_x.shape[1]
     past_dim = nets.past_dim
 
     def step(idx):
-        k, social_cache = social_forward_batch(nets, prepare_social_batch([normalized[i] for i in idx]))
+        sub = batch.take(idx)
+        k, social_cache = social_forward_batch(nets, sub)
         v, point_cache = mlp_forward_cached(nets.point_embed, dests[idx])
         out, dec_cache = mlp_forward_cached(nets.decoder, np.hstack([k, v]))
-        res_past = out[:, :n_past] - past_x[idx]
+        res_past = out[:, :n_past] - sub.ego_x
         res_target = out[:, n_past:] - targets[idx]
         loss = float(np.sum(res_past**2) + weight * np.sum(res_target**2))
         scale = 2.0 / len(idx)
@@ -251,7 +204,7 @@ def fit_encoder_decoder(
         return loss, updates + [(nets.point_embed, point_g)]
 
     rng = np.random.default_rng(config.seed_for(f"{stage}-batches"))
-    sgd_loop(stage, len(normalized), config.batch_size, config.sgd_phases(stage), rng, step)
+    sgd_loop(stage, len(batch), config.batch_size, config.sgd_phases(stage), rng, step)
 
 
 def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
@@ -261,7 +214,7 @@ def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
     by ``config.intent_weight``. With ``config.epochs_features == 0`` the
     returned nets are exactly the seeded initialization.
     """
-    normalized = normalize_with_futures(dataset, "train_features")
+    batch = scene_batch(dataset, "train_features")
     nets = init_encoder_decoder(
         config.seed_for("features"),
         past_len=config.past_len,
@@ -269,7 +222,5 @@ def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
         past_dim=config.past_dim,
         intent_dim=config.intent_dim,
     )
-    dests = np.stack([s.ego_future[-1] for s in normalized])
-    fit_encoder_decoder(nets, normalized, dests, config.intent_weight, "features", config)
+    fit_encoder_decoder(nets, batch, config.intent_weight, "features", config)
     return nets
-

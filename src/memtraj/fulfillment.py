@@ -1,6 +1,6 @@
 """Destination-conditioned trajectory fulfillment.
 
-Given a normalized scene and one destination proposal, an
+Given one scene, as a batch in its ego frame, and a destination proposal, an
 :class:`~memtraj.features.EncoderDecoder` (the feature stage's network
 shape, trained independently by the same trainer) embeds the observation
 and the destination, and its decoder maps the concatenation to a full
@@ -17,22 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene
-from .features import (
-    EncoderDecoder,
-    decode_batch,
-    fit_encoder_decoder,
-    normalize_with_futures,
-    prepare_social_batch,
-    social_forward_batch,
-)
+from .datasets import Scene, SceneBatch, scene_batch
+from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, social_forward_batch
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
 
 
-def fulfill_many(nets: EncoderDecoder, scene: Scene, destinations, snap_destination: bool = False) -> np.ndarray:
-    """Fulfill one normalized scene against several destinations at once.
+def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_destination: bool = False) -> np.ndarray:
+    """Fulfill a one-scene batch against several ego-frame destinations at once.
 
     The scene is encoded once; destination row ``i`` yields the ``i``-th of
     the returned (k, future_len, 2) futures. With ``snap_destination`` each
@@ -41,7 +34,7 @@ def fulfill_many(nets: EncoderDecoder, scene: Scene, destinations, snap_destinat
     dests = np.asarray(destinations, dtype=np.float64)
     if dests.ndim != 2 or dests.shape[1] != 2:
         raise ValueError(f"destinations must have shape (k, 2), got {dests.shape}")
-    feat, _ = social_forward_batch(nets, prepare_social_batch([scene]))
+    feat, _ = social_forward_batch(nets, batch)
     dest_emb = mlp_forward(nets.point_embed, dests)
     _, futures = decode_batch(nets, np.broadcast_to(feat[0], (dests.shape[0], feat.shape[1])), dest_emb)
     futures = futures.reshape(dests.shape[0], -1, 2)
@@ -53,14 +46,12 @@ def fulfill_many(nets: EncoderDecoder, scene: Scene, destinations, snap_destinat
 def train_fulfillment(nets: EncoderDecoder, dataset: Sequence[Scene], config) -> EncoderDecoder:
     """Train fulfillment with teacher forcing on the true destination.
 
-    Scenes are normalized internally; the conditioning destination during
-    training is each scene's own last future point, and the decoder
-    reconstructs the past and the future, weighted by ``config.future_weight``.
-    The input nets are not mutated; with 0 epochs the returned copy equals
-    the input.
+    The conditioning destination during training is each scene's own last
+    future point, and the decoder reconstructs the past and the future,
+    weighted by ``config.future_weight``. The input nets are not mutated;
+    with 0 epochs the returned copy equals the input.
     """
-    normalized = normalize_with_futures(dataset, "train_fulfillment")
+    batch = scene_batch(dataset, "train_fulfillment")
     nets = nets.copy()
-    futures = np.stack([s.ego_future.reshape(-1) for s in normalized])
-    fit_encoder_decoder(nets, normalized, futures, config.future_weight, "fulfillment", config)
+    fit_encoder_decoder(nets, batch, config.future_weight, "fulfillment", config)
     return nets

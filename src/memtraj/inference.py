@@ -1,10 +1,11 @@
 """Frozen-model inference: one scene in, K trajectories out.
 
-Bundles the four trained artifacts and runs the prediction chain: normalize,
-encode the past, score and retrieve from the bank, decode anchors, cluster
-into destinations, fulfill each destination, denormalize. Everything here is
-read-only on the bundle. :func:`predict_scenes` is the one loop over a split
-that evaluation and prediction files share.
+Bundles the four trained artifacts and runs the prediction chain: batch the
+scene into its ego frame, encode the past, score and retrieve from the bank,
+decode anchors, cluster into destinations, fulfill each destination, and add
+the scene origin back. Everything here is read-only on the bundle.
+:func:`predict_scenes` is the one loop over a split that evaluation and
+prediction files share.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
-from .datasets import Scene, normalize_scene
+from .datasets import Scene, SceneBatch, scene_batch
 from .errors import ConfigError
-from .features import EncoderDecoder, social_encode
+from .features import EncoderDecoder, social_forward_batch
 from .fulfillment import fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans
 from .membank import MemoryBankPair
@@ -52,7 +53,7 @@ class ScenePrediction:
 
 @dataclass
 class DestinationProposal:
-    """Normalized-frame destination candidates for one scene."""
+    """Ego-frame destination candidates for one scene."""
 
     addresses: np.ndarray
     scores: np.ndarray
@@ -90,13 +91,13 @@ def propose_destinations(
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
     keys: np.ndarray,
-    normalized: Scene,
+    batch: SceneBatch,
     n_retrieve: int,
     n_predict: int,
     seed: int,
     decode_mode: str = DECODE_QUERY,
 ) -> DestinationProposal:
-    """Retrieve, decode anchors, and cluster for one already-normalized scene.
+    """Retrieve, decode anchors, and cluster for a one-scene batch.
 
     ``keys`` is the bank's :func:`key_table` under ``addresser_nets``. This is
     the destination half of the prediction chain; it needs no fulfillment
@@ -104,7 +105,7 @@ def propose_destinations(
     """
     if not 1 <= n_predict <= n_retrieve:
         raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
-    query = social_encode(feature_nets, normalized)
+    query = social_forward_batch(feature_nets, batch)[0][0]
     scores = score_all(addresser_nets, query, keys)
     addresses = top_l(scores, n_retrieve)
     anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)
@@ -116,29 +117,24 @@ def destination_error(
     feature_nets: EncoderDecoder,
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
-    scenes,
+    batch: SceneBatch,
     n_retrieve: int,
     n_predict: int,
     master_seed: int,
 ) -> float:
     """Mean distance from each scene's true destination to its nearest proposal.
 
-    Works in the normalized frame and needs scenes with futures. This is the
-    retrieval-plus-clustering half of the final displacement metric, so it
-    ranks addressers without requiring fulfillment nets.
+    Works in the ego frame on a batch with futures, one scene at a time.
+    This is the retrieval-plus-clustering half of the final displacement
+    metric, so it ranks addressers without requiring fulfillment nets.
     """
-    if not len(scenes):
-        raise ValueError("empty scene list")
     keys = key_table(addresser_nets, bank)
     errors = []
-    for i, scene in enumerate(scenes):
-        if scene.ego_future is None:
-            raise ValueError(f"scene {scene.scene_id!r} has no future; destination error needs one")
-        normalized, _ = normalize_scene(scene)
+    for i in range(len(batch)):
         proposal = propose_destinations(
-            feature_nets, addresser_nets, bank, keys, normalized, n_retrieve, n_predict, scene_seed(master_seed, i)
+            feature_nets, addresser_nets, bank, keys, batch.take([i]), n_retrieve, n_predict, scene_seed(master_seed, i)
         )
-        gaps = np.linalg.norm(proposal.intention_set.destinations - normalized.ego_future[-1], axis=1)
+        gaps = np.linalg.norm(proposal.intention_set.destinations - batch.futures[i, -1], axis=1)
         errors.append(float(gaps.min()))
     return float(np.mean(errors))
 
@@ -153,24 +149,25 @@ def predict_scene(
     snap_destination: bool = False,
 ) -> ScenePrediction:
     """Run the full prediction chain for one raw (world-frame) scene."""
-    normalized, transform = normalize_scene(scene)
+    batch = scene_batch([scene])
     proposal = propose_destinations(
         bundle.feature_nets,
         bundle.addresser_nets,
         bundle.bank,
         bundle.keys,
-        normalized,
+        batch,
         n_retrieve,
         n_predict,
         seed,
         decode_mode=decode_mode,
     )
     iset = proposal.intention_set
-    futures = fulfill_many(bundle.fulfill_nets, normalized, iset.destinations, snap_destination=snap_destination)
+    futures = fulfill_many(bundle.fulfill_nets, batch, iset.destinations, snap_destination=snap_destination)
+    origin = batch.origins[0]
     return ScenePrediction(
         scene_id=scene.scene_id,
-        destinations=transform.invert(iset.destinations),
-        trajectories=transform.invert(futures),
+        destinations=iset.destinations + origin,
+        trajectories=futures + origin,
         addresses=proposal.addresses,
         scores=proposal.scores,
         sample_ids=bundle.bank.sample_ids[proposal.addresses],

@@ -2,7 +2,7 @@
 
 Every training scene contributes one entry holding its frozen past feature,
 its frozen intention feature, and the raw geometry (start position and
-destination in the normalized frame) used for redundancy filtering. The bank
+destination in the scene's ego frame) used for redundancy filtering. The bank
 stores each of these as one array whose row ``a`` is bank address ``a``.
 Filtering visits entries in a seed-shuffled order and keeps an entry only
 when no already-kept entry is redundant with it, where redundant means both
@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene, dataset_fingerprint, normalize_scene
+from .datasets import Scene, dataset_fingerprint, scene_batch
 from .errors import FormatError
-from .features import EncoderDecoder, prepare_social_batch, social_forward_batch
-from .numkit import mlp_forward
+from .features import EncoderDecoder, social_forward_batch
+from .numkit import atomic_open, mlp_forward
 
 logger = logging.getLogger(__name__)
 
@@ -65,8 +65,8 @@ class MemoryBankPair:
 
     past_feats: np.ndarray  # (m, past_dim) frozen past features
     intent_feats: np.ndarray  # (m, intent_dim) frozen intention features
-    starts: np.ndarray  # (m, 2) first observed point, normalized frame
-    dests: np.ndarray  # (m, 2) last future point, normalized frame
+    starts: np.ndarray  # (m, 2) first observed point, ego frame
+    dests: np.ndarray  # (m, 2) last future point, ego frame
     sample_ids: np.ndarray  # (m,) int64 ordinal of the originating scene in the source dataset
     meta: BankMeta
 
@@ -78,31 +78,25 @@ def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
     """Encode every training scene into one memory entry (unfiltered bank).
 
     Entry ``i`` comes from ``dataset[i]`` and carries ``sample_id == i``.
-    Scenes are normalized before encoding, so stored features and geometry
-    live in the ego-centered frame.
+    Stored features and geometry live in each scene's ego frame.
     """
-    if not dataset:
-        raise ValueError("cannot build a memory bank from an empty dataset")
-    for scene in dataset:
-        if scene.ego_future is None:
-            raise ValueError(f"scene {scene.scene_id!r} has no future; bank entries need destinations")
-    normalized = [normalize_scene(s)[0] for s in dataset]
-    past_feats, _ = social_forward_batch(nets, prepare_social_batch(normalized))
-    dests = np.stack([s.ego_future[-1] for s in normalized])
+    batch = scene_batch(dataset, "the memory bank")
+    past_feats, _ = social_forward_batch(nets, batch)
+    dests = batch.futures[:, -1].copy()
     meta = BankMeta(
         past_dim=nets.past_dim,
         intent_dim=nets.intent_dim,
         past_len=nets.past_len,
-        future_len=dataset[0].ego_future.shape[0],
+        future_len=batch.futures.shape[1],
         source_hash=dataset_fingerprint(dataset),
     )
-    logger.info("memory bank: %d entries before filtering", len(normalized))
+    logger.info("memory bank: %d entries before filtering", len(batch))
     return MemoryBankPair(
         past_feats=past_feats,
         intent_feats=mlp_forward(nets.point_embed, dests),
-        starts=np.stack([s.ego_past[0] for s in normalized]),
+        starts=batch.ego_x[:, :2].copy(),
         dests=dests,
-        sample_ids=np.arange(len(normalized), dtype=np.int64),
+        sample_ids=np.arange(len(batch), dtype=np.int64),
         meta=meta,
     )
 
@@ -238,7 +232,8 @@ def bank_save(bank: MemoryBankPair, path) -> None:
     records = np.zeros(len(bank), dtype=_record_dtype(meta.past_dim, meta.intent_dim))
     for name, field in _RECORD_FIELDS.items():
         records[field] = getattr(bank, name)
-    Path(path).write_bytes(header + records.tobytes())
+    with atomic_open(path, "wb") as fh:
+        fh.write(header + records.tobytes())
 
 
 def _record_dtype(past_dim: int, intent_dim: int) -> np.dtype:

@@ -3,8 +3,8 @@
 Every network in this package is an :class:`Mlp`: a stack of affine layers
 with ReLU or Tanh hidden activations and an identity output layer.  All
 parameters and activations are float64 numpy arrays.  Backward passes are
-hand-derived chain rule, validated against central finite differences via
-:func:`finite_diff_check`; there is no autodiff framework anywhere.
+hand-derived chain rule, validated against central finite differences in the
+tests; there is no autodiff framework anywhere.
 
 Forward and backward accept either a single vector ``(in_dim,)`` or a batch
 ``(n, in_dim)``.  For a batch, parameter gradients are summed over the rows,
@@ -15,7 +15,9 @@ by ``1/n`` themselves).
 from __future__ import annotations
 
 import logging
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -194,12 +196,6 @@ def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream) -> GradBund
     return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=d_input)
 
 
-def mlp_backward(net: Mlp, x, upstream) -> GradBundle:
-    """Gradients of ``upstream . output`` w.r.t. all parameters and the input."""
-    _, cache = mlp_forward_cached(net, x)
-    return mlp_backward_from_cache(net, cache, upstream)
-
-
 def sgd_step(net: Mlp, grads: GradBundle, learning_rate: float) -> Mlp:
     """Apply one plain SGD update in place and return the net."""
     if len(grads.d_weights) != net.n_layers or len(grads.d_biases) != net.n_layers:
@@ -219,64 +215,6 @@ def sgd_step(net: Mlp, grads: GradBundle, learning_rate: float) -> Mlp:
     for b, db in zip(net.biases, grads.d_biases):
         b -= learning_rate * db
     return net
-
-
-def hidden_preactivations(net: Mlp, x) -> list[np.ndarray]:
-    """Pre-activation values of the hidden layers (used to stay off ReLU kinks)."""
-    _, cache = mlp_forward_cached(net, x)
-    return cache.preacts[:-1]
-
-
-def finite_diff_check(net: Mlp, x, eps: float = 1e-5, upstream=None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The scalar being differentiated is ``upstream . output`` (all-ones
-    upstream by default).  Every weight, bias, and input entry is perturbed
-    by ``+-eps``; the relative error for one coordinate is
-    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    if upstream is None:
-        up = np.ones(net.out_dim)
-    else:
-        up = np.asarray(upstream, dtype=np.float64)
-        if up.shape != (net.out_dim,):
-            raise ValueError(f"upstream shape {up.shape} != ({net.out_dim},)")
-    if x.shape != (net.in_dim,):
-        raise ValueError(f"input shape {x.shape} != ({net.in_dim},)")
-
-    bundle = mlp_backward(net, x, up)
-
-    def scalar() -> float:
-        return float(mlp_forward(net, x) @ up)
-
-    def rel_err(analytic: float, numeric: float) -> float:
-        return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-
-    worst = 0.0
-    for l in range(net.n_layers):
-        for arr, grad in ((net.weights[l], bundle.d_weights[l]), (net.biases[l], bundle.d_biases[l])):
-            flat = arr.ravel()
-            gflat = grad.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = scalar()
-                flat[i] = orig - eps
-                f_minus = scalar()
-                flat[i] = orig
-                worst = max(worst, rel_err(gflat[i], (f_plus - f_minus) / (2.0 * eps)))
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + eps
-        f_plus = scalar()
-        x[i] = orig - eps
-        f_minus = scalar()
-        x[i] = orig
-        worst = max(worst, rel_err(bundle.d_input[i], (f_plus - f_minus) / (2.0 * eps)))
-    return worst
 
 
 def shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -318,6 +256,23 @@ def sgd_loop(
                 logger.info("%s epoch %d: mean loss %.6f", name, epoch, total / n)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """``open(path, mode)`` for writing through a temporary file beside ``path``, renamed over it on success.
+
+    Readers see the old file or the whole new one. When the block raises,
+    the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_mlp(net: Mlp, path) -> None:
     """Write a network as versioned little-endian binary.
 
@@ -333,7 +288,8 @@ def save_mlp(net: Mlp, path) -> None:
     for w, b in zip(net.weights, net.biases):
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def load_mlp(path) -> Mlp:

@@ -37,6 +37,7 @@ from .datasets import (
     SynthMode,
     load_manifest,
     save_tsv,
+    scene_batch,
     scenes_to_tracks,
     synth_generate,
 )
@@ -46,7 +47,7 @@ from .features import EncoderDecoder, init_encoder_decoder, train_features
 from .fulfillment import DEST_EMBED_DIM, train_fulfillment
 from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes, retrieval_counts
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
-from .numkit import load_mlp, save_mlp
+from .numkit import atomic_open, load_mlp, save_mlp
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +109,8 @@ class RunManifest:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         data = {"stages": {name: vars(rec) for name, rec in self.stages.items()}}
-        (out_dir / MANIFEST_NAME).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with atomic_open(out_dir / MANIFEST_NAME) as fh:
+            fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def artifact_hash(path: Path) -> str:
@@ -180,7 +182,8 @@ def _save_nets_dir(stage_dir: Path, nets_by_name: dict, meta: dict) -> None:
     stage_dir.mkdir(parents=True, exist_ok=True)
     for name, net in nets_by_name.items():
         save_mlp(net, stage_dir / f"{name}.mtnn")
-    (stage_dir / "manifest.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(stage_dir / "manifest.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +256,8 @@ def train_addresser_selected(
     from :func:`retrieval_counts` with K clamped to L.
     """
     dataset = list(dataset)
-    if not dataset:
-        raise ValueError("empty dataset")
     n_hold = min(SELECTION_HOLDOUT_CAP, max(1, int(len(dataset) * SELECTION_HOLDOUT_FRACTION)))
-    holdout = dataset[-n_hold:]
+    holdout = scene_batch(dataset[-n_hold:], "addresser selection")
     train_slice = dataset[:-n_hold] or dataset
     n_retrieve, n_predict = retrieval_counts(len(bank), config.n_retrieve, config.n_predict, clamp_k=True)
     seed = config.seed_for("addresser-selection")
@@ -387,14 +388,15 @@ def write_predictions(out_dir, preds: Iterable[ScenePrediction], trace: bool = F
     the 1-based future step. destinations.csv carries the world-frame
     destination proposals with their anchor member counts; trace.csv the
     retrieved addresses, sample ids and scores, best first. Returns the
-    number of predictions written.
+    number of predictions written. Each file replaces its old version only
+    once every prediction is written, so a failure leaves the old files.
     """
     out_dir = Path(out_dir)
     count = 0
     with ExitStack() as stack:
-        traj_fh = stack.enter_context(open(out_dir / "predictions.csv", "w", encoding="utf-8"))
-        dest_fh = stack.enter_context(open(out_dir / "destinations.csv", "w", encoding="utf-8"))
-        trace_fh = stack.enter_context(open(out_dir / "trace.csv", "w", encoding="utf-8")) if trace else None
+        traj_fh = stack.enter_context(atomic_open(out_dir / "predictions.csv"))
+        dest_fh = stack.enter_context(atomic_open(out_dir / "destinations.csv"))
+        trace_fh = stack.enter_context(atomic_open(out_dir / "trace.csv")) if trace else None
         traj_fh.write("scene_id,k,t,x,y\n")
         dest_fh.write("scene_id,cluster_index,x,y,member_count\n")
         if trace_fh:

@@ -9,8 +9,55 @@ import math
 import numpy as np
 
 from memtraj.addresser import DEGENERATE_NORM
-from memtraj.features import decode_batch, normalize_with_futures, prepare_social_batch, social_forward_batch
-from memtraj.numkit import mlp_forward
+from memtraj.datasets import Scene, SceneBatch
+from memtraj.features import decode_batch, social_forward_batch
+from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached
+
+
+def normalize_scene(scene):
+    """A copy of one scene translated so the ego's last observed point is the origin, plus that translation.
+
+    Points map to the ego frame by adding the translation and back by
+    subtracting it.
+    """
+    translation = -np.asarray(scene.ego_past[-1], dtype=np.float64)
+
+    def apply(points):
+        return np.asarray(points, dtype=np.float64) + translation
+
+    normalized = Scene(
+        ego_past=apply(scene.ego_past),
+        neighbor_pasts=apply(scene.neighbor_pasts),
+        ego_future=None if scene.ego_future is None else apply(scene.ego_future),
+        scene_id=scene.scene_id,
+    )
+    return normalized, translation
+
+
+def prepare_social_batch(normalized):
+    """``(ego_x, nb_x, offsets)``: the social encoder's inputs, stacked from already normalized scenes."""
+    ego_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
+    counts = [s.n_neighbors for s in normalized]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    if offsets[-1] > 0:
+        nb_x = np.concatenate([s.neighbor_pasts.reshape(s.n_neighbors, -1) for s in normalized if s.n_neighbors])
+    else:
+        nb_x = np.zeros((0, ego_x.shape[1]))
+    return ego_x, nb_x, offsets
+
+
+def reference_batch(scenes, with_futures: bool = True) -> SceneBatch:
+    """``scene_batch`` one scene at a time: :func:`normalize_scene` each, then :func:`prepare_social_batch`."""
+    pairs = [normalize_scene(s) for s in scenes]
+    normalized = [n for n, _ in pairs]
+    ego_x, nb_x, offsets = prepare_social_batch(normalized)
+    return SceneBatch(
+        ego_x=ego_x,
+        nb_x=nb_x,
+        offsets=offsets,
+        futures=np.stack([n.ego_future for n in normalized]) if with_futures else None,
+        origins=np.stack([-t for _, t in pairs]),
+    )
 
 
 def score(nets, query_feat, key_feat) -> float:
@@ -26,12 +73,11 @@ def score(nets, query_feat, key_feat) -> float:
 
 def mean_rec_loss(nets, dataset, intent_weight: float = 1.0) -> float:
     """Mean over raw scenes of the feature stage's summed squared past and weighted destination error."""
-    normalized = normalize_with_futures(dataset, "mean_rec_loss")
-    k, _ = social_forward_batch(nets, prepare_social_batch(normalized))
-    dests = np.stack([s.ego_future[-1] for s in normalized])
+    batch = reference_batch(dataset)
+    k, _ = social_forward_batch(nets, batch)
+    dests = batch.futures[:, -1]
     past_hat, dest_hat = decode_batch(nets, k, mlp_forward(nets.point_embed, dests))
-    past_x = np.stack([s.ego_past.reshape(-1) for s in normalized])
-    per_scene = np.sum((past_hat - past_x) ** 2, axis=1) + intent_weight * np.sum((dest_hat - dests) ** 2, axis=1)
+    per_scene = np.sum((past_hat - batch.ego_x) ** 2, axis=1) + intent_weight * np.sum((dest_hat - dests) ** 2, axis=1)
     return float(per_scene.mean())
 
 
@@ -56,3 +102,51 @@ def is_redundant(a, b, theta_past: float, theta_int: float) -> bool:
         return math.sqrt(dx * dx + dy * dy)
 
     return dist(a[0], b[0]) <= theta_past and dist(a[1], b[1]) <= theta_int
+
+
+def mlp_backward(net, x, upstream) -> GradBundle:
+    """Gradients of ``upstream . output`` w.r.t. all parameters and the input, from a fresh forward pass."""
+    _, cache = mlp_forward_cached(net, x)
+    return mlp_backward_from_cache(net, cache, upstream)
+
+
+def hidden_preactivations(net, x) -> list:
+    """Pre-activation values of the hidden layers (used to stay off ReLU kinks)."""
+    _, cache = mlp_forward_cached(net, x)
+    return cache.preacts[:-1]
+
+
+def finite_diff_check(net, x, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients of ``ones . output``.
+
+    Every weight, bias, and input entry is perturbed by ``+-eps``; the
+    relative error for one coordinate is
+    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
+    """
+    x = np.array(x, dtype=np.float64)
+    up = np.ones(net.out_dim)
+    bundle = mlp_backward(net, x, up)
+    pairs = [(p, g) for l in range(net.n_layers) for p, g in ((net.weights[l], bundle.d_weights[l]), (net.biases[l], bundle.d_biases[l]))]
+    worst = 0.0
+    for arr, grad in pairs + [(x, bundle.d_input)]:
+        flat, gflat = arr.ravel(), grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(mlp_forward(net, x) @ up)
+            flat[i] = orig - eps
+            f_minus = float(mlp_forward(net, x) @ up)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            worst = max(worst, abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric)))
+    return worst
+
+
+def synth_mode_endpoints(meta: dict, mode_spec, future_len: int) -> np.ndarray:
+    """Noise-free world endpoint of every mode for one synthetic scene (``meta`` from ``synth_meta``)."""
+    endpoints = []
+    for mode in mode_spec:
+        angle = meta["heading"] + mode.turn
+        direction = np.array([np.cos(angle), np.sin(angle)])
+        endpoints.append(meta["turn_point"] + future_len * meta["speed"] * direction)
+    return np.stack(endpoints)

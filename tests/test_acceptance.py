@@ -30,7 +30,6 @@ from memtraj.datasets import (
     default_modes,
     synth_generate,
     synth_meta,
-    synth_mode_endpoints,
 )
 from memtraj.evalkit import constant_velocity, min_ade, min_fde
 from memtraj.features import init_encoder_decoder, train_features
@@ -44,7 +43,7 @@ from memtraj.membank import (
     bank_init,
     filter_visit_order,
 )
-from memtraj.numkit import RELU, TANH, finite_diff_check, hidden_preactivations, mlp_init
+from memtraj.numkit import RELU, TANH, mlp_init
 from memtraj.pipeline import (
     run_eval,
     run_predict,
@@ -56,7 +55,7 @@ from memtraj.pipeline import (
     train_addresser_selected,
 )
 
-from oracles import is_redundant, kmeans_cost
+from oracles import finite_diff_check, hidden_preactivations, is_redundant, kmeans_cost, synth_mode_endpoints
 
 SYNTH_SIGMA = 0.02  # per-step jitter of the synthetic generator
 FUTURE_LEN = 12

@@ -45,6 +45,11 @@ def test_label_threshold_default_and_override():
     assert config.label_threshold_value() == pytest.approx(5.0 * config.theta_int)
     explicit = Config(scale="pixel", label_threshold=2.5)
     assert explicit.label_threshold_value() == 2.5
+    # a default of 5 * theta_int that is 0 or inf is no cutoff; an explicit one still is
+    for theta_int in (0.0, math.inf, 1e308):
+        with pytest.raises(ConfigError, match="label_threshold.*theta_int"):
+            Config(scale="meter", theta_int=theta_int).label_threshold_value()
+        assert Config(scale="meter", theta_int=theta_int, label_threshold=0.5).label_threshold_value() == 0.5
 
 
 def test_validate_rejects_bad_values():

@@ -4,7 +4,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memtraj.datasets import (
@@ -16,15 +16,16 @@ from memtraj.datasets import (
     default_modes,
     load_manifest,
     load_tsv,
-    normalize_scene,
     save_tsv,
+    scene_batch,
     scenes_to_tracks,
     synth_generate,
     synth_meta,
-    synth_mode_endpoints,
 )
 from memtraj.datasets import _load_tsv_lines
 from memtraj.errors import ParseError
+
+from oracles import normalize_scene, reference_batch, synth_mode_endpoints
 
 
 def write(tmp_path, name, text):
@@ -473,15 +474,104 @@ def test_scene_multiset_invariant_to_track_order(small_scenes):
 
 def test_normalize_scene_centers_last_observation(small_scenes):
     scene = small_scenes[0]
-    normalized, transform = normalize_scene(scene)
-    np.testing.assert_array_equal(normalized.ego_past[-1], [0.0, 0.0])
-    np.testing.assert_allclose(transform.invert(normalized.ego_past), scene.ego_past, atol=0)
-    np.testing.assert_allclose(transform.invert(normalized.ego_future), scene.ego_future, atol=0)
+    batch = scene_batch([scene], "this test")
+    past = batch.ego_x[0].reshape(-1, 2)
+    np.testing.assert_array_equal(past[-1], [0.0, 0.0])
+    np.testing.assert_array_equal(batch.origins[0], scene.ego_past[-1])
+    np.testing.assert_allclose(past + batch.origins[0], scene.ego_past, atol=0)
+    np.testing.assert_allclose(batch.futures[0] + batch.origins[0], scene.ego_future, atol=0)
     np.testing.assert_allclose(
-        normalized.neighbor_pasts, scene.neighbor_pasts - scene.ego_past[-1], atol=0
+        batch.nb_x.reshape(-1, 8, 2), scene.neighbor_pasts - scene.ego_past[-1], atol=0
     )
-    # original untouched
+    # the oracle agrees, and the scene itself is untouched
+    normalized, translation = normalize_scene(scene)
+    np.testing.assert_array_equal(normalized.ego_past, past)
+    np.testing.assert_array_equal(translation, -batch.origins[0])
     assert not np.array_equal(scene.ego_past[-1], [0.0, 0.0])
+
+
+# Coordinates include both signed zeros; a batch must keep the oracle's sign of every zero.
+_coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def scene_lists(draw):
+    """1-6 scenes of one past and future length, each with 0-3 neighbors."""
+    past_len, future_len = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def points(*shape):
+        return np.array(draw(st.lists(_coords, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))).reshape(shape)
+
+    scenes = []
+    for i in range(draw(st.integers(1, 6))):
+        scenes.append(
+            Scene(
+                ego_past=points(past_len, 2),
+                neighbor_pasts=points(draw(st.integers(0, 3)), past_len, 2),
+                ego_future=points(future_len, 2),
+                scene_id=f"s{i}",
+            )
+        )
+    return scenes
+
+
+def _scene(n_neighbors, shift=0.0, past_len=3):
+    """A small hand-made scene, with -0.0 in its ego past."""
+    ego = np.arange(2.0 * past_len).reshape(past_len, 2) + shift
+    ego[0, 0] = -0.0
+    return Scene(
+        ego_past=ego,
+        neighbor_pasts=np.full((n_neighbors, past_len, 2), -0.0) + np.arange(n_neighbors)[:, None, None],
+        ego_future=ego[::-1] + 1.0,
+        scene_id=f"h{n_neighbors}",
+    )
+
+
+def assert_same_batch(a, b):
+    """Two scene batches equal bit for bit, so signed zeros count."""
+    for name in ("ego_x", "nb_x", "offsets", "futures", "origins"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes=scene_lists(), with_futures=st.booleans())
+@example(scenes=[_scene(0), _scene(2, 1.0)], with_futures=True)  # a scene without neighbors first
+@example(scenes=[_scene(2), _scene(1, 1.0), _scene(0, 2.0)], with_futures=True)  # ... last
+@example(scenes=[_scene(0), _scene(0, 1.0)], with_futures=False)  # ... every scene
+@example(scenes=[_scene(0, past_len=1)], with_futures=True)  # the origin is the only past point
+def test_scene_batch_matches_per_scene_normalization(scenes, with_futures):
+    batch = scene_batch(scenes, "this test" if with_futures else None)
+    assert len(batch) == len(scenes)
+    assert_same_batch(batch, reference_batch(scenes, with_futures))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes=scene_lists(), picks=st.lists(st.integers(0, 5), min_size=1, max_size=8))
+@example(scenes=[_scene(0), _scene(2, 1.0), _scene(1, 2.0)], picks=[2, 0, 2, 1, 0])
+def test_scene_batch_take_matches_a_batch_of_those_scenes(scenes, picks):
+    n = len(scenes)
+    idx = [i % n for i in picks]  # permuted and repeated scenes
+    batch = scene_batch(scenes, "this test")
+    assert_same_batch(batch.take(idx), scene_batch([scenes[i] for i in idx], "this test"))
+    assert_same_batch(batch.take(np.array(idx)), batch.take(idx))
+    assert_same_batch(batch.take(range(n)), batch)
+
+
+def test_scene_batch_checks_its_input():
+    with pytest.raises(ValueError, match="empty scene list for the bank"):
+        scene_batch([], "the bank")
+    with pytest.raises(ValueError, match="empty scene list"):
+        scene_batch([])
+    scenes = [_scene(1), _scene(0, 1.0)]
+    scenes[1].ego_future = None
+    with pytest.raises(ValueError, match="scene 'h0' has no future; the bank needs one"):
+        scene_batch(scenes, "the bank")
+    assert scene_batch(scenes).futures is None  # a batch without futures needs none
 
 
 def test_synth_shapes_and_determinism():

@@ -5,11 +5,14 @@ import pytest
 
 from conftest import quick_config
 from memtraj.addresser import fixed_cosine_nets
-from memtraj.datasets import Scene, normalize_scene, synth_generate
+from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
 from memtraj.features import init_encoder_decoder
+from memtraj.fulfillment import fulfill_many
 from memtraj.inference import ModelBundle, destination_error, predict_scene, propose_destinations, scene_seed
 from memtraj.membank import bank_init
+
+from oracles import normalize_scene
 
 
 def test_min_ade_hand_cases():
@@ -85,20 +88,22 @@ def test_propose_destinations_matches_predict_scene():
     bundle = make_bundle(config, scenes)
     scene = scenes[4]
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
-    normalized, transform = normalize_scene(scene)
+    batch = scene_batch([scene])
     proposal = propose_destinations(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, 6, 3, 11
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, batch, 6, 3, 11
     )
     np.testing.assert_array_equal(proposal.addresses, pred.addresses)
     np.testing.assert_array_equal(proposal.scores, pred.scores)
-    np.testing.assert_allclose(
-        transform.invert(proposal.intention_set.destinations), pred.destinations, rtol=1e-12
-    )
+    # the world-frame outputs are the oracle's inversion of the ego-frame ones, bit for bit
+    _, translation = normalize_scene(scene)
+    np.testing.assert_array_equal(proposal.intention_set.destinations - translation, pred.destinations)
+    futures = fulfill_many(bundle.fulfill_nets, batch, proposal.intention_set.destinations)
+    np.testing.assert_array_equal(futures - translation, pred.trajectories)
     with pytest.raises(ValueError, match="n_predict"):
-        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, 3, 6, 11)
+        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, batch, 3, 6, 11)
     with pytest.raises(ValueError, match="bank size"):
         propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, len(bundle.bank) + 1, 3, 11
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, batch, len(bundle.bank) + 1, 3, 11
         )
 
 
@@ -106,12 +111,13 @@ def test_destination_error_properties():
     config = quick_config()
     scenes = synth_generate(33, 10)
     bundle = make_bundle(config, scenes)
+    holdout = scene_batch(scenes[:6], "destination error")
     err = destination_error(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, scenes[:6], 6, 3, master_seed=3
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, holdout, 6, 3, master_seed=3
     )
     assert np.isfinite(err) and err >= 0.0
     again = destination_error(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, scenes[:6], 6, 3, master_seed=3
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, holdout, 6, 3, master_seed=3
     )
     assert err == again
     # it really is the mean over per-scene nearest-proposal gaps
@@ -119,22 +125,22 @@ def test_destination_error_properties():
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
         proposal = propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, normalized, 6, 3, scene_seed(3, i)
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, scene_batch([scene]), 6, 3, scene_seed(3, i)
         )
         gaps.append(
             np.linalg.norm(proposal.intention_set.destinations - normalized.ego_future[-1], axis=1).min()
         )
     assert err == pytest.approx(np.mean(gaps), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
-        destination_error(bundle.feature_nets, bundle.addresser_nets, bundle.bank, [], 6, 3, 3)
+        scene_batch([], "destination error")
     bare = Scene(
         ego_past=scenes[0].ego_past,
         neighbor_pasts=scenes[0].neighbor_pasts,
         ego_future=None,
         scene_id="bare",
     )
-    with pytest.raises(ValueError, match="no future"):
-        destination_error(bundle.feature_nets, bundle.addresser_nets, bundle.bank, [bare], 6, 3, 3)
+    with pytest.raises(ValueError, match="'bare' has no future; destination error needs one"):
+        scene_batch([bare], "destination error")
 
 
 def test_evaluate_report_and_csv(tmp_path):

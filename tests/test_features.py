@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
-from memtraj.datasets import Scene, normalize_scene, synth_generate
+from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import (
     decode_batch,
     init_encoder_decoder,
-    prepare_social_batch,
     social_backward_batch,
-    social_encode,
     social_forward_batch,
     train_features,
 )
 from memtraj.numkit import TANH, mlp_forward, mlp_init
 
 from conftest import quick_config, single_mode_spec
-from oracles import mean_rec_loss
+from oracles import mean_rec_loss, normalize_scene
 
 
-def norm_scenes(scenes):
-    return [normalize_scene(s)[0] for s in scenes]
+def encode_one(nets, scene):
+    """Past feature of one scene, encoded alone."""
+    out, _ = social_forward_batch(nets, scene_batch([scene]))
+    return out[0]
 
 
 def test_init_dims_and_determinism():
@@ -38,7 +38,7 @@ def test_init_dims_and_determinism():
 
 def test_social_encode_is_neighbor_permutation_invariant(small_scenes):
     nets = init_encoder_decoder(1, past_len=8, target_len=1)
-    scene = norm_scenes(small_scenes)[0]
+    scene = small_scenes[0]
     assert scene.n_neighbors >= 2
     shuffled = Scene(
         ego_past=scene.ego_past,
@@ -47,30 +47,30 @@ def test_social_encode_is_neighbor_permutation_invariant(small_scenes):
         scene_id=scene.scene_id,
     )
     np.testing.assert_allclose(
-        social_encode(nets, scene), social_encode(nets, shuffled), rtol=1e-12, atol=1e-14
+        encode_one(nets, scene), encode_one(nets, shuffled), rtol=1e-12, atol=1e-14
     )
 
 
 def test_social_encode_without_neighbors(small_scenes):
     nets = init_encoder_decoder(1, past_len=8, target_len=1)
-    scene = norm_scenes(small_scenes)[0]
+    scene = small_scenes[0]
     alone = Scene(
         ego_past=scene.ego_past,
         neighbor_pasts=np.zeros((0, 8, 2)),
         ego_future=scene.ego_future,
         scene_id=scene.scene_id,
     )
-    feat = social_encode(nets, alone)
+    feat = encode_one(nets, alone)
     assert feat.shape == (nets.past_dim,)
     assert np.all(np.isfinite(feat))
 
 
 def test_social_batch_matches_single_scene(small_scenes):
     nets = init_encoder_decoder(2, past_len=8, target_len=1)
-    scenes = norm_scenes(small_scenes)[:5]
-    batch_out, _ = social_forward_batch(nets, prepare_social_batch(scenes))
+    scenes = small_scenes[:5]
+    batch_out, _ = social_forward_batch(nets, scene_batch(scenes))
     for i, scene in enumerate(scenes):
-        np.testing.assert_allclose(social_encode(nets, scene), batch_out[i], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(encode_one(nets, scene), batch_out[i], rtol=1e-10, atol=1e-12)
 
 
 def tiny_social_nets(seed):
@@ -99,7 +99,7 @@ def test_social_backward_matches_finite_difference():
                 scene_id=f"g{i}",
             )
         )
-    batch = prepare_social_batch(scenes)
+    batch = scene_batch(scenes)
     upstream = rng.normal(size=(3, 4))
 
     def scalar():
@@ -154,7 +154,7 @@ def test_mean_rec_loss_matches_scalar_path(small_scenes):
     for scene in scenes:
         normalized, _ = normalize_scene(scene)
         dest = normalized.ego_future[-1]
-        k = social_encode(nets, normalized)
+        k = encode_one(nets, scene)
         v = mlp_forward(nets.point_embed, dest)
         past_hat, dest_hat = decode_batch(nets, k[None, :], v[None, :])
         total += float(np.sum((past_hat[0] - normalized.ego_past.reshape(-1)) ** 2) + np.sum((dest_hat[0] - dest) ** 2))

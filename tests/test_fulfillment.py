@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import quick_config, single_mode_spec
-from memtraj.datasets import Scene, normalize_scene, synth_generate
-from memtraj.features import decode_batch, init_encoder_decoder, prepare_social_batch, social_forward_batch
+from memtraj.datasets import Scene, scene_batch, synth_generate
+from memtraj.features import decode_batch, init_encoder_decoder, social_forward_batch
 from memtraj.fulfillment import fulfill_many, train_fulfillment
 from memtraj.numkit import mlp_forward
+from oracles import reference_batch
 
 
-def make_scene(rng, past_len=8, future_len=12, n_neighbors=2):
+def one_scene_batch(rng, past_len=8, future_len=12, n_neighbors=2):
     ego_past = rng.normal(size=(past_len, 2))
     neighbors = rng.normal(size=(n_neighbors, past_len, 2))
     future = rng.normal(size=(future_len, 2))
-    return Scene(ego_past=ego_past, neighbor_pasts=neighbors, ego_future=future, scene_id="t:0:0")
+    return scene_batch([Scene(ego_past=ego_past, neighbor_pasts=neighbors, ego_future=future, scene_id="t:0:0")])
 
 
 def test_init_shapes_and_determinism():
@@ -32,7 +33,7 @@ def test_init_shapes_and_determinism():
 def test_fulfill_shapes():
     rng = np.random.default_rng(1)
     nets = init_encoder_decoder(2, past_len=8, target_len=12, past_dim=32)
-    scene = make_scene(rng)
+    scene = one_scene_batch(rng)
     futures = fulfill_many(nets, scene, np.array([[1.0, 2.0]]))
     assert futures.shape == (1, 12, 2)
     assert fulfill_many(nets, scene, np.zeros((3, 2))).shape == (3, 12, 2)
@@ -43,7 +44,7 @@ def test_fulfill_shapes():
 def test_fulfill_many_matches_single():
     rng = np.random.default_rng(2)
     nets = init_encoder_decoder(3, past_len=8, target_len=12, past_dim=32)
-    scene = make_scene(rng)
+    scene = one_scene_batch(rng)
     dests = rng.normal(size=(4, 2))
     many = fulfill_many(nets, scene, dests)
     assert len(many) == 4
@@ -55,7 +56,7 @@ def test_fulfill_many_matches_single():
 def test_snap_destination_pins_endpoint():
     rng = np.random.default_rng(3)
     nets = init_encoder_decoder(4, past_len=8, target_len=12, past_dim=32)
-    scene = make_scene(rng)
+    scene = one_scene_batch(rng)
     dests = rng.normal(size=(3, 2))
     futures = fulfill_many(nets, scene, dests, snap_destination=True)
     for i, future in enumerate(futures):
@@ -64,13 +65,11 @@ def test_snap_destination_pins_endpoint():
 
 def mean_teacher_loss(nets, scenes):
     """Mean over scenes of the summed squared past and future error, conditioned on the true destination."""
-    normalized = [normalize_scene(scene)[0] for scene in scenes]
-    feats, _ = social_forward_batch(nets, prepare_social_batch(normalized))
-    dests = np.stack([s.ego_future[-1] for s in normalized])
-    past_hat, future_hat = decode_batch(nets, feats, mlp_forward(nets.point_embed, dests))
-    past = np.stack([s.ego_past.reshape(-1) for s in normalized])
-    future = np.stack([s.ego_future.reshape(-1) for s in normalized])
-    return float(np.sum((past_hat - past) ** 2) + np.sum((future_hat - future) ** 2)) / len(scenes)
+    batch = reference_batch(scenes)
+    feats, _ = social_forward_batch(nets, batch)
+    past_hat, future_hat = decode_batch(nets, feats, mlp_forward(nets.point_embed, batch.futures[:, -1]))
+    future = batch.futures.reshape(len(scenes), -1)
+    return float(np.sum((past_hat - batch.ego_x) ** 2) + np.sum((future_hat - future) ** 2)) / len(scenes)
 
 
 def test_training_reduces_loss():
@@ -102,12 +101,12 @@ def test_true_destination_beats_offset_destination():
     offset = np.array([5 * 0.02, 0.0])  # five jitter sigmas sideways
     fde_true = 0.0
     fde_off = 0.0
-    for scene in scenes:
-        normalized, _ = normalize_scene(scene)
-        dest = normalized.ego_future[-1]
-        pred_true, pred_off = fulfill_many(trained, normalized, np.stack([dest, dest + offset]))
-        fde_true += float(np.linalg.norm(pred_true[-1] - normalized.ego_future[-1]))
-        fde_off += float(np.linalg.norm(pred_off[-1] - normalized.ego_future[-1]))
+    batch = scene_batch(scenes, "this test")
+    for i in range(len(batch)):
+        dest = batch.futures[i, -1]
+        pred_true, pred_off = fulfill_many(trained, batch.take([i]), np.stack([dest, dest + offset]))
+        fde_true += float(np.linalg.norm(pred_true[-1] - dest))
+        fde_off += float(np.linalg.norm(pred_off[-1] - dest))
     assert fde_true < fde_off
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memtraj.addresser import fixed_cosine_nets, key_table
-from memtraj.datasets import normalize_scene, synth_generate
+from memtraj.datasets import scene_batch, synth_generate
 from memtraj.features import init_encoder_decoder
 from memtraj.intention import (
     DECODE_QUERY,
@@ -170,10 +170,9 @@ def make_stack(n=10):
 
 def test_decode_anchors_modes_and_shapes():
     scenes, nets, bank = make_stack()
-    normalized, _ = normalize_scene(scenes[0])
-    from memtraj.features import social_encode
+    from memtraj.features import social_forward_batch
 
-    query = social_encode(nets, normalized)
+    query = social_forward_batch(nets, scene_batch(scenes[:1]))[0][0]
     addresses = [3, 0, 7]
     anchors_q = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_QUERY)
     # row i is the anchor of addresses[i]
@@ -200,15 +199,15 @@ def test_predict_intentions_shapes_and_determinism():
     scenes, nets, bank = make_stack(12)
     addresser = fixed_cosine_nets(32)
     keys = key_table(addresser, bank)
-    normalized, _ = normalize_scene(scenes[0])
+    batch = scene_batch(scenes[:1])
     # retrieve, decode and cluster: the destination half of a prediction
-    a = propose_destinations(nets, addresser, bank, keys, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
-    b = propose_destinations(nets, addresser, bank, keys, normalized, n_retrieve=8, n_predict=3, seed=5).intention_set
+    a = propose_destinations(nets, addresser, bank, keys, batch, n_retrieve=8, n_predict=3, seed=5).intention_set
+    b = propose_destinations(nets, addresser, bank, keys, batch, n_retrieve=8, n_predict=3, seed=5).intention_set
     assert a.destinations.shape == (3, 2)
     assert a.anchor_assignment.shape == (8,)
     np.testing.assert_array_equal(a.destinations, b.destinations)
     with pytest.raises(ValueError):
-        propose_destinations(nets, addresser, bank, keys, normalized, n_retrieve=2, n_predict=3, seed=5)
+        propose_destinations(nets, addresser, bank, keys, batch, n_retrieve=2, n_predict=3, seed=5)
 
 
 def test_save_intention_sets(tmp_path):
@@ -233,3 +232,32 @@ def test_save_intention_sets(tmp_path):
     assert float(fields[2]) == iset.destinations[0, 0]
     counts = [int(line.split(",")[4]) for line in lines[1:]]
     assert sum(counts) == 6
+
+
+def test_failed_prediction_stream_keeps_the_earlier_files(tmp_path):
+    rng = np.random.default_rng(9)
+    iset = kmeans(rng.normal(size=(6, 2)), 2, seed=1)
+
+    def prediction(scene_id):
+        return ScenePrediction(
+            scene_id=scene_id,
+            destinations=iset.destinations,
+            trajectories=rng.normal(size=(2, 3, 2)),
+            addresses=np.arange(6),
+            scores=np.zeros(6),
+            sample_ids=np.arange(6),
+            intention_set=iset,
+        )
+
+    assert write_predictions(tmp_path, [prediction("a"), prediction("b")], trace=True) == 2
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["destinations.csv", "predictions.csv", "trace.csv"]
+
+    def failing_stream():
+        yield prediction("c")
+        raise RuntimeError("scene d failed")
+
+    with pytest.raises(RuntimeError, match="scene d"):
+        write_predictions(tmp_path, failing_stream(), trace=True)
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert after == before  # the old files byte for byte, and no temporary file left behind

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memtraj.datasets import normalize_scene, synth_generate
+from memtraj.datasets import scene_batch, synth_generate
 from memtraj.errors import FormatError
-from memtraj.features import init_encoder_decoder, social_encode
+from memtraj.features import init_encoder_decoder, social_forward_batch
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
@@ -18,7 +18,7 @@ from memtraj.membank import (
     filter_visit_order,
 )
 
-from oracles import is_redundant
+from oracles import is_redundant, normalize_scene
 
 HEADER_SIZE = 88  # magic + version + 4 dims + 2 thresholds + seed + count + hash
 
@@ -52,7 +52,8 @@ def test_bank_init_entries(small_scenes):
     assert bank.meta.theta_past is None and bank.meta.filter_seed is None
     assert bank.meta.future_len == 12
     normalized, _ = normalize_scene(small_scenes[3])
-    np.testing.assert_allclose(bank.past_feats[3], social_encode(nets, normalized), rtol=1e-10, atol=1e-12)
+    alone, _ = social_forward_batch(nets, scene_batch(small_scenes[3:4]))
+    np.testing.assert_allclose(bank.past_feats[3], alone[0], rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(bank.starts[3], normalized.ego_past[0], atol=0)
     np.testing.assert_allclose(bank.dests[3], normalized.ego_future[-1], atol=0)
     assert bank.past_feats.shape == (len(small_scenes), nets.past_dim)

@@ -8,10 +8,7 @@ from memtraj.numkit import (
     Mlp,
     RELU,
     TANH,
-    finite_diff_check,
-    hidden_preactivations,
     load_mlp,
-    mlp_backward,
     mlp_forward,
     mlp_init,
     save_mlp,
@@ -19,6 +16,8 @@ from memtraj.numkit import (
     sgd_step,
     shuffled_batches,
 )
+
+from oracles import finite_diff_check, hidden_preactivations, mlp_backward
 
 
 def test_glorot_bound_and_shapes():

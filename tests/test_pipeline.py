@@ -413,6 +413,18 @@ def test_cli_reports_errors(tmp_path, capsys):
     _assert_cli_error(["train-features", "--config", str(two)], capsys, f"{listing}: line 2: not UTF-8")
 
 
+@pytest.mark.parametrize("theta_int", [0.0, float("inf")])
+def test_cli_rejects_a_default_label_cutoff_that_is_zero_or_infinite(tmp_path, capsys, theta_int):
+    # the default cutoff is 5 * theta_int; a config with either threshold still loads
+    config = tiny_config(tmp_path, synth_scenes=60, epochs_features=1, epochs_addresser=1, theta_int=theta_int)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    _assert_cli_error(["train-addresser", "--config", str(cfg_path)], capsys, "key 'label_threshold'", f"theta_int = {theta_int!r}")
+
+
 def _assert_cli_error(argv, capsys, *needles):
     assert main(argv) == 1
     err = capsys.readouterr().err
