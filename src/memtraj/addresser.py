@@ -185,7 +185,8 @@ def fit_addresser(
     bank: MemoryBankPair,
     data: tuple[np.ndarray, np.ndarray, np.ndarray],
     config,
-    phases: list[tuple[int, float]],
+    epochs: int,
+    learning_rate: float,
     rng: np.random.Generator,
 ) -> None:
     """Train ``nets`` in place on :func:`addresser_training_data` output.
@@ -220,23 +221,5 @@ def fit_addresser(
         ]
         return float(np.sum(residual**2)), updates
 
-    sgd_loop("addresser", len(queries), config.batch_size, phases, rng, step)
+    sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step)
 
-
-def train_addresser(
-    nets: AddresserNets,
-    bank: MemoryBankPair,
-    feature_nets: EncoderDecoder,
-    dataset: Sequence[Scene],
-    config,
-) -> AddresserNets:
-    """Fit the projections so scores track the pseudo-labels.
-
-    Trains a copy of ``nets`` over the config's addresser phases; the input
-    nets are not mutated.
-    """
-    data = addresser_training_data(bank, feature_nets, dataset)
-    nets = nets.copy()
-    rng = np.random.default_rng(config.seed_for("addresser-batches"))
-    fit_addresser(nets, bank, data, config, config.sgd_phases("addresser"), rng)
-    return nets

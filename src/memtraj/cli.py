@@ -46,10 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train-addresser", "train the retrieval scoring nets against the bank"),
         ("train-fulfillment", "train the destination-conditioned trajectory decoder"),
     ]:
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name in ("train-features", "train-addresser", "train-fulfillment"):
-            sub.add_argument("--finetune", action="store_true", help="add a low-rate refinement phase")
+        _add_common(subs.add_parser(name, help=help_text))
 
     pred = subs.add_parser("predict", help="write multimodal predictions for the test split")
     _add_common(pred)
@@ -75,8 +72,6 @@ def _config_from_args(args: argparse.Namespace) -> Config:
         config.seed = args.seed
     if args.out:
         config.out_dir = args.out
-    if getattr(args, "finetune", False):
-        config.finetune = True
     if getattr(args, "decode_mode", None):
         config.decode_mode = args.decode_mode
     if getattr(args, "scenes", None) is not None:
@@ -107,7 +102,8 @@ def main(argv: list[str] | None = None) -> int:
             run_eval(config, fixed_cosine=args.fixed_cosine)
         elif args.command == "synth":
             run_synth(config)
-    except MemtrajError as exc:
+    except (MemtrajError, OSError) as exc:
+        # OSError: an output path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

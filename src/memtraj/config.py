@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .numkit import atomic_open
 
 SCALE_DEFAULTS = {
     # scale -> (theta_past, theta_int, n_retrieve)
@@ -57,13 +58,10 @@ class Config:
     lr_features: float = 1e-3
     lr_addresser: float = 1e-4
     lr_fulfillment: float = 1e-3
-    lr_finetune: float = 1e-6
     epochs_features: int = 200
     epochs_addresser: int = 50
     epochs_fulfillment: int = 200
-    epochs_finetune: int = 20
     batch_size: int = 32
-    finetune: bool = False
     # scene construction
     max_neighbors: int = 8
     window_stride: int = 1
@@ -118,11 +116,11 @@ class Config:
         for name in positive_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(f"must be >= 1, got {getattr(self, name)}", key=name)
-        non_negative_ints = ("epochs_features", "epochs_addresser", "epochs_fulfillment", "epochs_finetune", "max_neighbors", "synth_neighbors")
+        non_negative_ints = ("epochs_features", "epochs_addresser", "epochs_fulfillment", "max_neighbors", "synth_neighbors", "seed")
         for name in non_negative_ints:
             if getattr(self, name) < 0:
                 raise ConfigError(f"must be >= 0, got {getattr(self, name)}", key=name)
-        for name in ("lr_features", "lr_addresser", "lr_fulfillment", "lr_finetune", "synth_speed"):
+        for name in ("lr_features", "lr_addresser", "lr_fulfillment", "synth_speed"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"must be > 0, got {getattr(self, name)}", key=name)
         for name in ("theta_past", "theta_int", "intent_weight", "future_weight", "synth_jitter"):
@@ -137,12 +135,9 @@ class Config:
         if self.decode_mode not in ("query", "stored"):
             raise ConfigError(f"must be 'query' or 'stored', got {self.decode_mode!r}", key="decode_mode")
 
-    def sgd_phases(self, stage: str) -> list[tuple[int, float]]:
-        """``(epochs, learning rate)`` of a stage's training, then of its finetune phase when enabled."""
-        phases = [(getattr(self, f"epochs_{stage}"), getattr(self, f"lr_{stage}"))]
-        if self.finetune and self.epochs_finetune > 0:
-            phases.append((self.epochs_finetune, self.lr_finetune))
-        return phases
+    def sgd_schedule(self, stage: str) -> tuple[int, float]:
+        """``(epochs, learning rate)`` of a trained stage."""
+        return getattr(self, f"epochs_{stage}"), getattr(self, f"lr_{stage}")
 
     def label_threshold_value(self) -> float:
         """Pseudo-label cutoff distance; defaults to five destination thresholds.
@@ -174,9 +169,6 @@ class Config:
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
-
     def stage_hash(self) -> str:
         """Hash of the keys that can affect trained artifacts.
 
@@ -197,7 +189,8 @@ class Config:
             value = getattr(self, f.name)
             if isinstance(value, str) and not _writable(value):
                 raise ConfigError(f"cannot be written to a config file: {value!r}", key=f.name)
-        Path(path).write_text(self.canonical_text(), encoding="utf-8")
+        with atomic_open(path) as fh:
+            fh.write(self.canonical_text())
 
 
 def _writable(text: str) -> bool:

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError
+from .numkit import atomic_open
 
 logger = logging.getLogger(__name__)
 
@@ -176,9 +177,9 @@ def save_tsv(tracks: Sequence[RawTrack], path) -> None:
     """Write tracks back to the TSV format.
 
     Coordinates are printed with %.17g, so a load/save/load cycle reproduces
-    the float64 values exactly.
+    the float64 values exactly. The file is replaced only once every line is written.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for track in tracks:
             for frame, (x, y) in zip(track.frames, track.coords):
                 fh.write("%d %d %.17g %.17g\n" % (frame, track.agent_id, x, y))
@@ -382,6 +383,18 @@ def default_modes() -> list[SynthMode]:
     return [SynthMode(0.0, third), SynthMode(half_pi, third), SynthMode(-half_pi, third)]
 
 
+def mode_probabilities(modes: Sequence[SynthMode]) -> np.ndarray:
+    """The modes' probabilities as an array summing to 1; ValueError unless they form a distribution over 2 or more modes."""
+    if len(modes) < 2:
+        raise ValueError(f"need at least 2 modes, got {len(modes)}")
+    probs = np.array([m.prob for m in modes], dtype=np.float64)
+    if np.any(probs < 0):
+        raise ValueError("mode probabilities must be >= 0")
+    if abs(float(probs.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"mode probabilities sum to {float(probs.sum())!r}, expected 1")
+    return probs / probs.sum()
+
+
 def _unit(angle: float) -> np.ndarray:
     return np.array([np.cos(angle), np.sin(angle)])
 
@@ -412,14 +425,7 @@ def synth_generate(
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     modes = list(mode_spec) if mode_spec is not None else default_modes()
-    if len(modes) < 2:
-        raise ValueError(f"need at least 2 modes, got {len(modes)}")
-    probs = np.array([m.prob for m in modes], dtype=np.float64)
-    if np.any(probs < 0):
-        raise ValueError("mode probabilities must be >= 0")
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"mode probabilities sum to {probs.sum()!r}, expected 1")
-    probs = probs / probs.sum()
+    probs = mode_probabilities(modes)
     if jitter < 0:
         raise ValueError(f"jitter must be >= 0, got {jitter}")
     if speed <= 0:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .datasets import Scene
 from .inference import ModelBundle, predict_scenes
+from .numkit import atomic_open
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +86,7 @@ class MetricReport:
         ]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write("scene_id,min_ade,min_fde,best_k_index\n")
             for row in self.rows:
                 fh.write("%s,%r,%r,%d\n" % (row.scene_id, row.min_ade, row.min_fde, row.best_k))

@@ -178,7 +178,7 @@ def fit_encoder_decoder(nets: EncoderDecoder, batch: SceneBatch, weight: float, 
     ``nets.target_len`` future points. One step: mean over a mini-batch of the summed
     squared past error plus ``weight`` times the summed squared target
     error, plain SGD on all five nets. Batches are drawn from the
-    ``<stage>-batches`` seed over ``config.sgd_phases(stage)``.
+    ``<stage>-batches`` seed over ``config.sgd_schedule(stage)``.
     """
     dests = batch.futures[:, -1]
     targets = batch.futures[:, -nets.target_len :].reshape(len(batch), -1)
@@ -204,7 +204,8 @@ def fit_encoder_decoder(nets: EncoderDecoder, batch: SceneBatch, weight: float, 
         return loss, updates + [(nets.point_embed, point_g)]
 
     rng = np.random.default_rng(config.seed_for(f"{stage}-batches"))
-    sgd_loop(stage, len(batch), config.batch_size, config.sgd_phases(stage), rng, step)
+    epochs, learning_rate = config.sgd_schedule(stage)
+    sgd_loop(stage, len(batch), config.batch_size, epochs, learning_rate, rng, step)
 
 
 def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:

@@ -228,32 +228,30 @@ def sgd_loop(
     name: str,
     n: int,
     batch_size: int,
-    phases: Sequence[tuple[int, float]],
+    epochs: int,
+    learning_rate: float,
     rng: np.random.Generator,
     step: Callable[[np.ndarray], tuple[float, list[tuple[Mlp, GradBundle]]]],
 ) -> None:
-    """Mini-batch SGD over ``n`` samples, one ``(epochs, learning_rate)`` phase after another.
+    """Mini-batch SGD over ``n`` samples for ``epochs`` epochs at one learning rate.
 
     Every epoch draws its batches from ``rng`` with :func:`shuffled_batches`.
     ``step(idx)`` returns the batch's summed loss and the ``(net, grads)``
     pairs to update; a non-finite loss raises NumericError before any of
-    them is applied. Epochs are numbered across phases, and the mean loss
-    per sample is logged for the first epoch and every 25th.
+    them is applied. The mean loss per sample is logged for the first epoch
+    and every 25th.
     """
-    epoch = 0
-    for epochs, learning_rate in phases:
-        for _ in range(epochs):
-            epoch += 1
-            total = 0.0
-            for idx in shuffled_batches(n, batch_size, rng):
-                loss, updates = step(idx)
-                if not np.isfinite(loss):
-                    raise NumericError(f"non-finite {name} loss at epoch {epoch}")
-                total += loss
-                for net, grads in updates:
-                    sgd_step(net, grads, learning_rate)
-            if epoch == 1 or epoch % 25 == 0:
-                logger.info("%s epoch %d: mean loss %.6f", name, epoch, total / n)
+    for epoch in range(1, epochs + 1):
+        total = 0.0
+        for idx in shuffled_batches(n, batch_size, rng):
+            loss, updates = step(idx)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite {name} loss at epoch {epoch}")
+            total += loss
+            for net, grads in updates:
+                sgd_step(net, grads, learning_rate)
+        if epoch == 1 or epoch % 25 == 0:
+            logger.info("%s epoch %d: mean loss %.6f", name, epoch, total / n)
 
 
 @contextmanager

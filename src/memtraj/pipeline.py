@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -36,6 +37,7 @@ from .datasets import (
     Scene,
     SynthMode,
     load_manifest,
+    mode_probabilities,
     save_tsv,
     scene_batch,
     scenes_to_tracks,
@@ -205,15 +207,14 @@ def load_stage_nets(stage_dir: Path, stage: str) -> EncoderDecoder:
     return EncoderDecoder(*(load_mlp(stage_dir / f"{file}.mtnn") for file in files))
 
 
-def stage_train_features(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
-    return _save_stage_nets(config, STAGE_FEATURES, train_features(scenes, config))
+def stage_train_features(config: Config) -> Path:
+    return _save_stage_nets(config, STAGE_FEATURES, train_features(_load_scenes(config, "train_manifest"), config))
 
 
-def stage_build_memory(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
+def stage_build_memory(config: Config) -> Path:
     features_dir = _require_stage(config, STAGE_FEATURES)
     nets = load_stage_nets(features_dir, STAGE_FEATURES)
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
+    scenes = _load_scenes(config, "train_manifest")
     bank = bank_init(nets, scenes)
     bank = bank_filter(bank, config.theta_past, config.theta_int, config.seed_for("bank-filter"))
     stage_dir = Path(config.out_dir) / STAGE_BANK
@@ -273,16 +274,16 @@ def train_addresser_selected(
     best_epoch = 0
     current = nets.copy()
     epoch_no = 0
-    for phase_epochs, lr in config.sgd_phases("addresser"):
-        for chunk in _segment_epochs(phase_epochs, SELECTION_SEGMENTS):
-            if data is None:
-                data = addresser_training_data(bank, feature_nets, train_slice)
-            fit_addresser(current, bank, data, config, [(chunk, lr)], rng)
-            epoch_no += chunk
-            error = selection_error(current)
-            errors.append((epoch_no, error))
-            if error < best_error:
-                best, best_error, best_epoch = current.copy(), error, epoch_no
+    epochs, learning_rate = config.sgd_schedule("addresser")
+    for chunk in _segment_epochs(epochs, SELECTION_SEGMENTS):
+        if data is None:
+            data = addresser_training_data(bank, feature_nets, train_slice)
+        fit_addresser(current, bank, data, config, chunk, learning_rate, rng)
+        epoch_no += chunk
+        error = selection_error(current)
+        errors.append((epoch_no, error))
+        if error < best_error:
+            best, best_error, best_epoch = current.copy(), error, epoch_no
     report = {"selected_epoch": best_epoch, "holdout_error": best_error, "errors": errors}
     logger.info(
         "addresser selection: kept epoch %d (holdout destination error %.6f) of %s",
@@ -293,12 +294,12 @@ def train_addresser_selected(
     return best, report
 
 
-def stage_train_addresser(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
+def stage_train_addresser(config: Config) -> Path:
     features_dir = _require_stage(config, STAGE_FEATURES)
     bank_dir = _require_stage(config, STAGE_BANK)
     feature_nets = load_stage_nets(features_dir, STAGE_FEATURES)
     bank = bank_load(bank_dir / "bank.mtbk")
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
+    scenes = _load_scenes(config, "train_manifest")
     nets = init_addresser_nets(past_dim=config.past_dim, addr_dim=config.addr_dim)
     nets, report = train_addresser_selected(nets, bank, feature_nets, scenes, config)
     stage_dir = Path(config.out_dir) / STAGE_ADDRESSER
@@ -322,11 +323,11 @@ def load_addresser_nets(stage_dir: Path) -> AddresserNets:
     )
 
 
-def stage_train_fulfillment(config: Config, scenes: Sequence[Scene] | None = None) -> Path:
+def stage_train_fulfillment(config: Config) -> Path:
     _require_stage(config, STAGE_FEATURES)
     _require_stage(config, STAGE_BANK)
     _require_stage(config, STAGE_ADDRESSER)
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "train_manifest")
+    scenes = _load_scenes(config, "train_manifest")
     nets = init_encoder_decoder(
         config.seed_for("fulfillment"),
         past_len=config.past_len,
@@ -357,14 +358,9 @@ def load_model_bundle(config: Config, fixed_cosine: bool = False) -> ModelBundle
 # ---------------------------------------------------------------------------
 
 
-def run_predict(
-    config: Config,
-    scenes: Sequence[Scene] | None = None,
-    fixed_cosine: bool = False,
-    trace: bool = False,
-) -> Path:
+def run_predict(config: Config, fixed_cosine: bool = False, trace: bool = False) -> Path:
     """Predict every test scene into the files of :func:`write_predictions`."""
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "test_manifest")
+    scenes = _load_scenes(config, "test_manifest")
     bundle = load_model_bundle(config, fixed_cosine=fixed_cosine)
     preds = predict_scenes(
         bundle,
@@ -414,13 +410,9 @@ def write_predictions(out_dir, preds: Iterable[ScenePrediction], trace: bool = F
     return count
 
 
-def run_eval(
-    config: Config,
-    scenes: Sequence[Scene] | None = None,
-    fixed_cosine: bool = False,
-) -> MetricReport:
+def run_eval(config: Config, fixed_cosine: bool = False) -> MetricReport:
     """Evaluate on the test split; write per-scene CSV and key=value summary."""
-    scenes = list(scenes) if scenes is not None else _load_scenes(config, "test_manifest")
+    scenes = _load_scenes(config, "test_manifest")
     bundle = load_model_bundle(config, fixed_cosine=fixed_cosine)
     units = {"pixel": "pixels", "meter": "meters"}[config.scale]
     report = evaluate(
@@ -435,21 +427,31 @@ def run_eval(
     )
     out_dir = Path(config.out_dir)
     report.to_csv(out_dir / "eval_scenes.csv")
-    (out_dir / "eval_summary.txt").write_text("\n".join(report.summary_lines()) + "\n", encoding="utf-8")
+    with atomic_open(out_dir / "eval_summary.txt") as fh:
+        fh.write("\n".join(report.summary_lines()) + "\n")
     for line in report.summary_lines():
         print(line)
     return report
 
 
 def _parse_mode_spec(text: str) -> list[SynthMode] | None:
+    """The modes a ``synth_modes`` value names, None when it is empty; ConfigError on that key when it is malformed."""
     if not text:
         return None
     modes = []
     for part in text.split(","):
         angle_text, _, prob_text = part.strip().partition(":")
-        if not prob_text:
-            raise ConfigError(f"mode entry {part!r} is not 'degrees:prob'", key="synth_modes")
-        modes.append(SynthMode(turn=float(angle_text) * np.pi / 180.0, prob=float(prob_text)))
+        try:
+            turn, prob = float(angle_text), float(prob_text)
+        except ValueError:
+            turn = prob = math.nan
+        if not (math.isfinite(turn) and math.isfinite(prob)):
+            raise ConfigError(f"mode entry {part!r} is not 'degrees:prob' with finite numbers", key="synth_modes")
+        modes.append(SynthMode(turn=turn * np.pi / 180.0, prob=prob))
+    try:
+        mode_probabilities(modes)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="synth_modes") from None
     return modes
 
 
@@ -468,10 +470,11 @@ def run_synth(config: Config) -> Path:
     synth_dir = Path(config.out_dir) / "synth"
     synth_dir.mkdir(parents=True, exist_ok=True)
     save_tsv(scenes_to_tracks(scenes), synth_dir / "scenes.tsv")
-    (synth_dir / "manifest.txt").write_text("scenes.tsv\n", encoding="utf-8")
+    with atomic_open(synth_dir / "manifest.txt") as fh:
+        fh.write("scenes.tsv\n")
     # Map each exported window back to the generator metadata hiding in the
     # original scene_id (agent ids are assigned ego-first per scene).
-    with open(synth_dir / "labels.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(synth_dir / "labels.csv") as fh:
         fh.write("window_scene_id,synth_scene_id\n")
         agent = 0
         for i, scene in enumerate(scenes):

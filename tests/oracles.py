@@ -4,11 +4,12 @@ Each oracle computes one quantity directly, one row or one pair at a time,
 so that it shares as little code as possible with the path under test.
 """
 
+import hashlib
 import math
 
 import numpy as np
 
-from memtraj.addresser import DEGENERATE_NORM
+from memtraj.addresser import DEGENERATE_NORM, addresser_training_data, fit_addresser
 from memtraj.datasets import Scene, SceneBatch
 from memtraj.features import decode_batch, social_forward_batch
 from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached
@@ -150,3 +151,21 @@ def synth_mode_endpoints(meta: dict, mode_spec, future_len: int) -> np.ndarray:
         direction = np.array([np.cos(angle), np.sin(angle)])
         endpoints.append(meta["turn_point"] + future_len * meta["speed"] * direction)
     return np.stack(endpoints)
+
+
+def train_addresser(nets, bank, feature_nets, dataset, config):
+    """A trained copy of ``nets``: one uninterrupted ``fit_addresser`` run over the stage's schedule.
+
+    The reference for ``train_addresser_selected``, whose segments continue
+    the same ``addresser-batches`` stream; the input nets are not mutated.
+    """
+    data = addresser_training_data(bank, feature_nets, dataset)
+    nets = nets.copy()
+    rng = np.random.default_rng(config.seed_for("addresser-batches"))
+    fit_addresser(nets, bank, data, config, *config.sgd_schedule("addresser"), rng)
+    return nets
+
+
+def config_hash(config) -> str:
+    """SHA-256 of every key of a config, runtime-only keys included (``stage_hash`` skips those)."""
+    return hashlib.sha256(config.canonical_text().encode("utf-8")).hexdigest()

@@ -22,7 +22,6 @@ from memtraj.addresser import (
     key_table,
     pseudo_labels,
     score_all,
-    train_addresser,
 )
 from memtraj.config import Config
 from memtraj.datasets import (
@@ -55,7 +54,7 @@ from memtraj.pipeline import (
     train_addresser_selected,
 )
 
-from oracles import finite_diff_check, hidden_preactivations, is_redundant, kmeans_cost, synth_mode_endpoints
+from oracles import finite_diff_check, hidden_preactivations, is_redundant, kmeans_cost, synth_mode_endpoints, train_addresser
 
 SYNTH_SIGMA = 0.02  # per-step jitter of the synthetic generator
 FUTURE_LEN = 12

@@ -13,14 +13,13 @@ from memtraj.addresser import (
     pseudo_labels,
     score_all,
     top_l,
-    train_addresser,
 )
 from memtraj.datasets import synth_generate
 from memtraj.features import init_encoder_decoder, train_features
 from memtraj.membank import bank_init
 
 from conftest import quick_config
-from oracles import score
+from oracles import score, train_addresser
 
 
 def cosine(a, b):

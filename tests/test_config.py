@@ -1,7 +1,9 @@
 """Unit tests for run configuration, scale defaults, and seed derivation."""
 
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +13,14 @@ from memtraj.cli import main
 from memtraj.config import Config, RUNTIME_ONLY_FIELDS, load_config
 from memtraj.errors import ConfigError
 
+from oracles import config_hash
 
-def test_sgd_phases_append_finetune_when_enabled():
-    config = Config(epochs_addresser=7, lr_addresser=0.5, epochs_finetune=3, lr_finetune=0.25)
-    assert config.sgd_phases("addresser") == [(7, 0.5)]
-    config.finetune = True
-    assert config.sgd_phases("addresser") == [(7, 0.5), (3, 0.25)]
-    assert config.sgd_phases("features") == [(config.epochs_features, config.lr_features), (3, 0.25)]
-    config.epochs_finetune = 0
-    assert config.sgd_phases("fulfillment") == [(config.epochs_fulfillment, config.lr_fulfillment)]
+
+def test_sgd_schedule_reads_the_stage_keys():
+    config = Config(epochs_features=5, lr_features=0.125, epochs_addresser=7, lr_addresser=0.5, epochs_fulfillment=3, lr_fulfillment=0.25)
+    assert config.sgd_schedule("features") == (5, 0.125)
+    assert config.sgd_schedule("addresser") == (7, 0.5)
+    assert config.sgd_schedule("fulfillment") == (3, 0.25)
 
 
 def test_scale_defaults():
@@ -63,6 +64,8 @@ def test_validate_rejects_bad_values():
         Config(scale="pixel", decode_mode="middle").validate()
     with pytest.raises(ConfigError, match="past_len"):
         Config(scale="pixel", past_len=0).validate()
+    with pytest.raises(ConfigError, match="key 'seed': must be >= 0, got -1"):
+        Config(scale="pixel", seed=-1)
     # a fully-default config is valid
     Config(scale="pixel").validate()
 
@@ -80,9 +83,9 @@ def test_canonical_text_and_hash():
     a = Config(scale="meter", seed=4)
     b = Config(scale="meter", seed=4)
     assert a.canonical_text() == b.canonical_text()
-    assert a.config_hash() == b.config_hash()
+    assert config_hash(a) == config_hash(b)
     c = Config(scale="meter", seed=5)
-    assert a.config_hash() != c.config_hash()
+    assert config_hash(a) != config_hash(c)
     # text is sorted key = value lines
     lines = a.canonical_text().strip().split("\n")
     assert lines == sorted(lines)
@@ -103,7 +106,7 @@ def test_stage_hash_ignores_runtime_only_keys():
     ]:
         changed = replace(base, **{name: value})
         assert changed.stage_hash() == base.stage_hash(), name
-        assert changed.config_hash() != base.config_hash(), name
+        assert config_hash(changed) != config_hash(base), name
     # keys a training stage reads must still invalidate
     for name, value in [("seed", 5), ("batch_size", 64), ("train_manifest", "other/train.txt")]:
         assert replace(base, **{name: value}).stage_hash() != base.stage_hash(), name
@@ -116,7 +119,7 @@ def test_file_round_trip(tmp_path):
     loaded = load_config(path)
     assert loaded == config
     assert loaded.label_threshold is None  # None survives the round trip
-    assert loaded.config_hash() == config.config_hash()
+    assert config_hash(loaded) == config_hash(config)
 
 
 def test_load_config_errors(tmp_path):
@@ -124,6 +127,11 @@ def test_load_config_errors(tmp_path):
     path.write_text("no_such_key = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="no_such_key"):
         load_config(path)
+    # the finetune phase and its keys are gone; a config that still sets them is rejected
+    for key in ("finetune", "epochs_finetune", "lr_finetune"):
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"key '{key}': unknown config key"):
+            load_config(path)
     path.write_text("just some words\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
@@ -172,15 +180,14 @@ def configs(draw):
         n_predict=draw(st.integers(1, n_retrieve)),
         label_threshold=draw(st.one_of(st.none(), st.floats(1e-300, 1e300))),
         decode_mode=draw(st.sampled_from(["query", "stored"])),
-        finetune=draw(st.booleans()),
         snap_destination=draw(st.booleans()),
-        seed=draw(st.integers(-(2**63), 2**63 - 1)),
+        seed=draw(st.integers(0, 2**63 - 1)),
     )
     for name in ("past_len", "future_len", "past_dim", "intent_dim", "addr_dim", "batch_size", "window_stride", "synth_scenes"):
         values[name] = draw(st.integers(1, 10**6))
-    for name in ("epochs_features", "epochs_addresser", "epochs_fulfillment", "epochs_finetune", "max_neighbors", "synth_neighbors"):
+    for name in ("epochs_features", "epochs_addresser", "epochs_fulfillment", "max_neighbors", "synth_neighbors"):
         values[name] = draw(counts)
-    for name in ("lr_features", "lr_addresser", "lr_fulfillment", "lr_finetune", "synth_speed"):
+    for name in ("lr_features", "lr_addresser", "lr_fulfillment", "synth_speed"):
         values[name] = draw(st.floats(5e-324, 1e300))
     for name in ("intent_weight", "future_weight", "synth_jitter"):
         values[name] = draw(st.floats(0.0, 1e300))
@@ -232,7 +239,6 @@ NON_FINITE_LINES = [
     ("lr_features", "inf"),
     ("lr_addresser", "inf"),
     ("lr_fulfillment", "inf"),
-    ("lr_finetune", "inf"),
     ("synth_speed", "inf"),
     ("label_threshold", "inf"),
     ("label_threshold", "nan"),
@@ -253,3 +259,23 @@ def test_cli_rejects_non_finite_config_values(tmp_path, capsys):
     path.write_text("theta_past = inf\ntheta_int = inf\n", encoding="utf-8")
     config = load_config(path)
     assert config.theta_past == config.theta_int == math.inf
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    path.write_text("scale = meter\n", encoding="utf-8")
+    negative_in_file = tmp_path / "negative.cfg"
+    negative_in_file.write_text("scale = meter\nseed = -1\n", encoding="utf-8")
+    for argv in (["--config", str(path), "--seed", "-1"], ["--config", str(negative_in_file)]):
+        assert main(["synth", *argv, "--out", str(out), "--scenes", "2"]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "key 'seed': must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == [f.name for f in fields(Config)]

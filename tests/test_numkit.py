@@ -160,7 +160,7 @@ def test_sgd_rejects_nonfinite_gradients():
         sgd_step(net, grads, 0.1)
 
 
-def test_sgd_loop_counts_epochs_across_phases():
+def test_sgd_loop_draws_a_fresh_permutation_each_epoch():
     net = Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
     seen = []
 
@@ -170,11 +170,11 @@ def test_sgd_loop_counts_epochs_across_phases():
         grads.d_biases[0] = np.ones(2)
         return 1.0, [(net, grads)]
 
-    sgd_loop("test", 5, 2, [(2, 0.1), (1, 0.01)], np.random.default_rng(3), step)
+    sgd_loop("test", 5, 2, 3, 0.1, np.random.default_rng(3), step)
     # three epochs of three batches, each epoch a fresh permutation from the same RNG
     rng = np.random.default_rng(3)
     assert seen == [idx.tolist() for _ in range(3) for idx in shuffled_batches(5, 2, rng)]
-    np.testing.assert_allclose(net.biases[0], -(6 * 0.1 + 3 * 0.01) * np.ones(2), rtol=1e-12)
+    np.testing.assert_allclose(net.biases[0], -9 * 0.1 * np.ones(2), rtol=1e-12)
 
 
 def test_sgd_loop_raises_before_updating_on_nonfinite_loss():
@@ -188,7 +188,7 @@ def test_sgd_loop_raises_before_updating_on_nonfinite_loss():
 
     # three batches per epoch, so the fourth is the first batch of epoch 2
     with pytest.raises(NumericError, match="non-finite test loss at epoch 2"):
-        sgd_loop("test", 6, 2, [(1, 0.1), (3, 0.1)], np.random.default_rng(0), step)
+        sgd_loop("test", 6, 2, 4, 0.1, np.random.default_rng(0), step)
     assert len(weights_seen) == 4
     np.testing.assert_array_equal(net.weights[0], weights_seen[-1])
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the staged pipeline, its manifests, and the CLI."""
 
+import errno
 import json
 import shutil
 from dataclasses import replace
@@ -32,6 +33,8 @@ from memtraj.pipeline import (
     stage_train_fulfillment,
     train_addresser_selected,
 )
+
+from oracles import train_addresser
 
 
 def tiny_config(out_dir, **overrides):
@@ -161,7 +164,7 @@ def test_train_addresser_selected_reports_best(tmp_path):
 
 def test_selection_segments_continue_one_batch_stream(tmp_path, monkeypatch):
     from memtraj import pipeline
-    from memtraj.addresser import init_addresser_nets, train_addresser
+    from memtraj.addresser import init_addresser_nets
     from memtraj.features import train_features
     from memtraj.membank import bank_init
 
@@ -432,6 +435,91 @@ def _assert_cli_error(argv, capsys, *needles):
     assert "Traceback" not in err
     for needle in needles:
         assert needle in err
+
+
+@pytest.mark.parametrize(
+    "modes, reason",
+    [
+        ("abc:0.5,90:0.5", "mode entry 'abc:0.5' is not 'degrees:prob'"),
+        ("0:0.5,90", "mode entry '90' is not 'degrees:prob'"),
+        ("0:nan,90:1", "mode entry '0:nan' is not 'degrees:prob' with finite numbers"),
+        ("0:0.5,90:0.2", "mode probabilities sum to 0.7, expected 1"),
+        ("0:1", "need at least 2 modes"),
+        ("0:-0.5,90:1.5", "mode probabilities must be >= 0"),
+    ],
+    ids=["not-a-number", "no-probability", "nan", "sum-0.7", "one-mode", "negative"],
+)
+def test_cli_rejects_malformed_synth_modes(tmp_path, capsys, modes, reason):
+    cfg_path = tmp_path / "run.cfg"
+    tiny_config(tmp_path, synth_scenes=5, synth_modes=modes).to_file(cfg_path)
+    _assert_cli_error(["synth", "--config", str(cfg_path)], capsys, "key 'synth_modes'", reason)
+    assert not (tmp_path / "synth").exists()
+
+
+def test_cli_reports_an_output_path_it_cannot_create(tmp_path, capsys):
+    config = tiny_config(tmp_path / "run", epochs_features=1)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "afile"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    # train_manifest still points at the synth run, so train-features fails only when it saves
+    for command in ("synth", "train-features"):
+        _assert_cli_error([command, "--config", str(cfg_path), "--out", str(blocker / "sub")], capsys, "Not a directory", str(blocker / "sub"))
+    assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+
+class _FullDisk:
+    """A text file that fails like a full disk on its second write, or when closed after only one."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        self.fh.close()
+        if exc_type is None:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "name", ["synth/scenes.tsv", "synth/manifest.txt", "synth/labels.csv", "eval_scenes.csv", "eval_summary.txt", "run.cfg"]
+)
+def test_interrupted_write_keeps_the_previous_file(trained_run, tmp_path, monkeypatch, name):
+    from memtraj import numkit
+
+    if name.startswith("synth/"):
+        config = tiny_config(tmp_path)
+        target = tmp_path / name
+        write = lambda: run_synth(config)  # noqa: E731
+    elif name.startswith("eval_"):
+        target = Path(trained_run.out_dir) / name
+        write = lambda: run_eval(trained_run)  # noqa: E731
+    else:
+        target = tmp_path / name
+        write = lambda: trained_run.to_file(target)  # noqa: E731
+    write()
+    before = target.read_bytes()
+
+    def failing_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FullDisk(fh) if Path(file).name.startswith(f".{target.name}.") else fh
+
+    monkeypatch.setattr(numkit, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write()
+    assert target.read_bytes() == before
+    assert not list(target.parent.glob(".*.tmp"))
 
 
 def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
