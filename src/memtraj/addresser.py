@@ -66,11 +66,12 @@ def fixed_cosine_nets(past_dim: int) -> AddresserNets:
 
 
 def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-normalize, flagging degenerate rows (norm below DEGENERATE_NORM)."""
+    """Unit rows, their norms and degenerate flags (norm below DEGENERATE_NORM); a degenerate row becomes zeros."""
     norms = np.linalg.norm(mat, axis=1)
     degenerate = norms < DEGENERATE_NORM
-    safe = np.where(degenerate, 1.0, norms)
-    return mat / safe[:, None], norms, degenerate
+    unit = mat / np.where(degenerate, 1.0, norms)[:, None]
+    unit[degenerate] = 0.0
+    return unit, norms, degenerate
 
 
 def key_table(nets: AddresserNets, bank: MemoryBankPair) -> np.ndarray:
@@ -82,13 +83,12 @@ def key_table(nets: AddresserNets, bank: MemoryBankPair) -> np.ndarray:
     keys, _, degenerate = _normalize_rows(mlp_forward(nets.key_proj, bank.past_feats))
     if degenerate.any():
         logger.warning("%d degenerate key projections; they score 0", int(degenerate.sum()))
-        keys[degenerate] = 0.0
     return keys
 
 
 def score_all(nets: AddresserNets, query_feat, keys: np.ndarray) -> np.ndarray:
     """Cosine scores of one query against every row of a :func:`key_table`."""
-    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64))
+    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64)[None])[0]
     u_norm = float(np.linalg.norm(u))
     if u_norm < DEGENERATE_NORM:
         logger.warning("degenerate query projection (norm %.3e); scoring 0", u_norm)
@@ -130,12 +130,7 @@ class _CosineBatch:
 def _cosine_forward(u: np.ndarray, w: np.ndarray) -> _CosineBatch:
     un, nu, u_bad = _normalize_rows(u)
     wn, nw, w_bad = _normalize_rows(w)
-    scores = un @ wn.T
-    if u_bad.any():
-        scores[u_bad, :] = 0.0
-    if w_bad.any():
-        scores[:, w_bad] = 0.0
-    return _CosineBatch(scores, un, wn, nu, nw, u_bad, w_bad)
+    return _CosineBatch(un @ wn.T, un, wn, nu, nw, u_bad, w_bad)
 
 
 def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +146,6 @@ def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndar
     safe_w = np.where(state.w_degenerate, 1.0, state.w_norms)[:, None]
     d_u = (d @ state.w_normed - row_mix * state.u_normed) / safe_u
     d_w = (d.T @ state.u_normed - col_mix * state.w_normed) / safe_w
-    if state.u_degenerate.any():
-        d_u[state.u_degenerate] = 0.0
-    if state.w_degenerate.any():
-        d_w[state.w_degenerate] = 0.0
     return d_u, d_w
 
 

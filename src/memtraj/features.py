@@ -12,7 +12,10 @@ The fulfillment stage reuses this network shape (:class:`EncoderDecoder`)
 and its trainer (:func:`fit_encoder_decoder`), decoding a future where this
 stage decodes a destination.
 
-All positions here are in the ego frame of a :class:`~memtraj.datasets.SceneBatch`.
+All positions here are in the ego frame of a :class:`~memtraj.datasets.SceneBatch`,
+and every net runs on row batches. The social encoder has one path: a batch
+without neighbor rows runs the neighbor embedder on zero rows, pools to
+zeros, and gets all-zero neighbor gradients, which leave that net unchanged.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def init_encoder_decoder(
 @dataclass
 class SocialCache:
     ego_cache: ForwardCache
-    nb_cache: ForwardCache | None
+    nb_cache: ForwardCache  # zero rows when the batch has no neighbors
     fuse_cache: ForwardCache
     pool_rows: np.ndarray  # (B, E) winning nb row per pooled dim, -1 if none
 
@@ -109,47 +112,41 @@ class SocialCache:
 def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCache]:
     """Past features of a batch of scenes (no neighbors pool to zeros), from any net holder with the social trio."""
     ego_out, ego_cache = mlp_forward_cached(nets.ego_embed, batch.ego_x)
+    nb_out, nb_cache = mlp_forward_cached(nets.neighbor_embed, batch.nb_x)
     n_scenes, embed = ego_out.shape
     pooled = np.zeros((n_scenes, embed))
     pool_rows = np.full((n_scenes, embed), -1, dtype=np.int64)
-    nb_cache = None
-    if batch.nb_x.shape[0]:
-        nb_out, nb_cache = mlp_forward_cached(nets.neighbor_embed, batch.nb_x)
-        cols = np.arange(embed)
-        for b in range(n_scenes):
-            lo, hi = batch.offsets[b], batch.offsets[b + 1]
-            if hi > lo:
-                block = nb_out[lo:hi]
-                winners = block.argmax(axis=0)
-                pooled[b] = block[winners, cols]
-                pool_rows[b] = lo + winners
+    cols = np.arange(embed)
+    for b in range(n_scenes):
+        lo, hi = batch.offsets[b], batch.offsets[b + 1]
+        if hi > lo:
+            block = nb_out[lo:hi]
+            winners = block.argmax(axis=0)
+            pooled[b] = block[winners, cols]
+            pool_rows[b] = lo + winners
     concat = np.hstack([ego_out, pooled])
     out, fuse_cache = mlp_forward_cached(nets.social_fuse, concat)
     return out, SocialCache(ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows)
 
 
-def social_backward_batch(
-    nets, cache: SocialCache, upstream: np.ndarray
-) -> tuple[GradBundle, GradBundle | None, GradBundle]:
+def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tuple[GradBundle, GradBundle, GradBundle]:
     """Back-propagate through fuse, pool, and both embedders.
 
     Returns gradient bundles for (ego_embed, neighbor_embed, social_fuse);
-    the neighbor bundle is None when the batch had no neighbors at all.
+    the neighbor gradients are all zeros when the batch had no neighbors.
     """
     fuse_grads = mlp_backward_from_cache(nets.social_fuse, cache.fuse_cache, upstream)
     embed = nets.ego_embed.out_dim
     d_concat = fuse_grads.d_input
     ego_grads = mlp_backward_from_cache(nets.ego_embed, cache.ego_cache, d_concat[:, :embed])
-    nb_grads = None
-    if cache.nb_cache is not None:
-        d_pooled = d_concat[:, embed:]
-        g_nb = np.zeros_like(cache.nb_cache.activations[-1])
-        valid = cache.pool_rows >= 0
-        cols = np.broadcast_to(np.arange(embed), cache.pool_rows.shape)
-        # Each (row, col) target is hit by at most one scene, so plain
-        # fancy assignment is enough (max-pool routes one winner per dim).
-        g_nb[cache.pool_rows[valid], cols[valid]] = d_pooled[valid]
-        nb_grads = mlp_backward_from_cache(nets.neighbor_embed, cache.nb_cache, g_nb)
+    d_pooled = d_concat[:, embed:]
+    g_nb = np.zeros_like(cache.nb_cache.activations[-1])
+    valid = cache.pool_rows >= 0
+    cols = np.broadcast_to(np.arange(embed), cache.pool_rows.shape)
+    # Each (row, col) target is hit by at most one scene, so plain
+    # fancy assignment is enough (max-pool routes one winner per dim).
+    g_nb[cache.pool_rows[valid], cols[valid]] = d_pooled[valid]
+    nb_grads = mlp_backward_from_cache(nets.neighbor_embed, cache.nb_cache, g_nb)
     return ego_grads, nb_grads, fuse_grads
 
 
@@ -198,10 +195,8 @@ def fit_encoder_decoder(nets: EncoderDecoder, batch: SceneBatch, weight: float, 
         dec_grads = mlp_backward_from_cache(nets.decoder, dec_cache, upstream)
         ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, dec_grads.d_input[:, :past_dim])
         point_g = mlp_backward_from_cache(nets.point_embed, point_cache, dec_grads.d_input[:, past_dim:])
-        updates = [(nets.decoder, dec_grads), (nets.social_fuse, fuse_g), (nets.ego_embed, ego_g)]
-        if nb_g is not None:
-            updates.append((nets.neighbor_embed, nb_g))
-        return loss, updates + [(nets.point_embed, point_g)]
+        social = [(nets.social_fuse, fuse_g), (nets.ego_embed, ego_g), (nets.neighbor_embed, nb_g)]
+        return loss, [(nets.decoder, dec_grads), *social, (nets.point_embed, point_g)]
 
     rng = np.random.default_rng(config.seed_for(f"{stage}-batches"))
     epochs, learning_rate = config.sgd_schedule(stage)

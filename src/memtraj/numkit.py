@@ -6,10 +6,11 @@ parameters and activations are float64 numpy arrays.  Backward passes are
 hand-derived chain rule, validated against central finite differences in the
 tests; there is no autodiff framework anywhere.
 
-Forward and backward accept either a single vector ``(in_dim,)`` or a batch
-``(n, in_dim)``.  For a batch, parameter gradients are summed over the rows,
-which is what the mini-batch trainers need (they scale the upstream signal
-by ``1/n`` themselves).
+Forward and backward take and return row batches ``(n, dim)`` only; a
+single input is a one-row batch.  Parameter gradients are summed over the
+rows, which is what the mini-batch trainers need (they scale the upstream
+signal by ``1/n`` themselves).  A batch may have zero rows: its forward
+pass is empty and its parameter gradients are exact zeros.
 """
 
 from __future__ import annotations
@@ -86,14 +87,13 @@ class GradBundle:
 class ForwardCache:
     """Intermediate activations kept around for a cheap backward pass.
 
-    ``activations[0]`` is the (batched) input, ``activations[l+1]`` the output
+    ``activations[0]`` is the input batch, ``activations[l+1]`` the output
     of layer ``l`` after its activation; ``preacts[l]`` is layer ``l`` before
-    the activation.  Everything is 2-D internally.
+    the activation.
     """
 
     activations: list[np.ndarray]
     preacts: list[np.ndarray]
-    input_was_vector: bool
 
 
 def _check_activation(name: str) -> None:
@@ -137,22 +137,16 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError(f"{what} has length {arr.shape[0]}, expected {dim}")
-        return arr[None, :], True
-    if arr.ndim == 2:
-        if arr.shape[1] != dim:
-            raise ValueError(f"{what} has width {arr.shape[1]}, expected {dim}")
-        return arr, False
-    raise ValueError(f"{what} must be 1-D or 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"{what} must be an (n, {dim}) row batch, got shape {arr.shape}")
+    return arr
 
 
 def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass that also returns the activations needed for backward."""
-    a, was_vector = _as_batch(x, net.in_dim, "input")
+    """Forward pass of an ``(n, in_dim)`` batch that also returns the activations needed for backward."""
+    a = _as_batch(x, net.in_dim, "input")
     activations = [a]
     preacts = []
     last = net.n_layers - 1
@@ -161,12 +155,11 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
         preacts.append(z)
         a = z if l == last else _activate(z, net.hidden_activation)
         activations.append(a)
-    out = a[0] if was_vector else a
-    return out, ForwardCache(activations=activations, preacts=preacts, input_was_vector=was_vector)
+    return a, ForwardCache(activations=activations, preacts=preacts)
 
 
 def mlp_forward(net: Mlp, x) -> np.ndarray:
-    """Map an input vector (or batch of rows) through the network."""
+    """Map an ``(n, in_dim)`` batch of rows through the network to ``(n, out_dim)``."""
     out, _ = mlp_forward_cached(net, x)
     return out
 
@@ -174,15 +167,14 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
 def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream) -> GradBundle:
     """Backward pass reusing a forward cache.
 
-    ``upstream`` is the gradient of some scalar with respect to the network
-    output; the bundle holds that scalar's gradients with respect to every
-    weight, bias, and the input.
+    ``upstream`` is the ``(n, out_dim)`` gradient of some scalar with respect
+    to the network output; the bundle holds that scalar's gradients with
+    respect to every weight, bias, and the ``(n, in_dim)`` input.
     """
-    delta, up_was_vector = _as_batch(upstream, net.out_dim, "upstream")
-    if up_was_vector != cache.input_was_vector or delta.shape[0] != cache.activations[0].shape[0]:
+    delta = _as_batch(upstream, net.out_dim, "upstream")
+    if delta.shape[0] != cache.activations[0].shape[0]:
         raise ValueError(
-            f"upstream batch shape {np.shape(upstream)} does not match forward input "
-            f"shape {cache.activations[0].shape}"
+            f"upstream batch shape {delta.shape} does not match forward input shape {cache.activations[0].shape}"
         )
     d_weights: list[np.ndarray] = [None] * net.n_layers  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * net.n_layers  # type: ignore[list-item]
@@ -192,8 +184,7 @@ def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream) -> GradBund
         delta = delta @ net.weights[l]
         if l > 0:
             delta = delta * _activate_grad(cache.preacts[l - 1], net.hidden_activation)
-    d_input = delta[0] if cache.input_was_vector else delta
-    return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=d_input)
+    return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=delta)
 
 
 def sgd_step(net: Mlp, grads: GradBundle, learning_rate: float) -> Mlp:

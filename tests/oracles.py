@@ -63,8 +63,8 @@ def reference_batch(scenes, with_futures: bool = True) -> SceneBatch:
 
 def score(nets, query_feat, key_feat) -> float:
     """Cosine similarity of the projected query and one projected key; 0 if either projection is degenerate."""
-    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64))
-    w = mlp_forward(nets.key_proj, np.asarray(key_feat, dtype=np.float64))
+    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64)[None])[0]
+    w = mlp_forward(nets.key_proj, np.asarray(key_feat, dtype=np.float64)[None])[0]
     nu = float(np.linalg.norm(u))
     nw = float(np.linalg.norm(w))
     if nu < DEGENERATE_NORM or nw < DEGENERATE_NORM:
@@ -118,7 +118,7 @@ def hidden_preactivations(net, x) -> list:
 
 
 def finite_diff_check(net, x, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients of ``ones . output``.
+    """Max relative error between analytic and central-difference gradients of ``ones . output`` at a one-row batch ``x``.
 
     Every weight, bias, and input entry is perturbed by ``+-eps``; the
     relative error for one coordinate is
@@ -126,7 +126,7 @@ def finite_diff_check(net, x, eps: float = 1e-5) -> float:
     """
     x = np.array(x, dtype=np.float64)
     up = np.ones(net.out_dim)
-    bundle = mlp_backward(net, x, up)
+    bundle = mlp_backward(net, x, up[None])
     pairs = [(p, g) for l in range(net.n_layers) for p, g in ((net.weights[l], bundle.d_weights[l]), (net.biases[l], bundle.d_biases[l]))]
     worst = 0.0
     for arr, grad in pairs + [(x, bundle.d_input)]:
@@ -134,9 +134,9 @@ def finite_diff_check(net, x, eps: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = float(mlp_forward(net, x) @ up)
+            f_plus = float(mlp_forward(net, x)[0] @ up)
             flat[i] = orig - eps
-            f_minus = float(mlp_forward(net, x) @ up)
+            f_minus = float(mlp_forward(net, x)[0] @ up)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             worst = max(worst, abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric)))

@@ -80,7 +80,7 @@ def test_criterion_1_gradient_suite(capsys):
         activation = RELU if rng.integers(2) else TANH
         net = mlp_init(int(rng.integers(1 << 30)), [in_dim, *hidden, out_dim], hidden_activation=activation)
         for _ in range(200):
-            x = rng.normal(size=in_dim)
+            x = rng.normal(size=(1, in_dim))
             # central differences are only trustworthy away from ReLU kinks
             if all(np.min(np.abs(z)) > 1e-3 for z in hidden_preactivations(net, x)):
                 break

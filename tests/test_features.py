@@ -1,11 +1,16 @@
 """Unit tests for the social/intention encoders and the joint decoder."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import (
     decode_batch,
+    fit_encoder_decoder,
     init_encoder_decoder,
     social_backward_batch,
     social_forward_batch,
@@ -73,6 +78,46 @@ def test_social_batch_matches_single_scene(small_scenes):
         np.testing.assert_allclose(encode_one(nets, scene), batch_out[i], rtol=1e-10, atol=1e-12)
 
 
+MIX_NETS = init_encoder_decoder(2, past_len=8, target_len=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(0, 3), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
+@example(counts=[0, 0, 0], seed=0)
+def test_mixed_neighbor_batches_encode_like_each_scene_alone(counts, seed):
+    # Each scene is encoded alone as the two-row batch of itself: numpy sends a
+    # one-row product down a different BLAS kernel, whose last bits differ,
+    # while products of two or more rows give every row the same bits. So the
+    # mixed batch needs two or more neighbor rows, or none.
+    assume(sum(counts) != 1)
+    rng = np.random.default_rng(seed)
+    scenes = [
+        Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"m{i}")
+        for i, n in enumerate(counts)
+    ]
+    batch = scene_batch(scenes)
+    out, cache = social_forward_batch(MIX_NETS, batch)
+    assert cache.nb_cache.activations[0].shape == (sum(counts), 16)
+    for i, n in enumerate(counts):
+        alone, alone_cache = social_forward_batch(MIX_NETS, batch.take([i, i]))
+        np.testing.assert_array_equal(out[i], alone[0])
+        own_rows = np.where(cache.pool_rows[i] >= 0, cache.pool_rows[i] - batch.offsets[i], -1)
+        np.testing.assert_array_equal(alone_cache.pool_rows[0], own_rows)
+        assert (own_rows >= 0).all() if n else (own_rows == -1).all()
+
+
+def test_neighborless_training_step_leaves_neighbor_embed_unchanged():
+    config = quick_config(epochs_features=1, batch_size=8)
+    batch = scene_batch(synth_generate(4, 8, n_neighbors=0), "the test")
+    nets = init_encoder_decoder(6, past_len=8, target_len=1, past_dim=32, intent_dim=16)
+    before = nets.copy()
+    fit_encoder_decoder(nets, batch, 1.0, "features", config)  # one epoch of one 8-scene step
+    for f in fields(nets):
+        after, start = getattr(nets, f.name), getattr(before, f.name)
+        same = [np.array_equal(a, b) for a, b in zip(after.weights + after.biases, start.weights + start.biases)]
+        assert all(same) if f.name == "neighbor_embed" else not same[0], f.name
+
+
 def tiny_social_nets(seed):
     """Small tanh trio for gradient checking (embed width 3, feature width 4)."""
     rng = np.random.default_rng(seed)
@@ -136,8 +181,8 @@ def test_intention_encode_validation():
     nets = init_encoder_decoder(0, past_len=8, target_len=1)
     with pytest.raises(ValueError):
         mlp_forward(nets.point_embed, np.zeros(3))
-    feat = mlp_forward(nets.point_embed, np.array([1.0, -2.0]))
-    assert feat.shape == (nets.intent_dim,)
+    feat = mlp_forward(nets.point_embed, np.array([[1.0, -2.0]]))
+    assert feat.shape == (1, nets.intent_dim)
 
 
 def test_joint_decode_shapes():
@@ -155,8 +200,8 @@ def test_mean_rec_loss_matches_scalar_path(small_scenes):
         normalized, _ = normalize_scene(scene)
         dest = normalized.ego_future[-1]
         k = encode_one(nets, scene)
-        v = mlp_forward(nets.point_embed, dest)
-        past_hat, dest_hat = decode_batch(nets, k[None, :], v[None, :])
+        v = mlp_forward(nets.point_embed, dest[None])
+        past_hat, dest_hat = decode_batch(nets, k[None, :], v)
         total += float(np.sum((past_hat[0] - normalized.ego_past.reshape(-1)) ** 2) + np.sum((dest_hat[0] - dest) ** 2))
     np.testing.assert_allclose(mean_rec_loss(nets, scenes), total / 6, rtol=1e-9)
 

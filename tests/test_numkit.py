@@ -9,7 +9,9 @@ from memtraj.numkit import (
     RELU,
     TANH,
     load_mlp,
+    mlp_backward_from_cache,
     mlp_forward,
+    mlp_forward_cached,
     mlp_init,
     save_mlp,
     sgd_loop,
@@ -51,35 +53,42 @@ def test_init_validation():
         mlp_init(0, [4, 2], hidden_activation="sigmoid")
 
 
-def test_forward_vector_vs_batch():
-    net = mlp_init(1, [4, 6, 3], hidden_activation=TANH)
-    rng = np.random.default_rng(2)
-    xs = rng.normal(size=(7, 4))
-    batch_out = mlp_forward(net, xs)
-    assert batch_out.shape == (7, 3)
-    for i in range(7):
-        # not bitwise: BLAS picks different kernels for different shapes
-        np.testing.assert_allclose(mlp_forward(net, xs[i]), batch_out[i], rtol=1e-12, atol=1e-14)
-
-
 def test_forward_input_validation():
     net = mlp_init(0, [4, 2])
-    with pytest.raises(ValueError):
-        mlp_forward(net, np.zeros(3))
     with pytest.raises(ValueError):
         mlp_forward(net, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         mlp_forward(net, np.zeros((1, 1, 4)))
+    assert mlp_forward(net, np.zeros((0, 4))).shape == (0, 2)
+
+
+def test_vectors_are_rejected_with_the_batch_shape():
+    net = mlp_init(0, [4, 2])
+    for fn in (mlp_forward, mlp_forward_cached):
+        with pytest.raises(ValueError, match=r"\(n, 4\) row batch, got shape \(4,\)"):
+            fn(net, np.zeros(4))
+    _, cache = mlp_forward_cached(net, np.zeros((1, 4)))
+    with pytest.raises(ValueError, match=r"\(n, 2\) row batch, got shape \(2,\)"):
+        mlp_backward_from_cache(net, cache, np.zeros(2))
+
+
+def test_zero_row_batch_gives_zero_parameter_gradients():
+    net = mlp_init(4, [3, 5, 2], hidden_activation=TANH)
+    grads = mlp_backward(net, np.zeros((0, 3)), np.zeros((0, 2)))
+    assert grads.d_input.shape == (0, 3)
+    for w, dw, b, db in zip(net.weights, grads.d_weights, net.biases, grads.d_biases):
+        assert dw.shape == w.shape and db.shape == b.shape
+        assert not dw.any() and not db.any()
 
 
 def test_backward_hand_case_single_affine():
     # One affine layer: out = 2x + 0.5 at x=3, upstream 1.
     net = Mlp(layer_dims=[1, 1], weights=[np.array([[2.0]])], biases=[np.array([0.5])])
-    assert mlp_forward(net, np.array([3.0])) == pytest.approx(6.5)
-    grads = mlp_backward(net, np.array([3.0]), np.array([1.0]))
+    assert mlp_forward(net, np.array([[3.0]])) == pytest.approx(6.5)
+    grads = mlp_backward(net, np.array([[3.0]]), np.array([[1.0]]))
     np.testing.assert_array_equal(grads.d_weights[0], [[3.0]])
     np.testing.assert_array_equal(grads.d_biases[0], [1.0])
-    np.testing.assert_array_equal(grads.d_input, [2.0])
+    np.testing.assert_array_equal(grads.d_input, [[2.0]])
 
 
 def test_backward_batch_is_sum_of_singles():
@@ -88,7 +97,7 @@ def test_backward_batch_is_sum_of_singles():
     xs = rng.normal(size=(6, 3))
     ups = rng.normal(size=(6, 2))
     batch = mlp_backward(net, xs, ups)
-    singles = [mlp_backward(net, xs[i], ups[i]) for i in range(6)]
+    singles = [mlp_backward(net, xs[i : i + 1], ups[i : i + 1]) for i in range(6)]
     for l in range(net.n_layers):
         np.testing.assert_allclose(
             batch.d_weights[l], sum(s.d_weights[l] for s in singles), rtol=1e-12, atol=1e-12
@@ -97,16 +106,16 @@ def test_backward_batch_is_sum_of_singles():
             batch.d_biases[l], sum(s.d_biases[l] for s in singles), rtol=1e-12, atol=1e-12
         )
     for i in range(6):
-        np.testing.assert_allclose(batch.d_input[i], singles[i].d_input, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(batch.d_input[i], singles[i].d_input[0], rtol=1e-12, atol=1e-12)
 
 
 def test_backward_upstream_validation():
     net = mlp_init(0, [3, 2])
     with pytest.raises(ValueError):
-        mlp_backward(net, np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        # batch input with vector upstream
-        mlp_backward(net, np.zeros((4, 3)), np.zeros(2))
+        mlp_backward(net, np.zeros((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="does not match"):
+        # upstream rows must match the forward input's rows
+        mlp_backward(net, np.zeros((4, 3)), np.zeros((3, 2)))
 
 
 def test_finite_diff_tanh():
@@ -114,7 +123,7 @@ def test_finite_diff_tanh():
     for _ in range(5):
         dims = [int(rng.integers(2, 6)) for _ in range(rng.integers(2, 4))]
         net = mlp_init(int(rng.integers(1 << 30)), dims, hidden_activation=TANH)
-        x = rng.normal(size=dims[0])
+        x = rng.normal(size=(1, dims[0]))
         assert finite_diff_check(net, x) < 1e-4
 
 
@@ -124,7 +133,7 @@ def test_finite_diff_relu_off_kinks():
         net = mlp_init(int(rng.integers(1 << 30)), [4, 8, 4], hidden_activation=RELU)
         # resample until every hidden pre-activation is clear of the kink
         for _ in range(100):
-            x = rng.normal(size=4)
+            x = rng.normal(size=(1, 4))
             if all(np.min(np.abs(z)) > 1e-3 for z in hidden_preactivations(net, x)):
                 break
         else:
@@ -134,27 +143,27 @@ def test_finite_diff_relu_off_kinks():
 
 def test_sgd_decreases_simple_loss():
     net = mlp_init(3, [2, 4, 1], hidden_activation=TANH)
-    x = np.array([0.7, -0.3])
+    x = np.array([[0.7, -0.3]])
     target = 2.0
 
     def loss():
-        return float((mlp_forward(net, x)[0] - target) ** 2)
+        return float((mlp_forward(net, x)[0, 0] - target) ** 2)
 
     before = loss()
     for _ in range(50):
-        residual = mlp_forward(net, x)[0] - target
-        grads = mlp_backward(net, x, np.array([2.0 * residual]))
+        residual = mlp_forward(net, x)[0, 0] - target
+        grads = mlp_backward(net, x, np.array([[2.0 * residual]]))
         sgd_step(net, grads, 0.05)
     assert loss() < 0.1 * before
 
 
 def test_sgd_rejects_nonfinite_gradients():
     net = mlp_init(0, [2, 2])
-    grads = mlp_backward(net, np.ones(2), np.ones(2))
+    grads = mlp_backward(net, np.ones((1, 2)), np.ones((1, 2)))
     grads.d_weights[0][0, 0] = np.inf
     with pytest.raises(NumericError):
         sgd_step(net, grads, 0.1)
-    grads = mlp_backward(net, np.ones(2), np.ones(2))
+    grads = mlp_backward(net, np.ones((1, 2)), np.ones((1, 2)))
     grads.d_biases[0][1] = np.nan
     with pytest.raises(NumericError):
         sgd_step(net, grads, 0.1)
@@ -196,7 +205,7 @@ def test_sgd_loop_raises_before_updating_on_nonfinite_loss():
 def test_sgd_rejects_mismatched_shapes():
     net = mlp_init(0, [2, 2])
     other = mlp_init(0, [2, 3])
-    grads = mlp_backward(other, np.ones(2), np.ones(3))
+    grads = mlp_backward(other, np.ones((1, 2)), np.ones((1, 3)))
     with pytest.raises(ValueError):
         sgd_step(net, grads, 0.1)
 
