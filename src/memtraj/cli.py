@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "synth":
             run_synth(config)
     except (MemtrajError, OSError) as exc:
-        # OSError: an output path that cannot be created or written
+        # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

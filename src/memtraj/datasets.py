@@ -493,18 +493,22 @@ def synth_meta(scene_id: str) -> dict:
     return meta
 
 
-def scenes_to_tracks(scenes: Sequence[Scene], frame_gap: int = 1000) -> list[RawTrack]:
+def scenes_to_tracks(scenes: Sequence[Scene]) -> list[RawTrack]:
     """Flatten scenes into disjoint tracks for TSV export.
 
-    Scene ``i`` occupies frames ``[i * frame_gap, ...)``; its ego becomes one
-    agent covering past plus future, each neighbor an agent covering the past
-    frames only. Re-windowing the result with the same past/future lengths
-    recovers one scene per exported scene.
+    Scene ``i`` occupies frames ``[i * gap, ...)``, ``gap`` being 1000 or the
+    longest scene's frame count if that is more, so no two scenes share a
+    frame; its ego becomes one agent covering past plus future, each
+    neighbor an agent covering the past frames only. Tracks are listed scene
+    by scene, ego first, with agent ids counting up from 0. Re-windowing the
+    result with the same past/future lengths recovers one scene per exported
+    scene.
     """
+    gap = max([1000] + [len(s.ego_past) + (0 if s.ego_future is None else len(s.ego_future)) for s in scenes])
     tracks = []
     next_agent = 0
     for i, scene in enumerate(scenes):
-        base = i * frame_gap
+        base = i * gap
         past_len = scene.ego_past.shape[0]
         ego_coords = (
             np.vstack([scene.ego_past, scene.ego_future])

@@ -23,6 +23,7 @@ from .membank import MemoryBankPair
 
 DECODE_QUERY = "query"  # decode [query past feature ; stored intention feature]
 DECODE_STORED = "stored"  # decode [stored past feature ; stored intention feature]
+KMEANS_MAX_ITERS = 100  # Lloyd passes before k-means stops short of a fixpoint
 
 
 @dataclass
@@ -63,10 +64,10 @@ def decode_anchors(
     return dest_hat
 
 
-def kmeans(points, k: int, seed: int, max_iters: int = 100) -> IntentionSet:
+def kmeans(points, k: int, seed: int) -> IntentionSet:
     """Seeded k-means++ with Lloyd iterations and empty-cluster repair.
 
-    Runs until the assignment reaches a fixpoint or ``max_iters`` passes.
+    Runs until the assignment reaches a fixpoint or ``KMEANS_MAX_ITERS`` passes.
     When a cluster empties, it steals the point currently farthest from its
     own centroid (donors must keep at least one member), so no cluster is
     ever empty in the result. Assignment ties go to the lowest cluster index.
@@ -77,8 +78,6 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100) -> IntentionSet:
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}] (number of points), got {k}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     # Work on a lexicographically sorted copy so seeding (and therefore the
     # whole run) is invariant to the order the points came in.
@@ -99,7 +98,7 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100) -> IntentionSet:
 
     costs: list[float] = []
     prev_assign = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = np.sum((sorted_pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = d2.argmin(axis=1)
         sizes = np.bincount(assign, minlength=k)

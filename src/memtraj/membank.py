@@ -73,6 +73,10 @@ class MemoryBankPair:
     def __len__(self) -> int:
         return len(self.sample_ids)
 
+    def take(self, rows) -> "MemoryBankPair":
+        """The bank of the given rows (an index or boolean array), in that order, with the same meta."""
+        return MemoryBankPair(**{name: getattr(self, name)[rows] for name in _RECORD_FIELDS}, meta=self.meta)
+
 
 def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
     """Encode every training scene into one memory entry (unfiltered bank).
@@ -129,7 +133,7 @@ def bank_filter(bank: MemoryBankPair, theta_past: float, theta_int: float, seed:
         len(bank),
         100.0 * len(kept) / len(bank),
     )
-    return MemoryBankPair(**{name: getattr(bank, name)[kept] for name in _RECORD_FIELDS}, meta=meta)
+    return replace(bank.take(kept), meta=meta)
 
 
 # A start distance that rounds to <= theta_past leaves each coordinate

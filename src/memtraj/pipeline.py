@@ -25,7 +25,6 @@ import logging
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -82,7 +81,6 @@ class StageRecord:
     path: str
     sha256: str
     config_hash: str
-    created: str
     inputs: dict[str, str]  # prerequisite stage -> sha256 of the artifact this stage read
 
 
@@ -99,7 +97,7 @@ class RunManifest:
             data = json.loads(path.read_text(encoding="utf-8"))
             stages = {name: StageRecord(**rec) for name, rec in data.get("stages", {}).items()}
             for rec in stages.values():
-                if not all(isinstance(value, str) for value in (rec.path, rec.sha256, rec.config_hash, rec.created)):
+                if not all(isinstance(value, str) for value in (rec.path, rec.sha256, rec.config_hash)):
                     raise TypeError("stage record fields must be strings")
                 if not isinstance(rec.inputs, dict) or not all(isinstance(value, str) for value in rec.inputs.values()):
                     raise TypeError("stage record inputs must map stage names to hash strings")
@@ -134,7 +132,6 @@ def _record_stage(config: Config, name: str, artifact: Path) -> None:
         path=artifact.relative_to(out_dir).as_posix(),
         sha256=artifact_hash(artifact),
         config_hash=config.stage_hash(),
-        created=datetime.now(timezone.utc).isoformat(),
         inputs={read: manifest.stages[read].sha256 for read in _READS.get(name, ())},
     )
     manifest.save(out_dir)
@@ -249,22 +246,32 @@ def train_addresser_selected(
 
     The last tenth of the dataset (capped at SELECTION_HOLDOUT_CAP scenes) is
     held out; after each training segment the current nets are scored by
-    ``destination_error`` on it, and the best snapshot wins. The untrained
+    ``destination_error`` on it, retrieving only from the bank entries of the
+    other scenes (a held-out scene's own entry would match it exactly), and
+    the best snapshot wins. ConfigError when no such entry is left. The untrained
     start competes too, so when the pseudo-labels carry no ranking signal the
     addresser keeps its starting point instead of degrading retrieval. Ties
     resolve toward the earlier snapshot. Returns the winning nets plus a
     report dict with the per-snapshot errors. L and K for the holdout come
-    from :func:`retrieval_counts` with K clamped to L.
+    from :func:`retrieval_counts` over that memory, with K clamped to L.
     """
     dataset = list(dataset)
     n_hold = min(SELECTION_HOLDOUT_CAP, max(1, int(len(dataset) * SELECTION_HOLDOUT_FRACTION)))
-    holdout = scene_batch(dataset[-n_hold:], "addresser selection")
-    train_slice = dataset[:-n_hold] or dataset
-    n_retrieve, n_predict = retrieval_counts(len(bank), config.n_retrieve, config.n_predict, clamp_k=True)
+    n_train = len(dataset) - n_hold
+    memory = bank.take(bank.sample_ids < n_train)  # sample ids are training-scene ordinals
+    if not len(memory):
+        raise ConfigError(
+            f"addresser selection holds out the last {n_hold} of {len(dataset)} scenes, and the bank keeps no entry "
+            "of the others to score them against; give the stage more scenes",
+            key="train_manifest",
+        )
+    holdout = scene_batch(dataset[n_train:], "addresser selection")
+    train_slice = dataset[:n_train]
+    n_retrieve, n_predict = retrieval_counts(len(memory), config.n_retrieve, config.n_predict, clamp_k=True)
     seed = config.seed_for("addresser-selection")
 
     def selection_error(candidate: AddresserNets) -> float:
-        return destination_error(feature_nets, candidate, bank, holdout, n_retrieve, n_predict, seed)
+        return destination_error(feature_nets, candidate, memory, holdout, n_retrieve, n_predict, seed)
 
     data = None  # built once, on the first segment, so a stage without epochs never encodes the slice
     rng = np.random.default_rng(config.seed_for("addresser-batches"))
@@ -324,9 +331,6 @@ def load_addresser_nets(stage_dir: Path) -> AddresserNets:
 
 
 def stage_train_fulfillment(config: Config) -> Path:
-    _require_stage(config, STAGE_FEATURES)
-    _require_stage(config, STAGE_BANK)
-    _require_stage(config, STAGE_ADDRESSER)
     scenes = _load_scenes(config, "train_manifest")
     nets = init_encoder_decoder(
         config.seed_for("fulfillment"),
@@ -469,17 +473,19 @@ def run_synth(config: Config) -> Path:
     )
     synth_dir = Path(config.out_dir) / "synth"
     synth_dir.mkdir(parents=True, exist_ok=True)
-    save_tsv(scenes_to_tracks(scenes), synth_dir / "scenes.tsv")
+    tracks = scenes_to_tracks(scenes)
+    save_tsv(tracks, synth_dir / "scenes.tsv")
     with atomic_open(synth_dir / "manifest.txt") as fh:
         fh.write("scenes.tsv\n")
     # Map each exported window back to the generator metadata hiding in the
-    # original scene_id (agent ids are assigned ego-first per scene).
+    # original scene_id: a window is named by its ego and its last past frame,
+    # and each scene's ego track comes first among its tracks.
     with atomic_open(synth_dir / "labels.csv") as fh:
         fh.write("window_scene_id,synth_scene_id\n")
         agent = 0
-        for i, scene in enumerate(scenes):
-            last_frame = i * 1000 + config.past_len - 1
-            fh.write("scenes:%d:%d,%s\n" % (agent, last_frame, scene.scene_id))
+        for scene in scenes:
+            ego = tracks[agent]
+            fh.write("scenes:%d:%d,%s\n" % (ego.agent_id, ego.frames[config.past_len - 1], scene.scene_id))
             agent += 1 + scene.n_neighbors
     logger.info("wrote %d synthetic scenes to %s", len(scenes), synth_dir)
     return synth_dir

@@ -146,8 +146,6 @@ def test_kmeans_validation():
         kmeans(points, 5, seed=0)
     with pytest.raises(ValueError):
         kmeans(np.zeros(4), 1, seed=0)
-    with pytest.raises(ValueError):
-        kmeans(points, 2, seed=0, max_iters=0)
 
 
 def test_kmeans_matches_exhaustive_on_small_instances():

@@ -185,6 +185,34 @@ def test_selection_segments_continue_one_batch_stream(tmp_path, monkeypatch):
         np.testing.assert_array_equal(a.biases[0], b.biases[0])
 
 
+def test_selection_scores_the_holdout_without_its_own_entries(tmp_path, monkeypatch, capsys):
+    from memtraj import pipeline
+    from memtraj.addresser import init_addresser_nets
+    from memtraj.features import train_features
+    from memtraj.membank import bank_init
+
+    config = tiny_config(tmp_path, epochs_addresser=2)
+    scenes = synth_generate(41, 30)
+    feature_nets = train_features(scenes, config)
+    bank = bank_init(feature_nets, scenes)
+    banks = []
+    monkeypatch.setattr(pipeline, "destination_error", lambda *args: banks.append(args[2]) or 1.0)
+    train_addresser_selected(init_addresser_nets(config.past_dim, config.addr_dim), bank, feature_nets, scenes, config)
+    # 30 scenes hold out the last 3: every snapshot is scored against the other 27 scenes' entries
+    assert len(banks) == 3
+    for memory in banks:
+        np.testing.assert_array_equal(memory.sample_ids, np.arange(27))
+        np.testing.assert_array_equal(memory.past_feats, bank.past_feats[:27])
+
+    # one training scene leaves the held-out scene nothing to retrieve
+    one = tiny_config(tmp_path / "one", synth_scenes=1)
+    cfg_path = tmp_path / "one.cfg"
+    one.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    _assert_cli_error(["train-addresser", "--config", str(cfg_path)], capsys, "train_manifest", "holds out the last 1 of 1")
+
+
 def test_predict_outputs(trained_run):
     config = trained_run
     out_dir = Path(config.out_dir)
@@ -258,6 +286,32 @@ def test_stage_rerun_is_byte_identical(trained_run):
     stage_train_features(config)
     after = {p.name: p.read_bytes() for p in sorted(features_dir.iterdir())}
     assert before == after
+
+
+def test_rerunning_every_stage_leaves_the_run_manifest_byte_identical(trained_run):
+    manifest = Path(trained_run.out_dir) / MANIFEST_NAME
+    before = manifest.read_bytes()
+    for stage in (stage_train_features, stage_build_memory, stage_train_addresser, stage_train_fulfillment):
+        stage(trained_run)
+    assert manifest.read_bytes() == before
+
+
+def test_fulfillment_trains_straight_after_synth(tmp_path):
+    config = tiny_config(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["train-fulfillment", "--config", str(cfg_path)]) == 0
+    assert set(RunManifest.load(config.out_dir).stages) == {STAGE_FULFILLMENT}
+
+
+def test_synth_windows_longer_than_the_scene_spacing_stay_apart(tmp_path):
+    config = tiny_config(tmp_path, future_len=1000, synth_neighbors=0, synth_scenes=3)
+    synth_dir = run_synth(config)
+    scenes = load_manifest(config.train_manifest, past_len=config.past_len, future_len=config.future_len)
+    assert [scene.n_neighbors for scene in scenes] == [0, 0, 0]
+    labels = (synth_dir / "labels.csv").read_text(encoding="utf-8").strip().split("\n")[1:]
+    assert sorted(line.split(",", 1)[0] for line in labels) == sorted(scene.scene_id for scene in scenes)
 
 
 def test_missing_stage_raises(tmp_path):
@@ -547,6 +601,11 @@ def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
     data["stages"][STAGE_FEATURES]["path"] = 5
     manifest.write_text(json.dumps(data), encoding="utf-8")
     _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "must be strings")
+    # a manifest written while stage records carried a timestamp
+    data = json.loads(text)
+    data["stages"][STAGE_FEATURES]["created"] = "2026-01-01T00:00:00+00:00"
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "created", "rerun the stages")
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
