@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import Scene, scene_batch
-from .features import EncoderDecoder, decode_batch, social_forward_batch
+from .features import EncoderDecoder, decode_batch, social_encode
 from .membank import MemoryBankPair
 from .numkit import Mlp, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
@@ -107,7 +107,8 @@ def top_l(scores: np.ndarray, count: int) -> np.ndarray:
     """Addresses of the ``count`` highest of one query's bank scores, best first.
 
     The sort is stable, so score ties resolve toward the lower address and
-    retrieval is deterministic for a frozen bank and nets.
+    retrieval is deterministic for a frozen bank and nets; NaN scores come
+    last.
     """
     if not 1 <= count <= len(scores):
         raise ValueError(f"count must be in [1, {len(scores)}] (bank size), got {count}")
@@ -167,7 +168,7 @@ def addresser_training_data(
     if not len(bank):
         raise ValueError("cannot train an addresser against an empty bank")
     batch = scene_batch(dataset, "addresser training")
-    queries, _ = social_forward_batch(feature_nets, batch)
+    queries = social_encode(feature_nets, batch)
     return queries, batch.futures[:, -1], decoded_intentions(feature_nets, bank)
 
 

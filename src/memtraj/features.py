@@ -16,6 +16,8 @@ All positions here are in the ego frame of a :class:`~memtraj.datasets.SceneBatc
 and every net runs on row batches. The social encoder has one path: a batch
 without neighbor rows runs the neighbor embedder on zero rows, pools to
 zeros, and gets all-zero neighbor gradients, which leave that net unchanged.
+Frozen nets encode through :func:`social_encode`, which keeps no backward
+cache and runs a large batch in ranges of scenes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .numkit import (
 )
 
 EMBED_DIM = 64  # ego/neighbor embedding width; the fuse input is twice this
+ENCODE_CHUNK = 1024  # fewest scenes, and fewest neighbor rows unless none, in a range of social_encode
 
 
 @dataclass
@@ -127,6 +130,45 @@ def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCac
     concat = np.hstack([ego_out, pooled])
     out, fuse_cache = mlp_forward_cached(nets.social_fuse, concat)
     return out, SocialCache(ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows)
+
+
+def encode_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` scene ranges in which :func:`social_encode` runs a batch with these ``offsets``.
+
+    Ranges hold ``ENCODE_CHUNK`` scenes and either no neighbor rows or at
+    least ``ENCODE_CHUNK`` of them: a range short of either merges into the
+    range before it (the first range into the one after), so ranges grow
+    where neighbors are sparse. A product of few rows can take another BLAS
+    kernel whose last bits differ: numpy sends one row to a matrix-vector
+    product, and OpenBLAS 0.3.31 uses a small-matrix kernel while rows times
+    output width stay within 1200. Ranges this long keep every row's bits
+    equal to one batch of all scenes.
+    """
+    n_scenes = len(offsets) - 1
+    cuts = [*range(0, n_scenes, ENCODE_CHUNK), n_scenes]
+    j = 0
+    while j < len(cuts) - 1:
+        lo, hi = cuts[j], cuts[j + 1]
+        if len(cuts) > 2 and (hi - lo < ENCODE_CHUNK or 0 < offsets[hi] - offsets[lo] < ENCODE_CHUNK):
+            del cuts[max(j, 1)]
+            j = max(j - 1, 0)
+        else:
+            j += 1
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def social_encode(nets, batch: SceneBatch) -> np.ndarray:
+    """Past features of a batch from frozen nets, encoded in the ranges of :func:`encode_chunks`.
+
+    Keeps no :class:`SocialCache`, so memory is bounded by one range's
+    activations, and every row equals the row :func:`social_forward_batch`
+    gives for the whole batch, bit for bit.
+    """
+    out = np.empty((len(batch), nets.social_fuse.out_dim))
+    for lo, hi in encode_chunks(batch.offsets):
+        chunk = batch if hi - lo == len(batch) else batch.take(np.arange(lo, hi))
+        out[lo:hi] = social_forward_batch(nets, chunk)[0]
+    return out
 
 
 def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tuple[GradBundle, GradBundle, GradBundle]:

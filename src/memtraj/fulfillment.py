@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import Scene, SceneBatch, scene_batch
-from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, social_forward_batch
+from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, social_encode
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
@@ -34,7 +34,7 @@ def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_des
     dests = np.asarray(destinations, dtype=np.float64)
     if dests.ndim != 2 or dests.shape[1] != 2:
         raise ValueError(f"destinations must have shape (k, 2), got {dests.shape}")
-    feat, _ = social_forward_batch(nets, batch)
+    feat = social_encode(nets, batch)
     dest_emb = mlp_forward(nets.point_embed, dests)
     _, futures = decode_batch(nets, np.broadcast_to(feat[0], (dests.shape[0], feat.shape[1])), dest_emb)
     futures = futures.reshape(dests.shape[0], -1, 2)

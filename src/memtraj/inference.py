@@ -18,7 +18,7 @@ import numpy as np
 from .addresser import AddresserNets, key_table, score_all, top_l
 from .datasets import Scene, SceneBatch, scene_batch
 from .errors import ConfigError
-from .features import EncoderDecoder, social_forward_batch
+from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans
 from .membank import MemoryBankPair
@@ -105,7 +105,7 @@ def propose_destinations(
     """
     if not 1 <= n_predict <= n_retrieve:
         raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
-    query = social_forward_batch(feature_nets, batch)[0][0]
+    query = social_encode(feature_nets, batch)[0]
     scores = score_all(addresser_nets, query, keys)
     addresses = top_l(scores, n_retrieve)
     anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import Scene, dataset_fingerprint, scene_batch
 from .errors import FormatError
-from .features import EncoderDecoder, social_forward_batch
+from .features import EncoderDecoder, social_encode
 from .numkit import atomic_open, mlp_forward
 
 logger = logging.getLogger(__name__)
@@ -85,7 +85,7 @@ def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
     Stored features and geometry live in each scene's ego frame.
     """
     batch = scene_batch(dataset, "the memory bank")
-    past_feats, _ = social_forward_batch(nets, batch)
+    past_feats = social_encode(nets, batch)
     dests = batch.futures[:, -1].copy()
     meta = BankMeta(
         past_dim=nets.past_dim,

@@ -1,18 +1,22 @@
 """Unit tests for the social/intention encoders and the joint decoder."""
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from memtraj import features
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import (
     decode_batch,
+    encode_chunks,
     fit_encoder_decoder,
     init_encoder_decoder,
     social_backward_batch,
+    social_encode,
     social_forward_batch,
     train_features,
 )
@@ -87,8 +91,9 @@ MIX_NETS = init_encoder_decoder(2, past_len=8, target_len=1)
 def test_mixed_neighbor_batches_encode_like_each_scene_alone(counts, seed):
     # Each scene is encoded alone as the two-row batch of itself: numpy sends a
     # one-row product down a different BLAS kernel, whose last bits differ,
-    # while products of two or more rows give every row the same bits. So the
-    # mixed batch needs two or more neighbor rows, or none.
+    # while batches this small all take OpenBLAS's small-matrix kernel, which
+    # gives every row of two or more the same bits. So the mixed batch needs
+    # two or more neighbor rows, or none.
     assume(sum(counts) != 1)
     rng = np.random.default_rng(seed)
     scenes = [
@@ -104,6 +109,56 @@ def test_mixed_neighbor_batches_encode_like_each_scene_alone(counts, seed):
         own_rows = np.where(cache.pool_rows[i] >= 0, cache.pool_rows[i] - batch.offsets[i], -1)
         np.testing.assert_array_equal(alone_cache.pool_rows[0], own_rows)
         assert (own_rows >= 0).all() if n else (own_rows == -1).all()
+
+
+def offsets_of(counts):
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+def test_encode_chunks_merge_short_ranges():
+    with mock.patch.object(features, "ENCODE_CHUNK", 3):
+        assert encode_chunks(offsets_of([1])) == [(0, 1)]
+        assert encode_chunks(offsets_of([0] * 6)) == [(0, 3), (3, 6)]
+        # a trailing range of fewer than 3 scenes joins the range before it
+        assert encode_chunks(offsets_of([2] * 7)) == [(0, 3), (3, 7)]
+        assert encode_chunks(offsets_of([2] * 8)) == [(0, 3), (3, 8)]
+        # a range with one or two neighbor rows joins the range before it ...
+        assert encode_chunks(offsets_of([3, 0, 0, 0, 1, 0, 1, 1, 1])) == [(0, 6), (6, 9)]
+        # ... and the first range joins the one after it
+        assert encode_chunks(offsets_of([0, 1, 0, 0, 2, 2, 2, 2, 0])) == [(0, 6), (6, 9)]
+        # when every range is short, the whole batch is one range
+        assert encode_chunks(offsets_of([0, 1, 0, 0, 0, 0, 0, 0])) == [(0, 8)]
+        assert encode_chunks(offsets_of([2, 2])) == [(0, 2)]
+
+
+CHUNKED_NETS = init_encoder_decoder(4, past_len=8, target_len=1, past_dim=64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(counts=st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=1, max_size=100), seed=st.integers(0, 2**32 - 1))
+@example(counts=[2] * 49, seed=0)  # a trailing range of one scene
+@example(counts=[0] * 24 + [1] + [0] * 23 + [2] * 48, seed=1)  # a range with exactly one neighbor row
+@example(counts=[0] * 60, seed=2)
+def test_social_encode_matches_one_batch_bit_for_bit(counts, seed):
+    # Ranges of 24 scenes, not 3: these nets' 64-wide layers take OpenBLAS's
+    # small-matrix kernel up to 18 rows (rows times output width within
+    # 1200), whose last bits differ from the kernel a whole batch this size
+    # takes, so a 3-scene range could not reproduce it.
+    rng = np.random.default_rng(seed)
+    scenes = [
+        Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"c{i}")
+        for i, n in enumerate(counts)
+    ]
+    batch = scene_batch(scenes)
+    whole, _ = social_forward_batch(CHUNKED_NETS, batch)
+    with mock.patch.object(features, "ENCODE_CHUNK", 24):
+        ranges = encode_chunks(batch.offsets)
+        chunked = social_encode(CHUNKED_NETS, batch)
+    assert [lo for lo, _ in ranges] + [len(batch)] == [0] + [hi for _, hi in ranges]
+    if len(ranges) > 1:
+        rows = [batch.offsets[hi] - batch.offsets[lo] for lo, hi in ranges]
+        assert all(hi - lo >= 24 for lo, hi in ranges) and all(r == 0 or r >= 24 for r in rows)
+    np.testing.assert_array_equal(chunked, whole)
 
 
 def test_neighborless_training_step_leaves_neighbor_embed_unchanged():

@@ -1,13 +1,17 @@
 """Unit tests for the memory bank: build, filter, serialize."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtraj import features
 from memtraj.datasets import scene_batch, synth_generate
 from memtraj.errors import FormatError
-from memtraj.features import init_encoder_decoder, social_forward_batch
+from memtraj.features import encode_chunks, init_encoder_decoder, social_forward_batch
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
@@ -57,6 +61,41 @@ def test_bank_init_entries(small_scenes):
     np.testing.assert_allclose(bank.starts[3], normalized.ego_past[0], atol=0)
     np.testing.assert_allclose(bank.dests[3], normalized.ego_future[-1], atol=0)
     assert bank.past_feats.shape == (len(small_scenes), nets.past_dim)
+
+
+def test_bank_init_in_ranges_equals_the_unchunked_encode():
+    nets = init_encoder_decoder(2, past_len=8, target_len=1, past_dim=64)
+    scenes = synth_generate(7, 130)
+    batch = scene_batch(scenes, "the test")
+    with mock.patch.object(features, "ENCODE_CHUNK", 32):
+        assert len(encode_chunks(batch.offsets)) == 4  # 32, 32, 32 and 34 scenes
+        bank = bank_init(nets, scenes)
+    whole = bank_init(nets, scenes)  # 130 scenes are one range of the default size
+    for name in ("past_feats", "intent_feats", "starts", "dests", "sample_ids"):
+        np.testing.assert_array_equal(getattr(bank, name), getattr(whole, name))
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bank_init_peak_memory_is_set_by_the_range_not_the_set():
+    nets = init_encoder_decoder(1, past_len=8, target_len=1, past_dim=16, intent_dim=8)
+    scenes = synth_generate(5, 1024, n_neighbors=6)
+    with mock.patch.object(features, "ENCODE_CHUNK", 32):
+        small = traced_peak(lambda: bank_init(nets, scenes[:128]))
+        large = traced_peak(lambda: bank_init(nets, scenes))
+    batch = scene_batch(scenes)
+    activations = traced_peak(lambda: social_forward_batch(nets, batch))
+    # 8x the scenes adds their inputs and outputs (about a tenth of the
+    # whole-set activations here), not their activations: one batch of all
+    # scenes adds about 0.97 of them.
+    assert large - small < 0.25 * activations
 
 
 def entry_at(start, dest):
