@@ -419,8 +419,8 @@ def synth_generate(
     point. Neighbors are parallel walkers offset sideways, past only.
 
     The scene_id records the drawn mode index plus the clean heading, turn
-    point, and speed (see :func:`synth_meta`), so tests can reconstruct the
-    noise-free endpoint of every mode.
+    point, and speed as ``synth-<index>|m=<mode>|h=<heading>|x0=<x>/<y>|v=<speed>``,
+    so tests can reconstruct the noise-free endpoint of every mode.
     """
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
@@ -471,26 +471,6 @@ def synth_generate(
             )
         )
     return scenes
-
-
-def synth_meta(scene_id: str) -> dict:
-    """Parse a synthetic scene_id back into its generator parameters."""
-    fields = scene_id.split("|")
-    if not fields or not fields[0].startswith("synth-"):
-        raise ValueError(f"not a synthetic scene_id: {scene_id!r}")
-    meta: dict = {"index": int(fields[0][len("synth-"):])}
-    for field in fields[1:]:
-        key, _, value = field.partition("=")
-        if key == "m":
-            meta["mode"] = int(value)
-        elif key == "h":
-            meta["heading"] = float(value)
-        elif key == "x0":
-            sx, _, sy = value.partition("/")
-            meta["turn_point"] = np.array([float(sx), float(sy)])
-        elif key == "v":
-            meta["speed"] = float(value)
-    return meta
 
 
 def scenes_to_tracks(scenes: Sequence[Scene]) -> list[RawTrack]:

@@ -66,23 +66,18 @@ def scene_seed(master_seed: int, scene_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
-def retrieval_counts(bank_size: int, n_retrieve: int, n_predict: int, clamp_k: bool = False) -> tuple[int, int]:
+def retrieval_counts(bank_size: int, n_retrieve: int, n_predict: int) -> tuple[int, int]:
     """``(L, K)`` for retrieving from a bank: L is ``n_retrieve`` limited to the bank size.
 
-    Predict and eval raise ConfigError when K exceeds that L, since they
-    would hand back fewer futures than asked for. Addresser selection passes
-    ``clamp_k`` and clusters into ``min(K, L)`` instead: its holdout error
-    only ranks training snapshots against each other, so a small bank must
-    not stop the stage.
+    ConfigError when K exceeds that L, since predict and eval would hand back
+    fewer futures than asked for.
     """
     n_retrieve = min(n_retrieve, bank_size)
     if n_predict > n_retrieve:
-        if not clamp_k:
-            raise ConfigError(
-                f"n_predict ({n_predict}) exceeds the {n_retrieve} entries a bank of {bank_size} can retrieve",
-                key="n_predict",
-            )
-        n_predict = n_retrieve
+        raise ConfigError(
+            f"n_predict ({n_predict}) exceeds the {n_retrieve} entries a bank of {bank_size} can retrieve",
+            key="n_predict",
+        )
     return n_retrieve, n_predict
 
 

@@ -1,20 +1,21 @@
 """Pipeline stages, artifact layout, and staleness tracking.
 
-Each stage writes its artifacts under the config's out_dir and records the
-artifact hash, the config's stage hash and the hash of every prerequisite
-artifact it read in ``run_manifest.json``. A stage refuses to run when a
-prerequisite is missing, was built under a different config, no longer
-matches its recorded hash, or was built from a prerequisite artifact that
-has been rebuilt since, so stale artifact mixes are caught instead of
-silently mispredicting. The stage hash skips keys no training stage reads
-(decode mode, destination snapping, output location, val/test manifests),
-so trained artifacts stay usable when only those change.
+Each stage writes its artifacts under the config's out_dir and records in
+``run_manifest.json`` the artifact hash, the config's stage hash and, for
+every prerequisite artifact it read, the hash it verified on reading it. A
+stage refuses to run when a prerequisite is missing, was built under a
+different config, no longer matches its recorded hash, or was built from a
+prerequisite artifact that has been rebuilt since, so stale artifact mixes
+are caught instead of silently mispredicting. The stage hash skips keys no
+training stage reads (decode mode, destination snapping, output location,
+val/test manifests), so trained artifacts stay usable when only those change.
 
-Stage artifacts:
-  features/     five nets + manifest.json
+Every stage's artifact is the directory ``out_dir/<stage>``. A net stage
+writes one ``<field>.mtnn`` per field of its net type plus ``manifest.json``:
+  features/     ego_embed, neighbor_embed, social_fuse, point_embed, decoder
   bank/         bank.mtbk
-  addresser/    two nets + manifest.json
-  fulfillment/  five nets + manifest.json
+  addresser/    query_proj, key_proj
+  fulfillment/  ego_embed, neighbor_embed, social_fuse, point_embed, decoder
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .config import Config
 from .datasets import (
     Scene,
     SynthMode,
+    dataset_fingerprint,
     load_manifest,
     mode_probabilities,
     save_tsv,
@@ -46,7 +48,7 @@ from .errors import ConfigError, DependencyError
 from .evalkit import MetricReport, evaluate
 from .features import EncoderDecoder, init_encoder_decoder, train_features
 from .fulfillment import DEST_EMBED_DIM, train_fulfillment
-from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes, retrieval_counts
+from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
 from .numkit import atomic_open, load_mlp, save_mlp
 
@@ -59,29 +61,15 @@ STAGE_BANK = "bank"
 STAGE_ADDRESSER = "addresser"
 STAGE_FULFILLMENT = "fulfillment"
 
-# Per encoder-decoder stage: the file stem of each EncoderDecoder net, in
-# field order, and the manifest.json written beside them.
-_NET_STAGES = {
-    STAGE_FEATURES: (
-        ("ego_embed", "neighbor_embed", "social_fuse", "intention_enc", "joint_dec"),
-        lambda nets: {"past_dim": nets.past_dim, "intent_dim": nets.intent_dim, "past_len": nets.past_len},
-    ),
-    STAGE_FULFILLMENT: (
-        ("ego_embed", "neighbor_embed", "social_fuse", "dest_embed", "full_dec"),
-        lambda nets: {"past_len": nets.past_len, "future_len": nets.target_len},
-    ),
-}
-
-# The prerequisite stages whose artifacts a stage reads; it records their hashes.
-_READS = {STAGE_BANK: (STAGE_FEATURES,), STAGE_ADDRESSER: (STAGE_FEATURES, STAGE_BANK)}
+# The net type each net stage saves; the bank stage saves bank.mtbk.
+_NET_TYPES = {STAGE_FEATURES: EncoderDecoder, STAGE_ADDRESSER: AddresserNets, STAGE_FULFILLMENT: EncoderDecoder}
 
 
 @dataclass
 class StageRecord:
-    path: str
     sha256: str
     config_hash: str
-    inputs: dict[str, str]  # prerequisite stage -> sha256 of the artifact this stage read
+    inputs: dict[str, str]  # prerequisite stage -> sha256 this stage verified on reading its artifact
 
 
 @dataclass
@@ -97,7 +85,7 @@ class RunManifest:
             data = json.loads(path.read_text(encoding="utf-8"))
             stages = {name: StageRecord(**rec) for name, rec in data.get("stages", {}).items()}
             for rec in stages.values():
-                if not all(isinstance(value, str) for value in (rec.path, rec.sha256, rec.config_hash)):
+                if not all(isinstance(value, str) for value in (rec.sha256, rec.config_hash)):
                     raise TypeError("stage record fields must be strings")
                 if not isinstance(rec.inputs, dict) or not all(isinstance(value, str) for value in rec.inputs.values()):
                     raise TypeError("stage record inputs must map stage names to hash strings")
@@ -125,19 +113,22 @@ def artifact_hash(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _record_stage(config: Config, name: str, artifact: Path) -> None:
+def _record_stage(config: Config, name: str, reads: dict[str, str]) -> None:
     out_dir = Path(config.out_dir)
     manifest = RunManifest.load(out_dir)
     manifest.stages[name] = StageRecord(
-        path=artifact.relative_to(out_dir).as_posix(),
-        sha256=artifact_hash(artifact),
-        config_hash=config.stage_hash(),
-        inputs={read: manifest.stages[read].sha256 for read in _READS.get(name, ())},
+        sha256=artifact_hash(out_dir / name), config_hash=config.stage_hash(), inputs=dict(reads)
     )
     manifest.save(out_dir)
 
 
-def _require_stage(config: Config, name: str) -> Path:
+def _load_stage(config: Config, name: str, reads: dict[str, str]):
+    """A stage's artifact, loaded once its record checks out; the hash it verified goes into ``reads[name]``.
+
+    DependencyError when the stage has not run, ran under a different config,
+    its artifact is missing or no longer matches its recorded hash, or it was
+    built from a prerequisite artifact that has changed since.
+    """
     out_dir = Path(config.out_dir)
     manifest = RunManifest.load(out_dir)
     record = manifest.stages.get(name)
@@ -145,7 +136,7 @@ def _require_stage(config: Config, name: str) -> Path:
         raise DependencyError(f"stage '{name}' has not been run in {out_dir}")
     if record.config_hash != config.stage_hash():
         raise DependencyError(f"stage '{name}' artifacts were built under a different config; rerun it")
-    artifact = out_dir / record.path
+    artifact = out_dir / name
     if not artifact.exists():
         raise DependencyError(f"stage '{name}' artifact {artifact} is missing")
     if artifact_hash(artifact) != record.sha256:
@@ -154,7 +145,11 @@ def _require_stage(config: Config, name: str) -> Path:
         current = manifest.stages.get(read)
         if current is None or current.sha256 != sha256:
             raise DependencyError(f"stage '{name}' was built from a '{read}' artifact that has changed since; rerun '{name}'")
-    return artifact
+    reads[name] = record.sha256
+    if name == STAGE_BANK:
+        return bank_load(artifact / "bank.mtbk")
+    net_type = _NET_TYPES[name]
+    return net_type(*(load_mlp(artifact / f"{f.name}.mtnn") for f in fields(net_type)))
 
 
 def _load_scenes(config: Config, which: str) -> list[Scene]:
@@ -177,47 +172,39 @@ def _load_scenes(config: Config, which: str) -> list[Scene]:
     return scenes
 
 
-def _save_nets_dir(stage_dir: Path, nets_by_name: dict, meta: dict) -> None:
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    for name, net in nets_by_name.items():
-        save_mlp(net, stage_dir / f"{name}.mtnn")
-    with atomic_open(stage_dir / "manifest.json") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
 
-def _save_stage_nets(config: Config, stage: str, nets: EncoderDecoder) -> Path:
-    files, meta = _NET_STAGES[stage]
-    stage_dir = Path(config.out_dir) / stage
-    _save_nets_dir(stage_dir, {file: getattr(nets, f.name) for file, f in zip(files, fields(nets))}, meta(nets))
-    _record_stage(config, stage, stage_dir)
+def _save_nets(config: Config, name: str, reads: dict[str, str], nets, meta: dict) -> Path:
+    """Write one ``<field>.mtnn`` per field of ``nets`` and ``meta`` as manifest.json, then record the stage."""
+    stage_dir = Path(config.out_dir) / name
+    stage_dir.mkdir(parents=True, exist_ok=True)
+    for f in fields(nets):
+        save_mlp(getattr(nets, f.name), stage_dir / f"{f.name}.mtnn")
+    with atomic_open(stage_dir / "manifest.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _record_stage(config, name, reads)
     return stage_dir
 
 
-def load_stage_nets(stage_dir: Path, stage: str) -> EncoderDecoder:
-    """The EncoderDecoder saved by the features or the fulfillment stage."""
-    files, _ = _NET_STAGES[stage]
-    return EncoderDecoder(*(load_mlp(stage_dir / f"{file}.mtnn") for file in files))
-
-
 def stage_train_features(config: Config) -> Path:
-    return _save_stage_nets(config, STAGE_FEATURES, train_features(_load_scenes(config, "train_manifest"), config))
+    nets = train_features(_load_scenes(config, "train_manifest"), config)
+    meta = {"past_dim": nets.past_dim, "intent_dim": nets.intent_dim, "past_len": nets.past_len}
+    return _save_nets(config, STAGE_FEATURES, {}, nets, meta)
 
 
 def stage_build_memory(config: Config) -> Path:
-    features_dir = _require_stage(config, STAGE_FEATURES)
-    nets = load_stage_nets(features_dir, STAGE_FEATURES)
+    reads: dict[str, str] = {}
+    nets = _load_stage(config, STAGE_FEATURES, reads)
     scenes = _load_scenes(config, "train_manifest")
     bank = bank_init(nets, scenes)
     bank = bank_filter(bank, config.theta_past, config.theta_int, config.seed_for("bank-filter"))
     stage_dir = Path(config.out_dir) / STAGE_BANK
     stage_dir.mkdir(parents=True, exist_ok=True)
     bank_save(bank, stage_dir / "bank.mtbk")
-    _record_stage(config, STAGE_BANK, stage_dir)
+    _record_stage(config, STAGE_BANK, reads)
     return stage_dir
 
 
@@ -252,8 +239,10 @@ def train_addresser_selected(
     start competes too, so when the pseudo-labels carry no ranking signal the
     addresser keeps its starting point instead of degrading retrieval. Ties
     resolve toward the earlier snapshot. Returns the winning nets plus a
-    report dict with the per-snapshot errors. L and K for the holdout come
-    from :func:`retrieval_counts` over that memory, with K clamped to L.
+    report dict with the per-snapshot errors. The holdout retrieves L =
+    ``min(n_retrieve, len(memory))`` entries and clusters them into
+    ``min(n_predict, L)``: its error only ranks snapshots against each other,
+    so a small bank must not stop the stage.
     """
     dataset = list(dataset)
     n_hold = min(SELECTION_HOLDOUT_CAP, max(1, int(len(dataset) * SELECTION_HOLDOUT_FRACTION)))
@@ -267,7 +256,8 @@ def train_addresser_selected(
         )
     holdout = scene_batch(dataset[n_train:], "addresser selection")
     train_slice = dataset[:n_train]
-    n_retrieve, n_predict = retrieval_counts(len(memory), config.n_retrieve, config.n_predict, clamp_k=True)
+    n_retrieve = min(config.n_retrieve, len(memory))
+    n_predict = min(config.n_predict, n_retrieve)
     seed = config.seed_for("addresser-selection")
 
     def selection_error(candidate: AddresserNets) -> float:
@@ -302,32 +292,20 @@ def train_addresser_selected(
 
 
 def stage_train_addresser(config: Config) -> Path:
-    features_dir = _require_stage(config, STAGE_FEATURES)
-    bank_dir = _require_stage(config, STAGE_BANK)
-    feature_nets = load_stage_nets(features_dir, STAGE_FEATURES)
-    bank = bank_load(bank_dir / "bank.mtbk")
+    reads: dict[str, str] = {}
+    feature_nets = _load_stage(config, STAGE_FEATURES, reads)
+    bank = _load_stage(config, STAGE_BANK, reads)
     scenes = _load_scenes(config, "train_manifest")
+    # selection reads bank sample ids as ordinals into these scenes
+    if dataset_fingerprint(scenes) != bank.meta.source_hash:
+        raise DependencyError(
+            f"stage '{STAGE_BANK}' was built from other scenes than train_manifest {config.train_manifest} "
+            f"now gives; rerun '{STAGE_BANK}'"
+        )
     nets = init_addresser_nets(past_dim=config.past_dim, addr_dim=config.addr_dim)
     nets, report = train_addresser_selected(nets, bank, feature_nets, scenes, config)
-    stage_dir = Path(config.out_dir) / STAGE_ADDRESSER
-    _save_nets_dir(
-        stage_dir,
-        {"query_proj": nets.query_proj, "key_proj": nets.key_proj},
-        {
-            "addr_dim": config.addr_dim,
-            "selected_epoch": report["selected_epoch"],
-            "holdout_error": report["holdout_error"],
-        },
-    )
-    _record_stage(config, STAGE_ADDRESSER, stage_dir)
-    return stage_dir
-
-
-def load_addresser_nets(stage_dir: Path) -> AddresserNets:
-    return AddresserNets(
-        query_proj=load_mlp(stage_dir / "query_proj.mtnn"),
-        key_proj=load_mlp(stage_dir / "key_proj.mtnn"),
-    )
+    meta = {"addr_dim": config.addr_dim, "selected_epoch": report["selected_epoch"], "holdout_error": report["holdout_error"]}
+    return _save_nets(config, STAGE_ADDRESSER, reads, nets, meta)
 
 
 def stage_train_fulfillment(config: Config) -> Path:
@@ -339,22 +317,20 @@ def stage_train_fulfillment(config: Config) -> Path:
         past_dim=config.past_dim,
         intent_dim=DEST_EMBED_DIM,
     )
-    return _save_stage_nets(config, STAGE_FULFILLMENT, train_fulfillment(nets, scenes, config))
+    nets = train_fulfillment(nets, scenes, config)
+    return _save_nets(config, STAGE_FULFILLMENT, {}, nets, {"past_len": nets.past_len, "future_len": nets.target_len})
 
 
 def load_model_bundle(config: Config, fixed_cosine: bool = False) -> ModelBundle:
     """Load all four stage artifacts into a ready-to-predict bundle."""
-    features_dir = _require_stage(config, STAGE_FEATURES)
-    bank_dir = _require_stage(config, STAGE_BANK)
-    addresser_dir = _require_stage(config, STAGE_ADDRESSER)
-    fulfillment_dir = _require_stage(config, STAGE_FULFILLMENT)
-    feature_nets = load_stage_nets(features_dir, STAGE_FEATURES)
-    bank = bank_load(bank_dir / "bank.mtbk")
-    addresser_nets = fixed_cosine_nets(bank.meta.past_dim) if fixed_cosine else load_addresser_nets(addresser_dir)
-    fulfill_nets = load_stage_nets(fulfillment_dir, STAGE_FULFILLMENT)
-    return ModelBundle(
-        feature_nets=feature_nets, bank=bank, addresser_nets=addresser_nets, fulfill_nets=fulfill_nets
-    )
+    reads: dict[str, str] = {}
+    feature_nets = _load_stage(config, STAGE_FEATURES, reads)
+    bank = _load_stage(config, STAGE_BANK, reads)
+    addresser_nets = _load_stage(config, STAGE_ADDRESSER, reads)
+    fulfill_nets = _load_stage(config, STAGE_FULFILLMENT, reads)
+    if fixed_cosine:
+        addresser_nets = fixed_cosine_nets(bank.meta.past_dim)
+    return ModelBundle(feature_nets=feature_nets, bank=bank, addresser_nets=addresser_nets, fulfill_nets=fulfill_nets)
 
 
 # ---------------------------------------------------------------------------

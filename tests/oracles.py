@@ -143,6 +143,26 @@ def finite_diff_check(net, x, eps: float = 1e-5) -> float:
     return worst
 
 
+def synth_meta(scene_id: str) -> dict:
+    """Parse a synthetic scene_id back into its generator parameters."""
+    fields = scene_id.split("|")
+    if not fields or not fields[0].startswith("synth-"):
+        raise ValueError(f"not a synthetic scene_id: {scene_id!r}")
+    meta: dict = {"index": int(fields[0][len("synth-"):])}
+    for field in fields[1:]:
+        key, _, value = field.partition("=")
+        if key == "m":
+            meta["mode"] = int(value)
+        elif key == "h":
+            meta["heading"] = float(value)
+        elif key == "x0":
+            sx, _, sy = value.partition("/")
+            meta["turn_point"] = np.array([float(sx), float(sy)])
+        elif key == "v":
+            meta["speed"] = float(value)
+    return meta
+
+
 def synth_mode_endpoints(meta: dict, mode_spec, future_len: int) -> np.ndarray:
     """Noise-free world endpoint of every mode for one synthetic scene (``meta`` from ``synth_meta``)."""
     endpoints = []

@@ -28,7 +28,6 @@ from memtraj.datasets import (
     Scene,
     default_modes,
     synth_generate,
-    synth_meta,
 )
 from memtraj.evalkit import constant_velocity, min_ade, min_fde
 from memtraj.features import init_encoder_decoder, train_features
@@ -54,7 +53,15 @@ from memtraj.pipeline import (
     train_addresser_selected,
 )
 
-from oracles import finite_diff_check, hidden_preactivations, is_redundant, kmeans_cost, synth_mode_endpoints, train_addresser
+from oracles import (
+    finite_diff_check,
+    hidden_preactivations,
+    is_redundant,
+    kmeans_cost,
+    synth_meta,
+    synth_mode_endpoints,
+    train_addresser,
+)
 
 SYNTH_SIGMA = 0.02  # per-step jitter of the synthetic generator
 FUTURE_LEN = 12

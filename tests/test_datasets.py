@@ -20,12 +20,11 @@ from memtraj.datasets import (
     scene_batch,
     scenes_to_tracks,
     synth_generate,
-    synth_meta,
 )
 from memtraj.datasets import _load_tsv_lines
 from memtraj.errors import ParseError
 
-from oracles import normalize_scene, reference_batch, synth_mode_endpoints
+from oracles import normalize_scene, reference_batch, synth_meta, synth_mode_endpoints
 
 
 def write(tmp_path, name, text):

@@ -11,7 +11,7 @@ import pytest
 
 from memtraj.cli import main
 from memtraj.config import Config
-from memtraj.datasets import load_manifest, synth_generate, synth_meta
+from memtraj.datasets import load_manifest, synth_generate
 from memtraj.errors import DependencyError
 from memtraj.evalkit import evaluate, min_ade, min_fde
 from memtraj.inference import predict_scene, scene_seed
@@ -34,7 +34,7 @@ from memtraj.pipeline import (
     train_addresser_selected,
 )
 
-from oracles import train_addresser
+from oracles import synth_meta, train_addresser
 
 
 def tiny_config(out_dir, **overrides):
@@ -101,6 +101,15 @@ def test_stage_records_and_manifest(trained_run):
         assert len(record.sha256) == 64
     raw = json.loads((Path(config.out_dir) / MANIFEST_NAME).read_text(encoding="utf-8"))
     assert set(raw["stages"]) == set(manifest.stages)
+    # every net stage names its files by the fields of its net type
+    encoder_decoder = ["ego_embed", "neighbor_embed", "social_fuse", "point_embed", "decoder"]
+    for stage, files in (
+        (STAGE_FEATURES, [f"{net}.mtnn" for net in encoder_decoder] + ["manifest.json"]),
+        (STAGE_BANK, ["bank.mtbk"]),
+        (STAGE_ADDRESSER, ["query_proj.mtnn", "key_proj.mtnn", "manifest.json"]),
+        (STAGE_FULFILLMENT, [f"{net}.mtnn" for net in encoder_decoder] + ["manifest.json"]),
+    ):
+        assert sorted(p.name for p in (Path(config.out_dir) / stage).iterdir()) == sorted(files)
 
 
 def test_bundle_and_fixed_cosine_swap(trained_run):
@@ -403,6 +412,44 @@ def test_retrained_prerequisite_makes_later_stages_stale(tmp_path, capsys):
         _assert_cli_error(["predict", "--config", str(cfg_path)], capsys, str(manifest), "inputs", "rerun the stages")
 
 
+def test_stage_records_the_prerequisite_hashes_it_verified(tmp_path, monkeypatch):
+    from memtraj import pipeline
+
+    config = tiny_config(tmp_path)
+    run_synth(config)
+    stage_train_features(config)
+    stage_build_memory(config)
+    select = pipeline.train_addresser_selected
+
+    def rebuild_the_bank_midway(*args):
+        run_synth(replace(config, seed=config.seed + 1))
+        stage_build_memory(config)
+        return select(*args)
+
+    monkeypatch.setattr(pipeline, "train_addresser_selected", rebuild_the_bank_midway)
+    stage_train_addresser(config)
+    stage_train_fulfillment(config)
+    # the addresser trained on the bank it read, which the rebuild has since replaced
+    with pytest.raises(DependencyError, match=f"stage '{STAGE_ADDRESSER}' was built from a '{STAGE_BANK}' artifact that has changed since"):
+        load_model_bundle(config)
+
+
+def test_cli_refuses_a_bank_built_from_other_training_scenes(tmp_path, capsys):
+    config = tiny_config(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    # drop the first scene's agents (its ego and two neighbors) from the training tracks
+    tsv = tmp_path / "synth" / "scenes.tsv"
+    lines = tsv.read_text(encoding="utf-8").splitlines(keepends=True)
+    tsv.write_text("".join(line for line in lines if int(line.split()[1]) > 2), encoding="utf-8")
+    assert len(load_manifest(config.train_manifest, past_len=config.past_len, future_len=config.future_len)) == 11
+    _assert_cli_error(["train-addresser", "--config", str(cfg_path)], capsys, f"stage '{STAGE_BANK}'", "train_manifest")
+    assert STAGE_ADDRESSER not in RunManifest.load(config.out_dir).stages
+
+
 def test_cli_full_run(tmp_path, capsys):
     config = tiny_config(tmp_path)
     cfg_path = tmp_path / "run.cfg"
@@ -598,9 +645,14 @@ def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
     manifest.write_text(json.dumps(data), encoding="utf-8")
     _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "sha256")
     data = json.loads(text)
-    data["stages"][STAGE_FEATURES]["path"] = 5
+    data["stages"][STAGE_FEATURES]["config_hash"] = 5
     manifest.write_text(json.dumps(data), encoding="utf-8")
     _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "must be strings")
+    # a manifest written while stage records carried the artifact's path
+    data = json.loads(text)
+    data["stages"][STAGE_FEATURES]["path"] = STAGE_FEATURES
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "path", "rerun the stages")
     # a manifest written while stage records carried a timestamp
     data = json.loads(text)
     data["stages"][STAGE_FEATURES]["created"] = "2026-01-01T00:00:00+00:00"
