@@ -136,13 +136,14 @@ def _cosine_forward(u: np.ndarray, w: np.ndarray) -> _CosineBatch:
 
 def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients w.r.t. the raw projections given dLoss/dScores."""
-    d = d_scores.copy()
-    if state.u_degenerate.any():
+    d = d_scores
+    if state.u_degenerate.any() or state.w_degenerate.any():
+        d = d_scores.copy()
         d[state.u_degenerate, :] = 0.0
-    if state.w_degenerate.any():
         d[:, state.w_degenerate] = 0.0
-    row_mix = np.sum(d * state.scores, axis=1, keepdims=True)
-    col_mix = np.sum(d * state.scores, axis=0)[:, None]
+    mixed = d * state.scores
+    row_mix = np.sum(mixed, axis=1, keepdims=True)
+    col_mix = np.sum(mixed, axis=0)[:, None]
     safe_u = np.where(state.u_degenerate, 1.0, state.u_norms)[:, None]
     safe_w = np.where(state.w_degenerate, 1.0, state.w_norms)[:, None]
     d_u = (d @ state.w_normed - row_mix * state.u_normed) / safe_u
@@ -172,6 +173,20 @@ def addresser_training_data(
     return queries, batch.futures[:, -1], decoded_intentions(feature_nets, bank)
 
 
+def _distances(points: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``(len(points), len(xs))`` Euclidean distances from 2-D points to the points ``(xs, ys)``.
+
+    ``sqrt(dx*dx + dy*dy)`` rounds exactly as ``np.linalg.norm(..., axis=-1)``
+    does on a length-2 axis, without its ``(n, m, 2)`` temporaries.
+    """
+    dist = points[:, 0:1] - xs
+    dy = points[:, 1:2] - ys
+    dist *= dist
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
+
+
 def fit_addresser(
     nets: AddresserNets,
     bank: MemoryBankPair,
@@ -187,29 +202,37 @@ def fit_addresser(
     share one generator continue a single stream. A step scores the full
     bank only when it has at most ``CANDIDATE_CAP`` entries; above that it
     scores a uniform sample of ``CANDIDATE_CAP`` entries plus each query's
-    oracle-nearest entry, so the strongest positive is always present.
+    oracle-nearest entry, so the strongest positive is always present. The
+    nearest entries are found once per call, ``config.batch_size`` queries
+    at a time, so a step computes distances to its candidates only.
     """
     queries, dests, decoded = data
     threshold = config.label_threshold_value()
     m = len(bank)
+    xs, ys = np.ascontiguousarray(decoded[:, 0]), np.ascontiguousarray(decoded[:, 1])
+    if m > CANDIDATE_CAP:
+        nearest = np.concatenate(
+            [
+                np.argmin(_distances(dests[lo : lo + config.batch_size], xs, ys), axis=1)
+                for lo in range(0, len(dests), config.batch_size)
+            ]
+        )
 
     def step(idx):
-        # distances of each query's destination to every decoded intention
-        full_dists = np.linalg.norm(dests[idx][:, None, :] - decoded[None, :, :], axis=2)
-        if m <= CANDIDATE_CAP:
-            cand = np.arange(m)
-        else:
+        keys_in, cand_xs, cand_ys = bank.past_feats, xs, ys
+        if m > CANDIDATE_CAP:
             sampled = rng.choice(m, size=CANDIDATE_CAP, replace=False)
-            cand = np.union1d(sampled, np.argmin(full_dists, axis=1))
-        labels = pseudo_labels(full_dists[:, cand], threshold)
+            cand = np.union1d(sampled, nearest[idx])
+            keys_in, cand_xs, cand_ys = bank.past_feats[cand], xs[cand], ys[cand]
+        labels = pseudo_labels(_distances(dests[idx], cand_xs, cand_ys), threshold)
         u, u_cache = mlp_forward_cached(nets.query_proj, queries[idx])
-        w, w_cache = mlp_forward_cached(nets.key_proj, bank.past_feats[cand])
+        w, w_cache = mlp_forward_cached(nets.key_proj, keys_in)
         state = _cosine_forward(u, w)
         residual = state.scores - labels
         d_u, d_w = _cosine_backward(state, (2.0 / len(idx)) * residual)
         updates = [
-            (nets.query_proj, mlp_backward_from_cache(nets.query_proj, u_cache, d_u)),
-            (nets.key_proj, mlp_backward_from_cache(nets.key_proj, w_cache, d_w)),
+            (nets.query_proj, mlp_backward_from_cache(nets.query_proj, u_cache, d_u, input_grad=False)),
+            (nets.key_proj, mlp_backward_from_cache(nets.key_proj, w_cache, d_w, input_grad=False)),
         ]
         return float(np.sum(residual**2)), updates
 

@@ -16,8 +16,9 @@ All positions here are in the ego frame of a :class:`~memtraj.datasets.SceneBatc
 and every net runs on row batches. The social encoder has one path: a batch
 without neighbor rows runs the neighbor embedder on zero rows, pools to
 zeros, and gets all-zero neighbor gradients, which leave that net unchanged.
-Frozen nets encode through :func:`social_encode`, which keeps no backward
-cache and runs a large batch in ranges of scenes.
+Frozen nets encode in the scene ranges of :func:`encode_chunks`: through
+:func:`social_encode`, which keeps no backward cache, or, in
+``membank.bank_init``, one batch per range.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
-from .datasets import Scene, SceneBatch, scene_batch
+from .datasets import Scene, scene_batch
 from .errors import ConfigError
 from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
@@ -86,13 +86,13 @@ def propose_destinations(
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
     keys: np.ndarray,
-    batch: SceneBatch,
+    query: np.ndarray,
     n_retrieve: int,
     n_predict: int,
     seed: int,
     decode_mode: str = DECODE_QUERY,
 ) -> DestinationProposal:
-    """Retrieve, decode anchors, and cluster for a one-scene batch.
+    """Retrieve, decode anchors, and cluster for one scene's query past feature.
 
     ``keys`` is the bank's :func:`key_table` under ``addresser_nets``. This is
     the destination half of the prediction chain; it needs no fulfillment
@@ -100,7 +100,6 @@ def propose_destinations(
     """
     if not 1 <= n_predict <= n_retrieve:
         raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
-    query = social_encode(feature_nets, batch)[0]
     scores = score_all(addresser_nets, query, keys)
     addresses = top_l(scores, n_retrieve)
     anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)
@@ -112,24 +111,27 @@ def destination_error(
     feature_nets: EncoderDecoder,
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
-    batch: SceneBatch,
+    queries: np.ndarray,
+    dests: np.ndarray,
     n_retrieve: int,
     n_predict: int,
     master_seed: int,
 ) -> float:
     """Mean distance from each scene's true destination to its nearest proposal.
 
-    Works in the ego frame on a batch with futures, one scene at a time.
-    This is the retrieval-plus-clustering half of the final displacement
-    metric, so it ranks addressers without requiring fulfillment nets.
+    Scene ``i`` has the query past feature ``queries[i]`` and the ego-frame
+    destination ``dests[i]``, and is clustered with ``scene_seed(master_seed,
+    i)``. This is the retrieval-plus-clustering half of the final
+    displacement metric, so it ranks addressers without requiring
+    fulfillment nets.
     """
     keys = key_table(addresser_nets, bank)
     errors = []
-    for i in range(len(batch)):
+    for i, (query, dest) in enumerate(zip(queries, dests)):
         proposal = propose_destinations(
-            feature_nets, addresser_nets, bank, keys, batch.take([i]), n_retrieve, n_predict, scene_seed(master_seed, i)
+            feature_nets, addresser_nets, bank, keys, query, n_retrieve, n_predict, scene_seed(master_seed, i)
         )
-        gaps = np.linalg.norm(proposal.intention_set.destinations - batch.futures[i, -1], axis=1)
+        gaps = np.linalg.norm(proposal.intention_set.destinations - dest, axis=1)
         errors.append(float(gaps.min()))
     return float(np.mean(errors))
 
@@ -150,7 +152,7 @@ def predict_scene(
         bundle.addresser_nets,
         bundle.bank,
         bundle.keys,
-        batch,
+        social_encode(bundle.feature_nets, batch)[0],
         n_retrieve,
         n_predict,
         seed,

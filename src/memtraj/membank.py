@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import Scene, dataset_fingerprint, scene_batch
 from .errors import FormatError
-from .features import EncoderDecoder, social_encode
+from .features import EncoderDecoder, encode_chunks, social_forward_batch
 from .numkit import atomic_open, mlp_forward
 
 logger = logging.getLogger(__name__)
@@ -82,11 +82,22 @@ def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
     """Encode every training scene into one memory entry (unfiltered bank).
 
     Entry ``i`` comes from ``dataset[i]`` and carries ``sample_id == i``.
-    Stored features and geometry live in each scene's ego frame.
+    Stored features and geometry live in each scene's ego frame. Scenes are
+    batched and encoded one :func:`~memtraj.features.encode_chunks` range at
+    a time, so no batch of the whole set is built, and every row equals the
+    row one batch of all scenes gives, bit for bit.
     """
-    batch = scene_batch(dataset, "the memory bank")
-    past_feats = social_encode(nets, batch)
-    dests = batch.futures[:, -1].copy()
+    n = len(dataset)
+    if not n:
+        raise ValueError("empty scene list for the memory bank")
+    past_feats = np.empty((n, nets.past_dim))
+    starts = np.empty((n, 2))
+    dests = np.empty((n, 2))
+    for lo, hi in encode_chunks(np.cumsum([0] + [s.n_neighbors for s in dataset])):
+        batch = scene_batch(dataset[lo:hi], "the memory bank")
+        past_feats[lo:hi] = social_forward_batch(nets, batch)[0]
+        starts[lo:hi] = batch.ego_x[:, :2]
+        dests[lo:hi] = batch.futures[:, -1]
     meta = BankMeta(
         past_dim=nets.past_dim,
         intent_dim=nets.intent_dim,
@@ -94,13 +105,13 @@ def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
         future_len=batch.futures.shape[1],
         source_hash=dataset_fingerprint(dataset),
     )
-    logger.info("memory bank: %d entries before filtering", len(batch))
+    logger.info("memory bank: %d entries before filtering", n)
     return MemoryBankPair(
         past_feats=past_feats,
         intent_feats=mlp_forward(nets.point_embed, dests),
-        starts=batch.ego_x[:, :2].copy(),
+        starts=starts,
         dests=dests,
-        sample_ids=np.arange(len(batch), dtype=np.int64),
+        sample_ids=np.arange(n, dtype=np.int64),
         meta=meta,
     )
 

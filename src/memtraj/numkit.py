@@ -80,7 +80,7 @@ class GradBundle:
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
-    d_input: np.ndarray
+    d_input: np.ndarray | None
 
 
 @dataclass
@@ -164,12 +164,14 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
     return out
 
 
-def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream) -> GradBundle:
+def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream, input_grad: bool = True) -> GradBundle:
     """Backward pass reusing a forward cache.
 
     ``upstream`` is the ``(n, out_dim)`` gradient of some scalar with respect
     to the network output; the bundle holds that scalar's gradients with
-    respect to every weight, bias, and the ``(n, in_dim)`` input.
+    respect to every weight, bias, and the ``(n, in_dim)`` input. A caller
+    that has no use for the input gradient passes ``input_grad=False`` and
+    gets ``d_input=None``, saving the first layer's input product.
     """
     delta = _as_batch(upstream, net.out_dim, "upstream")
     if delta.shape[0] != cache.activations[0].shape[0]:
@@ -181,6 +183,8 @@ def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream) -> GradBund
     for l in range(net.n_layers - 1, -1, -1):
         d_weights[l] = delta.T @ cache.activations[l]
         d_biases[l] = delta.sum(axis=0)
+        if l == 0 and not input_grad:
+            return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=None)
         delta = delta @ net.weights[l]
         if l > 0:
             delta = delta * _activate_grad(cache.preacts[l - 1], net.hidden_activation)

@@ -10,7 +10,9 @@ are caught instead of silently mispredicting. The stage hash skips keys no
 training stage reads (decode mode, destination snapping, output location,
 val/test manifests), so trained artifacts stay usable when only those change.
 
-Every stage's artifact is the directory ``out_dir/<stage>``. A net stage
+Every stage's artifact is the directory ``out_dir/<stage>``, holding only
+the files the stage's last run wrote. A stage reads ``run_manifest.json``
+before it trains, so an invalid one stops it before any work. A net stage
 writes one ``<field>.mtnn`` per field of its net type plus ``manifest.json``:
   features/     ego_embed, neighbor_embed, social_fuse, point_embed, decoder
   bank/         bank.mtbk
@@ -24,6 +26,7 @@ import hashlib
 import json
 import logging
 import math
+import shutil
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -46,7 +49,7 @@ from .datasets import (
 )
 from .errors import ConfigError, DependencyError
 from .evalkit import MetricReport, evaluate
-from .features import EncoderDecoder, init_encoder_decoder, train_features
+from .features import EncoderDecoder, init_encoder_decoder, social_encode, train_features
 from .fulfillment import DEST_EMBED_DIM, train_fulfillment
 from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
@@ -90,7 +93,7 @@ class RunManifest:
                 if not isinstance(rec.inputs, dict) or not all(isinstance(value, str) for value in rec.inputs.values()):
                     raise TypeError("stage record inputs must map stage names to hash strings")
         except (ValueError, TypeError, AttributeError) as exc:
-            raise DependencyError(f"{path} is not a valid run manifest ({exc}); rerun the stages") from None
+            raise DependencyError(f"{path} is not a valid run manifest ({exc}); delete it and rerun every stage") from None
         return cls(stages=stages)
 
     def save(self, out_dir) -> None:
@@ -177,10 +180,18 @@ def _load_scenes(config: Config, which: str) -> list[Scene]:
 # ---------------------------------------------------------------------------
 
 
+def _empty_stage_dir(config: Config, name: str) -> Path:
+    """``out_dir/<name>``, emptied, so the stage's artifact holds only the files this run writes."""
+    stage_dir = Path(config.out_dir) / name
+    if stage_dir.exists():
+        shutil.rmtree(stage_dir)
+    stage_dir.mkdir(parents=True)
+    return stage_dir
+
+
 def _save_nets(config: Config, name: str, reads: dict[str, str], nets, meta: dict) -> Path:
     """Write one ``<field>.mtnn`` per field of ``nets`` and ``meta`` as manifest.json, then record the stage."""
-    stage_dir = Path(config.out_dir) / name
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _empty_stage_dir(config, name)
     for f in fields(nets):
         save_mlp(getattr(nets, f.name), stage_dir / f"{f.name}.mtnn")
     with atomic_open(stage_dir / "manifest.json") as fh:
@@ -190,6 +201,7 @@ def _save_nets(config: Config, name: str, reads: dict[str, str], nets, meta: dic
 
 
 def stage_train_features(config: Config) -> Path:
+    RunManifest.load(config.out_dir)  # an invalid run manifest fails here, not after training
     nets = train_features(_load_scenes(config, "train_manifest"), config)
     meta = {"past_dim": nets.past_dim, "intent_dim": nets.intent_dim, "past_len": nets.past_len}
     return _save_nets(config, STAGE_FEATURES, {}, nets, meta)
@@ -201,8 +213,7 @@ def stage_build_memory(config: Config) -> Path:
     scenes = _load_scenes(config, "train_manifest")
     bank = bank_init(nets, scenes)
     bank = bank_filter(bank, config.theta_past, config.theta_int, config.seed_for("bank-filter"))
-    stage_dir = Path(config.out_dir) / STAGE_BANK
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _empty_stage_dir(config, STAGE_BANK)
     bank_save(bank, stage_dir / "bank.mtbk")
     _record_stage(config, STAGE_BANK, reads)
     return stage_dir
@@ -235,11 +246,14 @@ def train_addresser_selected(
     held out; after each training segment the current nets are scored by
     ``destination_error`` on it, retrieving only from the bank entries of the
     other scenes (a held-out scene's own entry would match it exactly), and
-    the best snapshot wins. ConfigError when no such entry is left. The untrained
-    start competes too, so when the pseudo-labels carry no ranking signal the
-    addresser keeps its starting point instead of degrading retrieval. Ties
-    resolve toward the earlier snapshot. Returns the winning nets plus a
-    report dict with the per-snapshot errors. The holdout retrieves L =
+    the best snapshot wins. Each held-out scene is encoded once, alone, as
+    ``predict_scene`` encodes it. ConfigError when no such entry is left.
+    The untrained start competes too, so when the pseudo-labels carry no
+    ranking signal the addresser keeps its starting point instead of
+    degrading retrieval. Ties resolve toward the earlier snapshot. Returns
+    the winning nets plus a report dict: ``selected_epoch``, its
+    ``holdout_error`` and ``errors``, the ``(epoch, holdout error)`` of every
+    snapshot, the start first. The holdout retrieves L =
     ``min(n_retrieve, len(memory))`` entries and clusters them into
     ``min(n_predict, L)``: its error only ranks snapshots against each other,
     so a small bank must not stop the stage.
@@ -255,13 +269,16 @@ def train_addresser_selected(
             key="train_manifest",
         )
     holdout = scene_batch(dataset[n_train:], "addresser selection")
+    # each scene encoded once, and alone as predict_scene encodes it: a batch's product can differ in the last bits
+    queries = np.concatenate([social_encode(feature_nets, holdout.take([i])) for i in range(len(holdout))])
+    dests = holdout.futures[:, -1]
     train_slice = dataset[:n_train]
     n_retrieve = min(config.n_retrieve, len(memory))
     n_predict = min(config.n_predict, n_retrieve)
     seed = config.seed_for("addresser-selection")
 
     def selection_error(candidate: AddresserNets) -> float:
-        return destination_error(feature_nets, candidate, memory, holdout, n_retrieve, n_predict, seed)
+        return destination_error(feature_nets, candidate, memory, queries, dests, n_retrieve, n_predict, seed)
 
     data = None  # built once, on the first segment, so a stage without epochs never encodes the slice
     rng = np.random.default_rng(config.seed_for("addresser-batches"))
@@ -304,11 +321,12 @@ def stage_train_addresser(config: Config) -> Path:
         )
     nets = init_addresser_nets(past_dim=config.past_dim, addr_dim=config.addr_dim)
     nets, report = train_addresser_selected(nets, bank, feature_nets, scenes, config)
-    meta = {"addr_dim": config.addr_dim, "selected_epoch": report["selected_epoch"], "holdout_error": report["holdout_error"]}
+    meta = {"addr_dim": config.addr_dim, **report}
     return _save_nets(config, STAGE_ADDRESSER, reads, nets, meta)
 
 
 def stage_train_fulfillment(config: Config) -> Path:
+    RunManifest.load(config.out_dir)  # an invalid run manifest fails here, not after training
     scenes = _load_scenes(config, "train_manifest")
     nets = init_encoder_decoder(
         config.seed_for("fulfillment"),

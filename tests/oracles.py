@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 
-from memtraj.addresser import DEGENERATE_NORM, addresser_training_data, fit_addresser
+from memtraj import addresser
+from memtraj.addresser import DEGENERATE_NORM, _cosine_forward, addresser_training_data, fit_addresser, pseudo_labels
 from memtraj.datasets import Scene, SceneBatch
 from memtraj.features import decode_batch, social_forward_batch
-from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached
+from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
 
 def normalize_scene(scene):
@@ -189,3 +190,53 @@ def train_addresser(nets, bank, feature_nets, dataset, config):
 def config_hash(config) -> str:
     """SHA-256 of every key of a config, runtime-only keys included (``stage_hash`` skips those)."""
     return hashlib.sha256(config.canonical_text().encode("utf-8")).hexdigest()
+
+
+def reference_fit_addresser(nets, bank, data, config, epochs, learning_rate, rng) -> None:
+    """``fit_addresser`` as a step that recomputes everything: the reference its leaner step must equal bit for bit.
+
+    Each step builds the batch's distance table to the whole bank with
+    ``np.linalg.norm`` over an ``(n, m, 2)`` difference, finds the nearest
+    entries in it, and indexes the bank and the table by the candidates,
+    ``arange(m)`` included; the cosine backward copies its upstream and
+    forms ``d * scores`` twice.
+    """
+    queries, dests, decoded = data
+    threshold = config.label_threshold_value()
+    m = len(bank)
+
+    def cosine_backward(state, d_scores):
+        d = d_scores.copy()
+        if state.u_degenerate.any():
+            d[state.u_degenerate, :] = 0.0
+        if state.w_degenerate.any():
+            d[:, state.w_degenerate] = 0.0
+        row_mix = np.sum(d * state.scores, axis=1, keepdims=True)
+        col_mix = np.sum(d * state.scores, axis=0)[:, None]
+        safe_u = np.where(state.u_degenerate, 1.0, state.u_norms)[:, None]
+        safe_w = np.where(state.w_degenerate, 1.0, state.w_norms)[:, None]
+        d_u = (d @ state.w_normed - row_mix * state.u_normed) / safe_u
+        d_w = (d.T @ state.u_normed - col_mix * state.w_normed) / safe_w
+        return d_u, d_w
+
+    def step(idx):
+        full_dists = np.linalg.norm(dests[idx][:, None, :] - decoded[None, :, :], axis=2)
+        cap = addresser.CANDIDATE_CAP  # read at call time, so a test may patch it
+        if m <= cap:
+            cand = np.arange(m)
+        else:
+            sampled = rng.choice(m, size=cap, replace=False)
+            cand = np.union1d(sampled, np.argmin(full_dists, axis=1))
+        labels = pseudo_labels(full_dists[:, cand], threshold)
+        u, u_cache = mlp_forward_cached(nets.query_proj, queries[idx])
+        w, w_cache = mlp_forward_cached(nets.key_proj, bank.past_feats[cand])
+        state = _cosine_forward(u, w)
+        residual = state.scores - labels
+        d_u, d_w = cosine_backward(state, (2.0 / len(idx)) * residual)
+        updates = [
+            (nets.query_proj, mlp_backward_from_cache(nets.query_proj, u_cache, d_u)),
+            (nets.key_proj, mlp_backward_from_cache(nets.key_proj, w_cache, d_w)),
+        ]
+        return float(np.sum(residual**2)), updates
+
+    sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step)

@@ -1,12 +1,19 @@
 """Unit tests for memory addressing: scoring, labels, top-L, training."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from memtraj import addresser
 from memtraj.addresser import (
     _cosine_backward,
     _cosine_forward,
     decoded_intentions,
+    fit_addresser,
     fixed_cosine_nets,
     init_addresser_nets,
     key_table,
@@ -16,10 +23,10 @@ from memtraj.addresser import (
 )
 from memtraj.datasets import synth_generate
 from memtraj.features import init_encoder_decoder, train_features
-from memtraj.membank import bank_init
+from memtraj.membank import BankMeta, MemoryBankPair, bank_init
 
 from conftest import quick_config
-from oracles import score, train_addresser
+from oracles import reference_fit_addresser, score, train_addresser
 
 
 def cosine(a, b):
@@ -217,3 +224,83 @@ def test_train_addresser_validation():
     nets = init_addresser_nets(past_dim=32)
     with pytest.raises(ValueError, match="empty"):
         train_addresser(nets, bank, feature_nets, [], config)
+
+
+def random_training_inputs(rng, m, n, past_dim):
+    """A bank of ``m`` random entries and ``(queries, destinations, decoded intentions)`` for ``n`` queries."""
+    meta = BankMeta(past_dim=past_dim, intent_dim=2, past_len=8, future_len=12)
+    bank = MemoryBankPair(
+        rng.normal(size=(m, past_dim)),
+        rng.normal(size=(m, 2)),
+        rng.uniform(-1.0, 1.0, (m, 2)),
+        rng.uniform(-1.0, 1.0, (m, 2)),
+        np.arange(m, dtype=np.int64),
+        meta,
+    )
+    data = (rng.normal(size=(n, past_dim)), rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (m, 2)))
+    return bank, data
+
+
+def net_bytes(nets):
+    return [a.tobytes() for net in (nets.query_proj, nets.key_proj) for a in net.weights + net.biases]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(2, 30),
+    n=st.integers(1, 25),
+    batch_size=st.integers(1, 8),
+    cap=st.integers(1, 40),
+    epochs=st.integers(1, 3),
+)
+@example(seed=1, m=30, n=25, batch_size=8, cap=40, epochs=2)  # the whole bank every step
+@example(seed=1, m=30, n=25, batch_size=8, cap=4, epochs=2)  # a sample plus each query's nearest entry
+def test_fit_addresser_equals_the_reference_step_bit_for_bit(seed, m, n, batch_size, cap, epochs):
+    rng = np.random.default_rng(seed)
+    bank, (queries, dests, decoded) = random_training_inputs(rng, m, n, past_dim=6)
+    bank.past_feats[0] = 0.0  # a degenerate key row, while the key bias is still zero
+    queries[0] = 0.0  # a degenerate query row
+    decoded[-1] = decoded[0]  # two entries tie for some query's nearest
+    config = quick_config(batch_size=batch_size, label_threshold=1.0)
+    results = []
+    with mock.patch.object(addresser, "CANDIDATE_CAP", cap):
+        for fit in (fit_addresser, reference_fit_addresser):
+            nets = init_addresser_nets(past_dim=6, addr_dim=5)
+            gen = np.random.default_rng(seed)
+            fit(nets, bank, (queries, dests, decoded), config, epochs, 0.05, gen)
+            results.append((net_bytes(nets), gen.random(4).tobytes()))
+    assert results[0] == results[1]
+    if n > 1:  # a query that is not degenerate moved the nets
+        assert results[0][0] != net_bytes(init_addresser_nets(past_dim=6, addr_dim=5))
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_bank_peak_memory_is_set_by_the_batch_not_the_queries():
+    m = 4000
+    rng = np.random.default_rng(2)
+    config = quick_config(batch_size=8, label_threshold=1.0)
+
+    def peak(fit, n):
+        bank, data = random_training_inputs(rng, m, n, past_dim=4)
+        nets = init_addresser_nets(past_dim=4, addr_dim=4)
+        return traced_peak(lambda: fit(nets, bank, data, config, 1, 0.01, np.random.default_rng(0)))
+
+    with mock.patch.object(addresser, "CANDIDATE_CAP", 16):
+        peak(fit_addresser, 256)  # a first call also holds one-time allocations
+        small = peak(fit_addresser, 256)
+        large = peak(fit_addresser, 2048)
+        reference = peak(reference_fit_addresser, 2048)
+    # Each query's nearest of the 4000 entries is found 8 queries at a time:
+    # 8x the queries adds a few bytes a query, not their 65 MB distance table,
+    # and the peak stays within the per-step table of a step over the whole bank.
+    assert large - small < 0.02 * 2048 * m * 8
+    assert large <= reference

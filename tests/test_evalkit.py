@@ -7,7 +7,7 @@ from conftest import quick_config
 from memtraj.addresser import fixed_cosine_nets
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
-from memtraj.features import init_encoder_decoder
+from memtraj.features import init_encoder_decoder, social_encode
 from memtraj.fulfillment import fulfill_many
 from memtraj.inference import ModelBundle, destination_error, predict_scene, propose_destinations, scene_seed
 from memtraj.membank import bank_init
@@ -89,8 +89,9 @@ def test_propose_destinations_matches_predict_scene():
     scene = scenes[4]
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
     batch = scene_batch([scene])
+    query = social_encode(bundle.feature_nets, batch)[0]
     proposal = propose_destinations(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, batch, 6, 3, 11
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, 11
     )
     np.testing.assert_array_equal(proposal.addresses, pred.addresses)
     np.testing.assert_array_equal(proposal.scores, pred.scores)
@@ -100,10 +101,10 @@ def test_propose_destinations_matches_predict_scene():
     futures = fulfill_many(bundle.fulfill_nets, batch, proposal.intention_set.destinations)
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
     with pytest.raises(ValueError, match="n_predict"):
-        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, batch, 3, 6, 11)
+        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 3, 6, 11)
     with pytest.raises(ValueError, match="bank size"):
         propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, batch, len(bundle.bank) + 1, 3, 11
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, len(bundle.bank) + 1, 3, 11
         )
 
 
@@ -112,20 +113,23 @@ def test_destination_error_properties():
     scenes = synth_generate(33, 10)
     bundle = make_bundle(config, scenes)
     holdout = scene_batch(scenes[:6], "destination error")
+    queries = np.concatenate([social_encode(bundle.feature_nets, holdout.take([i])) for i in range(6)])
+    dests = holdout.futures[:, -1]
     err = destination_error(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, holdout, 6, 3, master_seed=3
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, master_seed=3
     )
     assert np.isfinite(err) and err >= 0.0
     again = destination_error(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, holdout, 6, 3, master_seed=3
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, master_seed=3
     )
     assert err == again
-    # it really is the mean over per-scene nearest-proposal gaps
+    # it really is the mean over per-scene nearest-proposal gaps of predict's own queries
     gaps = []
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
+        query = social_encode(bundle.feature_nets, scene_batch([scene]))[0]
         proposal = propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, scene_batch([scene]), 6, 3, scene_seed(3, i)
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, scene_seed(3, i)
         )
         gaps.append(
             np.linalg.norm(proposal.intention_set.destinations - normalized.ego_future[-1], axis=1).min()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from memtraj.addresser import fixed_cosine_nets, key_table
 from memtraj.datasets import scene_batch, synth_generate
-from memtraj.features import init_encoder_decoder
+from memtraj.features import init_encoder_decoder, social_encode
 from memtraj.intention import (
     DECODE_QUERY,
     DECODE_STORED,
@@ -197,15 +197,15 @@ def test_predict_intentions_shapes_and_determinism():
     scenes, nets, bank = make_stack(12)
     addresser = fixed_cosine_nets(32)
     keys = key_table(addresser, bank)
-    batch = scene_batch(scenes[:1])
+    query = social_encode(nets, scene_batch(scenes[:1]))[0]
     # retrieve, decode and cluster: the destination half of a prediction
-    a = propose_destinations(nets, addresser, bank, keys, batch, n_retrieve=8, n_predict=3, seed=5).intention_set
-    b = propose_destinations(nets, addresser, bank, keys, batch, n_retrieve=8, n_predict=3, seed=5).intention_set
+    a = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5).intention_set
+    b = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5).intention_set
     assert a.destinations.shape == (3, 2)
     assert a.anchor_assignment.shape == (8,)
     np.testing.assert_array_equal(a.destinations, b.destinations)
     with pytest.raises(ValueError):
-        propose_destinations(nets, addresser, bank, keys, batch, n_retrieve=2, n_predict=3, seed=5)
+        propose_destinations(nets, addresser, bank, keys, query, n_retrieve=2, n_predict=3, seed=5)
 
 
 def test_save_intention_sets(tmp_path):

@@ -73,6 +73,10 @@ def test_bank_init_in_ranges_equals_the_unchunked_encode():
     whole = bank_init(nets, scenes)  # 130 scenes are one range of the default size
     for name in ("past_feats", "intent_feats", "starts", "dests", "sample_ids"):
         np.testing.assert_array_equal(getattr(bank, name), getattr(whole, name))
+    # both equal one batch of every scene, bit for bit
+    np.testing.assert_array_equal(bank.past_feats, social_forward_batch(nets, batch)[0])
+    np.testing.assert_array_equal(bank.starts, batch.ego_x[:, :2])
+    np.testing.assert_array_equal(bank.dests, batch.futures[:, -1])
 
 
 def traced_peak(fn) -> int:

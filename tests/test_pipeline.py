@@ -222,6 +222,97 @@ def test_selection_scores_the_holdout_without_its_own_entries(tmp_path, monkeypa
     _assert_cli_error(["train-addresser", "--config", str(cfg_path)], capsys, "train_manifest", "holds out the last 1 of 1")
 
 
+def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, monkeypatch):
+    from memtraj import pipeline
+    from memtraj.addresser import init_addresser_nets, key_table
+    from memtraj.datasets import scene_batch
+    from memtraj.features import social_encode, train_features
+    from memtraj.inference import propose_destinations
+    from memtraj.membank import bank_init
+
+    config = tiny_config(tmp_path, epochs_addresser=2)
+    scenes = synth_generate(41, 30)
+    feature_nets = train_features(scenes, config)
+    bank = bank_init(feature_nets, scenes)
+    encoded = []
+    monkeypatch.setattr(pipeline, "social_encode", lambda nets, batch: encoded.append(len(batch)) or social_encode(nets, batch))
+    init = init_addresser_nets(config.past_dim, config.addr_dim)
+    _, report = train_addresser_selected(init, bank, feature_nets, scenes, config)
+    # 30 scenes hold out the last 3, each encoded alone once for all three snapshots
+    assert encoded == [1, 1, 1] and len(report["errors"]) == 3
+    # the start's error to the last bit, from the query predict_scene encodes for each held-out scene
+    memory = bank.take(bank.sample_ids < 27)
+    keys = key_table(init, memory)
+    gaps = []
+    for i, scene in enumerate(scenes[27:]):
+        batch = scene_batch([scene], "the held-out scene")  # predict_scene's batch, plus the future
+        query = social_encode(feature_nets, batch)[0]
+        seed = scene_seed(config.seed_for("addresser-selection"), i)
+        proposal = propose_destinations(feature_nets, init, memory, keys, query, config.n_retrieve, config.n_predict, seed)
+        gaps.append(float(np.linalg.norm(proposal.intention_set.destinations - batch.futures[0, -1], axis=1).min()))
+    assert report["errors"][0] == (0, float(np.mean(gaps)))
+
+
+def test_addresser_manifest_records_every_snapshot_error(trained_run):
+    config = trained_run
+    meta = json.loads((Path(config.out_dir) / STAGE_ADDRESSER / "manifest.json").read_text(encoding="utf-8"))
+    # three 1-epoch segments after the untrained start
+    assert [epoch for epoch, _ in meta["errors"]] == [0, 1, 2, 3]
+    errors = [error for _, error in meta["errors"]]
+    assert meta["holdout_error"] == min(errors)
+    assert meta["selected_epoch"] == errors.index(min(errors))
+
+
+def test_an_invalid_run_manifest_stops_a_stage_before_it_trains(tmp_path, monkeypatch, capsys):
+    from memtraj import pipeline
+
+    config = tiny_config(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    run_synth(config)
+    stage_train_features(config)
+    manifest = tmp_path / MANIFEST_NAME
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    data["stages"][STAGE_FEATURES]["path"] = STAGE_FEATURES  # a record of an older layout
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    shutil.rmtree(tmp_path / STAGE_FEATURES)
+
+    def never(*args):
+        raise AssertionError("a stage trained under an invalid run manifest")
+
+    monkeypatch.setattr(pipeline, "train_features", never)
+    monkeypatch.setattr(pipeline, "train_fulfillment", never)
+    for command in ("train-features", "build-memory", "train-addresser", "train-fulfillment"):
+        _assert_cli_error([command, "--config", str(cfg_path)], capsys, str(manifest), "delete it and rerun every stage")
+    assert not list(tmp_path.rglob("*.mtnn"))
+    # the way out the message names
+    monkeypatch.undo()
+    manifest.unlink()
+    for stage in (stage_train_features, stage_build_memory, stage_train_addresser, stage_train_fulfillment):
+        stage(config)
+    load_model_bundle(config)
+
+
+def test_a_stage_directory_holds_only_the_files_of_its_last_run(tmp_path):
+    config = tiny_config(tmp_path)
+    run_synth(config)
+    stage_train_features(config)
+    stage_build_memory(config)
+    before = {name: record.sha256 for name, record in RunManifest.load(config.out_dir).stages.items()}
+    features_files = sorted(p.name for p in (tmp_path / STAGE_FEATURES).iterdir())
+    # files of the layout before nets were named by field, and other strays
+    (tmp_path / STAGE_FEATURES / "joint_dec.mtnn").write_bytes(b"old")
+    (tmp_path / STAGE_FEATURES / "old").mkdir()
+    (tmp_path / STAGE_FEATURES / "old" / "intention_enc.mtnn").write_bytes(b"old")
+    (tmp_path / STAGE_BANK / "notes.txt").write_text("stray", encoding="utf-8")
+    stage_train_features(config)
+    stage_build_memory(config)
+    assert sorted(p.name for p in (tmp_path / STAGE_FEATURES).iterdir()) == features_files
+    assert [p.name for p in (tmp_path / STAGE_BANK).iterdir()] == ["bank.mtbk"]
+    after = {name: record.sha256 for name, record in RunManifest.load(config.out_dir).stages.items()}
+    assert after == before
+
+
 def test_predict_outputs(trained_run):
     config = trained_run
     out_dir = Path(config.out_dir)
@@ -409,7 +500,7 @@ def test_retrained_prerequisite_makes_later_stages_stale(tmp_path, capsys):
     for bad in (["features"], {STAGE_FEATURES: 5}):
         data["stages"][STAGE_BANK]["inputs"] = bad
         manifest.write_text(json.dumps(data), encoding="utf-8")
-        _assert_cli_error(["predict", "--config", str(cfg_path)], capsys, str(manifest), "inputs", "rerun the stages")
+        _assert_cli_error(["predict", "--config", str(cfg_path)], capsys, str(manifest), "inputs", "delete it and rerun every stage")
 
 
 def test_stage_records_the_prerequisite_hashes_it_verified(tmp_path, monkeypatch):
@@ -639,7 +730,7 @@ def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
     manifest = out / MANIFEST_NAME
     text = manifest.read_text(encoding="utf-8")
     manifest.write_text(text[: len(text) // 2], encoding="utf-8")
-    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "rerun the stages")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "delete it and rerun every stage")
     data = json.loads(text)
     del data["stages"][STAGE_FEATURES]["sha256"]
     manifest.write_text(json.dumps(data), encoding="utf-8")
@@ -652,12 +743,12 @@ def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
     data = json.loads(text)
     data["stages"][STAGE_FEATURES]["path"] = STAGE_FEATURES
     manifest.write_text(json.dumps(data), encoding="utf-8")
-    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "path", "rerun the stages")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "path", "delete it and rerun every stage")
     # a manifest written while stage records carried a timestamp
     data = json.loads(text)
     data["stages"][STAGE_FEATURES]["created"] = "2026-01-01T00:00:00+00:00"
     manifest.write_text(json.dumps(data), encoding="utf-8")
-    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "created", "rerun the stages")
+    _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "created", "delete it and rerun every stage")
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
