@@ -7,7 +7,7 @@ a second decoder fills in the trajectory toward each proposal.
 """
 
 from .config import Config, load_config
-from .datasets import Scene, build_scenes, load_manifest, load_tsv, save_tsv, synth_generate
+from .datasets import Scene, SceneSet, build_scenes, load_manifest, load_tsv, save_tsv, synth_generate
 from .errors import (
     ConfigError,
     DependencyError,
@@ -45,6 +45,7 @@ __all__ = [
     "ParseError",
     "Scene",
     "ScenePrediction",
+    "SceneSet",
     "bank_filter",
     "bank_init",
     "bank_load",

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene, scene_batch
+from .datasets import SceneSet
 from .features import EncoderDecoder, decode_batch, social_encode
 from .membank import MemoryBankPair
 from .numkit import Mlp, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
@@ -158,7 +157,7 @@ def decoded_intentions(feature_nets: EncoderDecoder, bank: MemoryBankPair) -> np
 
 
 def addresser_training_data(
-    bank: MemoryBankPair, feature_nets: EncoderDecoder, dataset: Sequence[Scene]
+    bank: MemoryBankPair, feature_nets: EncoderDecoder, dataset: SceneSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What addresser training reads: query past features, true destinations, decoded intentions.
 
@@ -168,9 +167,8 @@ def addresser_training_data(
     """
     if not len(bank):
         raise ValueError("cannot train an addresser against an empty bank")
-    batch = scene_batch(dataset, "addresser training")
-    queries = social_encode(feature_nets, batch)
-    return queries, batch.futures[:, -1], decoded_intentions(feature_nets, bank)
+    dests = dataset.ego_destinations("addresser training")
+    return social_encode(feature_nets, dataset), dests, decoded_intentions(feature_nets, bank)
 
 
 def _distances(points: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

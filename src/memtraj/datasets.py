@@ -4,9 +4,10 @@ The on-disk format is whitespace-separated ``frame agent_id x y`` rows, one
 row per agent per frame.  A *scene* is one prediction instance: an ego agent
 with ``past_len`` observed steps, the other agents fully co-present over
 those steps as neighbors, and (for training/evaluation) ``future_len`` future
-ego steps.  Scenes stay in world coordinates; :func:`scene_batch` stacks them
-into the arrays every net reads, translated so each ego's last observed
-position is the origin. No other module subtracts a scene origin.
+ego steps.  A split is one :class:`SceneSet` of world-coordinate arrays,
+never one object per window; :func:`scene_batch` translates a set into the
+arrays every net reads, so each ego's last observed position is the origin.
+No other module subtracts a scene origin.
 
 The synthetic generator produces constant-speed walks whose future heading is
 drawn from a small set of turn modes, which gives a controlled multimodal
@@ -41,12 +42,14 @@ class RawTrack:
     coords: np.ndarray  # (n, 2) float64
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
     """One prediction instance in a shared coordinate frame.
 
     ego_past: (past_len, 2); neighbor_pasts: (n_neighbors, past_len, 2);
-    ego_future: (future_len, 2) or None at pure inference time.
+    ego_future: (future_len, 2) or None at pure inference time. Indexing a
+    :class:`SceneSet` gives one as a view of the set's rows; it is frozen,
+    because rebinding a field of a view would leave the set unchanged.
     """
 
     ego_past: np.ndarray
@@ -57,6 +60,59 @@ class Scene:
     @property
     def n_neighbors(self) -> int:
         return self.neighbor_pasts.shape[0]
+
+
+@dataclass(eq=False)
+class SceneSet:
+    """Scenes stacked into world-coordinate arrays: the form of a split from the loader to the nets.
+
+    Scene ``b`` owns neighbor rows ``offsets[b]:offsets[b+1]``; futures are
+    all present or all None. ``len``, iteration and indexing work as on a
+    list of :class:`Scene`: ``s[i]`` is one scene, ``s[a:b]`` a set.
+    """
+
+    ego_pasts: np.ndarray  # (B, past_len, 2)
+    futures: np.ndarray | None  # (B, future_len, 2) ego futures, or None at pure inference time
+    neighbor_pasts: np.ndarray  # (R, past_len, 2) neighbor pasts of all scenes, stacked
+    offsets: np.ndarray  # (B+1,) int64, from 0
+    scene_ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.scene_ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(*key.indices(len(self))))
+        i = range(len(self))[key]
+        lo, hi = self.offsets[i : i + 2]
+        future = None if self.futures is None else self.futures[i]
+        return Scene(self.ego_pasts[i], self.neighbor_pasts[lo:hi], future, self.scene_ids[i])
+
+    def take(self, idx) -> "SceneSet":
+        """The set of scenes ``idx``, in that order and with any repeats."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lo, counts = self.offsets[idx], self.offsets[idx + 1] - self.offsets[idx]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+        return SceneSet(
+            ego_pasts=self.ego_pasts[idx],
+            futures=None if self.futures is None else self.futures[idx],
+            neighbor_pasts=self.neighbor_pasts[rows],
+            offsets=offsets,
+            scene_ids=[self.scene_ids[i] for i in idx.tolist()],
+        )
+
+    def check(self, needed_by: str | None = None) -> None:
+        """ValueError for an empty set, or for a set without futures when ``needed_by`` names what needs them."""
+        if not len(self):
+            raise ValueError("empty scene set" + (f" for {needed_by}" if needed_by else ""))
+        if needed_by is not None and self.futures is None:
+            raise ValueError(f"scene {self.scene_ids[0]!r} has no future; {needed_by} needs one")
+
+    def ego_destinations(self, needed_by: str) -> np.ndarray:
+        """(B, 2) each scene's last future point in its own ego frame, as ``scene_batch(self, needed_by)`` has it."""
+        self.check(needed_by)
+        return self.futures[:, -1] - np.asarray(self.ego_pasts[:, -1], dtype=np.float64)
 
 
 def _parse_index(token: str, what: str, line_no: int) -> int:
@@ -192,7 +248,7 @@ def build_scenes(
     stride: int = 1,
     max_neighbors: int = 8,
     tag: str = "",
-) -> list[Scene]:
+) -> SceneSet:
     """Cut sliding windows of ``past_len + future_len`` frames into scenes.
 
     A window is valid when the ego agent covers it with evenly spaced frames
@@ -214,7 +270,7 @@ def _window_tracks(
     stride: int,
     max_neighbors: int,
     tag: str,
-) -> tuple[list[Scene], int]:
+) -> tuple[SceneSet, int]:
     """:func:`build_scenes` plus the number of stride positions skipped for a frame gap.
 
     All tracks are windowed at once over their concatenated rows. A row's run
@@ -231,10 +287,8 @@ def _window_tracks(
     window = past_len + future_len
     lengths = np.array([len(track.frames) for track in tracks], dtype=np.int64)
     n_rows = int(lengths.sum())
-    if n_rows == 0:
-        return [], 0
-    frames = np.concatenate([track.frames for track in tracks]).astype(np.int64, copy=False)
-    coords = np.concatenate([track.coords for track in tracks])
+    frames = np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)])
+    coords = np.concatenate([np.zeros((0, 2)), *(track.coords for track in tracks)])
     track_of = np.repeat(np.arange(len(tracks)), lengths)
     rows = np.arange(n_rows)
     local = rows - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -257,25 +311,18 @@ def _window_tracks(
     skipped = int(fits.sum()) - len(starts)
     last = starts + (past_len - 1)
     offsets = np.arange(past_len)
-    ego_pasts = coords[starts[:, None] + offsets]
-    ego_futures = coords[starts[:, None] + (past_len + np.arange(future_len))]
 
     agent_ids = [track.agent_id for track in tracks]
     sel_win, sel_rows = _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_neighbors, agent_ids)
-    neighbor_pasts = coords[sel_rows[:, None] + (offsets - (past_len - 1))]
-    bounds = np.searchsorted(sel_win, np.arange(len(starts) + 1)).tolist()
-
     prefix = f"{tag}:" if tag else ""
-    scenes = []
-    for w, (t_idx, last_frame) in enumerate(zip(track_of[starts].tolist(), frames[last].tolist())):
-        scenes.append(
-            Scene(
-                ego_past=ego_pasts[w],
-                neighbor_pasts=neighbor_pasts[bounds[w] : bounds[w + 1]],
-                ego_future=ego_futures[w],
-                scene_id=f"{prefix}{agent_ids[t_idx]}:{last_frame}",
-            )
-        )
+    ids = zip(track_of[starts].tolist(), frames[last].tolist())
+    scenes = SceneSet(
+        ego_pasts=coords[starts[:, None] + offsets],
+        futures=coords[starts[:, None] + (past_len + np.arange(future_len))],
+        neighbor_pasts=coords[sel_rows[:, None] + (offsets - (past_len - 1))],
+        offsets=np.searchsorted(sel_win, np.arange(len(starts) + 1)),
+        scene_ids=[f"{prefix}{agent_ids[t_idx]}:{last_frame}" for t_idx, last_frame in ids],
+    )
     return scenes, skipped
 
 
@@ -310,7 +357,7 @@ def _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_ne
 
 @dataclass
 class SceneBatch:
-    """Scenes stacked into arrays in the ego frame; the only form in which scenes reach a net.
+    """A :class:`SceneSet` in the ego frame; the only form in which scenes reach a net.
 
     Every coordinate of scene ``b`` is translated by ``-origins[b]``, so its
     ego's last observed point is the origin. Build one with :func:`scene_batch`.
@@ -322,48 +369,23 @@ class SceneBatch:
     futures: np.ndarray | None  # (B, future_len, 2) ego futures; None unless asked for
     origins: np.ndarray  # (B, 2) each ego's last observed world point
 
-    def __len__(self) -> int:
-        return len(self.ego_x)
 
-    def take(self, idx) -> "SceneBatch":
-        """The batch of scenes ``idx``, in that order and with any repeats, row for row as :func:`scene_batch` builds it."""
-        idx = np.asarray(idx, dtype=np.int64)
-        lo = self.offsets[idx]
-        counts = self.offsets[idx + 1] - lo
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        rows = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
-        return SceneBatch(
-            ego_x=self.ego_x[idx],
-            nb_x=self.nb_x[rows],
-            offsets=offsets,
-            futures=None if self.futures is None else self.futures[idx],
-            origins=self.origins[idx],
-        )
+def scene_batch(scenes: SceneSet, future_for: str | None = None) -> SceneBatch:
+    """The set translated into one :class:`SceneBatch`, each scene to its own ego frame.
 
-
-def scene_batch(scenes: Sequence[Scene], future_for: str | None = None) -> SceneBatch:
-    """Stack scenes into one :class:`SceneBatch`, each translated to its own ego frame.
-
-    ``future_for`` names what needs the ego futures: then every scene must
-    have one, and ``futures`` holds them. Raises ValueError for an empty
-    list, or naming the first scene without a future.
+    ``future_for`` names what needs the ego futures, which then fill
+    ``futures``; :meth:`SceneSet.check` raises for a set without them.
     """
-    if not len(scenes):
-        raise ValueError("empty scene list" + (f" for {future_for}" if future_for else ""))
-    if future_for is not None:
-        for scene in scenes:
-            if scene.ego_future is None:
-                raise ValueError(f"scene {scene.scene_id!r} has no future; {future_for} needs one")
-    pasts = np.stack([s.ego_past for s in scenes]).astype(np.float64, copy=False)
+    scenes.check(future_for)
+    pasts = np.asarray(scenes.ego_pasts, dtype=np.float64)
     origins = pasts[:, -1].copy()
-    counts = np.array([s.n_neighbors for s in scenes], dtype=np.int64)
-    neighbors = np.concatenate([np.reshape(s.neighbor_pasts, (-1,) + pasts.shape[1:]) for s in scenes])
     width = 2 * pasts.shape[1]
+    nb_origins = np.repeat(origins, np.diff(scenes.offsets), axis=0)[:, None]
     return SceneBatch(
         ego_x=(pasts - origins[:, None]).reshape(-1, width),
-        nb_x=(neighbors.astype(np.float64, copy=False) - np.repeat(origins, counts, axis=0)[:, None]).reshape(-1, width),
-        offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
-        futures=None if future_for is None else np.stack([s.ego_future for s in scenes]) - origins[:, None],
+        nb_x=(np.asarray(scenes.neighbor_pasts, dtype=np.float64) - nb_origins).reshape(-1, width),
+        offsets=scenes.offsets,
+        futures=None if future_for is None else scenes.futures - origins[:, None],
         origins=origins,
     )
 
@@ -409,7 +431,7 @@ def synth_generate(
     speed: float = 0.25,
     n_neighbors: int = 2,
     start_box: float = 10.0,
-) -> list[Scene]:
+) -> SceneSet:
     """Generate constant-speed walks with a mode-sampled future heading.
 
     Each scene: the ego walks ``past_len`` steps at ``speed`` along a random
@@ -424,6 +446,10 @@ def synth_generate(
     """
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
+    if past_len < 1 or future_len < 1:
+        raise ValueError(f"past_len and future_len must be >= 1, got {past_len}, {future_len}")
+    if n_neighbors < 0:
+        raise ValueError(f"n_neighbors must be >= 0, got {n_neighbors}")
     modes = list(mode_spec) if mode_spec is not None else default_modes()
     probs = mode_probabilities(modes)
     if jitter < 0:
@@ -432,7 +458,10 @@ def synth_generate(
         raise ValueError(f"speed must be > 0, got {speed}")
 
     rng = np.random.default_rng(seed)
-    scenes = []
+    ego_pasts = np.empty((n_scenes, past_len, 2))
+    futures = np.empty((n_scenes, future_len, 2))
+    neighbor_pasts = np.empty((n_scenes, n_neighbors, past_len, 2))
+    scene_ids = []
     for i in range(n_scenes):
         heading = float(rng.uniform(0.0, 2.0 * np.pi))
         start = rng.uniform(-start_box, start_box, size=2)
@@ -442,76 +471,43 @@ def synth_generate(
         future_dir = speed * _unit(heading + modes[mode_idx].turn)
         steps_future = turn_point + np.outer(np.arange(1, future_len + 1), future_dir)
         noise = rng.normal(0.0, jitter, size=(past_len + future_len, 2)) if jitter > 0 else np.zeros((past_len + future_len, 2))
-        ego_past = steps_past + noise[:past_len]
-        ego_future = steps_future + noise[past_len:]
-        neighbor_pasts = np.zeros((0, past_len, 2))
-        if n_neighbors > 0:
-            perp = _unit(heading + np.pi / 2.0)
-            rows = []
-            for j in range(n_neighbors):
-                side = 1.0 if j % 2 == 0 else -1.0
-                offset = side * (1.0 + rng.uniform(0.0, 1.0)) * perp
-                nb_noise = rng.normal(0.0, jitter, size=(past_len, 2)) if jitter > 0 else np.zeros((past_len, 2))
-                rows.append(steps_past + offset + nb_noise)
-            neighbor_pasts = np.stack(rows)
-        scene_id = "synth-%06d|m=%d|h=%r|x0=%r/%r|v=%r" % (
-            i,
-            mode_idx,
-            heading,
-            float(turn_point[0]),
-            float(turn_point[1]),
-            speed,
-        )
-        scenes.append(
-            Scene(
-                ego_past=ego_past,
-                neighbor_pasts=neighbor_pasts,
-                ego_future=ego_future,
-                scene_id=scene_id,
-            )
-        )
-    return scenes
+        ego_pasts[i] = steps_past + noise[:past_len]
+        futures[i] = steps_future + noise[past_len:]
+        perp = _unit(heading + np.pi / 2.0)
+        for j in range(n_neighbors):
+            side = 1.0 if j % 2 == 0 else -1.0
+            offset = side * (1.0 + rng.uniform(0.0, 1.0)) * perp
+            nb_noise = rng.normal(0.0, jitter, size=(past_len, 2)) if jitter > 0 else np.zeros((past_len, 2))
+            neighbor_pasts[i, j] = steps_past + offset + nb_noise
+        scene_ids.append("synth-%06d|m=%d|h=%r|x0=%r/%r|v=%r" % (i, mode_idx, heading, *turn_point.tolist(), speed))
+    return SceneSet(
+        ego_pasts=ego_pasts,
+        futures=futures,
+        neighbor_pasts=neighbor_pasts.reshape(-1, past_len, 2),
+        offsets=np.arange(n_scenes + 1, dtype=np.int64) * n_neighbors,
+        scene_ids=scene_ids,
+    )
 
 
-def scenes_to_tracks(scenes: Sequence[Scene]) -> list[RawTrack]:
+def scenes_to_tracks(scenes: SceneSet) -> list[RawTrack]:
     """Flatten scenes into disjoint tracks for TSV export.
 
     Scene ``i`` occupies frames ``[i * gap, ...)``, ``gap`` being 1000 or the
-    longest scene's frame count if that is more, so no two scenes share a
-    frame; its ego becomes one agent covering past plus future, each
-    neighbor an agent covering the past frames only. Tracks are listed scene
-    by scene, ego first, with agent ids counting up from 0. Re-windowing the
-    result with the same past/future lengths recovers one scene per exported
-    scene.
+    scenes' frame count if that is more, so no two scenes share a frame; its
+    ego becomes one agent covering past plus future, each neighbor an agent
+    covering the past frames only. Tracks are listed scene by scene, ego
+    first, with agent ids counting up from 0. Re-windowing the result with
+    the same past/future lengths recovers one scene per exported scene.
     """
-    gap = max([1000] + [len(s.ego_past) + (0 if s.ego_future is None else len(s.ego_future)) for s in scenes])
+    past_len = scenes.ego_pasts.shape[1]
+    egos = scenes.ego_pasts if scenes.futures is None else np.concatenate([scenes.ego_pasts, scenes.futures], axis=1)
+    gap = max(1000, egos.shape[1])
     tracks = []
-    next_agent = 0
-    for i, scene in enumerate(scenes):
+    for i, ego in enumerate(egos):
         base = i * gap
-        past_len = scene.ego_past.shape[0]
-        ego_coords = (
-            np.vstack([scene.ego_past, scene.ego_future])
-            if scene.ego_future is not None
-            else scene.ego_past
-        )
-        tracks.append(
-            RawTrack(
-                agent_id=next_agent,
-                frames=base + np.arange(ego_coords.shape[0], dtype=np.int64),
-                coords=ego_coords.copy(),
-            )
-        )
-        next_agent += 1
-        for nb in scene.neighbor_pasts:
-            tracks.append(
-                RawTrack(
-                    agent_id=next_agent,
-                    frames=base + np.arange(past_len, dtype=np.int64),
-                    coords=nb.copy(),
-                )
-            )
-            next_agent += 1
+        tracks.append(RawTrack(agent_id=len(tracks), frames=base + np.arange(len(ego), dtype=np.int64), coords=ego))
+        for nb in scenes.neighbor_pasts[scenes.offsets[i] : scenes.offsets[i + 1]]:
+            tracks.append(RawTrack(agent_id=len(tracks), frames=base + np.arange(past_len, dtype=np.int64), coords=nb))
     return tracks
 
 
@@ -521,29 +517,35 @@ def load_manifest(
     future_len: int,
     stride: int = 1,
     max_neighbors: int = 8,
-) -> list[Scene]:
-    """Load every TSV listed in a manifest file and window it into scenes.
+) -> SceneSet:
+    """Load every TSV listed in a manifest file and window it into one set of scenes.
 
     The manifest holds one TSV path per line (relative paths resolve against
     the manifest's directory); blank lines and ``#`` comments are skipped.
     A file's stem prefixes its scene ids, so a stem holding ``,`` or ``"``
-    raises ParseError with the manifest line number; so do non-UTF-8 bytes.
-    Each listed file logs its track, window and skipped-window counts.
+    or listed on an earlier line raises ParseError with the manifest line
+    number; so do non-UTF-8 bytes. Each listed file logs its track, window
+    and skipped-window counts.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ParseError(f"manifest file does not exist: {manifest_path}")
-    scenes = []
-    saw_entry = False
+    sets, stem_lines = [], {}
     for line_no, line in _utf8_lines(manifest_path):
         entry = line.strip()
         if not entry or entry.startswith("#"):
             continue
-        saw_entry = True
         tsv_path = Path(entry)
         if "," in tsv_path.stem or '"' in tsv_path.stem:
             raise ParseError(
                 f"file name {tsv_path.name!r} holds ',' or '\"', which would shift the CSV columns of its scene ids",
+                line_no=line_no,
+                path=manifest_path,
+            )
+        first_line = stem_lines.setdefault(tsv_path.stem, line_no)
+        if first_line != line_no:
+            raise ParseError(
+                f"file stem {tsv_path.stem!r} is already listed on line {first_line}; the two files' scene ids would repeat",
                 line_no=line_no,
                 path=manifest_path,
             )
@@ -556,19 +558,32 @@ def load_manifest(
         logger.info(
             "%s: %d tracks, %d windows, %d skipped for a frame gap", tsv_path, len(tracks), len(windows), skipped
         )
-        scenes.extend(windows)
-    if not saw_entry:
+        sets.append(windows)
+    if not sets:
         logger.warning("manifest %s lists no files", manifest_path)
-    return scenes
+    if len(sets) == 1:
+        return sets[0]
+    sets.insert(0, build_scenes([], past_len, future_len))  # the shapes of a manifest without files
+    return SceneSet(
+        ego_pasts=np.concatenate([s.ego_pasts for s in sets]),
+        futures=np.concatenate([s.futures for s in sets]),
+        neighbor_pasts=np.concatenate([s.neighbor_pasts for s in sets]),
+        offsets=np.cumsum(np.concatenate([[0], *(np.diff(s.offsets) for s in sets)])),
+        scene_ids=[scene_id for s in sets for scene_id in s.scene_ids],
+    )
 
 
-def dataset_fingerprint(scenes: Sequence[Scene]) -> bytes:
-    """SHA-256 over scene ids and coordinates, for artifact provenance."""
+def dataset_fingerprint(scenes: SceneSet) -> bytes:
+    """SHA-256 over each scene's id, then its past, neighbor and future coordinates as little-endian float64."""
+    pasts = np.ascontiguousarray(scenes.ego_pasts, dtype="<f8")
+    neighbors = np.ascontiguousarray(scenes.neighbor_pasts, dtype="<f8")
+    futures = None if scenes.futures is None else np.ascontiguousarray(scenes.futures, dtype="<f8")
+    bounds = scenes.offsets.tolist()
     digest = hashlib.sha256()
-    for scene in scenes:
-        digest.update(scene.scene_id.encode("utf-8"))
-        digest.update(np.ascontiguousarray(scene.ego_past, dtype="<f8").tobytes())
-        digest.update(np.ascontiguousarray(scene.neighbor_pasts, dtype="<f8").tobytes())
-        if scene.ego_future is not None:
-            digest.update(np.ascontiguousarray(scene.ego_future, dtype="<f8").tobytes())
+    for i, scene_id in enumerate(scenes.scene_ids):
+        digest.update(scene_id.encode("utf-8"))
+        digest.update(pasts[i])
+        digest.update(neighbors[bounds[i] : bounds[i + 1]])
+        if futures is not None:
+            digest.update(futures[i])
     return digest.digest()

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene
+from .datasets import SceneSet
 from .inference import ModelBundle, predict_scenes
 from .numkit import atomic_open
 
@@ -94,7 +93,7 @@ class MetricReport:
 
 def evaluate(
     bundle: ModelBundle,
-    dataset: Sequence[Scene],
+    dataset: SceneSet,
     n_predict: int,
     n_retrieve: int,
     seed: int,
@@ -108,21 +107,17 @@ def evaluate(
     clustering seed derives from (seed, scene index) and the report is
     reproducible. Predictions are reduced to their row as they arrive.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    for scene in dataset:
-        if scene.ego_future is None:
-            raise ValueError(f"scene {scene.scene_id!r} has no future; evaluation needs ground truth")
+    dataset.check("evaluation")
 
     rows = []
     predictions = predict_scenes(bundle, dataset, n_retrieve, n_predict, seed, decode_mode, snap_destination)
-    for scene, pred in zip(dataset, predictions):
-        end_dists = np.linalg.norm(pred.trajectories[:, -1, :] - scene.ego_future[-1], axis=1)
+    for scene_id, future, pred in zip(dataset.scene_ids, dataset.futures, predictions):
+        end_dists = np.linalg.norm(pred.trajectories[:, -1, :] - future[-1], axis=1)
         rows.append(
             SceneMetrics(
-                scene_id=scene.scene_id,
-                min_ade=min_ade(pred.trajectories, scene.ego_future),
-                min_fde=min_fde(pred.trajectories, scene.ego_future),
+                scene_id=scene_id,
+                min_ade=min_ade(pred.trajectories, future),
+                min_fde=min_fde(pred.trajectories, future),
                 best_k=int(np.argmin(end_dists)),
             )
         )

@@ -12,23 +12,23 @@ The fulfillment stage reuses this network shape (:class:`EncoderDecoder`)
 and its trainer (:func:`fit_encoder_decoder`), decoding a future where this
 stage decodes a destination.
 
-All positions here are in the ego frame of a :class:`~memtraj.datasets.SceneBatch`,
-and every net runs on row batches. The social encoder has one path: a batch
-without neighbor rows runs the neighbor embedder on zero rows, pools to
-zeros, and gets all-zero neighbor gradients, which leave that net unchanged.
-Frozen nets encode in the scene ranges of :func:`encode_chunks`: through
-:func:`social_encode`, which keeps no backward cache, or, in
-``membank.bank_init``, one batch per range.
+Stages pass in a world-frame :class:`~memtraj.datasets.SceneSet`; the nets
+read :func:`~memtraj.datasets.scene_batch` translations of it, so positions
+here are in the ego frame. Training translates each mini-batch it takes from
+the set, and frozen nets encode a set one batch per :func:`encode_chunks`
+range (:func:`social_encode`, ``membank.bank_init``), so no batch of a whole
+set is built. The social encoder has one path: a batch without neighbor rows
+runs the neighbor embedder on zero rows, pools to zeros, and gets all-zero
+neighbor gradients, which leave that net unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene, SceneBatch, scene_batch
+from .datasets import SceneBatch, SceneSet, scene_batch
 from .numkit import (
     GradBundle,
     Mlp,
@@ -134,7 +134,7 @@ def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCac
 
 
 def encode_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
-    """The ``(lo, hi)`` scene ranges in which :func:`social_encode` runs a batch with these ``offsets``.
+    """The ``(lo, hi)`` scene ranges in which :func:`social_encode` encodes a set with these ``offsets``.
 
     Ranges hold ``ENCODE_CHUNK`` scenes and either no neighbor rows or at
     least ``ENCODE_CHUNK`` of them: a range short of either merges into the
@@ -158,17 +158,17 @@ def encode_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def social_encode(nets, batch: SceneBatch) -> np.ndarray:
-    """Past features of a batch from frozen nets, encoded in the ranges of :func:`encode_chunks`.
+def social_encode(nets, scenes: SceneSet) -> np.ndarray:
+    """Past features of a set from frozen nets, one batch per range of :func:`encode_chunks`.
 
-    Keeps no :class:`SocialCache`, so memory is bounded by one range's
-    activations, and every row equals the row :func:`social_forward_batch`
-    gives for the whole batch, bit for bit.
+    Keeps no :class:`SocialCache`, so memory is bounded by one range's batch
+    and activations, and every row equals the row :func:`social_forward_batch`
+    gives for a batch of the whole set, bit for bit.
     """
-    out = np.empty((len(batch), nets.social_fuse.out_dim))
-    for lo, hi in encode_chunks(batch.offsets):
-        chunk = batch if hi - lo == len(batch) else batch.take(np.arange(lo, hi))
-        out[lo:hi] = social_forward_batch(nets, chunk)[0]
+    out = np.empty((len(scenes), nets.social_fuse.out_dim))
+    for lo, hi in encode_chunks(scenes.offsets):
+        chunk = scenes if hi - lo == len(scenes) else scenes[lo:hi]
+        out[lo:hi] = social_forward_batch(nets, scene_batch(chunk))[0]
     return out
 
 
@@ -210,28 +210,29 @@ def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.n
 # ---------------------------------------------------------------------------
 
 
-def fit_encoder_decoder(nets: EncoderDecoder, batch: SceneBatch, weight: float, stage: str, config) -> None:
-    """Train all five nets in place on a batch of scenes with futures.
+def fit_encoder_decoder(nets: EncoderDecoder, scenes: SceneSet, weight: float, stage: str, config) -> None:
+    """Train all five nets in place on a set of scenes with futures.
 
     Each scene's social past and embedded destination (its last future
     point) are decoded into [past; target], the target being the last
     ``nets.target_len`` future points. One step: mean over a mini-batch of the summed
     squared past error plus ``weight`` times the summed squared target
     error, plain SGD on all five nets. Batches are drawn from the
-    ``<stage>-batches`` seed over ``config.sgd_schedule(stage)``.
+    ``<stage>-batches`` seed over ``config.sgd_schedule(stage)``; each is
+    translated on its own. An empty set or one without futures raises first.
     """
-    dests = batch.futures[:, -1]
-    targets = batch.futures[:, -nets.target_len :].reshape(len(batch), -1)
-    n_past = batch.ego_x.shape[1]
+    needed_by = f"{stage} training"
+    scenes.check(needed_by)
+    n_past = 2 * nets.past_len
     past_dim = nets.past_dim
 
     def step(idx):
-        sub = batch.take(idx)
+        sub = scene_batch(scenes.take(idx), needed_by)
         k, social_cache = social_forward_batch(nets, sub)
-        v, point_cache = mlp_forward_cached(nets.point_embed, dests[idx])
+        v, point_cache = mlp_forward_cached(nets.point_embed, sub.futures[:, -1])
         out, dec_cache = mlp_forward_cached(nets.decoder, np.hstack([k, v]))
         res_past = out[:, :n_past] - sub.ego_x
-        res_target = out[:, n_past:] - targets[idx]
+        res_target = out[:, n_past:] - sub.futures[:, -nets.target_len :].reshape(len(idx), -1)
         loss = float(np.sum(res_past**2) + weight * np.sum(res_target**2))
         scale = 2.0 / len(idx)
         upstream = np.hstack([scale * res_past, (weight * scale) * res_target])
@@ -243,17 +244,16 @@ def fit_encoder_decoder(nets: EncoderDecoder, batch: SceneBatch, weight: float, 
 
     rng = np.random.default_rng(config.seed_for(f"{stage}-batches"))
     epochs, learning_rate = config.sgd_schedule(stage)
-    sgd_loop(stage, len(batch), config.batch_size, epochs, learning_rate, rng, step)
+    sgd_loop(stage, len(scenes), config.batch_size, epochs, learning_rate, rng, step)
 
 
-def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
-    """Train the encoders and joint decoder on raw scenes.
+def train_features(dataset: SceneSet, config) -> EncoderDecoder:
+    """Train the encoders and joint decoder on a world-frame set of scenes.
 
     The decoder reconstructs each scene's past and its destination, weighted
     by ``config.intent_weight``. With ``config.epochs_features == 0`` the
     returned nets are exactly the seeded initialization.
     """
-    batch = scene_batch(dataset, "train_features")
     nets = init_encoder_decoder(
         config.seed_for("features"),
         past_len=config.past_len,
@@ -261,5 +261,5 @@ def train_features(dataset: Sequence[Scene], config) -> EncoderDecoder:
         past_dim=config.past_dim,
         intent_dim=config.intent_dim,
     )
-    fit_encoder_decoder(nets, batch, config.intent_weight, "features", config)
+    fit_encoder_decoder(nets, dataset, config.intent_weight, "features", config)
     return nets

@@ -1,10 +1,11 @@
 """Destination-conditioned trajectory fulfillment.
 
-Given one scene, as a batch in its ego frame, and a destination proposal, an
-:class:`~memtraj.features.EncoderDecoder` (the feature stage's network
-shape, trained independently by the same trainer) embeds the observation
-and the destination, and its decoder maps the concatenation to a full
-trajectory: a reconstruction of the past followed by the future steps.
+Given one scene, as a one-scene set encoded in its ego frame, and a
+destination proposal, an :class:`~memtraj.features.EncoderDecoder` (the
+feature stage's network shape, trained independently by the same trainer)
+embeds the observation and the destination, and its decoder maps the
+concatenation to a full trajectory: a reconstruction of the past followed
+by the future steps.
 Training conditions on the ground-truth destination (teacher forcing); at
 prediction time the destinations come from the intention stage. The decoded
 future is used as-is, with an optional flag to snap its final point onto the
@@ -13,19 +14,17 @@ conditioning destination.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .datasets import Scene, SceneBatch, scene_batch
+from .datasets import SceneSet
 from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, social_encode
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
 
 
-def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_destination: bool = False) -> np.ndarray:
-    """Fulfill a one-scene batch against several ego-frame destinations at once.
+def fulfill_many(nets: EncoderDecoder, scenes: SceneSet, destinations, snap_destination: bool = False) -> np.ndarray:
+    """Fulfill a one-scene set against several ego-frame destinations at once.
 
     The scene is encoded once; destination row ``i`` yields the ``i``-th of
     the returned (k, future_len, 2) futures. With ``snap_destination`` each
@@ -34,7 +33,7 @@ def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_des
     dests = np.asarray(destinations, dtype=np.float64)
     if dests.ndim != 2 or dests.shape[1] != 2:
         raise ValueError(f"destinations must have shape (k, 2), got {dests.shape}")
-    feat = social_encode(nets, batch)
+    feat = social_encode(nets, scenes)
     dest_emb = mlp_forward(nets.point_embed, dests)
     _, futures = decode_batch(nets, np.broadcast_to(feat[0], (dests.shape[0], feat.shape[1])), dest_emb)
     futures = futures.reshape(dests.shape[0], -1, 2)
@@ -43,7 +42,7 @@ def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_des
     return futures
 
 
-def train_fulfillment(nets: EncoderDecoder, dataset: Sequence[Scene], config) -> EncoderDecoder:
+def train_fulfillment(nets: EncoderDecoder, dataset: SceneSet, config) -> EncoderDecoder:
     """Train fulfillment with teacher forcing on the true destination.
 
     The conditioning destination during training is each scene's own last
@@ -51,7 +50,6 @@ def train_fulfillment(nets: EncoderDecoder, dataset: Sequence[Scene], config) ->
     weighted by ``config.future_weight``. The input nets are not mutated;
     with 0 epochs the returned copy equals the input.
     """
-    batch = scene_batch(dataset, "train_fulfillment")
     nets = nets.copy()
-    fit_encoder_decoder(nets, batch, config.future_weight, "fulfillment", config)
+    fit_encoder_decoder(nets, dataset, config.future_weight, "fulfillment", config)
     return nets

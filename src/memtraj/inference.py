@@ -1,9 +1,9 @@
 """Frozen-model inference: one scene in, K trajectories out.
 
-Bundles the four trained artifacts and runs the prediction chain: batch the
-scene into its ego frame, encode the past, score and retrieve from the bank,
-decode anchors, cluster into destinations, fulfill each destination, and add
-the scene origin back. Everything here is read-only on the bundle.
+Bundles the four trained artifacts and runs the prediction chain: wrap the
+scene as a one-scene set, encode the past in its ego frame, score and
+retrieve from the bank, decode anchors, cluster into destinations, fulfill
+each destination, and add the scene origin back. Everything here is read-only on the bundle.
 :func:`predict_scenes` is the one loop over a split that evaluation and
 prediction files share.
 """
@@ -11,12 +11,12 @@ prediction files share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
-from .datasets import Scene, scene_batch
+from .datasets import Scene, SceneSet
 from .errors import ConfigError
 from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
@@ -146,21 +146,23 @@ def predict_scene(
     snap_destination: bool = False,
 ) -> ScenePrediction:
     """Run the full prediction chain for one raw (world-frame) scene."""
-    batch = scene_batch([scene])
+    past = np.asarray(scene.ego_past, dtype=np.float64)
+    neighbors = np.reshape(scene.neighbor_pasts, (-1, *past.shape))
+    scenes = SceneSet(past[None], None, neighbors, np.array([0, len(neighbors)]), [scene.scene_id])
     proposal = propose_destinations(
         bundle.feature_nets,
         bundle.addresser_nets,
         bundle.bank,
         bundle.keys,
-        social_encode(bundle.feature_nets, batch)[0],
+        social_encode(bundle.feature_nets, scenes)[0],
         n_retrieve,
         n_predict,
         seed,
         decode_mode=decode_mode,
     )
     iset = proposal.intention_set
-    futures = fulfill_many(bundle.fulfill_nets, batch, iset.destinations, snap_destination=snap_destination)
-    origin = batch.origins[0]
+    futures = fulfill_many(bundle.fulfill_nets, scenes, iset.destinations, snap_destination=snap_destination)
+    origin = past[-1]
     return ScenePrediction(
         scene_id=scene.scene_id,
         destinations=iset.destinations + origin,
@@ -174,7 +176,7 @@ def predict_scene(
 
 def predict_scenes(
     bundle: ModelBundle,
-    scenes: Sequence[Scene],
+    scenes: SceneSet,
     n_retrieve: int,
     n_predict: int,
     seed: int,

@@ -18,11 +18,10 @@ import struct
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .datasets import Scene, dataset_fingerprint, scene_batch
+from .datasets import SceneSet, dataset_fingerprint, scene_batch
 from .errors import FormatError
 from .features import EncoderDecoder, encode_chunks, social_forward_batch
 from .numkit import atomic_open, mlp_forward
@@ -78,22 +77,22 @@ class MemoryBankPair:
         return MemoryBankPair(**{name: getattr(self, name)[rows] for name in _RECORD_FIELDS}, meta=self.meta)
 
 
-def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
+def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
     """Encode every training scene into one memory entry (unfiltered bank).
 
     Entry ``i`` comes from ``dataset[i]`` and carries ``sample_id == i``.
     Stored features and geometry live in each scene's ego frame. Scenes are
     batched and encoded one :func:`~memtraj.features.encode_chunks` range at
     a time, so no batch of the whole set is built, and every row equals the
-    row one batch of all scenes gives, bit for bit.
+    row one batch of all scenes gives, bit for bit. ValueError for an empty
+    set or one without futures.
     """
+    dataset.check("the memory bank")
     n = len(dataset)
-    if not n:
-        raise ValueError("empty scene list for the memory bank")
     past_feats = np.empty((n, nets.past_dim))
     starts = np.empty((n, 2))
     dests = np.empty((n, 2))
-    for lo, hi in encode_chunks(np.cumsum([0] + [s.n_neighbors for s in dataset])):
+    for lo, hi in encode_chunks(dataset.offsets):
         batch = scene_batch(dataset[lo:hi], "the memory bank")
         past_feats[lo:hi] = social_forward_batch(nets, batch)[0]
         starts[lo:hi] = batch.ego_x[:, :2]
@@ -102,7 +101,7 @@ def bank_init(nets: EncoderDecoder, dataset: Sequence[Scene]) -> MemoryBankPair:
         past_dim=nets.past_dim,
         intent_dim=nets.intent_dim,
         past_len=nets.past_len,
-        future_len=batch.futures.shape[1],
+        future_len=dataset.futures.shape[1],
         source_hash=dataset_fingerprint(dataset),
     )
     logger.info("memory bank: %d entries before filtering", n)

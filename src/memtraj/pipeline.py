@@ -30,20 +30,19 @@ import shutil
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .addresser import AddresserNets, addresser_training_data, fit_addresser, fixed_cosine_nets, init_addresser_nets
 from .config import Config
 from .datasets import (
-    Scene,
+    SceneSet,
     SynthMode,
     dataset_fingerprint,
     load_manifest,
     mode_probabilities,
     save_tsv,
-    scene_batch,
     scenes_to_tracks,
     synth_generate,
 )
@@ -155,7 +154,7 @@ def _load_stage(config: Config, name: str, reads: dict[str, str]):
     return net_type(*(load_mlp(artifact / f"{f.name}.mtnn") for f in fields(net_type)))
 
 
-def _load_scenes(config: Config, which: str) -> list[Scene]:
+def _load_scenes(config: Config, which: str) -> SceneSet:
     manifest_path = getattr(config, which)
     if not manifest_path:
         raise ConfigError("no manifest path configured", key=which)
@@ -237,7 +236,7 @@ def train_addresser_selected(
     nets: AddresserNets,
     bank: MemoryBankPair,
     feature_nets: EncoderDecoder,
-    dataset: Sequence[Scene],
+    dataset: SceneSet,
     config: Config,
 ) -> tuple[AddresserNets, dict]:
     """Train in segments and keep the snapshot with the lowest held-out destination error.
@@ -258,7 +257,6 @@ def train_addresser_selected(
     ``min(n_predict, L)``: its error only ranks snapshots against each other,
     so a small bank must not stop the stage.
     """
-    dataset = list(dataset)
     n_hold = min(SELECTION_HOLDOUT_CAP, max(1, int(len(dataset) * SELECTION_HOLDOUT_FRACTION)))
     n_train = len(dataset) - n_hold
     memory = bank.take(bank.sample_ids < n_train)  # sample ids are training-scene ordinals
@@ -268,11 +266,10 @@ def train_addresser_selected(
             "of the others to score them against; give the stage more scenes",
             key="train_manifest",
         )
-    holdout = scene_batch(dataset[n_train:], "addresser selection")
+    holdout = dataset[n_train:]
+    dests = holdout.ego_destinations("addresser selection")
     # each scene encoded once, and alone as predict_scene encodes it: a batch's product can differ in the last bits
-    queries = np.concatenate([social_encode(feature_nets, holdout.take([i])) for i in range(len(holdout))])
-    dests = holdout.futures[:, -1]
-    train_slice = dataset[:n_train]
+    queries = np.concatenate([social_encode(feature_nets, holdout[i : i + 1]) for i in range(n_hold)])
     n_retrieve = min(config.n_retrieve, len(memory))
     n_predict = min(config.n_predict, n_retrieve)
     seed = config.seed_for("addresser-selection")
@@ -291,7 +288,7 @@ def train_addresser_selected(
     epochs, learning_rate = config.sgd_schedule("addresser")
     for chunk in _segment_epochs(epochs, SELECTION_SEGMENTS):
         if data is None:
-            data = addresser_training_data(bank, feature_nets, train_slice)
+            data = addresser_training_data(bank, feature_nets, dataset[:n_train])
         fit_addresser(current, bank, data, config, chunk, learning_rate, rng)
         epoch_no += chunk
         error = selection_error(current)
@@ -476,10 +473,8 @@ def run_synth(config: Config) -> Path:
     # and each scene's ego track comes first among its tracks.
     with atomic_open(synth_dir / "labels.csv") as fh:
         fh.write("window_scene_id,synth_scene_id\n")
-        agent = 0
-        for scene in scenes:
+        for agent, scene_id in zip(scenes.offsets[:-1] + np.arange(len(scenes)), scenes.scene_ids):
             ego = tracks[agent]
-            fh.write("scenes:%d:%d,%s\n" % (ego.agent_id, ego.frames[config.past_len - 1], scene.scene_id))
-            agent += 1 + scene.n_neighbors
+            fh.write("scenes:%d:%d,%s\n" % (ego.agent_id, ego.frames[config.past_len - 1], scene_id))
     logger.info("wrote %d synthetic scenes to %s", len(scenes), synth_dir)
     return synth_dir

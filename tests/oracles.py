@@ -11,9 +11,35 @@ import numpy as np
 
 from memtraj import addresser
 from memtraj.addresser import DEGENERATE_NORM, _cosine_forward, addresser_training_data, fit_addresser, pseudo_labels
-from memtraj.datasets import Scene, SceneBatch
+from memtraj.datasets import Scene, SceneBatch, SceneSet
 from memtraj.features import decode_batch, social_forward_batch
 from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
+
+
+def scene_set(scenes) -> SceneSet:
+    """One or more Scene objects stacked into a set, one scene at a time; it has futures only when every scene has one."""
+    scenes = list(scenes)
+    past_shape = np.shape(scenes[0].ego_past)
+    neighbors = [np.reshape(s.neighbor_pasts, (-1, *past_shape)) for s in scenes]
+    return SceneSet(
+        ego_pasts=np.stack([s.ego_past for s in scenes]).astype(np.float64),
+        futures=None if any(s.ego_future is None for s in scenes) else np.stack([s.ego_future for s in scenes]).astype(np.float64),
+        neighbor_pasts=np.concatenate(neighbors).astype(np.float64),
+        offsets=np.cumsum([0] + [len(n) for n in neighbors]).astype(np.int64),
+        scene_ids=[s.scene_id for s in scenes],
+    )
+
+
+def reference_fingerprint(scenes) -> bytes:
+    """``dataset_fingerprint`` as one loop over Scene objects: per scene its id, past, neighbor and future bytes."""
+    digest = hashlib.sha256()
+    for scene in scenes:
+        digest.update(scene.scene_id.encode("utf-8"))
+        digest.update(np.ascontiguousarray(scene.ego_past, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(scene.neighbor_pasts, dtype="<f8").tobytes())
+        if scene.ego_future is not None:
+            digest.update(np.ascontiguousarray(scene.ego_future, dtype="<f8").tobytes())
+    return digest.digest()
 
 
 def normalize_scene(scene):

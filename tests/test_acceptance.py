@@ -26,6 +26,7 @@ from memtraj.addresser import (
 from memtraj.config import Config
 from memtraj.datasets import (
     Scene,
+    SceneSet,
     default_modes,
     synth_generate,
 )
@@ -58,6 +59,7 @@ from oracles import (
     hidden_preactivations,
     is_redundant,
     kmeans_cost,
+    scene_set,
     synth_meta,
     synth_mode_endpoints,
     train_addresser,
@@ -177,7 +179,7 @@ def test_criterion_2_filter_properties(capsys):
     )
 
 
-def _toy_scenes(n: int = 16, speed: float = 0.25) -> list[Scene]:
+def _toy_scenes(n: int = 16, speed: float = 0.25) -> SceneSet:
     """Straight constant-speed walks in n evenly spread headings, no noise."""
     scenes = []
     t_past = np.arange(-(PAST_LEN - 1), 1, dtype=np.float64)
@@ -193,7 +195,7 @@ def _toy_scenes(n: int = 16, speed: float = 0.25) -> list[Scene]:
                 scene_id=f"toy:{i}",
             )
         )
-    return scenes
+    return scene_set(scenes)
 
 
 def test_criterion_3_addresser_oracle(capsys):

@@ -1,6 +1,7 @@
 """Unit tests for memory addressing: scoring, labels, top-L, training."""
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -223,7 +224,9 @@ def test_train_addresser_validation():
     bank = bank_init(feature_nets, scenes)
     nets = init_addresser_nets(past_dim=32)
     with pytest.raises(ValueError, match="empty"):
-        train_addresser(nets, bank, feature_nets, [], config)
+        train_addresser(nets, bank, feature_nets, scenes[:0], config)
+    with pytest.raises(ValueError, match="has no future; addresser training needs one"):
+        train_addresser(nets, bank, feature_nets, replace(scenes, futures=None), config)
 
 
 def random_training_inputs(rng, m, n, past_dim):

@@ -1,5 +1,8 @@
-"""Unit tests for TSV parsing, scene windowing, and the synthetic generator."""
+"""Unit tests for TSV parsing, scene windowing, scene sets, and the synthetic generator."""
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +27,14 @@ from memtraj.datasets import (
 from memtraj.datasets import _load_tsv_lines
 from memtraj.errors import ParseError
 
-from oracles import normalize_scene, reference_batch, synth_meta, synth_mode_endpoints
+from oracles import (
+    normalize_scene,
+    reference_batch,
+    reference_fingerprint,
+    scene_set,
+    synth_meta,
+    synth_mode_endpoints,
+)
 
 
 def write(tmp_path, name, text):
@@ -349,14 +359,16 @@ def assert_same_scenes(got, want):
             x, y = getattr(a, field), getattr(b, field)
             assert x.shape == y.shape and x.dtype == y.dtype
             assert x.tobytes() == y.tobytes()  # bit for bit, so -0.0 is not 0.0
-    assert dataset_fingerprint(got) == dataset_fingerprint(want)
+    assert reference_fingerprint(got) == reference_fingerprint(want)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tracks=random_tracks(), **window_args)
 def test_build_scenes_matches_reference(tracks, past_len, future_len, stride, max_neighbors):
     args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors, tag="t")
-    assert_same_scenes(build_scenes(tracks, **args), reference_build_scenes(tracks, **args))
+    got, want = build_scenes(tracks, **args), reference_build_scenes(tracks, **args)
+    assert_same_scenes(got, want)
+    assert dataset_fingerprint(got) == reference_fingerprint(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -473,7 +485,7 @@ def test_scene_multiset_invariant_to_track_order(small_scenes):
 
 def test_normalize_scene_centers_last_observation(small_scenes):
     scene = small_scenes[0]
-    batch = scene_batch([scene], "this test")
+    batch = scene_batch(small_scenes[:1], "this test")
     past = batch.ego_x[0].reshape(-1, 2)
     np.testing.assert_array_equal(past[-1], [0.0, 0.0])
     np.testing.assert_array_equal(batch.origins[0], scene.ego_past[-1])
@@ -544,33 +556,60 @@ def assert_same_batch(a, b):
 @example(scenes=[_scene(0), _scene(0, 1.0)], with_futures=False)  # ... every scene
 @example(scenes=[_scene(0, past_len=1)], with_futures=True)  # the origin is the only past point
 def test_scene_batch_matches_per_scene_normalization(scenes, with_futures):
-    batch = scene_batch(scenes, "this test" if with_futures else None)
-    assert len(batch) == len(scenes)
+    batch = scene_batch(scene_set(scenes), "this test" if with_futures else None)
+    assert len(batch.ego_x) == len(scenes)
     assert_same_batch(batch, reference_batch(scenes, with_futures))
 
 
+def assert_same_scene(view, scene):
+    """A scene view holds one scene's id and coordinates, bit for bit."""
+    assert view.scene_id == scene.scene_id
+    for field in ("ego_past", "neighbor_pasts", "ego_future"):
+        x, y = getattr(view, field), getattr(scene, field)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
 @settings(max_examples=100, deadline=None)
-@given(scenes=scene_lists(), picks=st.lists(st.integers(0, 5), min_size=1, max_size=8))
-@example(scenes=[_scene(0), _scene(2, 1.0), _scene(1, 2.0)], picks=[2, 0, 2, 1, 0])
-def test_scene_batch_take_matches_a_batch_of_those_scenes(scenes, picks):
+@given(
+    scenes=scene_lists(),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    cut=st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
+)
+@example(scenes=[_scene(0), _scene(2, 1.0), _scene(1, 2.0)], picks=[2, 0, 2, 1, 0], cut=(1, 3))
+@example(scenes=[_scene(2), _scene(0, 1.0), _scene(0, 2.0)], picks=[1, 2, 1], cut=(-2, 7))
+def test_scene_set_selections_match_a_batch_of_those_scenes(scenes, picks, cut):
     n = len(scenes)
     idx = [i % n for i in picks]  # permuted and repeated scenes
-    batch = scene_batch(scenes, "this test")
-    assert_same_batch(batch.take(idx), scene_batch([scenes[i] for i in idx], "this test"))
-    assert_same_batch(batch.take(np.array(idx)), batch.take(idx))
-    assert_same_batch(batch.take(range(n)), batch)
+    chosen = [scenes[i] for i in idx]
+    whole = scene_set(scenes)
+    for taken in (whole.take(idx), whole.take(np.array(idx))):
+        assert taken.scene_ids == [s.scene_id for s in chosen]
+        assert_same_batch(scene_batch(taken, "this test"), reference_batch(chosen))
+    lo, hi = cut
+    if scenes[lo:hi]:
+        assert_same_batch(scene_batch(whole[lo:hi], "this test"), reference_batch(scenes[lo:hi]))
+    else:
+        assert len(whole[lo:hi]) == 0
+    assert_same_batch(scene_batch(whole[::-1], "this test"), reference_batch(scenes[::-1]))
+    for i in [*idx, -1]:
+        assert_same_scene(whole[i], scenes[i])
+        assert_same_batch(scene_batch(whole.take([i % n])), reference_batch([whole[i]], with_futures=False))
+    assert [s.scene_id for s in whole] == [s.scene_id for s in scenes]
+    with pytest.raises(IndexError):
+        whole[n]
 
 
 def test_scene_batch_checks_its_input():
-    with pytest.raises(ValueError, match="empty scene list for the bank"):
-        scene_batch([], "the bank")
-    with pytest.raises(ValueError, match="empty scene list"):
-        scene_batch([])
-    scenes = [_scene(1), _scene(0, 1.0)]
-    scenes[1].ego_future = None
-    with pytest.raises(ValueError, match="scene 'h0' has no future; the bank needs one"):
-        scene_batch(scenes, "the bank")
-    assert scene_batch(scenes).futures is None  # a batch without futures needs none
+    empty = scene_set([_scene(1)])[:0]
+    with pytest.raises(ValueError, match="empty scene set for the bank"):
+        scene_batch(empty, "the bank")
+    with pytest.raises(ValueError, match="empty scene set"):
+        scene_batch(empty)
+    futureless = scene_set([_scene(1), replace(_scene(0, 1.0), ego_future=None)])
+    assert futureless.futures is None
+    with pytest.raises(ValueError, match="scene 'h1' has no future; the bank needs one"):
+        scene_batch(futureless, "the bank")
+    assert scene_batch(futureless).futures is None  # a batch without futures needs none
 
 
 def test_synth_shapes_and_determinism():
@@ -630,6 +669,18 @@ def test_synth_validation():
         synth_generate(0, 1, jitter=-0.1)
     with pytest.raises(ValueError, match="speed"):
         synth_generate(0, 1, speed=0.0)
+
+
+def test_synth_generate_checks_its_sizes():
+    with pytest.raises(ValueError, match="past_len and future_len must be >= 1, got 0, 12"):
+        synth_generate(0, 1, past_len=0)
+    with pytest.raises(ValueError, match="past_len and future_len must be >= 1, got 8, 0"):
+        synth_generate(0, 1, future_len=0)
+    with pytest.raises(ValueError, match="n_neighbors must be >= 0, got -1"):
+        synth_generate(0, 1, n_neighbors=-1)
+    scenes = synth_generate(0, 3, past_len=1, future_len=1, n_neighbors=0)
+    assert scenes.ego_pasts.shape == (3, 1, 2) and scenes.futures.shape == (3, 1, 2)
+    assert len(scenes.neighbor_pasts) == 0 and scenes.offsets.tolist() == [0, 0, 0, 0]
 
 
 def test_scenes_to_tracks_roundtrip(tmp_path):
@@ -696,13 +747,55 @@ def test_load_manifest_rejects_csv_breaking_file_names(tmp_path):
     assert load_manifest(manifest, past_len=8, future_len=12)[0].scene_id.startswith("ok:")
 
 
+def test_load_manifest_rejects_repeated_stems(tmp_path):
+    # the stem prefixes every scene id, so two files with one stem would repeat ids
+    tracks = scenes_to_tracks(synth_generate(7, 1, n_neighbors=0))
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        save_tsv(tracks, tmp_path / sub / "data.tsv")
+    manifest = tmp_path / "manifest.txt"
+    for text, line in (("a/data.tsv\n# again\nb/data.tsv\n", 3), ("a/data.tsv\na/data.tsv\n", 2)):
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"manifest.txt: line {line}: file stem 'data' is already listed on line 1"):
+            load_manifest(manifest, past_len=8, future_len=12)
+    manifest.write_text("a/data.tsv\n", encoding="utf-8")
+    assert len(load_manifest(manifest, past_len=8, future_len=12)) == 1
+
+
 def test_dataset_fingerprint_tracks_content(small_scenes):
     fp1 = dataset_fingerprint(small_scenes)
     fp2 = dataset_fingerprint(small_scenes)
     assert fp1 == fp2 and len(fp1) == 32
-    bumped = synth_generate(11, 40)
-    bumped[0].ego_past = bumped[0].ego_past + 1e-9
-    assert dataset_fingerprint(bumped) != fp1
+    # one coordinate moved, in the ego past, a neighbor past or a future
+    for field, at in (("ego_pasts", (0, 0, 0)), ("neighbor_pasts", (5, 3, 1)), ("futures", (39, 11, 1))):
+        moved = getattr(small_scenes, field).copy()
+        moved[at] += 1e-9
+        assert dataset_fingerprint(replace(small_scenes, **{field: moved})) != fp1, field
+    assert dataset_fingerprint(replace(small_scenes, futures=None)) != fp1
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes=scene_lists(), with_futures=st.booleans())
+@example(scenes=[_scene(0), _scene(2, 1.0), _scene(0, 2.0)], with_futures=True)
+def test_dataset_fingerprint_matches_the_per_scene_loop(scenes, with_futures):
+    if not with_futures:
+        scenes = [replace(s, ego_future=None) for s in scenes]
+    assert dataset_fingerprint(scene_set(scenes)) == reference_fingerprint(scenes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(random_tracks(unique_ids=True), min_size=1, max_size=3), **window_args)
+def test_dataset_fingerprint_of_a_manifest_matches_the_per_scene_loop(parts, past_len, future_len, stride, max_neighbors):
+    args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors)
+    stems = [f"part{i}" for i in range(len(parts))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, tracks in zip(stems, parts):
+            save_tsv(tracks, Path(tmp) / f"{stem}.tsv")
+        (Path(tmp) / "manifest.txt").write_text("".join(f"{stem}.tsv\n" for stem in stems), encoding="utf-8")
+        loaded = load_manifest(Path(tmp) / "manifest.txt", **args)
+    want = [scene for stem, tracks in zip(stems, parts) for scene in reference_build_scenes(tracks, tag=stem, **args)]
+    assert_same_scenes(loaded, want)
+    assert dataset_fingerprint(loaded) == reference_fingerprint(want)
 
 
 def test_build_scenes_validation():

@@ -12,7 +12,7 @@ from memtraj.fulfillment import fulfill_many
 from memtraj.inference import ModelBundle, destination_error, predict_scene, propose_destinations, scene_seed
 from memtraj.membank import bank_init
 
-from oracles import normalize_scene
+from oracles import normalize_scene, scene_set
 
 
 def test_min_ade_hand_cases():
@@ -88,8 +88,8 @@ def test_propose_destinations_matches_predict_scene():
     bundle = make_bundle(config, scenes)
     scene = scenes[4]
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
-    batch = scene_batch([scene])
-    query = social_encode(bundle.feature_nets, batch)[0]
+    alone = scenes[4:5]
+    query = social_encode(bundle.feature_nets, alone)[0]
     proposal = propose_destinations(
         bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, 11
     )
@@ -98,7 +98,7 @@ def test_propose_destinations_matches_predict_scene():
     # the world-frame outputs are the oracle's inversion of the ego-frame ones, bit for bit
     _, translation = normalize_scene(scene)
     np.testing.assert_array_equal(proposal.intention_set.destinations - translation, pred.destinations)
-    futures = fulfill_many(bundle.fulfill_nets, batch, proposal.intention_set.destinations)
+    futures = fulfill_many(bundle.fulfill_nets, alone, proposal.intention_set.destinations)
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
     with pytest.raises(ValueError, match="n_predict"):
         propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 3, 6, 11)
@@ -112,9 +112,9 @@ def test_destination_error_properties():
     config = quick_config()
     scenes = synth_generate(33, 10)
     bundle = make_bundle(config, scenes)
-    holdout = scene_batch(scenes[:6], "destination error")
-    queries = np.concatenate([social_encode(bundle.feature_nets, holdout.take([i])) for i in range(6)])
-    dests = holdout.futures[:, -1]
+    holdout = scenes[:6]
+    queries = np.concatenate([social_encode(bundle.feature_nets, holdout[i : i + 1]) for i in range(6)])
+    dests = scene_batch(holdout, "destination error").futures[:, -1]
     err = destination_error(
         bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, master_seed=3
     )
@@ -127,7 +127,7 @@ def test_destination_error_properties():
     gaps = []
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
-        query = social_encode(bundle.feature_nets, scene_batch([scene]))[0]
+        query = social_encode(bundle.feature_nets, scene_set([scene]))[0]
         proposal = propose_destinations(
             bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, scene_seed(3, i)
         )
@@ -136,7 +136,7 @@ def test_destination_error_properties():
         )
     assert err == pytest.approx(np.mean(gaps), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
-        scene_batch([], "destination error")
+        scene_batch(scenes[:0], "destination error")
     bare = Scene(
         ego_past=scenes[0].ego_past,
         neighbor_pasts=scenes[0].neighbor_pasts,
@@ -144,7 +144,7 @@ def test_destination_error_properties():
         scene_id="bare",
     )
     with pytest.raises(ValueError, match="'bare' has no future; destination error needs one"):
-        scene_batch([bare], "destination error")
+        scene_batch(scene_set([bare]), "destination error")
 
 
 def test_evaluate_report_and_csv(tmp_path):
@@ -196,8 +196,8 @@ def test_evaluate_validation():
     config = quick_config()
     scenes = synth_generate(27, 6)
     bundle = make_bundle(config, scenes)
-    with pytest.raises(ValueError):
-        evaluate(bundle, [], n_predict=3, n_retrieve=8, seed=1)
+    with pytest.raises(ValueError, match="empty scene set for evaluation"):
+        evaluate(bundle, scenes[:0], n_predict=3, n_retrieve=8, seed=1)
     from memtraj.datasets import Scene
 
     no_future = Scene(
@@ -206,5 +206,5 @@ def test_evaluate_validation():
         ego_future=None,
         scene_id="t:0:0",
     )
-    with pytest.raises(ValueError):
-        evaluate(bundle, [no_future], n_predict=3, n_retrieve=8, seed=1)
+    with pytest.raises(ValueError, match="scene 't:0:0' has no future; evaluation needs one"):
+        evaluate(bundle, scene_set([no_future]), n_predict=3, n_retrieve=8, seed=1)

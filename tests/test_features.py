@@ -23,12 +23,12 @@ from memtraj.features import (
 from memtraj.numkit import TANH, mlp_forward, mlp_init
 
 from conftest import quick_config, single_mode_spec
-from oracles import mean_rec_loss, normalize_scene
+from oracles import mean_rec_loss, normalize_scene, scene_set
 
 
 def encode_one(nets, scene):
     """Past feature of one scene, encoded alone."""
-    out, _ = social_forward_batch(nets, scene_batch([scene]))
+    out, _ = social_forward_batch(nets, scene_batch(scene_set([scene])))
     return out[0]
 
 
@@ -100,11 +100,12 @@ def test_mixed_neighbor_batches_encode_like_each_scene_alone(counts, seed):
         Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"m{i}")
         for i, n in enumerate(counts)
     ]
-    batch = scene_batch(scenes)
+    whole = scene_set(scenes)
+    batch = scene_batch(whole)
     out, cache = social_forward_batch(MIX_NETS, batch)
     assert cache.nb_cache.activations[0].shape == (sum(counts), 16)
     for i, n in enumerate(counts):
-        alone, alone_cache = social_forward_batch(MIX_NETS, batch.take([i, i]))
+        alone, alone_cache = social_forward_batch(MIX_NETS, scene_batch(whole.take([i, i])))
         np.testing.assert_array_equal(out[i], alone[0])
         own_rows = np.where(cache.pool_rows[i] >= 0, cache.pool_rows[i] - batch.offsets[i], -1)
         np.testing.assert_array_equal(alone_cache.pool_rows[0], own_rows)
@@ -149,12 +150,12 @@ def test_social_encode_matches_one_batch_bit_for_bit(counts, seed):
         Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"c{i}")
         for i, n in enumerate(counts)
     ]
-    batch = scene_batch(scenes)
+    batch = scene_batch(scene_set(scenes))
     whole, _ = social_forward_batch(CHUNKED_NETS, batch)
     with mock.patch.object(features, "ENCODE_CHUNK", 24):
         ranges = encode_chunks(batch.offsets)
-        chunked = social_encode(CHUNKED_NETS, batch)
-    assert [lo for lo, _ in ranges] + [len(batch)] == [0] + [hi for _, hi in ranges]
+        chunked = social_encode(CHUNKED_NETS, scene_set(scenes))
+    assert [lo for lo, _ in ranges] + [len(scenes)] == [0] + [hi for _, hi in ranges]
     if len(ranges) > 1:
         rows = [batch.offsets[hi] - batch.offsets[lo] for lo, hi in ranges]
         assert all(hi - lo >= 24 for lo, hi in ranges) and all(r == 0 or r >= 24 for r in rows)
@@ -163,10 +164,10 @@ def test_social_encode_matches_one_batch_bit_for_bit(counts, seed):
 
 def test_neighborless_training_step_leaves_neighbor_embed_unchanged():
     config = quick_config(epochs_features=1, batch_size=8)
-    batch = scene_batch(synth_generate(4, 8, n_neighbors=0), "the test")
+    scenes = synth_generate(4, 8, n_neighbors=0)
     nets = init_encoder_decoder(6, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     before = nets.copy()
-    fit_encoder_decoder(nets, batch, 1.0, "features", config)  # one epoch of one 8-scene step
+    fit_encoder_decoder(nets, scenes, 1.0, "features", config)  # one epoch of one 8-scene step
     for f in fields(nets):
         after, start = getattr(nets, f.name), getattr(before, f.name)
         same = [np.array_equal(a, b) for a, b in zip(after.weights + after.biases, start.weights + start.biases)]
@@ -199,7 +200,7 @@ def test_social_backward_matches_finite_difference():
                 scene_id=f"g{i}",
             )
         )
-    batch = scene_batch(scenes)
+    batch = scene_batch(scene_set(scenes))
     upstream = rng.normal(size=(3, 4))
 
     def scalar():
@@ -294,7 +295,7 @@ def test_train_features_requires_futures(small_scenes):
     futureless = Scene(
         ego_past=scene.ego_past, neighbor_pasts=scene.neighbor_pasts, ego_future=None, scene_id="x"
     )
-    with pytest.raises(ValueError, match="future"):
-        train_features([futureless], quick_config())
-    with pytest.raises(ValueError, match="empty"):
-        train_features([], quick_config())
+    with pytest.raises(ValueError, match="scene 'x' has no future; features training needs one"):
+        train_features(scene_set([futureless]), quick_config())
+    with pytest.raises(ValueError, match="empty scene set for features training"):
+        train_features(small_scenes[:0], quick_config())

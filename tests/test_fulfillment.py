@@ -8,14 +8,14 @@ from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import decode_batch, init_encoder_decoder, social_forward_batch
 from memtraj.fulfillment import fulfill_many, train_fulfillment
 from memtraj.numkit import mlp_forward
-from oracles import reference_batch
+from oracles import reference_batch, scene_set
 
 
-def one_scene_batch(rng, past_len=8, future_len=12, n_neighbors=2):
+def one_scene_set(rng, past_len=8, future_len=12, n_neighbors=2):
     ego_past = rng.normal(size=(past_len, 2))
     neighbors = rng.normal(size=(n_neighbors, past_len, 2))
     future = rng.normal(size=(future_len, 2))
-    return scene_batch([Scene(ego_past=ego_past, neighbor_pasts=neighbors, ego_future=future, scene_id="t:0:0")])
+    return scene_set([Scene(ego_past=ego_past, neighbor_pasts=neighbors, ego_future=future, scene_id="t:0:0")])
 
 
 def test_init_shapes_and_determinism():
@@ -33,7 +33,7 @@ def test_init_shapes_and_determinism():
 def test_fulfill_shapes():
     rng = np.random.default_rng(1)
     nets = init_encoder_decoder(2, past_len=8, target_len=12, past_dim=32)
-    scene = one_scene_batch(rng)
+    scene = one_scene_set(rng)
     futures = fulfill_many(nets, scene, np.array([[1.0, 2.0]]))
     assert futures.shape == (1, 12, 2)
     assert fulfill_many(nets, scene, np.zeros((3, 2))).shape == (3, 12, 2)
@@ -44,7 +44,7 @@ def test_fulfill_shapes():
 def test_fulfill_many_matches_single():
     rng = np.random.default_rng(2)
     nets = init_encoder_decoder(3, past_len=8, target_len=12, past_dim=32)
-    scene = one_scene_batch(rng)
+    scene = one_scene_set(rng)
     dests = rng.normal(size=(4, 2))
     many = fulfill_many(nets, scene, dests)
     assert len(many) == 4
@@ -56,7 +56,7 @@ def test_fulfill_many_matches_single():
 def test_snap_destination_pins_endpoint():
     rng = np.random.default_rng(3)
     nets = init_encoder_decoder(4, past_len=8, target_len=12, past_dim=32)
-    scene = one_scene_batch(rng)
+    scene = one_scene_set(rng)
     dests = rng.normal(size=(3, 2))
     futures = fulfill_many(nets, scene, dests, snap_destination=True)
     for i, future in enumerate(futures):
@@ -102,9 +102,9 @@ def test_true_destination_beats_offset_destination():
     fde_true = 0.0
     fde_off = 0.0
     batch = scene_batch(scenes, "this test")
-    for i in range(len(batch)):
+    for i in range(len(scenes)):
         dest = batch.futures[i, -1]
-        pred_true, pred_off = fulfill_many(trained, batch.take([i]), np.stack([dest, dest + offset]))
+        pred_true, pred_off = fulfill_many(trained, scenes[i : i + 1], np.stack([dest, dest + offset]))
         fde_true += float(np.linalg.norm(pred_true[-1] - dest))
         fde_off += float(np.linalg.norm(pred_off[-1] - dest))
     assert fde_true < fde_off
@@ -137,8 +137,8 @@ def test_training_deterministic():
 def test_training_validation():
     config = quick_config()
     init = init_encoder_decoder(1, config.past_len, config.future_len, past_dim=config.past_dim)
-    with pytest.raises(ValueError):
-        train_fulfillment(init, [], config)
+    with pytest.raises(ValueError, match="empty scene set for fulfillment training"):
+        train_fulfillment(init, synth_generate(1, 1)[:0], config)
     rng = np.random.default_rng(5)
     no_future = Scene(
         ego_past=rng.normal(size=(8, 2)),
@@ -146,5 +146,5 @@ def test_training_validation():
         ego_future=None,
         scene_id="t:0:0",
     )
-    with pytest.raises(ValueError):
-        train_fulfillment(init, [no_future], config)
+    with pytest.raises(ValueError, match="scene 't:0:0' has no future; fulfillment training needs one"):
+        train_fulfillment(init, scene_set([no_future]), config)

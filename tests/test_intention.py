@@ -197,7 +197,7 @@ def test_predict_intentions_shapes_and_determinism():
     scenes, nets, bank = make_stack(12)
     addresser = fixed_cosine_nets(32)
     keys = key_table(addresser, bank)
-    query = social_encode(nets, scene_batch(scenes[:1]))[0]
+    query = social_encode(nets, scenes[:1])[0]
     # retrieve, decode and cluster: the destination half of a prediction
     a = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5).intention_set
     b = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5).intention_set

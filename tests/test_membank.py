@@ -1,6 +1,7 @@
 """Unit tests for the memory bank: build, filter, serialize."""
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -345,9 +346,8 @@ def test_filter_validation():
 
 def test_bank_init_requires_futures(small_scenes):
     nets = init_encoder_decoder(0, past_len=8, target_len=1)
-    scenes = synth_generate(1, 2)
-    scenes[0].ego_future = None
-    with pytest.raises(ValueError, match="future"):
+    scenes = replace(synth_generate(1, 2), futures=None)
+    with pytest.raises(ValueError, match="has no future; the memory bank needs one"):
         bank_init(nets, scenes)
-    with pytest.raises(ValueError, match="empty"):
-        bank_init(nets, [])
+    with pytest.raises(ValueError, match="empty scene set for the memory bank"):
+        bank_init(nets, scenes[:0])

@@ -235,7 +235,7 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
     feature_nets = train_features(scenes, config)
     bank = bank_init(feature_nets, scenes)
     encoded = []
-    monkeypatch.setattr(pipeline, "social_encode", lambda nets, batch: encoded.append(len(batch)) or social_encode(nets, batch))
+    monkeypatch.setattr(pipeline, "social_encode", lambda nets, chunk: encoded.append(len(chunk)) or social_encode(nets, chunk))
     init = init_addresser_nets(config.past_dim, config.addr_dim)
     _, report = train_addresser_selected(init, bank, feature_nets, scenes, config)
     # 30 scenes hold out the last 3, each encoded alone once for all three snapshots
@@ -244,13 +244,29 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
     memory = bank.take(bank.sample_ids < 27)
     keys = key_table(init, memory)
     gaps = []
-    for i, scene in enumerate(scenes[27:]):
-        batch = scene_batch([scene], "the held-out scene")  # predict_scene's batch, plus the future
-        query = social_encode(feature_nets, batch)[0]
+    for i in range(3):
+        alone = scenes[27 + i : 28 + i]  # predict_scene's one-scene set, plus the future
+        batch = scene_batch(alone, "the held-out scene")
+        query = social_encode(feature_nets, alone)[0]
         seed = scene_seed(config.seed_for("addresser-selection"), i)
         proposal = propose_destinations(feature_nets, init, memory, keys, query, config.n_retrieve, config.n_predict, seed)
         gaps.append(float(np.linalg.norm(proposal.intention_set.destinations - batch.futures[0, -1], axis=1).min()))
     assert report["errors"][0] == (0, float(np.mean(gaps)))
+
+
+def test_selection_requires_futures(tmp_path):
+    from memtraj.addresser import init_addresser_nets
+    from memtraj.features import init_encoder_decoder
+    from memtraj.membank import bank_init
+
+    config = tiny_config(tmp_path)
+    scenes = synth_generate(41, 30)
+    feature_nets = init_encoder_decoder(1, past_len=8, target_len=1, past_dim=config.past_dim, intent_dim=config.intent_dim)
+    bank = bank_init(feature_nets, scenes)
+    init = init_addresser_nets(config.past_dim, config.addr_dim)
+    # the first held-out scene is named
+    with pytest.raises(ValueError, match="scene 'synth-000027.* has no future; addresser selection needs one"):
+        train_addresser_selected(init, bank, feature_nets, replace(scenes, futures=None), config)
 
 
 def test_addresser_manifest_records_every_snapshot_error(trained_run):
