@@ -51,9 +51,6 @@ class Config:
     n_retrieve: int | None = None  # entries retrieved per query (default from scale)
     n_predict: int = 20  # destination proposals per scene
     label_threshold: float | None = None  # pseudo-label cutoff, default 5 * theta_int
-    # loss weights
-    intent_weight: float = 1.0
-    future_weight: float = 1.0
     # per-stage SGD settings
     lr_features: float = 1e-3
     lr_addresser: float = 1e-4
@@ -77,10 +74,7 @@ class Config:
     out_dir: str = "runs/out"
     # synthetic data generation
     synth_scenes: int = 1000
-    synth_jitter: float = 0.02
-    synth_speed: float = 0.25
     synth_neighbors: int = 2
-    synth_modes: str = ""  # "deg:prob,deg:prob,..."; empty = straight/left/right thirds
 
     def __post_init__(self):
         if self.scale not in SCALE_DEFAULTS:
@@ -120,10 +114,10 @@ class Config:
         for name in non_negative_ints:
             if getattr(self, name) < 0:
                 raise ConfigError(f"must be >= 0, got {getattr(self, name)}", key=name)
-        for name in ("lr_features", "lr_addresser", "lr_fulfillment", "synth_speed"):
+        for name in ("lr_features", "lr_addresser", "lr_fulfillment"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"must be > 0, got {getattr(self, name)}", key=name)
-        for name in ("theta_past", "theta_int", "intent_weight", "future_weight", "synth_jitter"):
+        for name in ("theta_past", "theta_int"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"must be >= 0, got {getattr(self, name)}", key=name)
         if self.label_threshold is not None and not self.label_threshold > 0:
@@ -223,9 +217,10 @@ def _coerce(name: str, kind, text: str):
 
 
 def load_config(path) -> Config:
-    """Parse a flat key=value config file."""
+    """Parse a flat key=value config file; ConfigError for a key set on two lines."""
     field_types = {f.name: f.type for f in fields(Config)}
     values: dict = {}
+    key_lines: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -243,5 +238,8 @@ def load_config(path) -> Config:
         value = value.strip()
         if key not in field_types:
             raise ConfigError("unknown config key", key=key)
+        first_line = key_lines.setdefault(key, line_no)
+        if first_line != line_no:
+            raise ConfigError(f"set on line {first_line} and again on line {line_no}", key=key)
         values[key] = _coerce(key, field_types[key], value)
     return Config(**values)

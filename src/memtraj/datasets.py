@@ -359,15 +359,14 @@ def _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_ne
 class SceneBatch:
     """A :class:`SceneSet` in the ego frame; the only form in which scenes reach a net.
 
-    Every coordinate of scene ``b`` is translated by ``-origins[b]``, so its
-    ego's last observed point is the origin. Build one with :func:`scene_batch`.
+    Every coordinate of scene ``b`` is translated so that its ego's last
+    observed point is the origin. Build one with :func:`scene_batch`.
     """
 
     ego_x: np.ndarray  # (B, 2*past_len) flattened ego pasts
     nb_x: np.ndarray  # (R, 2*past_len) flattened neighbor pasts of all scenes, stacked
     offsets: np.ndarray  # (B+1,) scene b owns nb_x rows offsets[b]:offsets[b+1]
     futures: np.ndarray | None  # (B, future_len, 2) ego futures; None unless asked for
-    origins: np.ndarray  # (B, 2) each ego's last observed world point
 
 
 def scene_batch(scenes: SceneSet, future_for: str | None = None) -> SceneBatch:
@@ -378,7 +377,7 @@ def scene_batch(scenes: SceneSet, future_for: str | None = None) -> SceneBatch:
     """
     scenes.check(future_for)
     pasts = np.asarray(scenes.ego_pasts, dtype=np.float64)
-    origins = pasts[:, -1].copy()
+    origins = pasts[:, -1]
     width = 2 * pasts.shape[1]
     nb_origins = np.repeat(origins, np.diff(scenes.offsets), axis=0)[:, None]
     return SceneBatch(
@@ -386,7 +385,6 @@ def scene_batch(scenes: SceneSet, future_for: str | None = None) -> SceneBatch:
         nb_x=(np.asarray(scenes.neighbor_pasts, dtype=np.float64) - nb_origins).reshape(-1, width),
         offsets=scenes.offsets,
         futures=None if future_for is None else scenes.futures - origins[:, None],
-        origins=origins,
     )
 
 

@@ -113,12 +113,13 @@ def evaluate(
     predictions = predict_scenes(bundle, dataset, n_retrieve, n_predict, seed, decode_mode, snap_destination)
     for scene_id, future, pred in zip(dataset.scene_ids, dataset.futures, predictions):
         end_dists = np.linalg.norm(pred.trajectories[:, -1, :] - future[-1], axis=1)
+        best_k = int(np.argmin(end_dists))
         rows.append(
             SceneMetrics(
                 scene_id=scene_id,
                 min_ade=min_ade(pred.trajectories, future),
-                min_fde=min_fde(pred.trajectories, future),
-                best_k=int(np.argmin(end_dists)),
+                min_fde=float(end_dists[best_k]),
+                best_k=best_k,
             )
         )
     return MetricReport(

@@ -15,9 +15,9 @@ stage decodes a destination.
 Stages pass in a world-frame :class:`~memtraj.datasets.SceneSet`; the nets
 read :func:`~memtraj.datasets.scene_batch` translations of it, so positions
 here are in the ego frame. Training translates each mini-batch it takes from
-the set, and frozen nets encode a set one batch per :func:`encode_chunks`
-range (:func:`social_encode`, ``membank.bank_init``), so no batch of a whole
-set is built. The social encoder has one path: a batch without neighbor rows
+the set, and :func:`social_encode` is the only frozen encode: it encodes a set
+one batch per :func:`encode_chunks` range, so no batch of a whole set is
+built. The social encoder has one path: a batch without neighbor rows
 runs the neighbor embedder on zero rows, pools to zeros, and gets all-zero
 neighbor gradients, which leave that net unchanged.
 """
@@ -210,16 +210,16 @@ def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.n
 # ---------------------------------------------------------------------------
 
 
-def fit_encoder_decoder(nets: EncoderDecoder, scenes: SceneSet, weight: float, stage: str, config) -> None:
+def fit_encoder_decoder(nets: EncoderDecoder, scenes: SceneSet, stage: str, config) -> None:
     """Train all five nets in place on a set of scenes with futures.
 
     Each scene's social past and embedded destination (its last future
     point) are decoded into [past; target], the target being the last
     ``nets.target_len`` future points. One step: mean over a mini-batch of the summed
-    squared past error plus ``weight`` times the summed squared target
-    error, plain SGD on all five nets. Batches are drawn from the
-    ``<stage>-batches`` seed over ``config.sgd_schedule(stage)``; each is
-    translated on its own. An empty set or one without futures raises first.
+    squared past and target errors, weighted equally, plain SGD on all five
+    nets. Batches are drawn from the ``<stage>-batches`` seed over
+    ``config.sgd_schedule(stage)``; each is translated on its own. An empty
+    set or one without futures raises first.
     """
     needed_by = f"{stage} training"
     scenes.check(needed_by)
@@ -233,9 +233,9 @@ def fit_encoder_decoder(nets: EncoderDecoder, scenes: SceneSet, weight: float, s
         out, dec_cache = mlp_forward_cached(nets.decoder, np.hstack([k, v]))
         res_past = out[:, :n_past] - sub.ego_x
         res_target = out[:, n_past:] - sub.futures[:, -nets.target_len :].reshape(len(idx), -1)
-        loss = float(np.sum(res_past**2) + weight * np.sum(res_target**2))
+        loss = float(np.sum(res_past**2) + np.sum(res_target**2))
         scale = 2.0 / len(idx)
-        upstream = np.hstack([scale * res_past, (weight * scale) * res_target])
+        upstream = scale * np.hstack([res_past, res_target])
         dec_grads = mlp_backward_from_cache(nets.decoder, dec_cache, upstream)
         ego_g, nb_g, fuse_g = social_backward_batch(nets, social_cache, dec_grads.d_input[:, :past_dim])
         point_g = mlp_backward_from_cache(nets.point_embed, point_cache, dec_grads.d_input[:, past_dim:])
@@ -250,9 +250,9 @@ def fit_encoder_decoder(nets: EncoderDecoder, scenes: SceneSet, weight: float, s
 def train_features(dataset: SceneSet, config) -> EncoderDecoder:
     """Train the encoders and joint decoder on a world-frame set of scenes.
 
-    The decoder reconstructs each scene's past and its destination, weighted
-    by ``config.intent_weight``. With ``config.epochs_features == 0`` the
-    returned nets are exactly the seeded initialization.
+    The decoder reconstructs each scene's past and its destination. With
+    ``config.epochs_features == 0`` the returned nets are exactly the seeded
+    initialization.
     """
     nets = init_encoder_decoder(
         config.seed_for("features"),
@@ -261,5 +261,5 @@ def train_features(dataset: SceneSet, config) -> EncoderDecoder:
         past_dim=config.past_dim,
         intent_dim=config.intent_dim,
     )
-    fit_encoder_decoder(nets, dataset, config.intent_weight, "features", config)
+    fit_encoder_decoder(nets, dataset, "features", config)
     return nets

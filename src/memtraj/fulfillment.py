@@ -46,10 +46,10 @@ def train_fulfillment(nets: EncoderDecoder, dataset: SceneSet, config) -> Encode
     """Train fulfillment with teacher forcing on the true destination.
 
     The conditioning destination during training is each scene's own last
-    future point, and the decoder reconstructs the past and the future,
-    weighted by ``config.future_weight``. The input nets are not mutated;
-    with 0 epochs the returned copy equals the input.
+    future point, and the decoder reconstructs the past and the future. The
+    input nets are not mutated; with 0 epochs the returned copy equals the
+    input.
     """
     nets = nets.copy()
-    fit_encoder_decoder(nets, dataset, config.future_weight, "fulfillment", config)
+    fit_encoder_decoder(nets, dataset, "fulfillment", config)
     return nets

@@ -51,15 +51,6 @@ class ScenePrediction:
     intention_set: IntentionSet
 
 
-@dataclass
-class DestinationProposal:
-    """Ego-frame destination candidates for one scene."""
-
-    addresses: np.ndarray
-    scores: np.ndarray
-    intention_set: IntentionSet
-
-
 def scene_seed(master_seed: int, scene_index: int) -> int:
     """Stable per-scene seed for the clustering step."""
     ss = np.random.SeedSequence([master_seed, 0x6B6D, scene_index])
@@ -91,20 +82,20 @@ def propose_destinations(
     n_predict: int,
     seed: int,
     decode_mode: str = DECODE_QUERY,
-) -> DestinationProposal:
+) -> tuple[np.ndarray, np.ndarray, IntentionSet]:
     """Retrieve, decode anchors, and cluster for one scene's query past feature.
 
-    ``keys`` is the bank's :func:`key_table` under ``addresser_nets``. This is
-    the destination half of the prediction chain; it needs no fulfillment
-    nets, so it also serves training-time model selection.
+    Returns the retrieved bank addresses (best first), their scores, and the
+    ego-frame destinations clustered from their anchors. ``keys`` is the
+    bank's :func:`key_table` under ``addresser_nets``. This is the
+    destination half of the prediction chain; it needs no fulfillment nets,
+    so it also serves training-time model selection. ``top_l`` and ``kmeans``
+    raise ValueError unless ``1 <= n_predict <= n_retrieve <= len(bank)``.
     """
-    if not 1 <= n_predict <= n_retrieve:
-        raise ValueError(f"need 1 <= n_predict <= n_retrieve, got {n_predict}, {n_retrieve}")
     scores = score_all(addresser_nets, query, keys)
     addresses = top_l(scores, n_retrieve)
     anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)
-    iset = kmeans(anchors, n_predict, seed)
-    return DestinationProposal(addresses=addresses, scores=scores[addresses], intention_set=iset)
+    return addresses, scores[addresses], kmeans(anchors, n_predict, seed)
 
 
 def destination_error(
@@ -128,10 +119,10 @@ def destination_error(
     keys = key_table(addresser_nets, bank)
     errors = []
     for i, (query, dest) in enumerate(zip(queries, dests)):
-        proposal = propose_destinations(
+        _, _, iset = propose_destinations(
             feature_nets, addresser_nets, bank, keys, query, n_retrieve, n_predict, scene_seed(master_seed, i)
         )
-        gaps = np.linalg.norm(proposal.intention_set.destinations - dest, axis=1)
+        gaps = np.linalg.norm(iset.destinations - dest, axis=1)
         errors.append(float(gaps.min()))
     return float(np.mean(errors))
 
@@ -149,7 +140,7 @@ def predict_scene(
     past = np.asarray(scene.ego_past, dtype=np.float64)
     neighbors = np.reshape(scene.neighbor_pasts, (-1, *past.shape))
     scenes = SceneSet(past[None], None, neighbors, np.array([0, len(neighbors)]), [scene.scene_id])
-    proposal = propose_destinations(
+    addresses, scores, iset = propose_destinations(
         bundle.feature_nets,
         bundle.addresser_nets,
         bundle.bank,
@@ -160,16 +151,15 @@ def predict_scene(
         seed,
         decode_mode=decode_mode,
     )
-    iset = proposal.intention_set
     futures = fulfill_many(bundle.fulfill_nets, scenes, iset.destinations, snap_destination=snap_destination)
     origin = past[-1]
     return ScenePrediction(
         scene_id=scene.scene_id,
         destinations=iset.destinations + origin,
         trajectories=futures + origin,
-        addresses=proposal.addresses,
-        scores=proposal.scores,
-        sample_ids=bundle.bank.sample_ids[proposal.addresses],
+        addresses=addresses,
+        scores=scores,
+        sample_ids=bundle.bank.sample_ids[addresses],
         intention_set=iset,
     )
 

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import SceneSet, dataset_fingerprint, scene_batch
+from .datasets import SceneSet, dataset_fingerprint
 from .errors import FormatError
-from .features import EncoderDecoder, encode_chunks, social_forward_batch
+from .features import EncoderDecoder, social_encode
 from .numkit import atomic_open, mlp_forward
 
 logger = logging.getLogger(__name__)
@@ -81,22 +81,14 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
     """Encode every training scene into one memory entry (unfiltered bank).
 
     Entry ``i`` comes from ``dataset[i]`` and carries ``sample_id == i``.
-    Stored features and geometry live in each scene's ego frame. Scenes are
-    batched and encoded one :func:`~memtraj.features.encode_chunks` range at
-    a time, so no batch of the whole set is built, and every row equals the
-    row one batch of all scenes gives, bit for bit. ValueError for an empty
-    set or one without futures.
+    Stored features and geometry live in each scene's ego frame, translated
+    as :func:`~memtraj.datasets.scene_batch` translates them; the past
+    features come from :func:`~memtraj.features.social_encode`, so no batch
+    of the whole set is built. ValueError for an empty set or one without
+    futures.
     """
-    dataset.check("the memory bank")
-    n = len(dataset)
-    past_feats = np.empty((n, nets.past_dim))
-    starts = np.empty((n, 2))
-    dests = np.empty((n, 2))
-    for lo, hi in encode_chunks(dataset.offsets):
-        batch = scene_batch(dataset[lo:hi], "the memory bank")
-        past_feats[lo:hi] = social_forward_batch(nets, batch)[0]
-        starts[lo:hi] = batch.ego_x[:, :2]
-        dests[lo:hi] = batch.futures[:, -1]
+    dests = dataset.ego_destinations("the memory bank")
+    pasts = np.asarray(dataset.ego_pasts, dtype=np.float64)
     meta = BankMeta(
         past_dim=nets.past_dim,
         intent_dim=nets.intent_dim,
@@ -104,13 +96,13 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
         future_len=dataset.futures.shape[1],
         source_hash=dataset_fingerprint(dataset),
     )
-    logger.info("memory bank: %d entries before filtering", n)
+    logger.info("memory bank: %d entries before filtering", len(dataset))
     return MemoryBankPair(
-        past_feats=past_feats,
+        past_feats=social_encode(nets, dataset),
         intent_feats=mlp_forward(nets.point_embed, dests),
-        starts=starts,
+        starts=pasts[:, 0] - pasts[:, -1],
         dests=dests,
-        sample_ids=np.arange(n, dtype=np.int64),
+        sample_ids=np.arange(len(dataset), dtype=np.int64),
         meta=meta,
     )
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import shutil
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -36,16 +35,7 @@ import numpy as np
 
 from .addresser import AddresserNets, addresser_training_data, fit_addresser, fixed_cosine_nets, init_addresser_nets
 from .config import Config
-from .datasets import (
-    SceneSet,
-    SynthMode,
-    dataset_fingerprint,
-    load_manifest,
-    mode_probabilities,
-    save_tsv,
-    scenes_to_tracks,
-    synth_generate,
-)
+from .datasets import SceneSet, dataset_fingerprint, load_manifest, save_tsv, scenes_to_tracks, synth_generate
 from .errors import ConfigError, DependencyError
 from .evalkit import MetricReport, evaluate
 from .features import EncoderDecoder, init_encoder_decoder, social_encode, train_features
@@ -429,37 +419,13 @@ def run_eval(config: Config, fixed_cosine: bool = False) -> MetricReport:
     return report
 
 
-def _parse_mode_spec(text: str) -> list[SynthMode] | None:
-    """The modes a ``synth_modes`` value names, None when it is empty; ConfigError on that key when it is malformed."""
-    if not text:
-        return None
-    modes = []
-    for part in text.split(","):
-        angle_text, _, prob_text = part.strip().partition(":")
-        try:
-            turn, prob = float(angle_text), float(prob_text)
-        except ValueError:
-            turn = prob = math.nan
-        if not (math.isfinite(turn) and math.isfinite(prob)):
-            raise ConfigError(f"mode entry {part!r} is not 'degrees:prob' with finite numbers", key="synth_modes")
-        modes.append(SynthMode(turn=turn * np.pi / 180.0, prob=prob))
-    try:
-        mode_probabilities(modes)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="synth_modes") from None
-    return modes
-
-
 def run_synth(config: Config) -> Path:
     """Generate a synthetic split: TSV, manifest, and a mode-label sidecar."""
     scenes = synth_generate(
         config.seed_for("synth"),
         config.synth_scenes,
-        mode_spec=_parse_mode_spec(config.synth_modes),
         past_len=config.past_len,
         future_len=config.future_len,
-        jitter=config.synth_jitter,
-        speed=config.synth_speed,
         n_neighbors=config.synth_neighbors,
     )
     synth_dir = Path(config.out_dir) / "synth"

@@ -76,15 +76,13 @@ def prepare_social_batch(normalized):
 
 def reference_batch(scenes, with_futures: bool = True) -> SceneBatch:
     """``scene_batch`` one scene at a time: :func:`normalize_scene` each, then :func:`prepare_social_batch`."""
-    pairs = [normalize_scene(s) for s in scenes]
-    normalized = [n for n, _ in pairs]
+    normalized = [normalize_scene(s)[0] for s in scenes]
     ego_x, nb_x, offsets = prepare_social_batch(normalized)
     return SceneBatch(
         ego_x=ego_x,
         nb_x=nb_x,
         offsets=offsets,
         futures=np.stack([n.ego_future for n in normalized]) if with_futures else None,
-        origins=np.stack([-t for _, t in pairs]),
     )
 
 
@@ -99,13 +97,13 @@ def score(nets, query_feat, key_feat) -> float:
     return float(u @ w / (nu * nw))
 
 
-def mean_rec_loss(nets, dataset, intent_weight: float = 1.0) -> float:
-    """Mean over raw scenes of the feature stage's summed squared past and weighted destination error."""
+def mean_rec_loss(nets, dataset) -> float:
+    """Mean over raw scenes of the feature stage's summed squared past and destination errors."""
     batch = reference_batch(dataset)
     k, _ = social_forward_batch(nets, batch)
     dests = batch.futures[:, -1]
     past_hat, dest_hat = decode_batch(nets, k, mlp_forward(nets.point_embed, dests))
-    per_scene = np.sum((past_hat - batch.ego_x) ** 2, axis=1) + intent_weight * np.sum((dest_hat - dests) ** 2, axis=1)
+    per_scene = np.sum((past_hat - batch.ego_x) ** 2, axis=1) + np.sum((dest_hat - dests) ** 2, axis=1)
     return float(per_scene.mean())
 
 

@@ -147,6 +147,39 @@ def test_load_config_errors(tmp_path):
         load_config(tmp_path)
 
 
+def test_load_config_rejects_removed_keys(tmp_path):
+    # both loss terms weigh 1, and synth draws straight/left/right thirds at speed 0.25 with jitter 0.02
+    path = tmp_path / "old.cfg"
+    for key, value in (("intent_weight", "1.0"), ("future_weight", "1.0"), ("synth_jitter", "0.02"), ("synth_speed", "0.25"), ("synth_modes", "0:0.5,90:0.5")):
+        path.write_text(f"scale = meter\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^key '{key}': unknown config key$"):
+            load_config(path)
+        with pytest.raises(TypeError, match=key):
+            Config(**{key: 1.0})
+
+
+def test_load_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("scale = meter\nseed = 3\n# seed = 4\n\nseed = 5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^key 'seed': set on line 2 and again on line 5$") as info:
+        load_config(path)
+    assert info.value.key == "seed"
+    # the same value twice is still a repeat
+    path.write_text("seed = 3\nseed = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="key 'seed': set on line 1 and again on line 2"):
+        load_config(path)
+
+
+def test_cli_rejects_a_config_key_set_twice(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    path.write_text("seed = 3\nseed = 5\n", encoding="utf-8")
+    assert main(["synth", "--config", str(path), "--out", str(out), "--scenes", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: key 'seed': set on line 1 and again on line 2\n"
+    assert not out.exists()
+
+
 def test_load_config_parses_types(tmp_path):
     path = tmp_path / "typed.cfg"
     path.write_text(
@@ -161,7 +194,7 @@ def test_load_config_parses_types(tmp_path):
     assert config.scale == "pixel"
 
 
-STRING_KEYS = ("train_manifest", "val_manifest", "test_manifest", "out_dir", "synth_modes")
+STRING_KEYS = ("train_manifest", "val_manifest", "test_manifest", "out_dir")
 # text that reads back as written, and text a key = value line cannot hold
 strings = st.one_of(st.text(), st.sampled_from(["runs/x", "", " lead", "trail ", "x\ny = 1", "a\rb", "\udcff", "a = b"]))
 
@@ -187,10 +220,8 @@ def configs(draw):
         values[name] = draw(st.integers(1, 10**6))
     for name in ("epochs_features", "epochs_addresser", "epochs_fulfillment", "max_neighbors", "synth_neighbors"):
         values[name] = draw(counts)
-    for name in ("lr_features", "lr_addresser", "lr_fulfillment", "synth_speed"):
+    for name in ("lr_features", "lr_addresser", "lr_fulfillment"):
         values[name] = draw(st.floats(5e-324, 1e300))
-    for name in ("intent_weight", "future_weight", "synth_jitter"):
-        values[name] = draw(st.floats(0.0, 1e300))
     for name in STRING_KEYS:
         values[name] = draw(strings)
     return Config(**values)
@@ -221,25 +252,21 @@ def test_config_file_round_trip_property(tmp_path_factory, config):
 
 def test_to_file_rejects_strings_it_cannot_write_back(tmp_path):
     path = tmp_path / "run.cfg"
-    for key, value in (("out_dir", "x\ny = 1"), ("out_dir", " lead"), ("train_manifest", "trail\t"), ("synth_modes", "a\rb")):
+    for key, value in (("out_dir", "x\ny = 1"), ("out_dir", " lead"), ("train_manifest", "trail\t"), ("val_manifest", "a\rb")):
         with pytest.raises(ConfigError, match=key):
             Config(**{key: value}).to_file(path)
         assert not path.exists()
 
 
-# One line each: NaN passed the old range checks, and an infinite rate or speed failed only later.
+# One line each: NaN passed the old range checks, and an infinite rate failed only later.
 NON_FINITE_LINES = [
     ("theta_past", "nan"),
     ("theta_past", "-inf"),
     ("theta_int", "nan"),
-    ("intent_weight", "nan"),
-    ("intent_weight", "inf"),
-    ("future_weight", "nan"),
-    ("synth_jitter", "nan"),
+    ("lr_features", "nan"),
     ("lr_features", "inf"),
     ("lr_addresser", "inf"),
     ("lr_fulfillment", "inf"),
-    ("synth_speed", "inf"),
     ("label_threshold", "inf"),
     ("label_threshold", "nan"),
 ]

@@ -487,17 +487,17 @@ def test_normalize_scene_centers_last_observation(small_scenes):
     scene = small_scenes[0]
     batch = scene_batch(small_scenes[:1], "this test")
     past = batch.ego_x[0].reshape(-1, 2)
+    origin = scene.ego_past[-1]
     np.testing.assert_array_equal(past[-1], [0.0, 0.0])
-    np.testing.assert_array_equal(batch.origins[0], scene.ego_past[-1])
-    np.testing.assert_allclose(past + batch.origins[0], scene.ego_past, atol=0)
-    np.testing.assert_allclose(batch.futures[0] + batch.origins[0], scene.ego_future, atol=0)
+    np.testing.assert_allclose(past + origin, scene.ego_past, atol=0)
+    np.testing.assert_allclose(batch.futures[0] + origin, scene.ego_future, atol=0)
     np.testing.assert_allclose(
         batch.nb_x.reshape(-1, 8, 2), scene.neighbor_pasts - scene.ego_past[-1], atol=0
     )
     # the oracle agrees, and the scene itself is untouched
     normalized, translation = normalize_scene(scene)
     np.testing.assert_array_equal(normalized.ego_past, past)
-    np.testing.assert_array_equal(translation, -batch.origins[0])
+    np.testing.assert_array_equal(translation, -origin)
     assert not np.array_equal(scene.ego_past[-1], [0.0, 0.0])
 
 
@@ -540,7 +540,7 @@ def _scene(n_neighbors, shift=0.0, past_len=3):
 
 def assert_same_batch(a, b):
     """Two scene batches equal bit for bit, so signed zeros count."""
-    for name in ("ego_x", "nb_x", "offsets", "futures", "origins"):
+    for name in ("ego_x", "nb_x", "offsets", "futures"):
         x, y = getattr(a, name), getattr(b, name)
         if x is None or y is None:
             assert x is None and y is None, name

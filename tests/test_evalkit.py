@@ -90,17 +90,19 @@ def test_propose_destinations_matches_predict_scene():
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
     alone = scenes[4:5]
     query = social_encode(bundle.feature_nets, alone)[0]
-    proposal = propose_destinations(
+    addresses, scores, iset = propose_destinations(
         bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, 11
     )
-    np.testing.assert_array_equal(proposal.addresses, pred.addresses)
-    np.testing.assert_array_equal(proposal.scores, pred.scores)
+    np.testing.assert_array_equal(addresses, pred.addresses)
+    np.testing.assert_array_equal(scores, pred.scores)
+    np.testing.assert_array_equal(iset.destinations, pred.intention_set.destinations)
     # the world-frame outputs are the oracle's inversion of the ego-frame ones, bit for bit
     _, translation = normalize_scene(scene)
-    np.testing.assert_array_equal(proposal.intention_set.destinations - translation, pred.destinations)
-    futures = fulfill_many(bundle.fulfill_nets, alone, proposal.intention_set.destinations)
+    np.testing.assert_array_equal(iset.destinations - translation, pred.destinations)
+    futures = fulfill_many(bundle.fulfill_nets, alone, iset.destinations)
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
-    with pytest.raises(ValueError, match="n_predict"):
+    # more proposals than retrieved anchors: kmeans refuses to cluster 3 points into 6
+    with pytest.raises(ValueError, match=r"k must be in \[1, 3\] \(number of points\), got 6"):
         propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 3, 6, 11)
     with pytest.raises(ValueError, match="bank size"):
         propose_destinations(
@@ -128,12 +130,10 @@ def test_destination_error_properties():
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
         query = social_encode(bundle.feature_nets, scene_set([scene]))[0]
-        proposal = propose_destinations(
+        _, _, iset = propose_destinations(
             bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, scene_seed(3, i)
         )
-        gaps.append(
-            np.linalg.norm(proposal.intention_set.destinations - normalized.ego_future[-1], axis=1).min()
-        )
+        gaps.append(np.linalg.norm(iset.destinations - normalized.ego_future[-1], axis=1).min())
     assert err == pytest.approx(np.mean(gaps), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
         scene_batch(scenes[:0], "destination error")

@@ -167,7 +167,7 @@ def test_neighborless_training_step_leaves_neighbor_embed_unchanged():
     scenes = synth_generate(4, 8, n_neighbors=0)
     nets = init_encoder_decoder(6, past_len=8, target_len=1, past_dim=32, intent_dim=16)
     before = nets.copy()
-    fit_encoder_decoder(nets, scenes, 1.0, "features", config)  # one epoch of one 8-scene step
+    fit_encoder_decoder(nets, scenes, "features", config)  # one epoch of one 8-scene step
     for f in fields(nets):
         after, start = getattr(nets, f.name), getattr(before, f.name)
         same = [np.array_equal(a, b) for a, b in zip(after.weights + after.biases, start.weights + start.biases)]
@@ -266,9 +266,9 @@ def test_train_features_descends_to_small_loss():
     config = quick_config(epochs_features=200, batch_size=16, seed=5)
     scenes = synth_generate(41, 48, mode_spec=single_mode_spec())
     init = init_encoder_decoder(config.seed_for("features"), past_len=8, target_len=1, past_dim=32, intent_dim=16)
-    before = mean_rec_loss(init, scenes, config.intent_weight)
+    before = mean_rec_loss(init, scenes)
     nets = train_features(scenes, config)
-    after = mean_rec_loss(nets, scenes, config.intent_weight)
+    after = mean_rec_loss(nets, scenes)
     assert after < 0.1 * before
 
 

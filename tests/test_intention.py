@@ -199,8 +199,8 @@ def test_predict_intentions_shapes_and_determinism():
     keys = key_table(addresser, bank)
     query = social_encode(nets, scenes[:1])[0]
     # retrieve, decode and cluster: the destination half of a prediction
-    a = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5).intention_set
-    b = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5).intention_set
+    _, _, a = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5)
+    _, _, b = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5)
     assert a.destinations.shape == (3, 2)
     assert a.anchor_assignment.shape == (8,)
     np.testing.assert_array_equal(a.destinations, b.destinations)
