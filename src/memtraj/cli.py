@@ -1,6 +1,4 @@
-"""Command-line entry points.
-
-Typical run order:
+"""Command-line entry points, run in this order:
 
     memtraj synth --config run.cfg
     memtraj train-features --config run.cfg
@@ -8,6 +6,13 @@ Typical run order:
     memtraj train-addresser --config run.cfg
     memtraj train-fulfillment --config run.cfg
     memtraj eval --config run.cfg
+
+The config file is the whole run: no flag overrides a value it sets, so to
+change the seed or the output directory, write another config (one that
+differs only in ``decode_mode``, ``snap_destination`` or ``test_manifest``
+reuses the trained stages). A leading UTF-8 byte-order mark is ignored. The
+other flags are ``-v``, ``--fixed-cosine`` on predict and eval (a reference
+scorer) and ``--trace`` on predict (one more output file).
 """
 
 from __future__ import annotations
@@ -28,80 +33,43 @@ from .pipeline import (
     stage_train_fulfillment,
 )
 
+# flag -> help text; a command's call takes each of its flags as a keyword
+FLAGS = {
+    "trace": "also write retrieval traces per scene",
+    "fixed_cosine": "score retrieval with raw cosine instead of the trained addresser",
+}
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="config file (key = value lines)")
-    sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--out", help="override the output directory")
+# subcommand -> (help text, pipeline call, its flags)
+COMMANDS = {
+    "train-features": ("train the past/intention feature nets", stage_train_features, ()),
+    "build-memory": ("encode the training set and filter it into a memory bank", stage_build_memory, ()),
+    "train-addresser": ("train the retrieval scoring nets against the bank", stage_train_addresser, ()),
+    "train-fulfillment": ("train the destination-conditioned trajectory decoder", stage_train_fulfillment, ()),
+    "predict": ("write multimodal predictions for the test split", run_predict, ("trace", "fixed_cosine")),
+    "eval": ("evaluate minADE/minFDE on the test split", run_eval, ("fixed_cosine",)),
+    "synth": ("generate a synthetic TSV split with mode labels", run_synth, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memtraj", description="memory-augmented trajectory prediction")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in [
-        ("train-features", "train the past/intention feature nets"),
-        ("build-memory", "encode the training set and filter it into a memory bank"),
-        ("train-addresser", "train the retrieval scoring nets against the bank"),
-        ("train-fulfillment", "train the destination-conditioned trajectory decoder"),
-    ]:
-        _add_common(subs.add_parser(name, help=help_text))
-
-    pred = subs.add_parser("predict", help="write multimodal predictions for the test split")
-    _add_common(pred)
-    pred.add_argument("--trace", action="store_true", help="also write retrieval traces per scene")
-    pred.add_argument("--fixed-cosine", action="store_true", help="score retrieval with raw cosine instead of the trained addresser")
-    pred.add_argument("--decode-mode", choices=["query", "stored"], help="which past feature the anchor decoder sees")
-
-    ev = subs.add_parser("eval", help="evaluate minADE/minFDE on the test split")
-    _add_common(ev)
-    ev.add_argument("--fixed-cosine", action="store_true", help="score retrieval with raw cosine instead of the trained addresser")
-    ev.add_argument("--decode-mode", choices=["query", "stored"], help="which past feature the anchor decoder sees")
-
-    syn = subs.add_parser("synth", help="generate a synthetic TSV split with mode labels")
-    _add_common(syn)
-    syn.add_argument("--scenes", type=int, help="number of scenes to generate")
-
+    for name, (help_text, _, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="config file (key = value lines)")
+        for flag in flags:
+            sub.add_argument("--" + flag.replace("_", "-"), action="store_true", help=FLAGS[flag])
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> Config:
-    config = load_config(args.config) if args.config else Config()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out:
-        config.out_dir = args.out
-    if getattr(args, "decode_mode", None):
-        config.decode_mode = args.decode_mode
-    if getattr(args, "scenes", None) is not None:
-        config.synth_scenes = args.scenes
-    config.validate()
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    level = logging.DEBUG if args.verbose else logging.INFO
+    logging.basicConfig(level=level, format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    _, call, flags = COMMANDS[args.command]
     try:
-        config = _config_from_args(args)
-        if args.command == "train-features":
-            stage_train_features(config)
-        elif args.command == "build-memory":
-            stage_build_memory(config)
-        elif args.command == "train-addresser":
-            stage_train_addresser(config)
-        elif args.command == "train-fulfillment":
-            stage_train_fulfillment(config)
-        elif args.command == "predict":
-            run_predict(config, fixed_cosine=args.fixed_cosine, trace=args.trace)
-        elif args.command == "eval":
-            run_eval(config, fixed_cosine=args.fixed_cosine)
-        elif args.command == "synth":
-            run_synth(config)
+        call(load_config(args.config) if args.config else Config(), **{flag: getattr(args, flag) for flag in flags})
     except (MemtrajError, OSError) as exc:
         # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)

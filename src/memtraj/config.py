@@ -1,10 +1,10 @@
 """Flat key=value run configuration.
 
-One file drives every pipeline stage. Lines are ``key = value``; blank lines
-and ``#`` comments are skipped; unknown keys are errors so typos cannot
-silently fall back to defaults. The ``scale`` key ("pixel" or "meter") picks
-the default redundancy thresholds and retrieval count for coordinates in
-pixels or meters; explicit keys always win.
+One file drives every pipeline stage. Lines are ``key = value``; blank lines,
+``#`` comments and a leading UTF-8 byte-order mark are skipped; unknown keys
+are errors so typos cannot silently fall back to defaults. The ``scale`` key
+("pixel" or "meter") picks the default redundancy thresholds and retrieval
+count for coordinates in pixels or meters; explicit keys always win.
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ class Config:
             )
         if self.decode_mode not in ("query", "stored"):
             raise ConfigError(f"must be 'query' or 'stored', got {self.decode_mode!r}", key="decode_mode")
+        if not self.out_dir:
+            raise ConfigError("must be non-empty; write '.' for the current directory", key="out_dir")
 
     def sgd_schedule(self, stage: str) -> tuple[int, float]:
         """``(epochs, learning rate)`` of a trained stage."""
@@ -222,7 +224,7 @@ def load_config(path) -> Config:
     values: dict = {}
     key_lines: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -133,9 +133,9 @@ def _parse_index(token: str, what: str, line_no: int) -> int:
 
 
 def _utf8_lines(path):
-    """``(line number, line)`` for each line of a text file; non-UTF-8 bytes raise ParseError on their line."""
+    """``(line number, line)`` for each line of a text file past a leading BOM; non-UTF-8 bytes raise ParseError on their line."""
     # Undecodable bytes become lone surrogates, so they are caught on their own line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -152,9 +152,9 @@ def load_tsv(path) -> list[RawTrack]:
     lines are skipped. A malformed line, a frame or agent id that is not an
     integer, a NaN or infinite coordinate, a second row for the same
     (frame, agent), or bytes that are not UTF-8 raise ParseError with the
-    path and the 1-based line number.
+    path and the 1-based line number. A leading byte-order mark is ignored.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         tracks = _load_plain_tsv(fh.read())
     return tracks if tracks is not None else _load_tsv_lines(path)
 

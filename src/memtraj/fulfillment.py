@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import SceneSet
-from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, social_encode
+from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, init_encoder_decoder, social_encode
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
@@ -42,14 +42,20 @@ def fulfill_many(nets: EncoderDecoder, scenes: SceneSet, destinations, snap_dest
     return futures
 
 
-def train_fulfillment(nets: EncoderDecoder, dataset: SceneSet, config) -> EncoderDecoder:
+def train_fulfillment(dataset: SceneSet, config) -> EncoderDecoder:
     """Train fulfillment with teacher forcing on the true destination.
 
     The conditioning destination during training is each scene's own last
-    future point, and the decoder reconstructs the past and the future. The
-    input nets are not mutated; with 0 epochs the returned copy equals the
-    input.
+    future point, and the decoder reconstructs the past and the future. With
+    ``config.epochs_fulfillment == 0`` the returned nets are exactly the
+    seeded initialization.
     """
-    nets = nets.copy()
+    nets = init_encoder_decoder(
+        config.seed_for("fulfillment"),
+        past_len=config.past_len,
+        target_len=config.future_len,
+        past_dim=config.past_dim,
+        intent_dim=DEST_EMBED_DIM,
+    )
     fit_encoder_decoder(nets, dataset, "fulfillment", config)
     return nets

@@ -35,11 +35,11 @@ import numpy as np
 
 from .addresser import AddresserNets, addresser_training_data, fit_addresser, fixed_cosine_nets, init_addresser_nets
 from .config import Config
-from .datasets import SceneSet, dataset_fingerprint, load_manifest, save_tsv, scenes_to_tracks, synth_generate
+from .datasets import SceneSet, build_scenes, dataset_fingerprint, load_manifest, save_tsv, scenes_to_tracks, synth_generate
 from .errors import ConfigError, DependencyError
 from .evalkit import MetricReport, evaluate
-from .features import EncoderDecoder, init_encoder_decoder, social_encode, train_features
-from .fulfillment import DEST_EMBED_DIM, train_fulfillment
+from .features import EncoderDecoder, social_encode, train_features
+from .fulfillment import train_fulfillment
 from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
 from .numkit import atomic_open, load_mlp, save_mlp
@@ -314,15 +314,7 @@ def stage_train_addresser(config: Config) -> Path:
 
 def stage_train_fulfillment(config: Config) -> Path:
     RunManifest.load(config.out_dir)  # an invalid run manifest fails here, not after training
-    scenes = _load_scenes(config, "train_manifest")
-    nets = init_encoder_decoder(
-        config.seed_for("fulfillment"),
-        past_len=config.past_len,
-        target_len=config.future_len,
-        past_dim=config.past_dim,
-        intent_dim=DEST_EMBED_DIM,
-    )
-    nets = train_fulfillment(nets, scenes, config)
+    nets = train_fulfillment(_load_scenes(config, "train_manifest"), config)
     return _save_nets(config, STAGE_FULFILLMENT, {}, nets, {"past_len": nets.past_len, "future_len": nets.target_len})
 
 
@@ -431,16 +423,16 @@ def run_synth(config: Config) -> Path:
     synth_dir = Path(config.out_dir) / "synth"
     synth_dir.mkdir(parents=True, exist_ok=True)
     tracks = scenes_to_tracks(scenes)
-    save_tsv(tracks, synth_dir / "scenes.tsv")
+    tsv_path = synth_dir / "scenes.tsv"
+    save_tsv(tracks, tsv_path)
     with atomic_open(synth_dir / "manifest.txt") as fh:
-        fh.write("scenes.tsv\n")
-    # Map each exported window back to the generator metadata hiding in the
-    # original scene_id: a window is named by its ego and its last past frame,
-    # and each scene's ego track comes first among its tracks.
+        fh.write(f"{tsv_path.name}\n")
+    # windowed as the manifest loader windows it: one scene per generated scene,
+    # in order, so labels.csv maps each window id to its generator metadata
+    windows = build_scenes(tracks, config.past_len, config.future_len, tag=tsv_path.stem)
     with atomic_open(synth_dir / "labels.csv") as fh:
         fh.write("window_scene_id,synth_scene_id\n")
-        for agent, scene_id in zip(scenes.offsets[:-1] + np.arange(len(scenes)), scenes.scene_ids):
-            ego = tracks[agent]
-            fh.write("scenes:%d:%d,%s\n" % (ego.agent_id, ego.frames[config.past_len - 1], scene_id))
+        for window_id, scene_id in zip(windows.scene_ids, scenes.scene_ids, strict=True):
+            fh.write(f"{window_id},{scene_id}\n")
     logger.info("wrote %d synthetic scenes to %s", len(scenes), synth_dir)
     return synth_dir

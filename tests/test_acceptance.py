@@ -31,7 +31,7 @@ from memtraj.datasets import (
     synth_generate,
 )
 from memtraj.evalkit import constant_velocity, min_ade, min_fde
-from memtraj.features import init_encoder_decoder, train_features
+from memtraj.features import train_features
 from memtraj.fulfillment import train_fulfillment
 from memtraj.inference import ModelBundle, predict_scene, scene_seed
 from memtraj.intention import kmeans
@@ -313,16 +313,7 @@ def synth_stack():
         train,
         config,
     )
-    fulfill_nets = train_fulfillment(
-        init_encoder_decoder(
-            config.seed_for("fulfillment"),
-            past_len=config.past_len,
-            target_len=config.future_len,
-            past_dim=config.past_dim,
-        ),
-        train,
-        config,
-    )
+    fulfill_nets = train_fulfillment(train, config)
     return SimpleNamespace(
         config=config,
         train=train,

@@ -173,11 +173,21 @@ def test_load_config_rejects_a_key_set_twice(tmp_path):
 def test_cli_rejects_a_config_key_set_twice(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"
-    path.write_text("seed = 3\nseed = 5\n", encoding="utf-8")
-    assert main(["synth", "--config", str(path), "--out", str(out), "--scenes", "2"]) == 1
+    path.write_text(f"seed = 3\nseed = 5\nout_dir = {out}\nsynth_scenes = 2\n", encoding="utf-8")
+    assert main(["synth", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: key 'seed': set on line 1 and again on line 2\n"
     assert not out.exists()
+
+
+def test_load_config_ignores_a_leading_byte_order_mark(tmp_path):
+    # Windows editors often save UTF-8 with a byte-order mark
+    text = "scale = meter\nseed = 4\nout_dir = runs/bom\n".encode("utf-8")
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text)
+    without = load_config(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_config(path) == without
 
 
 def test_load_config_parses_types(tmp_path):
@@ -223,7 +233,7 @@ def configs(draw):
     for name in ("lr_features", "lr_addresser", "lr_fulfillment"):
         values[name] = draw(st.floats(5e-324, 1e300))
     for name in STRING_KEYS:
-        values[name] = draw(strings)
+        values[name] = draw(strings.filter(bool) if name == "out_dir" else strings)
     return Config(**values)
 
 
@@ -276,8 +286,8 @@ def test_cli_rejects_non_finite_config_values(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"
     for key, value in NON_FINITE_LINES:
-        path.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert main(["synth", "--config", str(path), "--out", str(out), "--scenes", "2"]) == 1, (key, value)
+        path.write_text(f"{key} = {value}\nout_dir = {out}\nsynth_scenes = 2\n", encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 1, (key, value)
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"key '{key}'" in err and "finite" in err
@@ -289,17 +299,30 @@ def test_cli_rejects_non_finite_config_values(tmp_path, capsys):
 
 
 def test_cli_rejects_a_negative_seed(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
+    path = tmp_path / "negative.cfg"
     out = tmp_path / "out"
-    path.write_text("scale = meter\n", encoding="utf-8")
-    negative_in_file = tmp_path / "negative.cfg"
-    negative_in_file.write_text("scale = meter\nseed = -1\n", encoding="utf-8")
-    for argv in (["--config", str(path), "--seed", "-1"], ["--config", str(negative_in_file)]):
-        assert main(["synth", *argv, "--out", str(out), "--scenes", "2"]) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "key 'seed': must be >= 0, got -1" in err
+    path.write_text(f"scale = meter\nseed = -1\nout_dir = {out}\nsynth_scenes = 2\n", encoding="utf-8")
+    assert main(["synth", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "key 'seed': must be >= 0, got -1" in err
     assert not out.exists()
+
+
+def test_empty_out_dir_is_rejected(tmp_path, monkeypatch, capsys):
+    # an empty out_dir would write every output into the working directory
+    with pytest.raises(ConfigError, match=r"^key 'out_dir': must be non-empty"):
+        Config(out_dir="")
+    path = tmp_path / "run.cfg"
+    path.write_text("synth_scenes = 2\nout_dir =\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'out_dir': must be non-empty") and err.count("\n") == 1
+    assert not (tmp_path / "synth").exists()
+    # '.' stays the explicit way to write into the working directory
+    path.write_text("synth_scenes = 2\nout_dir = .\n", encoding="utf-8")
+    assert load_config(path).out_dir == "."
 
 
 def test_readme_lists_every_config_key():

@@ -24,6 +24,7 @@ from memtraj.datasets import (
     scenes_to_tracks,
     synth_generate,
 )
+from memtraj import datasets
 from memtraj.datasets import _load_tsv_lines
 from memtraj.errors import ParseError
 
@@ -197,6 +198,24 @@ def test_load_tsv_rejects_duplicate_rows(tmp_path):
     # the same frame for different agents is fine
     tracks = load_tsv(write(tmp_path, "ok.tsv", "1 7 0.0 0.0\n1 3 0.0 0.0\n"))
     assert [t.agent_id for t in tracks] == [7, 3]
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Windows editors often write first
+
+
+@pytest.mark.parametrize("plain", [True, False])
+def test_load_tsv_ignores_a_leading_byte_order_mark(tmp_path, monkeypatch, plain):
+    # "\r\n" is no plain-number character, so that text takes the line-by-line parse
+    newline = "\n" if plain else "\r\n"
+    text = newline.join(["2 7 1.0 2.0", "1 7 0.0 0.0", "1 3 5.0 5.0"]) + newline
+    without, with_bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    without.write_bytes(text.encode("utf-8"))
+    with_bom.write_bytes(BOM + text.encode("utf-8"))
+    expected = _tsv_outcome(load_tsv, without)
+    if plain:
+        # a plain-number file with a BOM still takes the whole-array read
+        monkeypatch.setattr(datasets, "_load_tsv_lines", lambda path: pytest.fail("took the line-by-line parse"))
+    assert _tsv_outcome(load_tsv, with_bom) == expected
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):
@@ -717,6 +736,17 @@ def test_load_manifest(tmp_path):
     manifest.write_text("part1.tsv\nmissing.tsv\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         load_manifest(manifest, past_len=8, future_len=12)
+
+
+def test_load_manifest_ignores_a_leading_byte_order_mark(tmp_path):
+    save_tsv(scenes_to_tracks(synth_generate(7, 3)), tmp_path / "part1.tsv")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"part1.tsv\n")
+    without = load_manifest(manifest, past_len=8, future_len=12)
+    manifest.write_bytes(BOM + b"part1.tsv\n")
+    with_bom = load_manifest(manifest, past_len=8, future_len=12)
+    assert with_bom.scene_ids == without.scene_ids
+    assert dataset_fingerprint(with_bom) == dataset_fingerprint(without)
 
 
 def test_load_manifest_logs_window_counts(tmp_path, caplog):

@@ -1,12 +1,14 @@
 """Unit tests for destination-conditioned trajectory completion."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from conftest import quick_config, single_mode_spec
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import decode_batch, init_encoder_decoder, social_forward_batch
-from memtraj.fulfillment import fulfill_many, train_fulfillment
+from memtraj.fulfillment import DEST_EMBED_DIM, fulfill_many, train_fulfillment
 from memtraj.numkit import mlp_forward
 from oracles import reference_batch, scene_set
 
@@ -75,29 +77,15 @@ def mean_teacher_loss(nets, scenes):
 def test_training_reduces_loss():
     scenes = synth_generate(31, 48, mode_spec=single_mode_spec())
     config = quick_config(epochs_fulfillment=200, batch_size=16, seed=5)
-    init = init_encoder_decoder(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
-    )
-    before = mean_teacher_loss(init, scenes)
-    trained = train_fulfillment(init, scenes, config)
-    after = mean_teacher_loss(trained, scenes)
+    before = mean_teacher_loss(train_fulfillment(scenes, replace(config, epochs_fulfillment=0)), scenes)
+    after = mean_teacher_loss(train_fulfillment(scenes, config), scenes)
     assert after < 0.1 * before
-    # the input nets were copied, not mutated
-    np.testing.assert_array_equal(
-        init.decoder.weights[0],
-        init_encoder_decoder(
-            config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
-        ).decoder.weights[0],
-    )
 
 
 def test_true_destination_beats_offset_destination():
     scenes = synth_generate(33, 48, mode_spec=single_mode_spec())
     config = quick_config(epochs_fulfillment=200, batch_size=16, seed=7)
-    init = init_encoder_decoder(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
-    )
-    trained = train_fulfillment(init, scenes, config)
+    trained = train_fulfillment(scenes, config)
     offset = np.array([5 * 0.02, 0.0])  # five jitter sigmas sideways
     fde_true = 0.0
     fde_off = 0.0
@@ -111,34 +99,37 @@ def test_true_destination_beats_offset_destination():
 
 
 def test_zero_epochs_returns_copy():
+    # with no epochs the result is exactly the seeded initialization
     scenes = synth_generate(35, 8)
     config = quick_config(epochs_fulfillment=0)
+    trained = train_fulfillment(scenes, config)
     init = init_encoder_decoder(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
+        config.seed_for("fulfillment"),
+        past_len=config.past_len,
+        target_len=config.future_len,
+        past_dim=config.past_dim,
+        intent_dim=DEST_EMBED_DIM,
     )
-    trained = train_fulfillment(init, scenes, config)
-    assert trained is not init
-    for a, b in zip(trained.decoder.weights, init.decoder.weights):
-        np.testing.assert_array_equal(a, b)
+    for f in fields(init):
+        a, b = getattr(trained, f.name), getattr(init, f.name)
+        assert a.layer_dims == b.layer_dims, f.name
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_training_deterministic():
     scenes = synth_generate(37, 16)
     config = quick_config(epochs_fulfillment=5)
-    init = init_encoder_decoder(
-        config.seed_for("fulfillment"), config.past_len, config.future_len, past_dim=config.past_dim
-    )
-    a = train_fulfillment(init, scenes, config)
-    b = train_fulfillment(init, scenes, config)
+    a = train_fulfillment(scenes, config)
+    b = train_fulfillment(scenes, config)
     for wa, wb in zip(a.decoder.weights, b.decoder.weights):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_training_validation():
     config = quick_config()
-    init = init_encoder_decoder(1, config.past_len, config.future_len, past_dim=config.past_dim)
     with pytest.raises(ValueError, match="empty scene set for fulfillment training"):
-        train_fulfillment(init, synth_generate(1, 1)[:0], config)
+        train_fulfillment(synth_generate(1, 1)[:0], config)
     rng = np.random.default_rng(5)
     no_future = Scene(
         ego_past=rng.normal(size=(8, 2)),
@@ -147,4 +138,4 @@ def test_training_validation():
         scene_id="t:0:0",
     )
     with pytest.raises(ValueError, match="scene 't:0:0' has no future; fulfillment training needs one"):
-        train_fulfillment(init, scene_set([no_future]), config)
+        train_fulfillment(scene_set([no_future]), config)

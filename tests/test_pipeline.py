@@ -607,9 +607,6 @@ def test_cli_reports_errors(tmp_path, capsys):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"seed = 3\n\xff\xfe = 1\n")
     _assert_cli_error(["eval", "--config", str(binary)], capsys, str(binary), "UTF-8")
-    # an explicit zero is validated, not mistaken for "not given"
-    _assert_cli_error(["synth", "--config", str(cfg_path), "--scenes", "0"], capsys, "synth_scenes")
-    assert not (tmp_path / "synth").exists()
     # a bad byte in one of several listed track files names that file and its line
     lines = "".join(f"{frame} 1 {0.1 * frame!r} 0.0\n" for frame in range(25)).encode("ascii")
     (tmp_path / "good.tsv").write_bytes(lines)
@@ -654,8 +651,10 @@ def test_cli_reports_an_output_path_it_cannot_create(tmp_path, capsys):
     blocker = tmp_path / "afile"
     blocker.write_text("a regular file\n", encoding="utf-8")
     # train_manifest still points at the synth run, so train-features fails only when it saves
+    blocked = tmp_path / "blocked.cfg"
+    replace(config, out_dir=str(blocker / "sub")).to_file(blocked)
     for command in ("synth", "train-features"):
-        _assert_cli_error([command, "--config", str(cfg_path), "--out", str(blocker / "sub")], capsys, "Not a directory", str(blocker / "sub"))
+        _assert_cli_error([command, "--config", str(blocked)], capsys, "Not a directory", str(blocker / "sub"))
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
@@ -748,18 +747,27 @@ def test_cli_reports_unreadable_tracks_and_run_manifest(tmp_path, capsys):
     _assert_cli_error(["build-memory", "--config", str(cfg_path)], capsys, str(manifest), "created", "delete it and rerun every stage")
 
 
-def test_cli_seed_and_out_overrides(tmp_path):
-    out_a = tmp_path / "a"
-    config = tiny_config(out_a)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--seed", "2"],
+        ["synth", "--out", "elsewhere"],
+        ["synth", "--scenes", "2"],
+        ["predict", "--decode-mode", "stored"],
+        ["eval", "--decode-mode", "stored"],
+    ],
+)
+def test_cli_has_no_flag_that_overrides_the_config(tmp_path, monkeypatch, capsys, argv):
+    # the config file is the whole run: argparse refuses these flags before any command runs
     cfg_path = tmp_path / "run.cfg"
-    config.to_file(cfg_path)
-    out_b = tmp_path / "b"
-    assert main(["synth", "--config", str(cfg_path), "--out", str(out_b), "--seed", "99"]) == 0
-    assert (out_b / "synth" / "scenes.tsv").exists()
-    assert not (out_a / "synth").exists()
-    # a different seed produces different scene data
-    assert main(["synth", "--config", str(cfg_path)]) == 0
-    assert (out_a / "synth" / "scenes.tsv").read_bytes() != (out_b / "synth" / "scenes.tsv").read_bytes()
+    tiny_config(tmp_path / "out").to_file(cfg_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", str(cfg_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def _cli_train(tmp_path, name, **overrides):
