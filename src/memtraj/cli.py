@@ -7,12 +7,14 @@
     memtraj train-fulfillment --config run.cfg
     memtraj eval --config run.cfg
 
-The config file is the whole run: no flag overrides a value it sets, so to
-change the seed or the output directory, write another config (one that
-differs only in ``decode_mode``, ``snap_destination`` or ``test_manifest``
-reuses the trained stages). A leading UTF-8 byte-order mark is ignored. The
-other flags are ``-v``, ``--fixed-cosine`` on predict and eval (a reference
-scorer) and ``--trace`` on predict (one more output file).
+The config file is the whole run: every subcommand requires ``--config``
+(without it argparse exits 2 before anything is written), and no flag
+overrides a value it sets, so to change the seed or the output directory,
+write another config (one that differs only in ``decode_mode``,
+``snap_destination`` or ``test_manifest`` reuses the trained stages). A
+leading UTF-8 byte-order mark is ignored. The other flags are ``-v``,
+``--fixed-cosine`` on predict and eval (a reference scorer) and ``--trace``
+on predict (one more output file).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import logging
 import sys
 
-from .config import Config, load_config
+from .config import load_config
 from .errors import MemtrajError
 from .pipeline import (
     run_eval,
@@ -57,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", help="config file (key = value lines)")
+        sub.add_argument("--config", required=True, help="config file (key = value lines)")
         for flag in flags:
             sub.add_argument("--" + flag.replace("_", "-"), action="store_true", help=FLAGS[flag])
     return parser
@@ -69,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(asctime)s %(name)s %(levelname)s %(message)s")
     _, call, flags = COMMANDS[args.command]
     try:
-        call(load_config(args.config) if args.config else Config(), **{flag: getattr(args, flag) for flag in flags})
+        call(load_config(args.config), **{flag: getattr(args, flag) for flag in flags})
     except (MemtrajError, OSError) as exc:
         # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)

@@ -16,11 +16,11 @@ ground truth for tests.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import io
 import logging
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -154,48 +154,57 @@ def load_tsv(path) -> list[RawTrack]:
     (frame, agent), or bytes that are not UTF-8 raise ParseError with the
     path and the 1-based line number. A leading byte-order mark is ignored.
     """
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        tracks = _load_plain_tsv(fh.read())
-    return tracks if tracks is not None else _load_tsv_lines(path)
+    agent_ids, lengths, frames, coords = _tsv_rows(path)
+    bounds = np.cumsum(lengths)[:-1]
+    parts = zip(agent_ids.tolist(), np.split(frames, bounds), np.split(coords, bounds))
+    return [RawTrack(agent_id=agent_id, frames=f, coords=c) for agent_id, f, c in parts]
 
 
-# The characters of a TSV of plain numbers. On such text np.loadtxt splits
-# lines and fields as str.split does and reads each number as int() or
-# float() reads it.
-_PLAIN_TSV = re.compile(r"[0-9eE+\-. \t\n]*")
+def _tsv_rows(path):
+    """:func:`load_tsv`'s tracks as row arrays ``(agent_ids, lengths, frames, coords)``, track after track.
+
+    Plain-number text is read in whole arrays; any other text, well formed
+    or not, goes through the line-by-line parse, which reports the first bad line.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    rows = _plain_tsv_rows(data)
+    return rows if rows is not None else _load_tsv_lines(path)
+
+
+# The bytes of a TSV of plain numbers. On such text np.loadtxt splits lines
+# and fields as str.split does and reads each number as int() or float() reads it.
+_PLAIN_TSV = b"0123456789eE+-. \t\n"
 _TSV_ROW = np.dtype([("frame", "<i8"), ("agent", "<i8"), ("x", "<f8"), ("y", "<f8")])
 
 
-def _load_plain_tsv(text: str) -> list[RawTrack] | None:
-    """:func:`load_tsv` in whole arrays for well-formed plain-number text; None for any other text.
-
-    Other text, well formed or not, goes through the line-by-line parse,
-    which reports the first bad line.
-    """
-    if not _PLAIN_TSV.fullmatch(text):
+def _plain_tsv_rows(data: bytes):
+    """:func:`_tsv_rows` for well-formed plain-number text; None for any other text."""
+    if data.translate(None, _PLAIN_TSV):
         return None
-    if not text.split():
-        return []
+    if not data or data.isspace():
+        return _group_rows(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)))
     try:
-        rows = np.loadtxt(io.StringIO(text), dtype=_TSV_ROW, comments=None, ndmin=1)
+        rows = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=_TSV_ROW, comments=None, ndmin=1)
     except (ValueError, OverflowError):
         return None
-    frames, agents = rows["frame"], rows["agent"]
     coords = np.stack([rows["x"], rows["y"]], axis=1)
-    by_key = np.lexsort((frames, agents))
-    repeated = (np.diff(agents[by_key]) == 0) & (np.diff(frames[by_key]) == 0)
-    if repeated.any() or not np.isfinite(coords).all():
-        return None
+    agent_ids, lengths, frames, coords = grouped = _group_rows(rows["frame"], rows["agent"], coords)
+    repeated = (np.diff(np.repeat(agent_ids, lengths)) == 0) & (np.diff(frames) == 0)
+    return None if repeated.any() or not np.isfinite(coords).all() else grouped
+
+
+def _group_rows(frames, agents, coords):
+    """File rows as ``(agent_ids, lengths, frames, coords)``: agents in first-seen order, each one's rows by frame."""
     _, first, inverse = np.unique(agents, return_index=True, return_inverse=True)
     first_row = first[inverse]  # the row where each row's agent first appears
     order = np.lexsort((frames, first_row))
-    groups = np.split(order, np.flatnonzero(np.diff(first_row[order])) + 1)
-    return [RawTrack(agent_id=int(agents[g[0]]), frames=frames[g], coords=coords[g]) for g in groups]
+    starts = np.flatnonzero(np.diff(first_row[order], prepend=-1))
+    return agents[order[starts]], np.diff(starts, append=len(order)), frames[order], coords[order]
 
 
-def _load_tsv_lines(path) -> list[RawTrack]:
-    """:func:`load_tsv` one checked line at a time."""
-    by_agent: dict[int, list[tuple[int, float, float]]] = {}
+def _load_tsv_lines(path):
+    """:func:`_tsv_rows` one checked line at a time."""
+    samples: list[tuple[int, int, float, float]] = []
     first_line: dict[tuple[int, int], int] = {}
     try:
         for line_no, line in _utf8_lines(path):
@@ -217,16 +226,12 @@ def _load_tsv_lines(path) -> list[RawTrack]:
             seen_on = first_line.setdefault((frame, agent_id), line_no)
             if seen_on != line_no:
                 raise ParseError(f"duplicate row for frame {frame}, agent {agent_id} (first on line {seen_on})", line_no=line_no)
-            by_agent.setdefault(agent_id, []).append((frame, x, y))
+            samples.append((frame, agent_id, x, y))
     except ParseError as exc:
         raise ParseError(exc.reason, line_no=exc.line_no, path=path) from None
-    tracks = []
-    for agent_id, samples in by_agent.items():
-        samples.sort(key=lambda s: s[0])
-        frames = np.array([s[0] for s in samples], dtype=np.int64)
-        coords = np.array([[s[1], s[2]] for s in samples], dtype=np.float64)
-        tracks.append(RawTrack(agent_id=agent_id, frames=frames, coords=coords))
-    return tracks
+    frames = np.array([s[0] for s in samples], dtype=np.int64)
+    agents = np.array([s[1] for s in samples], dtype=np.int64)
+    return _group_rows(frames, agents, np.array([s[2:] for s in samples], dtype=np.float64).reshape(-1, 2))
 
 
 def save_tsv(tracks: Sequence[RawTrack], path) -> None:
@@ -260,23 +265,23 @@ def build_scenes(
     order; the emitted set of scenes does not depend on the ordering of
     ``tracks``. Each track's frames must be strictly increasing.
     """
-    return _window_tracks(tracks, past_len, future_len, stride, max_neighbors, tag)[0]
+    agent_ids = np.array([track.agent_id for track in tracks], dtype=np.int64)
+    lengths = np.array([len(track.frames) for track in tracks], dtype=np.int64)
+    frames = np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)])
+    coords = np.concatenate([np.zeros((0, 2)), *(track.coords for track in tracks)])
+    return _window_rows(agent_ids, lengths, frames, coords, past_len, future_len, stride, max_neighbors, tag)[0]
 
 
-def _window_tracks(
-    tracks: Sequence[RawTrack],
-    past_len: int,
-    future_len: int,
-    stride: int,
-    max_neighbors: int,
-    tag: str,
+def _window_rows(
+    agent_ids, lengths, frames, coords, past_len, future_len, stride, max_neighbors, tag
 ) -> tuple[SceneSet, int]:
-    """:func:`build_scenes` plus the number of stride positions skipped for a frame gap.
+    """:func:`build_scenes` over row arrays, plus the number of stride positions skipped for a frame gap.
 
-    All tracks are windowed at once over their concatenated rows. A row's run
-    position counts the evenly spaced frames of its track just before it, so
-    a window is valid where its last row has ``window - 1`` of them, and a
-    row can close a neighbor's past where it has ``past_len - 1``.
+    Track ``t`` is agent ``agent_ids[t]`` and owns the next ``lengths[t]``
+    rows of ``frames`` and ``coords``. All tracks are windowed at once. A
+    row's run position counts the evenly spaced frames of its track just
+    before it, so a window is valid where its last row has ``window - 1`` of
+    them, and a row can close a neighbor's past where it has ``past_len - 1``.
     """
     if past_len < 1 or future_len < 1:
         raise ValueError(f"past_len and future_len must be >= 1, got {past_len}, {future_len}")
@@ -285,11 +290,8 @@ def _window_tracks(
     if max_neighbors < 0:
         raise ValueError(f"max_neighbors must be >= 0, got {max_neighbors}")
     window = past_len + future_len
-    lengths = np.array([len(track.frames) for track in tracks], dtype=np.int64)
     n_rows = int(lengths.sum())
-    frames = np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)])
-    coords = np.concatenate([np.zeros((0, 2)), *(track.coords for track in tracks)])
-    track_of = np.repeat(np.arange(len(tracks)), lengths)
+    track_of = np.repeat(np.arange(len(lengths)), lengths)
     rows = np.arange(n_rows)
     local = rows - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
@@ -298,7 +300,7 @@ def _window_tracks(
     unsorted = in_track & (gaps <= 0)
     if unsorted.any():
         bad = int(track_of[1:][unsorted][0])
-        raise ValueError(f"frames of track {bad} (agent {tracks[bad].agent_id}) are not strictly increasing")
+        raise ValueError(f"frames of track {bad} (agent {agent_ids[bad]}) are not strictly increasing")
     # the dataset's frame step: its smallest gap within a track, 1 if no track has two samples
     step = int(gaps[in_track].min()) if in_track.any() else 1
     evenly = np.concatenate([[False], in_track & (gaps == step)])
@@ -312,16 +314,15 @@ def _window_tracks(
     last = starts + (past_len - 1)
     offsets = np.arange(past_len)
 
-    agent_ids = [track.agent_id for track in tracks]
     sel_win, sel_rows = _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_neighbors, agent_ids)
     prefix = f"{tag}:" if tag else ""
-    ids = zip(track_of[starts].tolist(), frames[last].tolist())
+    ids = zip(agent_ids[track_of[starts]].tolist(), frames[last].tolist())
     scenes = SceneSet(
         ego_pasts=coords[starts[:, None] + offsets],
         futures=coords[starts[:, None] + (past_len + np.arange(future_len))],
         neighbor_pasts=coords[sel_rows[:, None] + (offsets - (past_len - 1))],
         offsets=np.searchsorted(sel_win, np.arange(len(starts) + 1)),
-        scene_ids=[f"{prefix}{agent_ids[t_idx]}:{last_frame}" for t_idx, last_frame in ids],
+        scene_ids=[f"{prefix}{agent_id}:{last_frame}" for agent_id, last_frame in ids],
     )
     return scenes, skipped
 
@@ -348,7 +349,7 @@ def _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_ne
     # distance rounds, and ties, as the norm of that vector does
     diff = np.asarray(coords[pair_rows] - coords[last[win]], dtype=np.float64)
     dist = np.sqrt(np.vecdot(diff, diff))
-    order = np.lexsort((np.asarray(agent_ids)[track_of[pair_rows]], dist, win))
+    order = np.lexsort((agent_ids[track_of[pair_rows]], dist, win))
     win, pair_rows = win[order], pair_rows[order]
     rank = np.arange(len(win)) - np.searchsorted(win, win, side="left")
     keep = rank < max_neighbors
@@ -551,10 +552,10 @@ def load_manifest(
             tsv_path = manifest_path.parent / tsv_path
         if not tsv_path.exists():
             raise ParseError(f"listed file does not exist: {tsv_path}", line_no=line_no, path=manifest_path)
-        tracks = load_tsv(tsv_path)
-        windows, skipped = _window_tracks(tracks, past_len, future_len, stride, max_neighbors, tag=tsv_path.stem)
+        agent_ids, *rows = _tsv_rows(tsv_path)
+        windows, skipped = _window_rows(agent_ids, *rows, past_len, future_len, stride, max_neighbors, tsv_path.stem)
         logger.info(
-            "%s: %d tracks, %d windows, %d skipped for a frame gap", tsv_path, len(tracks), len(windows), skipped
+            "%s: %d tracks, %d windows, %d skipped for a frame gap", tsv_path, len(agent_ids), len(windows), skipped
         )
         sets.append(windows)
     if not sets:

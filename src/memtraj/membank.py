@@ -239,7 +239,8 @@ def bank_save(bank: MemoryBankPair, path) -> None:
     for name, field in _RECORD_FIELDS.items():
         records[field] = getattr(bank, name)
     with atomic_open(path, "wb") as fh:
-        fh.write(header + records.tobytes())
+        fh.write(header)
+        fh.write(records)  # through the buffer protocol: no copy of the table
 
 
 def _record_dtype(past_dim: int, intent_dim: int) -> np.dtype:
@@ -254,9 +255,9 @@ def _record_dtype(past_dim: int, intent_dim: int) -> np.dtype:
     )
 
 
-def bank_load(path) -> MemoryBankPair:
-    """Read a bank written by :func:`bank_save`, validating the layout."""
-    raw = Path(path).read_bytes()
+def bank_load(source) -> MemoryBankPair:
+    """Read a bank written by :func:`bank_save` from its path or its bytes, validating the layout."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError("file too short for a bank header", offset=len(raw))
     magic, version, past_dim, intent_dim, past_len, future_len, theta_past, theta_int, filter_seed, count, source_hash = _HEADER.unpack_from(raw, 0)

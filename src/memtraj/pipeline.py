@@ -93,13 +93,20 @@ class RunManifest:
             fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def artifact_hash(path: Path) -> str:
-    """SHA-256 over a file, or over a directory's files in sorted order."""
+def artifact_hash(path: Path, files: dict[str, bytes] | None = None) -> str:
+    """SHA-256 over a file, or over a directory's files in sorted order.
+
+    ``files``, when given, receives each file of a directory as the bytes
+    that were hashed, by its path within it, so a caller parses what was verified.
+    """
     digest = hashlib.sha256()
     if path.is_dir():
         for sub in sorted(p for p in path.rglob("*") if p.is_file()):
-            digest.update(sub.relative_to(path).as_posix().encode("utf-8"))
-            digest.update(sub.read_bytes())
+            name, data = sub.relative_to(path).as_posix(), sub.read_bytes()
+            digest.update(name.encode("utf-8"))
+            digest.update(data)
+            if files is not None:
+                files[name] = data
     else:
         digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -131,17 +138,22 @@ def _load_stage(config: Config, name: str, reads: dict[str, str]):
     artifact = out_dir / name
     if not artifact.exists():
         raise DependencyError(f"stage '{name}' artifact {artifact} is missing")
-    if artifact_hash(artifact) != record.sha256:
+    files: dict[str, bytes] = {}  # each file read once: the bytes hashed are the bytes loaded
+    if artifact_hash(artifact, files) != record.sha256:
         raise DependencyError(f"stage '{name}' artifact {artifact} does not match its recorded hash")
     for read, sha256 in record.inputs.items():
         current = manifest.stages.get(read)
         if current is None or current.sha256 != sha256:
             raise DependencyError(f"stage '{name}' was built from a '{read}' artifact that has changed since; rerun '{name}'")
+    net_type = _NET_TYPES.get(name)
+    wanted = [f"{f.name}.mtnn" for f in fields(net_type)] if net_type else ["bank.mtbk"]
+    for file_name in wanted:
+        if file_name not in files:
+            raise DependencyError(f"stage '{name}' artifact {artifact} has no {file_name}; rerun '{name}'")
     reads[name] = record.sha256
-    if name == STAGE_BANK:
-        return bank_load(artifact / "bank.mtbk")
-    net_type = _NET_TYPES[name]
-    return net_type(*(load_mlp(artifact / f"{f.name}.mtnn") for f in fields(net_type)))
+    if net_type is None:
+        return bank_load(files["bank.mtbk"])
+    return net_type(*(load_mlp(files[file_name]) for file_name in wanted))
 
 
 def _load_scenes(config: Config, which: str) -> SceneSet:

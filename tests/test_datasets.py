@@ -137,6 +137,18 @@ def _tsv_outcome(parse, path):
         return str(exc)
 
 
+def _rows_outcome(rows_of, path):
+    """What a row-array read gives: each track's agent id, frames and coordinate bytes with their dtypes, or the error."""
+    try:
+        agent_ids, lengths, frames, coords = rows_of(path)
+    except ParseError as exc:
+        return str(exc)
+    bounds = np.cumsum(lengths)[:-1]
+    tracks = zip(agent_ids.tolist(), np.split(frames, bounds), np.split(coords, bounds))
+    dtypes = (agent_ids.dtype, lengths.dtype, frames.dtype, coords.dtype)
+    return [(agent_id, f.tolist(), c.tobytes()) for agent_id, f, c in tracks], dtypes
+
+
 _TSV_TOKENS = st.one_of(
     st.integers(-3, 3).map(str),
     st.sampled_from(["+1", "-0", "007", "3.0", "1e1", "9223372036854775807", "9223372036854775808"]),
@@ -170,7 +182,7 @@ def test_load_tsv_reads_plain_and_other_text_alike(tmp_path_factory, rows, gap, 
     # the whole-array read of plain-number text gives what the line-by-line parse gives
     path = tmp_path_factory.mktemp("tsv") / "rows.tsv"
     path.write_bytes((newline.join(gap.join(row) for row in rows) + newline).encode("utf-8"))
-    assert _tsv_outcome(load_tsv, path) == _tsv_outcome(_load_tsv_lines, path)
+    assert _rows_outcome(datasets._tsv_rows, path) == _rows_outcome(_load_tsv_lines, path)
 
 
 def test_load_tsv_plain_text_keeps_every_check(tmp_path):
@@ -747,6 +759,36 @@ def test_load_manifest_ignores_a_leading_byte_order_mark(tmp_path):
     with_bom = load_manifest(manifest, past_len=8, future_len=12)
     assert with_bom.scene_ids == without.scene_ids
     assert dataset_fingerprint(with_bom) == dataset_fingerprint(without)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tracks=random_tracks(unique_ids=True),
+    seed=st.integers(0, 2**32 - 1),
+    blank_lines=st.integers(0, 3),
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\n", "\r\n"]),
+    **window_args,
+)
+def test_load_manifest_windows_what_load_tsv_reads(tracks, seed, blank_lines, bom, newline, past_len, future_len, stride, max_neighbors):
+    # the rows of every track, shuffled so that agents interleave, with blank lines among them
+    rows = [f"{f} {t.agent_id} {x!r} {y!r}" for t in tracks for f, (x, y) in zip(t.frames.tolist(), t.coords.tolist())]
+    rows += [""] * blank_lines
+    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "walk.tsv"
+        path.write_bytes((BOM if bom else b"") + (newline.join(rows) + newline).encode("utf-8"))
+        (Path(tmp) / "manifest.txt").write_text("walk.tsv\n", encoding="utf-8")
+        if newline == "\n":
+            # plain-number text, with or without a BOM, never takes the line-by-line parse
+            patch.setattr(datasets, "_load_tsv_lines", lambda path: pytest.fail("took the line-by-line parse"))
+        got = load_manifest(Path(tmp) / "manifest.txt", **args)
+        want = build_scenes(load_tsv(path), tag="walk", **args)
+    assert got.scene_ids == want.scene_ids
+    for field in ("ego_pasts", "futures", "neighbor_pasts", "offsets"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_load_manifest_logs_window_counts(tmp_path, caplog):

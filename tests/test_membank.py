@@ -301,6 +301,21 @@ def test_save_load_roundtrip(tmp_path, small_scenes):
     path2 = tmp_path / "bank2.mtbk"
     bank_save(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # the file's bytes load as the file does
+    from_bytes = bank_load(path.read_bytes())
+    assert from_bytes.meta == again.meta
+    for name in ("past_feats", "intent_feats", "starts", "dests", "sample_ids"):
+        a, b = getattr(from_bytes, name), getattr(again, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_save_holds_the_record_table_once(tmp_path):
+    bank = random_bank(np.random.default_rng(3), 2000, past_dim=128, intent_dim=64)
+    table = len(bank) * ((128 + 64 + 4) * 8 + 8)  # 3.1 MB of records
+    path = tmp_path / "bank.mtbk"
+    # the table is built once and written as it is; joining it to the header copied it twice more
+    assert traced_peak(lambda: bank_save(bank, path)) < 1.5 * table
+    assert path.stat().st_size == HEADER_SIZE + table
 
 
 def test_file_size_arithmetic(tmp_path):

@@ -225,6 +225,11 @@ def test_save_load_roundtrip(tmp_path):
     path2 = tmp_path / "net2.mtnn"
     save_mlp(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # the file's bytes load as the file does
+    from_bytes = load_mlp(path.read_bytes())
+    assert from_bytes.layer_dims == net.layer_dims and from_bytes.hidden_activation == TANH
+    for a, b in zip(net.weights + net.biases, from_bytes.weights + from_bytes.biases):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_load_rejects_corrupt_files(tmp_path):

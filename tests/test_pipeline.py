@@ -1,15 +1,18 @@
 """End-to-end tests for the staged pipeline, its manifests, and the CLI."""
 
+import builtins
 import errno
+import io
 import json
 import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memtraj.cli import main
+from memtraj.cli import COMMANDS, main
 from memtraj.config import Config
 from memtraj.datasets import load_manifest, synth_generate
 from memtraj.errors import DependencyError
@@ -23,6 +26,7 @@ from memtraj.pipeline import (
     STAGE_FULFILLMENT,
     RunManifest,
     _segment_epochs,
+    artifact_hash,
     load_model_bundle,
     run_eval,
     run_predict,
@@ -129,6 +133,39 @@ def test_bundle_and_fixed_cosine_swap(trained_run):
     assert 0 <= meta["selected_epoch"] <= config.epochs_addresser
     assert meta["holdout_error"] >= 0.0
     assert bundle.addresser_nets.query_proj.weights[0].shape == (config.addr_dim, config.past_dim)
+
+
+def test_load_model_bundle_reads_each_artifact_file_once(trained_run, monkeypatch):
+    # each stage parses the bytes its hash check read, so no artifact file is read twice
+    out_dir = Path(trained_run.out_dir).resolve()
+    reads = Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, Path)) and "r" in mode:
+            reads[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    load_model_bundle(trained_run)
+    stages = (STAGE_FEATURES, STAGE_BANK, STAGE_ADDRESSER, STAGE_FULFILLMENT)
+    artifact_files = sorted(path for stage in stages for path in (out_dir / stage).iterdir())
+    assert sorted(path for path in reads if path.parent != out_dir) == artifact_files
+    assert {reads[path] for path in artifact_files} == {1}
+
+
+def test_a_stage_directory_without_a_file_it_loads_is_refused(tmp_path):
+    # its recorded hash matches, as for a directory of an older layout, but a net file is gone
+    config = tiny_config(tmp_path)
+    run_synth(config)
+    stage_train_features(config)
+    (tmp_path / STAGE_FEATURES / "point_embed.mtnn").unlink()
+    manifest = RunManifest.load(tmp_path)
+    manifest.stages[STAGE_FEATURES].sha256 = artifact_hash(tmp_path / STAGE_FEATURES)
+    manifest.save(tmp_path)
+    with pytest.raises(DependencyError, match=f"stage '{STAGE_FEATURES}' artifact .* has no point_embed.mtnn; rerun"):
+        stage_build_memory(config)
 
 
 def test_segment_epochs_partitions():
@@ -768,6 +805,18 @@ def test_cli_has_no_flag_that_overrides_the_config(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_cli_requires_a_config(tmp_path, monkeypatch, capsys, command):
+    # without --config there are no values to run on: argparse exits 2 before any command writes a file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([command])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --config" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _cli_train(tmp_path, name, **overrides):
