@@ -17,7 +17,6 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -255,9 +254,8 @@ def _record_dtype(past_dim: int, intent_dim: int) -> np.dtype:
     )
 
 
-def bank_load(source) -> MemoryBankPair:
-    """Read a bank written by :func:`bank_save` from its path or its bytes, validating the layout."""
-    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+def bank_load(raw: bytes) -> MemoryBankPair:
+    """Parse the bytes of a bank written by :func:`bank_save`, validating the layout."""
     if len(raw) < _HEADER.size:
         raise FormatError("file too short for a bank header", offset=len(raw))
     magic, version, past_dim, intent_dim, past_len, future_len, theta_past, theta_int, filter_seed, count, source_hash = _HEADER.unpack_from(raw, 0)

@@ -285,9 +285,8 @@ def save_mlp(net: Mlp, path) -> None:
         fh.write(b"".join(parts))
 
 
-def load_mlp(source) -> Mlp:
-    """Read a network written by :func:`save_mlp` from its path or its bytes, validating as it goes."""
-    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+def load_mlp(raw: bytes) -> Mlp:
+    """Parse the bytes of a network written by :func:`save_mlp`, validating as it goes."""
     if len(raw) < 16:
         raise FormatError("file too short for a net header", offset=len(raw))
     if raw[:4] != _MAGIC:

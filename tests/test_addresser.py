@@ -286,10 +286,10 @@ def test_fit_addresser_equals_the_reference_step_bit_for_bit(seed, m, n, batch_s
     assert results[0] == results[1]
     if n > 1 and m <= cap:  # every step scores the whole bank, so a query that is not degenerate meets a live key
         assert any(live_steps)
-    # Degenerate rows get no gradient, so the nets move once a step scores a live pair. With
-    # m > cap, every step of a small run can sample only the zeroed key row and score none.
-    if any(live_steps):
-        assert results[0][0] != net_bytes(init_addresser_nets(past_dim=6, addr_dim=5))
+    # Degenerate rows get no gradient, so the nets move exactly when some step scores a live pair.
+    # With m > cap, every step of a small run can sample only the zeroed key row and score none.
+    moved = results[0][0] != net_bytes(init_addresser_nets(past_dim=6, addr_dim=5))
+    assert moved == any(live_steps)
 
 
 def traced_peak(fn) -> int:

@@ -282,7 +282,7 @@ def test_save_load_roundtrip(tmp_path, small_scenes):
     bank = bank_init(nets, small_scenes)
     path = tmp_path / "bank.mtbk"
     bank_save(bank, path)
-    loaded = bank_load(path)
+    loaded = bank_load(path.read_bytes())
     assert len(loaded) == len(bank)
     assert loaded.meta == bank.meta
     np.testing.assert_array_equal(loaded.past_feats, bank.past_feats)
@@ -292,7 +292,7 @@ def test_save_load_roundtrip(tmp_path, small_scenes):
 
     filtered = bank_filter(bank, 0.05, 0.05, seed=11)
     bank_save(filtered, path)
-    again = bank_load(path)
+    again = bank_load(path.read_bytes())
     assert again.meta.theta_past == 0.05
     assert again.meta.filter_seed == 11
     assert again.sample_ids.tolist() == filtered.sample_ids.tolist()
@@ -301,12 +301,6 @@ def test_save_load_roundtrip(tmp_path, small_scenes):
     path2 = tmp_path / "bank2.mtbk"
     bank_save(again, path2)
     assert path.read_bytes() == path2.read_bytes()
-    # the file's bytes load as the file does
-    from_bytes = bank_load(path.read_bytes())
-    assert from_bytes.meta == again.meta
-    for name in ("past_feats", "intent_feats", "starts", "dests", "sample_ids"):
-        a, b = getattr(from_bytes, name), getattr(again, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_save_holds_the_record_table_once(tmp_path):
@@ -333,22 +327,14 @@ def test_load_rejects_corrupt_banks(tmp_path):
     bank_save(bank, path)
     raw = path.read_bytes()
 
-    bad = tmp_path / "bad.mtbk"
-    bad.write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(FormatError, match="magic"):
-        bank_load(bad)
-
-    bad.write_bytes(raw[:40])
+        bank_load(b"NOPE" + raw[4:])
     with pytest.raises(FormatError, match="short"):
-        bank_load(bad)
-
-    bad.write_bytes(raw[:-1])
+        bank_load(raw[:40])
     with pytest.raises(FormatError, match="payload"):
-        bank_load(bad)
-
-    bad.write_bytes(raw + b"\x00")
+        bank_load(raw[:-1])
     with pytest.raises(FormatError, match="payload"):
-        bank_load(bad)
+        bank_load(raw + b"\x00")
 
 
 def test_filter_validation():

@@ -214,7 +214,7 @@ def test_save_load_roundtrip(tmp_path):
     net = mlp_init(9, [3, 7, 2], hidden_activation=TANH)
     path = tmp_path / "net.mtnn"
     save_mlp(net, path)
-    loaded = load_mlp(path)
+    loaded = load_mlp(path.read_bytes())
     assert loaded.layer_dims == net.layer_dims
     assert loaded.hidden_activation == TANH
     for wa, wb in zip(net.weights, loaded.weights):
@@ -225,11 +225,6 @@ def test_save_load_roundtrip(tmp_path):
     path2 = tmp_path / "net2.mtnn"
     save_mlp(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    # the file's bytes load as the file does
-    from_bytes = load_mlp(path.read_bytes())
-    assert from_bytes.layer_dims == net.layer_dims and from_bytes.hidden_activation == TANH
-    for a, b in zip(net.weights + net.biases, from_bytes.weights + from_bytes.biases):
-        assert a.tobytes() == b.tobytes()
 
 
 def test_load_rejects_corrupt_files(tmp_path):
@@ -238,29 +233,19 @@ def test_load_rejects_corrupt_files(tmp_path):
     save_mlp(net, path)
     raw = path.read_bytes()
 
-    bad = tmp_path / "bad.mtnn"
-    bad.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(FormatError, match="magic"):
-        load_mlp(bad)
-
-    bad.write_bytes(raw[:10])
+        load_mlp(b"XXXX" + raw[4:])
     with pytest.raises(FormatError):
-        load_mlp(bad)
-
-    bad.write_bytes(raw[:-8])
+        load_mlp(raw[:10])
     with pytest.raises(FormatError, match="truncated"):
-        load_mlp(bad)
-
-    bad.write_bytes(raw + b"\x00" * 8)
+        load_mlp(raw[:-8])
     with pytest.raises(FormatError, match="trailing"):
-        load_mlp(bad)
-
+        load_mlp(raw + b"\x00" * 8)
     # unknown activation code
     mangled = bytearray(raw)
     mangled[12] = 99
-    bad.write_bytes(bytes(mangled))
     with pytest.raises(FormatError, match="activation"):
-        load_mlp(bad)
+        load_mlp(bytes(mangled))
 
 
 def test_shuffled_batches_partition():
