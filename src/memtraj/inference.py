@@ -1,27 +1,34 @@
-"""Frozen-model inference: one scene in, K trajectories out.
+"""Frozen-model inference: scenes in, K trajectories per scene out.
 
-Bundles the four trained artifacts and runs the prediction chain: wrap the
-scene as a one-scene set, encode the past in its ego frame, score and
-retrieve from the bank, decode anchors, cluster into destinations, fulfill
-each destination, and add the scene origin back. Everything here is read-only on the bundle.
-:func:`predict_scenes` is the one loop over a split that evaluation and
-prediction files share.
+Bundles the four trained artifacts and runs the prediction chain over a
+block of scenes. Each scene is encoded in its ego frame as a one-scene set,
+scored and retrieved from the bank, its anchors decoded and, after the
+clustering, each destination fulfilled, all alone, since those products'
+last bits depend on their row count. The clustering runs for the whole
+block in one :func:`~memtraj.intention.kmeans_batch` call, whose result for
+a scene does not depend on its block. Everything here is read-only on the
+bundle. :func:`predict_scenes` is the one loop over a split that evaluation
+and prediction files share; :func:`predict_scene` is a one-scene block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
 from .datasets import Scene, SceneSet
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
-from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans
+from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans_batch
 from .membank import MemoryBankPair
+
+# Scenes per block of predict_scenes and destination_error. A block's k-means
+# distance tables take 8 * PREDICT_BLOCK * L * K bytes each: 300 KB at L=60, K=20.
+PREDICT_BLOCK = 32
 
 
 @dataclass
@@ -72,30 +79,48 @@ def retrieval_counts(bank_size: int, n_retrieve: int, n_predict: int) -> tuple[i
     return n_retrieve, n_predict
 
 
-def propose_destinations(
+def _check_finite(what: str, values: np.ndarray, name: Callable[[int], str]) -> None:
+    """NumericError naming the first scene whose row of ``values`` holds a non-finite number."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise NumericError(f"non-finite {what} for {name(first)}")
+
+
+def propose_block(
     feature_nets: EncoderDecoder,
     addresser_nets: AddresserNets,
     bank: MemoryBankPair,
     keys: np.ndarray,
-    query: np.ndarray,
+    queries: np.ndarray,
     n_retrieve: int,
     n_predict: int,
-    seed: int,
+    seeds: Sequence[int],
     decode_mode: str = DECODE_QUERY,
-) -> tuple[np.ndarray, np.ndarray, IntentionSet]:
-    """Retrieve, decode anchors, and cluster for one scene's query past feature.
+    name: Callable[[int], str] = "scene {}".format,
+) -> tuple[list[np.ndarray], list[np.ndarray], list[IntentionSet]]:
+    """Retrieve, decode anchors, and cluster for a block of query past features.
 
-    Returns the retrieved bank addresses (best first), their scores, and the
-    ego-frame destinations clustered from their anchors. ``keys`` is the
-    bank's :func:`key_table` under ``addresser_nets``. This is the
-    destination half of the prediction chain; it needs no fulfillment nets,
-    so it also serves training-time model selection. ``top_l`` and ``kmeans``
-    raise ValueError unless ``1 <= n_predict <= n_retrieve <= len(bank)``.
+    Query ``i`` is scored, retrieved and decoded alone, and clustered with
+    ``seeds[i]``. Returns per query the retrieved bank addresses (best
+    first), their scores, and the ego-frame destinations clustered from
+    their anchors. ``keys`` is the bank's :func:`key_table` under
+    ``addresser_nets``. This is the destination half of the prediction
+    chain; it needs no fulfillment nets, so it also serves training-time
+    model selection. NumericError, naming the scene by ``name(i)``, when an
+    anchor is not finite; ValueError unless ``1 <= n_predict <= n_retrieve
+    <= len(bank)``.
     """
-    scores = score_all(addresser_nets, query, keys)
-    addresses = top_l(scores, n_retrieve)
-    anchors = decode_anchors(query, addresses, bank, feature_nets, decode_mode=decode_mode)
-    return addresses, scores[addresses], kmeans(anchors, n_predict, seed)
+    addresses, scores = [], []
+    anchors = np.empty((len(queries), n_retrieve, 2))
+    for i, query in enumerate(queries):
+        scored = score_all(addresser_nets, query, keys)
+        retrieved = top_l(scored, n_retrieve)
+        anchors[i] = decode_anchors(query, retrieved, bank, feature_nets, decode_mode=decode_mode)
+        addresses.append(retrieved)
+        scores.append(scored[retrieved])
+    _check_finite("intention anchors", anchors, name)
+    return addresses, scores, kmeans_batch(anchors, n_predict, seeds)
 
 
 def destination_error(
@@ -107,24 +132,87 @@ def destination_error(
     n_retrieve: int,
     n_predict: int,
     master_seed: int,
+    scene_ids: Sequence[str] | None = None,
 ) -> float:
     """Mean distance from each scene's true destination to its nearest proposal.
 
     Scene ``i`` has the query past feature ``queries[i]`` and the ego-frame
     destination ``dests[i]``, and is clustered with ``scene_seed(master_seed,
-    i)``. This is the retrieval-plus-clustering half of the final
-    displacement metric, so it ranks addressers without requiring
-    fulfillment nets.
+    i)``, in blocks of ``PREDICT_BLOCK`` scenes. This is the
+    retrieval-plus-clustering half of the final displacement metric, so it
+    ranks addressers without requiring fulfillment nets. A NumericError for
+    non-finite anchors names the scene by index and, given ``scene_ids``, id.
     """
     keys = key_table(addresser_nets, bank)
-    errors = []
-    for i, (query, dest) in enumerate(zip(queries, dests)):
-        _, _, iset = propose_destinations(
-            feature_nets, addresser_nets, bank, keys, query, n_retrieve, n_predict, scene_seed(master_seed, i)
+    errors = np.empty(len(queries))
+    for lo in range(0, len(queries), PREDICT_BLOCK):
+        hi = min(lo + PREDICT_BLOCK, len(queries))
+        seeds = [scene_seed(master_seed, i) for i in range(lo, hi)]
+
+        def name(i: int) -> str:
+            return f"scene {lo + i}" if scene_ids is None else f"scene {lo + i} ({scene_ids[lo + i]!r})"
+
+        _, _, isets = propose_block(
+            feature_nets, addresser_nets, bank, keys, queries[lo:hi], n_retrieve, n_predict, seeds, name=name
         )
-        gaps = np.linalg.norm(iset.destinations - dest, axis=1)
-        errors.append(float(gaps.min()))
+        proposals = np.stack([iset.destinations for iset in isets])
+        errors[lo:hi] = np.linalg.norm(proposals - dests[lo:hi, None], axis=2).min(axis=1)
     return float(np.mean(errors))
+
+
+def _predict_block(
+    bundle: ModelBundle,
+    alone: list[SceneSet],
+    first: int,
+    seeds: Sequence[int],
+    n_retrieve: int,
+    n_predict: int,
+    decode_mode: str,
+    snap_destination: bool,
+) -> list[ScenePrediction]:
+    """The full prediction chain for a block of raw (world-frame) one-scene sets.
+
+    ``alone[i]`` is scene ``first + i`` of its split and is clustered with
+    ``seeds[i]``. NumericError naming the first scene, by that index and its
+    id, whose anchors, trajectories or destinations are not all finite.
+    """
+
+    def name(i: int) -> str:
+        return f"scene {first + i} ({alone[i].scene_ids[0]!r})"
+
+    queries = np.concatenate([social_encode(bundle.feature_nets, one) for one in alone])
+    addresses, scores, isets = propose_block(
+        bundle.feature_nets,
+        bundle.addresser_nets,
+        bundle.bank,
+        bundle.keys,
+        queries,
+        n_retrieve,
+        n_predict,
+        seeds,
+        decode_mode,
+        name,
+    )
+    futures = np.stack(
+        [fulfill_many(bundle.fulfill_nets, one, iset.destinations, snap_destination) for one, iset in zip(alone, isets)]
+    )
+    origins = np.concatenate([one.ego_pasts[:, -1] for one in alone])
+    trajectories = futures + origins[:, None, None]
+    destinations = np.stack([iset.destinations for iset in isets]) + origins[:, None]
+    _check_finite("trajectories", trajectories, name)
+    _check_finite("destinations", destinations, name)
+    return [
+        ScenePrediction(
+            scene_id=one.scene_ids[0],
+            destinations=destinations[i],
+            trajectories=trajectories[i],
+            addresses=addresses[i],
+            scores=scores[i],
+            sample_ids=bundle.bank.sample_ids[addresses[i]],
+            intention_set=isets[i],
+        )
+        for i, one in enumerate(alone)
+    ]
 
 
 def predict_scene(
@@ -136,32 +224,11 @@ def predict_scene(
     decode_mode: str = DECODE_QUERY,
     snap_destination: bool = False,
 ) -> ScenePrediction:
-    """Run the full prediction chain for one raw (world-frame) scene."""
+    """Run the full prediction chain for one raw (world-frame) scene, as a block of one."""
     past = np.asarray(scene.ego_past, dtype=np.float64)
     neighbors = np.reshape(scene.neighbor_pasts, (-1, *past.shape))
-    scenes = SceneSet(past[None], None, neighbors, np.array([0, len(neighbors)]), [scene.scene_id])
-    addresses, scores, iset = propose_destinations(
-        bundle.feature_nets,
-        bundle.addresser_nets,
-        bundle.bank,
-        bundle.keys,
-        social_encode(bundle.feature_nets, scenes)[0],
-        n_retrieve,
-        n_predict,
-        seed,
-        decode_mode=decode_mode,
-    )
-    futures = fulfill_many(bundle.fulfill_nets, scenes, iset.destinations, snap_destination=snap_destination)
-    origin = past[-1]
-    return ScenePrediction(
-        scene_id=scene.scene_id,
-        destinations=iset.destinations + origin,
-        trajectories=futures + origin,
-        addresses=addresses,
-        scores=scores,
-        sample_ids=bundle.bank.sample_ids[addresses],
-        intention_set=iset,
-    )
+    alone = SceneSet(past[None], None, neighbors, np.array([0, len(neighbors)]), [scene.scene_id])
+    return _predict_block(bundle, [alone], 0, [seed], n_retrieve, n_predict, decode_mode, snap_destination)[0]
 
 
 def predict_scenes(
@@ -175,11 +242,29 @@ def predict_scenes(
 ) -> Iterator[ScenePrediction]:
     """Predict scene ``i`` with ``scene_seed(seed, i)``, yielding in scene order.
 
-    L and K are checked against the bank by :func:`retrieval_counts` before
-    the first scene, so a bad K fails before any output is written.
+    Scenes run in blocks of ``PREDICT_BLOCK``, and each scene's prediction
+    equals :func:`predict_scene`'s, bit for bit, whatever its block. L and K are checked against the bank by
+    :func:`retrieval_counts` before the first scene, so a bad K fails before
+    any output is written.
     """
     n_retrieve, n_predict = retrieval_counts(len(bundle.bank), n_retrieve, n_predict)
-    return (
-        predict_scene(bundle, scene, n_retrieve, n_predict, scene_seed(seed, i), decode_mode, snap_destination)
-        for i, scene in enumerate(scenes)
-    )
+    offsets = scenes.offsets.tolist()
+
+    def blocks():
+        for lo in range(0, len(scenes), PREDICT_BLOCK):
+            rows = range(lo, min(lo + PREDICT_BLOCK, len(scenes)))
+            # each scene as predict_scene sees it: a one-scene set of views, without its future
+            alone = [
+                SceneSet(
+                    scenes.ego_pasts[i : i + 1],
+                    None,
+                    scenes.neighbor_pasts[offsets[i] : offsets[i + 1]],
+                    np.array([0, offsets[i + 1] - offsets[i]]),
+                    scenes.scene_ids[i : i + 1],
+                )
+                for i in rows
+            ]
+            seeds = [scene_seed(seed, i) for i in rows]
+            yield from _predict_block(bundle, alone, lo, seeds, n_retrieve, n_predict, decode_mode, snap_destination)
+
+    return blocks()

@@ -277,7 +277,9 @@ def train_addresser_selected(
     seed = config.seed_for("addresser-selection")
 
     def selection_error(candidate: AddresserNets) -> float:
-        return destination_error(feature_nets, candidate, memory, queries, dests, n_retrieve, n_predict, seed)
+        return destination_error(
+            feature_nets, candidate, memory, queries, dests, n_retrieve, n_predict, seed, holdout.scene_ids
+        )
 
     data = None  # built once, on the first segment, so a stage without epochs never encodes the slice
     rng = np.random.default_rng(config.seed_for("addresser-batches"))

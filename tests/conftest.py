@@ -3,6 +3,7 @@ import pytest
 
 from memtraj.config import Config
 from memtraj.datasets import SynthMode, synth_generate
+from memtraj.intention import kmeans_batch
 
 
 def quick_config(**overrides):
@@ -22,6 +23,11 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return Config(**base)
+
+
+def kmeans_one(points, k, seed):
+    """The package's k-means for one scene: :func:`kmeans_batch` on a block of one."""
+    return kmeans_batch(np.asarray(points, dtype=np.float64)[None], k, [seed])[0]
 
 
 def single_mode_spec():

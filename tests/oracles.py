@@ -13,6 +13,7 @@ from memtraj import addresser
 from memtraj.addresser import DEGENERATE_NORM, _cosine_forward, addresser_training_data, fit_addresser, pseudo_labels
 from memtraj.datasets import Scene, SceneBatch, SceneSet
 from memtraj.features import decode_batch, social_forward_batch
+from memtraj.intention import KMEANS_MAX_ITERS, IntentionSet
 from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
 
@@ -105,6 +106,68 @@ def mean_rec_loss(nets, dataset) -> float:
     past_hat, dest_hat = decode_batch(nets, k, mlp_forward(nets.point_embed, dests))
     per_scene = np.sum((past_hat - batch.ego_x) ** 2, axis=1) + np.sum((dest_hat - dests) ** 2, axis=1)
     return float(per_scene.mean())
+
+
+def kmeans(points, k: int, seed: int) -> IntentionSet:
+    """One scene's seeded k-means++ with Lloyd iterations and empty-cluster repair, one loop step at a time.
+
+    The reference for ``kmeans_batch``: seeding draws with ``rng.choice``,
+    squared distances are ``np.sum(... ** 2)`` and centroids sum with
+    ``np.add.at``.
+
+    Runs until the assignment reaches a fixpoint or ``KMEANS_MAX_ITERS`` passes.
+    When a cluster empties, it steals the point currently farthest from its
+    own centroid (donors must keep at least one member), so no cluster is
+    ever empty in the result. Assignment ties go to the lowest cluster index.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be 2-D, got shape {pts.shape}")
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}] (number of points), got {k}")
+
+    # Work on a lexicographically sorted copy so seeding (and therefore the
+    # whole run) is invariant to the order the points came in.
+    order = np.lexsort(tuple(pts[:, dim] for dim in range(pts.shape[1] - 1, -1, -1)))
+    sorted_pts = pts[order]
+
+    rng = np.random.default_rng(seed)
+    center_idx = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)  # each point's squared distance to its nearest chosen center
+    for _ in range(k - 1):
+        d2 = np.minimum(d2, np.sum((sorted_pts - sorted_pts[center_idx[-1]]) ** 2, axis=1))
+        total = float(d2.sum())
+        if total <= 0.0:
+            center_idx.append(int(rng.integers(n)))
+        else:
+            center_idx.append(int(rng.choice(n, p=d2 / total)))
+    centers = sorted_pts[center_idx].copy()
+
+    costs: list[float] = []
+    prev_assign = None
+    for _ in range(KMEANS_MAX_ITERS):
+        d2 = np.sum((sorted_pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assign = d2.argmin(axis=1)
+        sizes = np.bincount(assign, minlength=k)
+        for empty in np.flatnonzero(sizes == 0):
+            own_dist = d2[np.arange(n), assign]
+            own_dist = np.where(sizes[assign] > 1, own_dist, -np.inf)
+            steal = int(np.argmax(own_dist))
+            sizes[assign[steal]] -= 1
+            assign[steal] = empty
+            sizes[empty] = 1
+        centers = np.zeros_like(centers)
+        np.add.at(centers, assign, sorted_pts)
+        centers /= sizes[:, None]
+        costs.append(float(np.sum((sorted_pts - centers[assign]) ** 2)))
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = assign
+    return IntentionSet(destinations=centers, anchor_assignment=assignment, iter_costs=costs)
 
 
 def kmeans_cost(points, iset) -> float:

@@ -34,7 +34,7 @@ from memtraj.evalkit import constant_velocity, min_ade, min_fde
 from memtraj.features import train_features
 from memtraj.fulfillment import train_fulfillment
 from memtraj.inference import ModelBundle, predict_scene, scene_seed
-from memtraj.intention import kmeans
+from memtraj.intention import kmeans_batch
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
@@ -270,7 +270,9 @@ def test_criterion_4_kmeans_oracle(capsys):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(3, n) + 1))
         points = rng.normal(size=(n, 2)) * float(rng.choice([0.1, 1.0, 10.0]))
-        best = min(kmeans_cost(points, kmeans(points, k, seed=1000 + s)) for s in range(10))
+        # the ten seeds cluster the same points as one block
+        isets = kmeans_batch(np.broadcast_to(points, (10, n, 2)), k, [1000 + s for s in range(10)])
+        best = min(kmeans_cost(points, iset) for iset in isets)
         optimal = _exhaustive_best_cost(points, k)
         worst_rel = max(worst_rel, abs(best - optimal) / max(1.0, optimal))
     elapsed = time.perf_counter() - t0

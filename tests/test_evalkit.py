@@ -1,18 +1,31 @@
 """Unit tests for displacement metrics and the evaluation harness."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import quick_config
-from memtraj.addresser import fixed_cosine_nets
+from memtraj import inference
+from memtraj.addresser import fixed_cosine_nets, score_all, top_l
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
 from memtraj.features import init_encoder_decoder, social_encode
 from memtraj.fulfillment import fulfill_many
-from memtraj.inference import ModelBundle, destination_error, predict_scene, propose_destinations, scene_seed
+from memtraj.errors import NumericError
+from memtraj.inference import (
+    PREDICT_BLOCK,
+    ModelBundle,
+    destination_error,
+    predict_scene,
+    predict_scenes,
+    propose_block,
+    scene_seed,
+)
+from memtraj.intention import decode_anchors
 from memtraj.membank import bank_init
 
-from oracles import normalize_scene, scene_set
+from oracles import kmeans, normalize_scene, scene_set
 
 
 def test_min_ade_hand_cases():
@@ -89,9 +102,9 @@ def test_propose_destinations_matches_predict_scene():
     scene = scenes[4]
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
     alone = scenes[4:5]
-    query = social_encode(bundle.feature_nets, alone)[0]
-    addresses, scores, iset = propose_destinations(
-        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, 11
+    queries = social_encode(bundle.feature_nets, alone)
+    (addresses,), (scores,), (iset,) = propose_block(
+        bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries, 6, 3, [11]
     )
     np.testing.assert_array_equal(addresses, pred.addresses)
     np.testing.assert_array_equal(scores, pred.scores)
@@ -103,10 +116,10 @@ def test_propose_destinations_matches_predict_scene():
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
     # more proposals than retrieved anchors: kmeans refuses to cluster 3 points into 6
     with pytest.raises(ValueError, match=r"k must be in \[1, 3\] \(number of points\), got 6"):
-        propose_destinations(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 3, 6, 11)
+        propose_block(bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries, 3, 6, [11])
     with pytest.raises(ValueError, match="bank size"):
-        propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, len(bundle.bank) + 1, 3, 11
+        propose_block(
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries, len(bundle.bank) + 1, 3, [11]
         )
 
 
@@ -129,9 +142,9 @@ def test_destination_error_properties():
     gaps = []
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
-        query = social_encode(bundle.feature_nets, scene_set([scene]))[0]
-        _, _, iset = propose_destinations(
-            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, query, 6, 3, scene_seed(3, i)
+        queries = social_encode(bundle.feature_nets, scene_set([scene]))
+        _, _, (iset,) = propose_block(
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries, 6, 3, [scene_seed(3, i)]
         )
         gaps.append(np.linalg.norm(iset.destinations - normalized.ego_future[-1], axis=1).min())
     assert err == pytest.approx(np.mean(gaps), rel=1e-12)
@@ -208,3 +221,102 @@ def test_evaluate_validation():
     )
     with pytest.raises(ValueError, match="scene 't:0:0' has no future; evaluation needs one"):
         evaluate(bundle, scene_set([no_future]), n_predict=3, n_retrieve=8, seed=1)
+
+
+@pytest.mark.parametrize("block", [3, PREDICT_BLOCK])
+def test_predict_scenes_in_blocks_equals_predict_scene(monkeypatch, block):
+    config = quick_config()
+    scenes = synth_generate(35, block + 10)  # not a multiple of the block
+    bundle = make_bundle(config, scenes)
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", block)
+    blocked = list(predict_scenes(bundle, scenes, n_retrieve=8, n_predict=3, seed=6))
+    assert len(blocked) == len(scenes)
+    for i, (scene, pred) in enumerate(zip(scenes, blocked)):
+        alone = predict_scene(bundle, scene, n_retrieve=8, n_predict=3, seed=scene_seed(6, i))
+        assert pred.scene_id == alone.scene_id == scene.scene_id
+        for name in ("trajectories", "destinations", "addresses", "scores", "sample_ids"):
+            np.testing.assert_array_equal(getattr(pred, name), getattr(alone, name))
+        np.testing.assert_array_equal(pred.intention_set.destinations, alone.intention_set.destinations)
+        np.testing.assert_array_equal(pred.intention_set.anchor_assignment, alone.intention_set.anchor_assignment)
+        assert pred.intention_set.iter_costs == alone.intention_set.iter_costs
+
+
+def test_destination_error_equals_a_one_scene_reference_loop(monkeypatch):
+    config = quick_config()
+    scenes = synth_generate(37, 20)
+    bundle = make_bundle(config, scenes)
+    holdout = scenes[10:]
+    queries = np.concatenate([social_encode(bundle.feature_nets, holdout[i : i + 1]) for i in range(10)])
+    dests = holdout.ego_destinations("destination error")
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", 4)
+    err = destination_error(bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, master_seed=9)
+    gaps = []
+    for i, (query, dest) in enumerate(zip(queries, dests)):
+        addresses = top_l(score_all(bundle.addresser_nets, query, bundle.keys), 6)
+        anchors = decode_anchors(query, addresses, bundle.bank, bundle.feature_nets)
+        iset = kmeans(anchors, 3, scene_seed(9, i))
+        gaps.append(float(np.linalg.norm(iset.destinations - dest, axis=1).min()))
+    assert err == float(np.mean(gaps))
+
+
+def test_evaluate_rows_equal_per_scene_min_fde_across_blocks(monkeypatch):
+    config = quick_config()
+    scenes = synth_generate(39, 10)
+    bundle = make_bundle(config, scenes)
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", 4)
+    report = evaluate(bundle, scenes, n_predict=3, n_retrieve=8, seed=5)
+    assert [row.scene_id for row in report.rows] == scenes.scene_ids
+    for i, (scene, row) in enumerate(zip(scenes, report.rows)):
+        pred = predict_scene(bundle, scene, n_retrieve=8, n_predict=3, seed=scene_seed(5, i))
+        assert row.min_fde == min_fde(pred.trajectories, scene.ego_future)
+        assert row.min_ade == min_ade(pred.trajectories, scene.ego_future)
+
+
+def test_non_finite_predictions_name_the_first_bad_scene(monkeypatch):
+    config = quick_config()
+    scenes = synth_generate(41, 10)
+    bundle = make_bundle(config, scenes)
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", 4)
+    bad = scenes.scene_ids[6]
+
+    def fulfill_diverging(nets, alone, dests, snap_destination=False):
+        futures = fulfill_many(nets, alone, dests, snap_destination)
+        if alone.scene_ids[0] == bad:
+            futures[1, -1, 0] = np.inf
+        return futures
+
+    monkeypatch.setattr(inference, "fulfill_many", fulfill_diverging)
+    preds = predict_scenes(bundle, scenes, n_retrieve=8, n_predict=3, seed=2)
+    assert [next(preds).scene_id for _ in range(4)] == scenes.scene_ids[:4]  # the block before it is whole
+    message = rf"non-finite trajectories for scene 6 \('{bad}'\)"
+    with pytest.raises(NumericError, match=message):
+        list(preds)
+    with pytest.raises(NumericError, match=message):
+        evaluate(bundle, scenes, n_predict=3, n_retrieve=8, seed=2)
+
+
+def test_non_finite_anchors_name_the_first_bad_scene(monkeypatch):
+    config = quick_config()
+    scenes = synth_generate(43, 10)
+    bundle = make_bundle(config, scenes)
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", 4)
+    calls = itertools.count()
+
+    def decode_diverging(*args, **kwargs):
+        anchors = decode_anchors(*args, **kwargs)
+        if next(calls) == 5:
+            anchors[2, 1] = np.nan
+        return anchors
+
+    monkeypatch.setattr(inference, "decode_anchors", decode_diverging)
+    queries = np.concatenate([social_encode(bundle.feature_nets, scenes[i : i + 1]) for i in range(10)])
+    dests = scenes.ego_destinations("destination error")
+    args = (bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, 9)
+    with pytest.raises(NumericError, match=rf"non-finite intention anchors for scene 5 \('{scenes.scene_ids[5]}'\)"):
+        destination_error(*args, scenes.scene_ids)
+    calls = itertools.count()
+    with pytest.raises(NumericError, match=r"non-finite intention anchors for scene 5$"):
+        destination_error(*args)
+    calls = itertools.count()
+    with pytest.raises(NumericError, match=rf"non-finite intention anchors for scene 5 \('{scenes.scene_ids[5]}'\)"):
+        evaluate(bundle, scenes, n_predict=3, n_retrieve=6, seed=2)

@@ -1,6 +1,7 @@
 """Unit tests for anchor decoding and the seeded k-means clustering."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from memtraj.intention import (
     DECODE_QUERY,
     DECODE_STORED,
     decode_anchors,
-    kmeans,
+    kmeans_batch,
 )
-from memtraj.inference import ScenePrediction, propose_destinations
+from memtraj.inference import ScenePrediction, propose_block
 from memtraj.membank import bank_init
 from memtraj.pipeline import write_predictions
 
-from oracles import kmeans_cost
+from conftest import kmeans_one
+from oracles import kmeans, kmeans_cost
 
 
 def exhaustive_best_cost(points, k):
@@ -43,7 +45,7 @@ def test_kmeans_separated_blobs():
     blob_a = rng.normal(size=(20, 2)) * 0.05 + [0.0, 0.0]
     blob_b = rng.normal(size=(20, 2)) * 0.05 + [10.0, 0.0]
     points = np.vstack([blob_a, blob_b])
-    iset = kmeans(points, 2, seed=3)
+    iset = kmeans_one(points, 2, seed=3)
     assert iset.k == 2
     centers = iset.destinations[np.argsort(iset.destinations[:, 0])]
     np.testing.assert_allclose(centers[0], blob_a.mean(axis=0), atol=1e-9)
@@ -56,7 +58,7 @@ def test_kmeans_separated_blobs():
 def test_kmeans_k1_is_mean():
     rng = np.random.default_rng(2)
     points = rng.normal(size=(9, 2))
-    iset = kmeans(points, 1, seed=0)
+    iset = kmeans_one(points, 1, seed=0)
     np.testing.assert_allclose(iset.destinations[0], points.mean(axis=0), atol=1e-12)
     np.testing.assert_array_equal(iset.anchor_assignment, np.zeros(9, dtype=np.int64))
 
@@ -64,7 +66,7 @@ def test_kmeans_k1_is_mean():
 def test_kmeans_k_equals_n():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(5, 2))
-    iset = kmeans(points, 5, seed=1)
+    iset = kmeans_one(points, 5, seed=1)
     assert kmeans_cost(points, iset) < 1e-18
     assert sorted(iset.anchor_assignment.tolist()) == [0, 1, 2, 3, 4]
 
@@ -72,7 +74,7 @@ def test_kmeans_k_equals_n():
 def test_kmeans_costs_non_increasing():
     rng = np.random.default_rng(4)
     points = rng.uniform(size=(40, 2))
-    iset = kmeans(points, 4, seed=9)
+    iset = kmeans_one(points, 4, seed=9)
     costs = iset.iter_costs
     assert len(costs) >= 1
     assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
@@ -102,8 +104,8 @@ _ORDER_RNG = np.random.default_rng(5)
 @example(case=(_ORDER_RNG.normal(size=(15, 2)), 3, _ORDER_RNG.permutation(15), 6))
 def test_kmeans_order_invariance(case):
     points, k, perm, seed = case
-    a = kmeans(points, k, seed=seed)
-    b = kmeans(points[perm], k, seed=seed)
+    a = kmeans_one(points, k, seed=seed)
+    b = kmeans_one(points[perm], k, seed=seed)
     for iset in (a, b):
         assert np.bincount(iset.anchor_assignment, minlength=k).min() >= 1
     np.testing.assert_array_equal(a.destinations, b.destinations)
@@ -116,8 +118,8 @@ def test_kmeans_order_invariance(case):
 def test_kmeans_deterministic_by_seed():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(12, 2))
-    a = kmeans(points, 3, seed=8)
-    b = kmeans(points, 3, seed=8)
+    a = kmeans_one(points, 3, seed=8)
+    b = kmeans_one(points, 3, seed=8)
     np.testing.assert_array_equal(a.destinations, b.destinations)
     np.testing.assert_array_equal(a.anchor_assignment, b.anchor_assignment)
 
@@ -132,7 +134,7 @@ def test_kmeans_deterministic_by_seed():
 def test_kmeans_identical_points_do_not_crash(point, n_k, seed):
     n, k = n_k
     points = np.tile(point, (n, 1))
-    iset = kmeans(points, k, seed=seed)
+    iset = kmeans_one(points, k, seed=seed)
     assert iset.k == k
     np.testing.assert_allclose(iset.destinations, np.tile(point, (k, 1)), atol=0)
     assert np.bincount(iset.anchor_assignment, minlength=k).min() >= 1
@@ -141,11 +143,91 @@ def test_kmeans_identical_points_do_not_crash(point, n_k, seed):
 def test_kmeans_validation():
     points = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        kmeans(points, 0, seed=0)
+        kmeans_one(points, 0, seed=0)
     with pytest.raises(ValueError):
-        kmeans(points, 5, seed=0)
+        kmeans_one(points, 5, seed=0)
     with pytest.raises(ValueError):
-        kmeans(np.zeros(4), 1, seed=0)
+        kmeans_one(np.zeros(4), 1, seed=0)
+
+
+def assert_same_clustering(got, expected):
+    """Bit-equal destinations and assignment, and the same Lloyd costs."""
+    assert got.destinations.dtype == expected.destinations.dtype == np.float64
+    np.testing.assert_array_equal(got.destinations, expected.destinations)
+    assert got.anchor_assignment.dtype == expected.anchor_assignment.dtype
+    np.testing.assert_array_equal(got.anchor_assignment, expected.anchor_assignment)
+    assert got.iter_costs == expected.iter_costs
+
+
+@st.composite
+def kmeans_blocks(draw):
+    """Scenes of n points (frequent exact duplicates), k in [1, n], a seed per scene, and the scenes permuted and cut into blocks."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    n_scenes = draw(st.integers(1, 6))
+    coord = st.one_of(st.sampled_from([0.0, 1.0, -1.5]), st.floats(-10.0, 10.0))
+    point_lists = st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
+    points = np.array([draw(point_lists) for _ in range(n_scenes)], dtype=np.float64).reshape(n_scenes, n, 2)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n_scenes, max_size=n_scenes))
+    perm = draw(st.permutations(range(n_scenes)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, n_scenes - 1))))) if n_scenes > 1 else []
+    return points, k, seeds, perm, cuts
+
+
+# three copies of one point and a fourth point: after the two distinct points
+# are centers the seeding total is 0, so the third center is a uniform draw
+# that often repeats one, and the cluster of the repeat empties
+_REPAIRED = np.tile([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], (4, 1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kmeans_blocks())
+@example(case=(_REPAIRED, 3, [0, 1, 2, 3], [2, 0, 3, 1], [1, 3]))
+@example(case=(np.tile([[2.0, -1.0]], (2, 5, 1)), 3, [7, 8], [1, 0], [1]))  # every seeding total is 0
+@example(case=(_ORDER_RNG.normal(size=(3, 7, 2)), 1, [4, 5, 6], [2, 1, 0], []))  # k = 1
+@example(case=(_ORDER_RNG.normal(size=(3, 7, 2)), 7, [4, 5, 6], [0, 2, 1], [2]))  # k = n
+def test_kmeans_batch_matches_the_reference_scene_by_scene(case):
+    points, k, seeds, perm, cuts = case
+    expected = [kmeans(scene, k, seed) for scene, seed in zip(points, seeds)]
+    for got, want in zip(kmeans_batch(points, k, seeds), expected, strict=True):
+        assert_same_clustering(got, want)
+    # the same scenes permuted and cut into other blocks cluster to the same bits
+    bounds = [0, *cuts, len(perm)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = perm[lo:hi]
+        for scene, got in zip(block, kmeans_batch(points[block], k, [seeds[s] for s in block]), strict=True):
+            assert_same_clustering(got, expected[scene])
+
+
+def test_kmeans_batch_repairs_empty_clusters_as_the_reference_does(monkeypatch):
+    from memtraj import intention
+
+    repaired = []
+    original = intention._repair_empty
+    monkeypatch.setattr(intention, "_repair_empty", lambda *args: repaired.append(1) or original(*args))
+    seeds = list(range(16))
+    points = np.tile(_REPAIRED[0], (16, 1, 1))
+    for scene, got in enumerate(kmeans_batch(points, 3, seeds)):
+        assert_same_clustering(got, kmeans(points[scene], 3, seeds[scene]))
+        assert np.bincount(got.anchor_assignment, minlength=3).min() >= 1
+    assert repaired  # some of the 16 scenes emptied a cluster
+
+
+def test_kmeans_batch_rejects_non_finite_points_and_overflow():
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_batch(np.array([[[0.0, 0.0], [np.nan, 1.0]]]), 1, [0])
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_batch(np.array([[[0.0, 0.0], [1.0, 1.0]], [[0.0, np.inf], [1.0, 1.0]]]), 2, [0, 1])
+    # finite points whose squared distances overflow: an error, not a NaN probability or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflow in k-means\+\+ seeding of scene 1"):
+            kmeans_batch(np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]), 2, [0, 1])
+    with pytest.raises(ValueError, match="one seed per scene"):
+        kmeans_batch(np.zeros((2, 3, 2)), 1, [0])
+    with pytest.raises(ValueError, match=r"shape \(scenes, n, 2\)"):
+        kmeans_batch(np.zeros((2, 3, 3)), 1, [0, 1])
+    assert kmeans_batch(np.zeros((0, 3, 2)), 2, []) == []
 
 
 def test_kmeans_matches_exhaustive_on_small_instances():
@@ -154,7 +236,7 @@ def test_kmeans_matches_exhaustive_on_small_instances():
         n = int(rng.integers(4, 8))
         k = int(rng.integers(2, 4))
         points = rng.uniform(size=(n, 2))
-        best = min(kmeans_cost(points, kmeans(points, k, seed=s)) for s in range(10))
+        best = min(kmeans_cost(points, kmeans_one(points, k, seed=s)) for s in range(10))
         optimal = exhaustive_best_cost(points, k)
         assert best <= optimal + 1e-9 * max(1.0, optimal)
 
@@ -197,20 +279,20 @@ def test_predict_intentions_shapes_and_determinism():
     scenes, nets, bank = make_stack(12)
     addresser = fixed_cosine_nets(32)
     keys = key_table(addresser, bank)
-    query = social_encode(nets, scenes[:1])[0]
+    queries = social_encode(nets, scenes[:1])
     # retrieve, decode and cluster: the destination half of a prediction
-    _, _, a = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5)
-    _, _, b = propose_destinations(nets, addresser, bank, keys, query, n_retrieve=8, n_predict=3, seed=5)
+    _, _, (a,) = propose_block(nets, addresser, bank, keys, queries, n_retrieve=8, n_predict=3, seeds=[5])
+    _, _, (b,) = propose_block(nets, addresser, bank, keys, queries, n_retrieve=8, n_predict=3, seeds=[5])
     assert a.destinations.shape == (3, 2)
     assert a.anchor_assignment.shape == (8,)
     np.testing.assert_array_equal(a.destinations, b.destinations)
     with pytest.raises(ValueError):
-        propose_destinations(nets, addresser, bank, keys, query, n_retrieve=2, n_predict=3, seed=5)
+        propose_block(nets, addresser, bank, keys, queries, n_retrieve=2, n_predict=3, seeds=[5])
 
 
 def test_save_intention_sets(tmp_path):
     rng = np.random.default_rng(8)
-    iset = kmeans(rng.normal(size=(6, 2)), 2, seed=1)
+    iset = kmeans_one(rng.normal(size=(6, 2)), 2, seed=1)
     pred = ScenePrediction(
         scene_id="scene-a",
         destinations=iset.destinations,
@@ -234,7 +316,7 @@ def test_save_intention_sets(tmp_path):
 
 def test_failed_prediction_stream_keeps_the_earlier_files(tmp_path):
     rng = np.random.default_rng(9)
-    iset = kmeans(rng.normal(size=(6, 2)), 2, seed=1)
+    iset = kmeans_one(rng.normal(size=(6, 2)), 2, seed=1)
 
     def prediction(scene_id):
         return ScenePrediction(

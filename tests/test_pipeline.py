@@ -264,7 +264,7 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
     from memtraj.addresser import init_addresser_nets, key_table
     from memtraj.datasets import scene_batch
     from memtraj.features import social_encode, train_features
-    from memtraj.inference import propose_destinations
+    from memtraj.inference import propose_block
     from memtraj.membank import bank_init
 
     config = tiny_config(tmp_path, epochs_addresser=2)
@@ -284,9 +284,9 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
     for i in range(3):
         alone = scenes[27 + i : 28 + i]  # predict_scene's one-scene set, plus the future
         batch = scene_batch(alone, "the held-out scene")
-        query = social_encode(feature_nets, alone)[0]
+        queries = social_encode(feature_nets, alone)
         seed = scene_seed(config.seed_for("addresser-selection"), i)
-        _, _, iset = propose_destinations(feature_nets, init, memory, keys, query, config.n_retrieve, config.n_predict, seed)
+        _, _, (iset,) = propose_block(feature_nets, init, memory, keys, queries, config.n_retrieve, config.n_predict, [seed])
         gaps.append(float(np.linalg.norm(iset.destinations - batch.futures[0, -1], axis=1).min()))
     assert report["errors"][0] == (0, float(np.mean(gaps)))
 
@@ -850,3 +850,45 @@ def test_cli_small_bank_limits_retrieval(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"n_predict (20) exceeds the {bank_size} entries" in err
+
+
+# one epoch per stage: a learning rate of 1e12 diverges without any batch loss turning non-finite
+_DIVERGING = dict(
+    synth_scenes=40, past_dim=16, intent_dim=8, addr_dim=16, batch_size=32, n_retrieve=8, n_predict=4, seed=1,
+    epochs_features=1, epochs_addresser=1, epochs_fulfillment=1,
+)
+
+
+def test_cli_a_nan_bank_stops_train_addresser_with_one_error_line(tmp_path, capsys):
+    # a diverging feature stage saves finite weights whose features overflow to NaN in the bank
+    config = tiny_config(tmp_path, **_DIVERGING, lr_features=1e12)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train-addresser", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite intention anchors for scene 0 (")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert STAGE_ADDRESSER not in RunManifest.load(config.out_dir).stages
+
+
+def test_cli_diverged_fulfillment_fails_predict_and_eval_and_keeps_their_files(tmp_path, capsys):
+    config = tiny_config(tmp_path, **_DIVERGING, lr_fulfillment=1e12)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory", "train-addresser", "train-fulfillment"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    outputs = ("predictions.csv", "destinations.csv", "eval_scenes.csv", "eval_summary.txt")
+    for name in outputs:
+        (tmp_path / name).write_text(f"an earlier {name}\n", encoding="utf-8")
+    first = load_manifest(config.test_manifest, past_len=config.past_len, future_len=config.future_len).scene_ids[0]
+    capsys.readouterr()
+    for command in ("predict", "eval"):
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: non-finite trajectories for scene 0 ({first!r})\n"
+    for name in outputs:
+        assert (tmp_path / name).read_text(encoding="utf-8") == f"an earlier {name}\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
