@@ -86,11 +86,14 @@ def key_table(nets: AddresserNets, bank: MemoryBankPair) -> np.ndarray:
 
 
 def score_all(nets: AddresserNets, query_feat, keys: np.ndarray) -> np.ndarray:
-    """Cosine scores of one query against every row of a :func:`key_table`."""
+    """Cosine scores of one query against every row of a :func:`key_table`.
+
+    A degenerate query projection (norm below DEGENERATE_NORM) scores 0
+    against every entry; its caller counts and reports those.
+    """
     u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64)[None])[0]
     u_norm = float(np.linalg.norm(u))
     if u_norm < DEGENERATE_NORM:
-        logger.warning("degenerate query projection (norm %.3e); scoring 0", u_norm)
         return np.zeros(len(keys))
     return keys @ (u / u_norm)
 
@@ -105,13 +108,22 @@ def pseudo_labels(dists: np.ndarray, threshold: float) -> np.ndarray:
 def top_l(scores: np.ndarray, count: int) -> np.ndarray:
     """Addresses of the ``count`` highest of one query's bank scores, best first.
 
-    The sort is stable, so score ties resolve toward the lower address and
-    retrieval is deterministic for a frozen bank and nets; NaN scores come
-    last.
+    Exactly the first ``count`` of a stable sort of ``-scores``: score ties
+    resolve toward the lower address (``-0.0`` ties with ``0.0``), so
+    retrieval is deterministic for a frozen bank and nets, and NaN scores
+    come last. One partial selection finds the ``count``-th best score; only
+    the entries at least that good, every tie with it included, are sorted.
+    When that score is NaN, fewer than ``count`` scores are numbers and the
+    whole bank is sorted.
     """
     if not 1 <= count <= len(scores):
         raise ValueError(f"count must be in [1, {len(scores)}] (bank size), got {count}")
-    return np.argsort(-scores, kind="stable")[:count]
+    neg = -scores
+    kth = np.partition(neg, count - 1)[count - 1]
+    if np.isnan(kth):
+        return np.argsort(neg, kind="stable")[:count]
+    candidates = np.flatnonzero(neg <= kth)  # ascending addresses, so the stable sort keeps ties low-first
+    return candidates[np.argsort(neg[candidates], kind="stable")[:count]]
 
 
 @dataclass

@@ -23,6 +23,8 @@ import argparse
 import logging
 import sys
 
+import numpy as np
+
 from .config import load_config
 from .errors import MemtrajError
 from .pipeline import (
@@ -71,7 +73,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(asctime)s %(name)s %(levelname)s %(message)s")
     _, call, flags = COMMANDS[args.command]
     try:
-        call(load_config(args.config), **{flag: getattr(args, flag) for flag in flags})
+        # the finite checks report an overflow as one error line, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            call(load_config(args.config), **{flag: getattr(args, flag) for flag in flags})
     except (MemtrajError, OSError) as exc:
         # OSError: an output path that cannot be made or written
         print(f"error: {exc}", file=sys.stderr)

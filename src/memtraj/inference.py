@@ -13,6 +13,7 @@ and prediction files share; :func:`predict_scene` is a one-scene block.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -25,6 +26,8 @@ from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans_batch
 from .membank import MemoryBankPair
+
+logger = logging.getLogger(__name__)
 
 # Scenes per block of predict_scenes and destination_error. A block's k-means
 # distance tables take 8 * PREDICT_BLOCK * L * K bytes each: 300 KB at L=60, K=20.
@@ -107,18 +110,24 @@ def propose_block(
     their anchors. ``keys`` is the bank's :func:`key_table` under
     ``addresser_nets``. This is the destination half of the prediction
     chain; it needs no fulfillment nets, so it also serves training-time
-    model selection. NumericError, naming the scene by ``name(i)``, when an
-    anchor is not finite; ValueError unless ``1 <= n_predict <= n_retrieve
-    <= len(bank)``.
+    model selection. A query that scores 0 against every entry, as a
+    degenerate query projection does, is counted, and the block logs one
+    warning with the count. NumericError, naming the scene by ``name(i)``,
+    when an anchor is not finite; ValueError unless ``1 <= n_predict <=
+    n_retrieve <= len(bank)``.
     """
     addresses, scores = [], []
     anchors = np.empty((len(queries), n_retrieve, 2))
+    degenerate = 0
     for i, query in enumerate(queries):
         scored = score_all(addresser_nets, query, keys)
+        degenerate += not scored.any()
         retrieved = top_l(scored, n_retrieve)
         anchors[i] = decode_anchors(query, retrieved, bank, feature_nets, decode_mode=decode_mode)
         addresses.append(retrieved)
         scores.append(scored[retrieved])
+    if degenerate:
+        logger.warning("%d of %d queries had a degenerate projection; they scored 0", degenerate, len(queries))
     _check_finite("intention anchors", anchors, name)
     return addresses, scores, kmeans_batch(anchors, n_predict, seeds)
 

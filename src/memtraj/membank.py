@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .datasets import SceneSet, dataset_fingerprint
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .features import EncoderDecoder, social_encode
 from .numkit import atomic_open, mlp_forward
 
@@ -84,7 +84,8 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
     as :func:`~memtraj.datasets.scene_batch` translates them; the past
     features come from :func:`~memtraj.features.social_encode`, so no batch
     of the whole set is built. ValueError for an empty set or one without
-    futures.
+    futures; NumericError naming the first scene whose past or intention
+    feature is not finite, which a diverged features stage gives.
     """
     dests = dataset.ego_destinations("the memory bank")
     pasts = np.asarray(dataset.ego_pasts, dtype=np.float64)
@@ -95,10 +96,19 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
         future_len=dataset.futures.shape[1],
         source_hash=dataset_fingerprint(dataset),
     )
+    past_feats = social_encode(nets, dataset)
+    intent_feats = mlp_forward(nets.point_embed, dests)
+    finite = np.isfinite(past_feats).all(axis=1) & np.isfinite(intent_feats).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NumericError(
+            f"stage 'features' gives non-finite features for scene {first} ({dataset.scene_ids[first]!r}); "
+            "retrain it with a lower lr_features"
+        )
     logger.info("memory bank: %d entries before filtering", len(dataset))
     return MemoryBankPair(
-        past_feats=social_encode(nets, dataset),
-        intent_feats=mlp_forward(nets.point_embed, dests),
+        past_feats=past_feats,
+        intent_feats=intent_feats,
         starts=pasts[:, 0] - pasts[:, -1],
         dests=dests,
         sample_ids=np.arange(len(dataset), dtype=np.int64),

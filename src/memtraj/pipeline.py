@@ -36,7 +36,7 @@ import numpy as np
 from .addresser import AddresserNets, addresser_training_data, fit_addresser, fixed_cosine_nets, init_addresser_nets
 from .config import Config
 from .datasets import SceneSet, build_scenes, dataset_fingerprint, load_manifest, save_tsv, scenes_to_tracks, synth_generate
-from .errors import ConfigError, DependencyError
+from .errors import ConfigError, DependencyError, NumericError
 from .evalkit import MetricReport, evaluate
 from .features import EncoderDecoder, social_encode, train_features
 from .fulfillment import train_fulfillment
@@ -191,7 +191,15 @@ def _empty_stage_dir(config: Config, name: str) -> Path:
 
 
 def _save_nets(config: Config, name: str, reads: dict[str, str], nets, meta: dict) -> Path:
-    """Write one ``<field>.mtnn`` per field of ``nets`` and ``meta`` as manifest.json, then record the stage."""
+    """Write one ``<field>.mtnn`` per field of ``nets`` and ``meta`` as manifest.json, then record the stage.
+
+    NumericError naming the stage and its learning-rate key, before any file
+    is touched, when a weight or bias of ``nets`` is not finite.
+    """
+    for f in fields(nets):
+        net = getattr(nets, f.name)
+        if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+            raise NumericError(f"stage '{name}' trained non-finite weights in {f.name}; retrain it with a lower lr_{name}")
     stage_dir = _empty_stage_dir(config, name)
     for f in fields(nets):
         save_mlp(getattr(nets, f.name), stage_dir / f"{f.name}.mtnn")

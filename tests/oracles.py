@@ -98,6 +98,11 @@ def score(nets, query_feat, key_feat) -> float:
     return float(u @ w / (nu * nw))
 
 
+def full_sort_top_l(scores, count: int):
+    """The ``count`` best addresses from one stable sort of the whole bank: ties low address first, NaN last."""
+    return np.argsort(-scores, kind="stable")[:count]
+
+
 def mean_rec_loss(nets, dataset) -> float:
     """Mean over raw scenes of the feature stage's summed squared past and destination errors."""
     batch = reference_batch(dataset)

@@ -27,7 +27,7 @@ from memtraj.features import init_encoder_decoder, train_features
 from memtraj.membank import BankMeta, MemoryBankPair, bank_init
 
 from conftest import quick_config
-from oracles import reference_fit_addresser, score, train_addresser
+from oracles import full_sort_top_l, reference_fit_addresser, score, train_addresser
 
 
 def cosine(a, b):
@@ -85,6 +85,7 @@ def test_degenerate_projections_score_zero(caplog):
     nets = fixed_cosine_nets(32)
     scores = score_all(nets, np.zeros(32), key_table(nets, bank))
     np.testing.assert_array_equal(scores, np.zeros(len(bank)))
+    assert not caplog.records  # a degenerate query is counted per block by its caller, not logged here
     bank.past_feats[2] = 0.0
     scores = score_all(nets, np.ones(32), key_table(nets, bank))
     assert scores[2] == 0.0
@@ -131,6 +132,25 @@ def test_top_l_orders_and_breaks_ties_low_address():
         top_l(all_scores, count=0)
     with pytest.raises(ValueError):
         top_l(all_scores, count=9)
+
+
+# a few values, each often repeated: ties (with the count-th score too), -0.0 against 0.0, infinities and NaN
+_POOLED = st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, 0.5, np.inf, -np.inf])
+_CONTINUOUS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_POOLED, min_size=1, max_size=60), st.lists(_CONTINUOUS, min_size=1, max_size=60)))
+@example([0.5] * 20)  # every score equal, as against a degenerate query's zero vector
+@example([1.0] * 3 + [0.5] * 30 + [0.0] * 3)  # many entries tied with the L-th score for L = 4 .. 33
+@example([0.0] * 7 + [-0.0] * 7)
+@example([1.0, np.nan, np.nan, 0.5, np.nan])  # fewer finite scores than most counts
+@example([np.nan] * 5)
+def test_top_l_equals_the_stable_full_sort(values):
+    scores = np.array(values, dtype=np.float64)
+    for count in range(1, len(scores) + 1):
+        got = top_l(scores, count)
+        np.testing.assert_array_equal(got, full_sort_top_l(scores, count))
 
 
 def test_cosine_backward_matches_finite_difference():

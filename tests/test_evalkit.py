@@ -123,6 +123,30 @@ def test_propose_destinations_matches_predict_scene():
         )
 
 
+def test_degenerate_queries_are_one_warning_per_block(monkeypatch, caplog):
+    config = quick_config()
+    scenes = synth_generate(35, 10)
+    bundle = make_bundle(config, scenes)
+    queries = np.concatenate([social_encode(bundle.feature_nets, scenes[i : i + 1]) for i in range(10)])
+    queries[[1, 2, 6]] = 0.0  # the fixed-cosine query projection of a zero feature is degenerate
+    dests = scenes.ego_destinations("destination error")
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", 4)
+    with caplog.at_level("WARNING", logger="memtraj"):
+        destination_error(bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, master_seed=9)
+    # blocks [0, 4), [4, 8), [8, 10): the last has no degenerate query and says nothing
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 of 4 queries had a degenerate projection; they scored 0",
+        "1 of 4 queries had a degenerate projection; they scored 0",
+    ]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="memtraj"):
+        (addresses,), _, _ = propose_block(
+            bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries[1:2], 6, 3, [11]
+        )
+    assert [r.getMessage() for r in caplog.records] == ["1 of 1 queries had a degenerate projection; they scored 0"]
+    np.testing.assert_array_equal(addresses, np.arange(6))  # every score 0: the lowest addresses
+
+
 def test_destination_error_properties():
     config = quick_config()
     scenes = synth_generate(33, 10)

@@ -5,13 +5,15 @@ import errno
 import io
 import json
 import shutil
+import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memtraj import pipeline
 from memtraj.cli import COMMANDS, main
 from memtraj.config import Config
 from memtraj.datasets import load_manifest, synth_generate
@@ -24,6 +26,7 @@ from memtraj.pipeline import (
     STAGE_BANK,
     STAGE_FEATURES,
     STAGE_FULFILLMENT,
+    _NET_TYPES,
     RunManifest,
     _segment_epochs,
     artifact_hash,
@@ -859,19 +862,61 @@ _DIVERGING = dict(
 )
 
 
-def test_cli_a_nan_bank_stops_train_addresser_with_one_error_line(tmp_path, capsys):
-    # a diverging feature stage saves finite weights whose features overflow to NaN in the bank
+def test_cli_a_diverged_feature_stage_stops_build_memory_with_one_error_line(tmp_path, capsys):
+    # a diverging feature stage saves finite weights whose features overflow to NaN
     config = tiny_config(tmp_path, **_DIVERGING, lr_features=1e12)
     cfg_path = tmp_path / "run.cfg"
     config.to_file(cfg_path)
-    for command in ("synth", "train-features", "build-memory"):
+    for command in ("synth", "train-features"):
         assert main([command, "--config", str(cfg_path)]) == 0
     capsys.readouterr()
-    assert main(["train-addresser", "--config", str(cfg_path)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["build-memory", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: non-finite intention anchors for scene 0 (")
-    assert err.count("error:") == 1 and "Traceback" not in err
-    assert STAGE_ADDRESSER not in RunManifest.load(config.out_dir).stages
+    assert err.startswith("error: stage 'features' gives non-finite features for scene 0 (")
+    assert err.endswith("; retrain it with a lower lr_features\n")
+    assert err.count("error:") == 1 and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # numpy's overflow warnings stay quiet
+    assert not (tmp_path / STAGE_BANK).exists()
+    assert STAGE_BANK not in RunManifest.load(config.out_dir).stages
+
+
+# the trainer each net stage calls, and the subcommand that runs it
+_TRAINERS = {
+    STAGE_FEATURES: ("train_features", "train-features"),
+    STAGE_ADDRESSER: ("train_addresser_selected", "train-addresser"),
+    STAGE_FULFILLMENT: ("train_fulfillment", "train-fulfillment"),
+}
+
+
+@pytest.mark.parametrize("stage", list(_TRAINERS))
+def test_cli_a_stage_refuses_to_save_non_finite_weights(tmp_path, monkeypatch, capsys, stage):
+    config = tiny_config(tmp_path, **_DIVERGING)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory", "train-addresser", "train-fulfillment"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    saved = artifact_hash(tmp_path / stage)
+    manifest = (tmp_path / MANIFEST_NAME).read_bytes()
+    trainer, command = _TRAINERS[stage]
+    train = getattr(pipeline, trainer)
+
+    def diverging(*args):
+        trained = train(*args)
+        nets = trained[0] if isinstance(trained, tuple) else trained
+        getattr(nets, fields(nets)[-1].name).biases[-1][0] = np.inf
+        return trained
+
+    monkeypatch.setattr(pipeline, trainer, diverging)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 1
+    last = fields(_NET_TYPES[stage])[-1].name
+    err = capsys.readouterr().err
+    assert err == f"error: stage '{stage}' trained non-finite weights in {last}; retrain it with a lower lr_{stage}\n"
+    # the stage's earlier artifact and its record are left as they were
+    assert artifact_hash(tmp_path / stage) == saved
+    assert (tmp_path / MANIFEST_NAME).read_bytes() == manifest
 
 
 def test_cli_diverged_fulfillment_fails_predict_and_eval_and_keeps_their_files(tmp_path, capsys):
