@@ -14,11 +14,13 @@ similarity on the raw features, which is the untrained reference point.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import SceneSet
+from .errors import NumericError
 from .features import EncoderDecoder, decode_batch, social_encode
 from .membank import MemoryBankPair
 from .numkit import Mlp, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
@@ -27,6 +29,9 @@ logger = logging.getLogger(__name__)
 
 DEGENERATE_NORM = 1e-12
 CANDIDATE_CAP = 2048  # loss sums over the whole bank up to this size, then samples
+# Key-table rows that score_all scores against every query of a block before
+# moving on, so a slice is read from cache; 1 MB at 64 dims, fitting in L2.
+SCORE_SLICE = 2048
 
 
 @dataclass
@@ -73,29 +78,69 @@ def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return unit, norms, degenerate
 
 
+def _diverged(what: str) -> NumericError:
+    return NumericError(f"stage 'addresser' gives a non-finite {what}; retrain it with a lower lr_addresser")
+
+
 def key_table(nets: AddresserNets, bank: MemoryBankPair) -> np.ndarray:
     """The bank's projected keys at unit length; build once per frozen (nets, bank).
 
     A degenerate key (norm below DEGENERATE_NORM) becomes a zero row, so it
     scores exactly 0.0 against every query; it is warned about here, once.
+    NumericError naming ``lr_addresser`` when a key's norm is not finite, as
+    the projections of a diverged addresser give.
     """
-    keys, _, degenerate = _normalize_rows(mlp_forward(nets.key_proj, bank.past_feats))
+    keys, norms, degenerate = _normalize_rows(mlp_forward(nets.key_proj, bank.past_feats))
+    if not np.isfinite(norms).all():
+        raise _diverged(f"key projection norm for bank entry {int(np.argmin(np.isfinite(norms)))}")
     if degenerate.any():
         logger.warning("%d degenerate key projections; they score 0", int(degenerate.sum()))
     return keys
 
 
-def score_all(nets: AddresserNets, query_feat, keys: np.ndarray) -> np.ndarray:
-    """Cosine scores of one query against every row of a :func:`key_table`.
+def _slices(n: int, size: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` row ranges of ``size`` rows covering ``range(n)``; a last range of one row joins the one before.
 
-    A degenerate query projection (norm below DEGENERATE_NORM) scores 0
-    against every entry; its caller counts and reports those.
+    A range starts at a multiple of ``size`` and the last ends at ``n``, so
+    its matrix-vector product gives the rows of one product of all ``n``
+    rows, bit for bit; one row alone would be a dot product.
     """
-    u = mlp_forward(nets.query_proj, np.asarray(query_feat, dtype=np.float64)[None])[0]
-    u_norm = float(np.linalg.norm(u))
-    if u_norm < DEGENERATE_NORM:
-        return np.zeros(len(keys))
-    return keys @ (u / u_norm)
+    cuts = [*range(0, n, size), n]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def score_all(nets: AddresserNets, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Cosine scores of each row of ``queries`` against every row of a :func:`key_table`: ``(len(queries), len(keys))``.
+
+    Row ``i`` equals, bit for bit, the scores of query ``i`` alone: its
+    projection is one slice of an ``(S, 1, .)`` stack, its norm the square
+    root of a one-slice dot product (as ``np.linalg.norm`` of one vector
+    computes it), and its scores one matrix-vector product per range of
+    ``SCORE_SLICE`` keys. Each range is scored against every query while it is
+    in cache. A degenerate query projection (norm below DEGENERATE_NORM)
+    scores 0 against every entry; its caller counts and reports those.
+    NumericError naming ``lr_addresser`` when the projection norm of a
+    finite query is not finite.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    u = mlp_forward(nets.query_proj, queries[:, None])[:, 0]
+    scores = np.empty((len(u), len(keys)))
+    live = []
+    for i, square in enumerate((u[:, None] @ u[:, :, None]).ravel().tolist()):
+        norm = math.sqrt(square)
+        if norm < DEGENERATE_NORM:
+            scores[i] = 0.0
+        elif not math.isfinite(norm) and np.isfinite(queries[i]).all():
+            raise _diverged(f"projection norm for query {i}")
+        else:
+            live.append((i, u[i] / norm))
+    for lo, hi in _slices(len(keys), SCORE_SLICE):
+        block = keys[lo:hi]
+        for i, unit in live:
+            np.dot(block, unit, out=scores[i, lo:hi])
+    return scores
 
 
 def pseudo_labels(dists: np.ndarray, threshold: float) -> np.ndarray:

@@ -15,11 +15,15 @@ stage decodes a destination.
 Stages pass in a world-frame :class:`~memtraj.datasets.SceneSet`; the nets
 read :func:`~memtraj.datasets.scene_batch` translations of it, so positions
 here are in the ego frame. Training translates each mini-batch it takes from
-the set, and :func:`social_encode` is the only frozen encode: it encodes a set
-one batch per :func:`encode_chunks` range, so no batch of a whole set is
-built. The social encoder has one path: a batch without neighbor rows
-runs the neighbor embedder on zero rows, pools to zeros, and gets all-zero
-neighbor gradients, which leave that net unchanged.
+the set. Two frozen encodes keep no activations. :func:`social_encode`
+encodes a whole set one batch per :func:`encode_chunks` range, so no batch
+of a whole set is built. :func:`social_encode_alone` encodes each scene of a
+prediction block as that scene alone: a block computes stacks of per-scene
+products, so a scene's features do not depend on its block. Every encode
+max-pools neighbors the same way, the scenes of one neighbor count as one
+block. A batch without neighbor rows runs the neighbor embedder on zero
+rows, pools to zeros, and gets all-zero neighbor gradients, which leave
+that net unchanged.
 """
 
 from __future__ import annotations
@@ -113,22 +117,38 @@ class SocialCache:
     pool_rows: np.ndarray  # (B, E) winning nb row per pooled dim, -1 if none
 
 
+def _neighbor_groups(offsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The scenes of each neighbor count ``c >= 1``: their indices (ascending) and their ``(g, c)`` neighbor rows."""
+    counts = offsets[1:] - offsets[:-1]
+    groups = []
+    for c in sorted(set(counts.tolist()) - {0}):
+        scenes = np.flatnonzero(counts == c)
+        groups.append((scenes, offsets[scenes][:, None] + np.arange(c)))
+    return groups
+
+
+def _max_pool(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per scene of a ``(g, c, E)`` block and per dim, the first of its ``c`` rows holding the maximum, and that row's value: two ``(g, E)`` arrays."""
+    winners = block.argmax(axis=1)
+    return winners, block[np.arange(len(block))[:, None], winners, np.arange(block.shape[2])]
+
+
 def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCache]:
-    """Past features of a batch of scenes (no neighbors pool to zeros), from any net holder with the social trio."""
+    """Past features of a batch of scenes (no neighbors pool to zeros), from any net holder with the social trio.
+
+    Each scene's neighbor embeddings are max-pooled per dim, the first row
+    holding the maximum winning; the scenes of one neighbor count pool as
+    one block.
+    """
     ego_out, ego_cache = mlp_forward_cached(nets.ego_embed, batch.ego_x)
     nb_out, nb_cache = mlp_forward_cached(nets.neighbor_embed, batch.nb_x)
     n_scenes, embed = ego_out.shape
-    pooled = np.zeros((n_scenes, embed))
+    concat = np.zeros((n_scenes, 2 * embed))
+    concat[:, :embed] = ego_out
     pool_rows = np.full((n_scenes, embed), -1, dtype=np.int64)
-    cols = np.arange(embed)
-    for b in range(n_scenes):
-        lo, hi = batch.offsets[b], batch.offsets[b + 1]
-        if hi > lo:
-            block = nb_out[lo:hi]
-            winners = block.argmax(axis=0)
-            pooled[b] = block[winners, cols]
-            pool_rows[b] = lo + winners
-    concat = np.hstack([ego_out, pooled])
+    for scenes, rows in _neighbor_groups(batch.offsets):
+        winners, concat[scenes, embed:] = _max_pool(nb_out[rows])
+        pool_rows[scenes] = rows[:, :1] + winners
     out, fuse_cache = mlp_forward_cached(nets.social_fuse, concat)
     return out, SocialCache(ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows)
 
@@ -139,11 +159,14 @@ def encode_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
     Ranges hold ``ENCODE_CHUNK`` scenes and either no neighbor rows or at
     least ``ENCODE_CHUNK`` of them: a range short of either merges into the
     range before it (the first range into the one after), so ranges grow
-    where neighbors are sparse. A product of few rows can take another BLAS
-    kernel whose last bits differ: numpy sends one row to a matrix-vector
-    product, and OpenBLAS 0.3.31 uses a small-matrix kernel while rows times
-    output width stay within 1200. Ranges this long keep every row's bits
-    equal to one batch of all scenes.
+    where neighbors are sparse. A range is one 2-D product per layer, and a
+    product of few rows can take another BLAS kernel whose last bits differ:
+    numpy sends one row to a matrix-vector product, and OpenBLAS 0.3.31 uses
+    a small-matrix kernel while rows times output width stay within 1200.
+    Ranges this long keep every row's bits equal to one batch of all
+    scenes. :func:`social_encode_alone` needs no ranges: a prediction block
+    computes stacks of per-scene products, so a scene's features do not
+    depend on its block.
     """
     n_scenes = len(offsets) - 1
     cuts = [*range(0, n_scenes, ENCODE_CHUNK), n_scenes]
@@ -158,18 +181,42 @@ def encode_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _frozen_social(nets, batch: SceneBatch, alone: bool) -> np.ndarray:
+    """Past features of a batch from frozen nets: one product per layer, or with ``alone`` one stack slice per scene."""
+    n_scenes, embed = len(batch.ego_x), nets.ego_embed.out_dim
+    concat = np.zeros((n_scenes, 2 * embed))
+    concat[:, :embed] = mlp_forward(nets.ego_embed, batch.ego_x[:, None] if alone else batch.ego_x).reshape(n_scenes, embed)
+    nb_out = None if alone else mlp_forward(nets.neighbor_embed, batch.nb_x)
+    for scenes, rows in _neighbor_groups(batch.offsets):
+        block = mlp_forward(nets.neighbor_embed, batch.nb_x[rows]) if alone else nb_out[rows]
+        concat[scenes, embed:] = _max_pool(block)[1]
+    return mlp_forward(nets.social_fuse, concat[:, None] if alone else concat).reshape(n_scenes, -1)
+
+
 def social_encode(nets, scenes: SceneSet) -> np.ndarray:
     """Past features of a set from frozen nets, one batch per range of :func:`encode_chunks`.
 
-    Keeps no :class:`SocialCache`, so memory is bounded by one range's batch
-    and activations, and every row equals the row :func:`social_forward_batch`
-    gives for a batch of the whole set, bit for bit.
+    Keeps no activations, so memory is bounded by one range's batch, and
+    every row equals the row :func:`social_forward_batch` gives for a batch
+    of the whole set, bit for bit.
     """
     out = np.empty((len(scenes), nets.social_fuse.out_dim))
     for lo, hi in encode_chunks(scenes.offsets):
         chunk = scenes if hi - lo == len(scenes) else scenes[lo:hi]
-        out[lo:hi] = social_forward_batch(nets, scene_batch(chunk))[0]
+        out[lo:hi] = _frozen_social(nets, scene_batch(chunk), alone=False)
     return out
+
+
+def social_encode_alone(nets, batch: SceneBatch) -> np.ndarray:
+    """Past features of each scene of a batch from frozen nets, as that scene encoded alone gives them.
+
+    Each scene's products are one slice of a stack per layer: its ego and
+    fuse rows of ``(S, 1, .)`` stacks, its neighbors of one ``(g, c, .)``
+    stack per neighbor count ``c``. So row ``i`` equals, bit for bit,
+    :func:`social_encode` of scene ``i`` as a one-scene set, whatever else
+    the batch holds. Keeps no activations.
+    """
+    return _frozen_social(nets, batch, alone=True)
 
 
 def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tuple[GradBundle, GradBundle, GradBundle]:
@@ -199,10 +246,13 @@ def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tup
 
 
 def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of (past feature, point embedding) in; rows of (flat past, flat target) out."""
-    out = mlp_forward(nets.decoder, np.hstack([past_feats, point_feats]))
+    """Rows of (past feature, point embedding) in; rows of (flat past, flat target) out.
+
+    Takes row batches or ``(s, n, .)`` stacks of them, as :func:`~memtraj.numkit.mlp_forward` does.
+    """
+    out = mlp_forward(nets.decoder, np.concatenate([past_feats, point_feats], axis=-1))
     n_past = 2 * nets.past_len
-    return out[:, :n_past], out[:, n_past:]
+    return out[..., :n_past], out[..., n_past:]
 
 
 # ---------------------------------------------------------------------------

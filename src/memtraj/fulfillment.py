@@ -1,7 +1,7 @@
 """Destination-conditioned trajectory fulfillment.
 
-Given one scene, as a one-scene set encoded in its ego frame, and a
-destination proposal, an :class:`~memtraj.features.EncoderDecoder` (the
+Given a scene, encoded alone in its ego frame, and a destination
+proposal, an :class:`~memtraj.features.EncoderDecoder` (the
 feature stage's network shape, trained independently by the same trainer)
 embeds the observation and the destination, and its decoder maps the
 concatenation to a full trajectory: a reconstruction of the past followed
@@ -16,29 +16,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import SceneSet
-from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, init_encoder_decoder, social_encode
+from .datasets import SceneBatch, SceneSet
+from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, init_encoder_decoder, social_encode_alone
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
 
 
-def fulfill_many(nets: EncoderDecoder, scenes: SceneSet, destinations, snap_destination: bool = False) -> np.ndarray:
-    """Fulfill a one-scene set against several ego-frame destinations at once.
+def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_destination: bool = False) -> np.ndarray:
+    """Fulfill each scene of a batch against its own K ego-frame destinations at once.
 
-    The scene is encoded once; destination row ``i`` yields the ``i``-th of
-    the returned (k, future_len, 2) futures. With ``snap_destination`` each
-    future ends exactly on its destination.
+    ``destinations`` is (S, K, 2) for a batch of S scenes; row ``k`` of
+    scene ``s`` yields the returned ``[s, k]`` of (S, K, future_len, 2)
+    futures. Each scene is encoded alone and its K decodes are one slice of
+    an ``(S, K, .)`` stack per layer, so a scene's futures equal those of
+    its one-scene batch, bit for bit. With ``snap_destination`` each future
+    ends exactly on its destination.
     """
     dests = np.asarray(destinations, dtype=np.float64)
-    if dests.ndim != 2 or dests.shape[1] != 2:
-        raise ValueError(f"destinations must have shape (k, 2), got {dests.shape}")
-    feat = social_encode(nets, scenes)
+    n_scenes = len(batch.ego_x)
+    if dests.ndim != 3 or dests.shape[0] != n_scenes or dests.shape[2] != 2:
+        raise ValueError(f"destinations must have shape ({n_scenes}, k, 2), got {dests.shape}")
+    feats = social_encode_alone(nets, batch)
     dest_emb = mlp_forward(nets.point_embed, dests)
-    _, futures = decode_batch(nets, np.broadcast_to(feat[0], (dests.shape[0], feat.shape[1])), dest_emb)
-    futures = futures.reshape(dests.shape[0], -1, 2)
+    _, futures = decode_batch(nets, np.broadcast_to(feats[:, None], (*dests.shape[:2], feats.shape[1])), dest_emb)
+    futures = futures.reshape(*dests.shape[:2], -1, 2)
     if snap_destination:
-        futures[:, -1] = dests
+        futures[:, :, -1] = dests
     return futures
 
 

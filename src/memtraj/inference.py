@@ -1,12 +1,15 @@
 """Frozen-model inference: scenes in, K trajectories per scene out.
 
 Bundles the four trained artifacts and runs the prediction chain over a
-block of scenes. Each scene is encoded in its ego frame as a one-scene set,
-scored and retrieved from the bank, its anchors decoded and, after the
-clustering, each destination fulfilled, all alone, since those products'
-last bits depend on their row count. The clustering runs for the whole
-block in one :func:`~memtraj.intention.kmeans_batch` call, whose result for
-a scene does not depend on its block. Everything here is read-only on the
+block of scenes, each step once per block: encode each scene in its ego
+frame, score it against the bank and retrieve, decode its anchors, cluster
+them, and fulfill each destination. A product's last bits depend on its row
+count, so a block never multiplies one matrix of all its scenes' rows.
+It computes stacks whose slices are the per-scene products instead: numpy's
+``matmul`` runs a stack as one BLAS call per slice, with the routine and
+arguments of that slice's own 2-D product. The clustering runs as one
+:func:`~memtraj.intention.kmeans_batch` call. So a scene's outputs do not
+depend on its block, bit for bit. Everything here is read-only on the
 bundle. :func:`predict_scenes` is the one loop over a split that evaluation
 and prediction files share; :func:`predict_scene` is a one-scene block.
 """
@@ -20,9 +23,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
-from .datasets import Scene, SceneSet
+from .datasets import Scene, SceneSet, scene_batch
 from .errors import ConfigError, NumericError
-from .features import EncoderDecoder, social_encode
+from .features import EncoderDecoder, social_encode_alone
 from .fulfillment import fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans_batch
 from .membank import MemoryBankPair
@@ -101,35 +104,31 @@ def propose_block(
     seeds: Sequence[int],
     decode_mode: str = DECODE_QUERY,
     name: Callable[[int], str] = "scene {}".format,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[IntentionSet]]:
+) -> tuple[np.ndarray, np.ndarray, list[IntentionSet]]:
     """Retrieve, decode anchors, and cluster for a block of query past features.
 
-    Query ``i`` is scored, retrieved and decoded alone, and clustered with
-    ``seeds[i]``. Returns per query the retrieved bank addresses (best
-    first), their scores, and the ego-frame destinations clustered from
-    their anchors. ``keys`` is the bank's :func:`key_table` under
-    ``addresser_nets``. This is the destination half of the prediction
-    chain; it needs no fulfillment nets, so it also serves training-time
-    model selection. A query that scores 0 against every entry, as a
-    degenerate query projection does, is counted, and the block logs one
-    warning with the count. NumericError, naming the scene by ``name(i)``,
-    when an anchor is not finite; ValueError unless ``1 <= n_predict <=
-    n_retrieve <= len(bank)``.
+    Query ``i`` is scored, retrieved and decoded as it would be alone, and
+    clustered with ``seeds[i]``. Returns per query (one row each) the
+    retrieved bank addresses (best first) and their scores, and the
+    ego-frame destinations clustered from their anchors. ``keys`` is the
+    bank's :func:`key_table` under ``addresser_nets``. This is the
+    destination half of the prediction chain; it needs no fulfillment nets,
+    so it also serves training-time model selection. A query that scores 0
+    against every entry, as a degenerate query projection does, is counted,
+    and the block logs one warning with the count. NumericError, naming the
+    scene by ``name(i)``, when an anchor is not finite; ValueError unless
+    ``1 <= n_predict <= n_retrieve <= len(bank)``.
     """
-    addresses, scores = [], []
-    anchors = np.empty((len(queries), n_retrieve, 2))
-    degenerate = 0
-    for i, query in enumerate(queries):
-        scored = score_all(addresser_nets, query, keys)
-        degenerate += not scored.any()
-        retrieved = top_l(scored, n_retrieve)
-        anchors[i] = decode_anchors(query, retrieved, bank, feature_nets, decode_mode=decode_mode)
-        addresses.append(retrieved)
-        scores.append(scored[retrieved])
+    scored = score_all(addresser_nets, queries, keys)
+    degenerate = len(scored) - np.count_nonzero(scored.any(axis=1))
     if degenerate:
         logger.warning("%d of %d queries had a degenerate projection; they scored 0", degenerate, len(queries))
+    addresses = np.empty((len(scored), n_retrieve), dtype=np.int64)
+    for i, row in enumerate(scored):
+        addresses[i] = top_l(row, n_retrieve)
+    anchors = decode_anchors(queries, addresses, bank, feature_nets, decode_mode=decode_mode)
     _check_finite("intention anchors", anchors, name)
-    return addresses, scores, kmeans_batch(anchors, n_predict, seeds)
+    return addresses, scored[np.arange(len(scored))[:, None], addresses], kmeans_batch(anchors, n_predict, seeds)
 
 
 def destination_error(
@@ -171,7 +170,7 @@ def destination_error(
 
 def _predict_block(
     bundle: ModelBundle,
-    alone: list[SceneSet],
+    block: SceneSet,
     first: int,
     seeds: Sequence[int],
     n_retrieve: int,
@@ -179,17 +178,19 @@ def _predict_block(
     decode_mode: str,
     snap_destination: bool,
 ) -> list[ScenePrediction]:
-    """The full prediction chain for a block of raw (world-frame) one-scene sets.
+    """The full prediction chain for a raw (world-frame) set of scenes.
 
-    ``alone[i]`` is scene ``first + i`` of its split and is clustered with
-    ``seeds[i]``. NumericError naming the first scene, by that index and its
-    id, whose anchors, trajectories or destinations are not all finite.
+    Scene ``i`` of ``block`` is scene ``first + i`` of its split and is
+    clustered with ``seeds[i]``. NumericError naming the first scene, by that
+    index and its id, whose anchors, trajectories or destinations are not all
+    finite.
     """
 
     def name(i: int) -> str:
-        return f"scene {first + i} ({alone[i].scene_ids[0]!r})"
+        return f"scene {first + i} ({block.scene_ids[i]!r})"
 
-    queries = np.concatenate([social_encode(bundle.feature_nets, one) for one in alone])
+    batch = scene_batch(block)
+    queries = social_encode_alone(bundle.feature_nets, batch)
     addresses, scores, isets = propose_block(
         bundle.feature_nets,
         bundle.addresser_nets,
@@ -202,17 +203,15 @@ def _predict_block(
         decode_mode,
         name,
     )
-    futures = np.stack(
-        [fulfill_many(bundle.fulfill_nets, one, iset.destinations, snap_destination) for one, iset in zip(alone, isets)]
-    )
-    origins = np.concatenate([one.ego_pasts[:, -1] for one in alone])
-    trajectories = futures + origins[:, None, None]
-    destinations = np.stack([iset.destinations for iset in isets]) + origins[:, None]
+    dests = np.stack([iset.destinations for iset in isets])
+    origins = np.asarray(block.ego_pasts[:, -1], dtype=np.float64)
+    trajectories = fulfill_many(bundle.fulfill_nets, batch, dests, snap_destination) + origins[:, None, None]
+    destinations = dests + origins[:, None]
     _check_finite("trajectories", trajectories, name)
     _check_finite("destinations", destinations, name)
     return [
         ScenePrediction(
-            scene_id=one.scene_ids[0],
+            scene_id=block.scene_ids[i],
             destinations=destinations[i],
             trajectories=trajectories[i],
             addresses=addresses[i],
@@ -220,7 +219,7 @@ def _predict_block(
             sample_ids=bundle.bank.sample_ids[addresses[i]],
             intention_set=isets[i],
         )
-        for i, one in enumerate(alone)
+        for i in range(len(block))
     ]
 
 
@@ -236,8 +235,8 @@ def predict_scene(
     """Run the full prediction chain for one raw (world-frame) scene, as a block of one."""
     past = np.asarray(scene.ego_past, dtype=np.float64)
     neighbors = np.reshape(scene.neighbor_pasts, (-1, *past.shape))
-    alone = SceneSet(past[None], None, neighbors, np.array([0, len(neighbors)]), [scene.scene_id])
-    return _predict_block(bundle, [alone], 0, [seed], n_retrieve, n_predict, decode_mode, snap_destination)[0]
+    block = SceneSet(past[None], None, neighbors, np.array([0, len(neighbors)]), [scene.scene_id])
+    return _predict_block(bundle, block, 0, [seed], n_retrieve, n_predict, decode_mode, snap_destination)[0]
 
 
 def predict_scenes(
@@ -252,28 +251,16 @@ def predict_scenes(
     """Predict scene ``i`` with ``scene_seed(seed, i)``, yielding in scene order.
 
     Scenes run in blocks of ``PREDICT_BLOCK``, and each scene's prediction
-    equals :func:`predict_scene`'s, bit for bit, whatever its block. L and K are checked against the bank by
-    :func:`retrieval_counts` before the first scene, so a bad K fails before
-    any output is written.
+    equals :func:`predict_scene`'s, bit for bit, whatever its block. L and K
+    are checked against the bank by :func:`retrieval_counts` before the
+    first scene, so a bad K fails before any output is written.
     """
     n_retrieve, n_predict = retrieval_counts(len(bundle.bank), n_retrieve, n_predict)
-    offsets = scenes.offsets.tolist()
 
     def blocks():
         for lo in range(0, len(scenes), PREDICT_BLOCK):
-            rows = range(lo, min(lo + PREDICT_BLOCK, len(scenes)))
-            # each scene as predict_scene sees it: a one-scene set of views, without its future
-            alone = [
-                SceneSet(
-                    scenes.ego_pasts[i : i + 1],
-                    None,
-                    scenes.neighbor_pasts[offsets[i] : offsets[i + 1]],
-                    np.array([0, offsets[i + 1] - offsets[i]]),
-                    scenes.scene_ids[i : i + 1],
-                )
-                for i in rows
-            ]
-            seeds = [scene_seed(seed, i) for i in rows]
-            yield from _predict_block(bundle, alone, lo, seeds, n_retrieve, n_predict, decode_mode, snap_destination)
+            hi = min(lo + PREDICT_BLOCK, len(scenes))
+            seeds = [scene_seed(seed, i) for i in range(lo, hi)]
+            yield from _predict_block(bundle, scenes[lo:hi], lo, seeds, n_retrieve, n_predict, decode_mode, snap_destination)
 
     return blocks()

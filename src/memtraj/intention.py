@@ -43,27 +43,34 @@ class IntentionSet:
 
 
 def decode_anchors(
-    query_feat,
-    addresses: Sequence[int],
+    queries,
+    addresses,
     bank: MemoryBankPair,
     feature_nets: EncoderDecoder,
     decode_mode: str = DECODE_QUERY,
 ) -> np.ndarray:
-    """Decode one anchor per retrieved address: an (L, 2) array in address order."""
+    """Decode one anchor per retrieved address for each query of a block: ``(S, L, 2)``.
+
+    Query ``s`` has the past feature ``queries[s]`` and the retrieved
+    ``addresses[s]``; its ``L`` anchors, in address order, are one slice of
+    an ``(S, L, .)`` stack per decoder layer, so they equal the anchors of
+    that query decoded alone, bit for bit.
+    """
     if decode_mode not in (DECODE_QUERY, DECODE_STORED):
         raise ValueError(f"decode_mode must be '{DECODE_QUERY}' or '{DECODE_STORED}', got {decode_mode!r}")
-    if len(addresses) == 0:
-        raise ValueError("no addresses to decode")
     addr = np.asarray(addresses, dtype=np.int64)
+    if addr.ndim != 2:
+        raise ValueError(f"addresses must be a (queries, L) array, got shape {addr.shape}")
+    if not addr.size:
+        raise ValueError("no addresses to decode")
     if addr.min() < 0 or addr.max() >= len(bank):
         raise ValueError(f"address out of range for bank of {len(bank)} entries")
-    intent_feats = bank.intent_feats[addr]
     if decode_mode == DECODE_QUERY:
-        q = np.asarray(query_feat, dtype=np.float64)
-        past_feats = np.broadcast_to(q, (len(addr), q.shape[0]))
+        q = np.asarray(queries, dtype=np.float64)
+        past_feats = np.broadcast_to(q[:, None], (*addr.shape, q.shape[1]))
     else:
         past_feats = bank.past_feats[addr]
-    _, dest_hat = decode_batch(feature_nets, past_feats, intent_feats)
+    _, dest_hat = decode_batch(feature_nets, past_feats, bank.intent_feats[addr])
     return dest_hat
 
 

@@ -6,11 +6,14 @@ parameters and activations are float64 numpy arrays.  Backward passes are
 hand-derived chain rule, validated against central finite differences in the
 tests; there is no autodiff framework anywhere.
 
-Forward and backward take and return row batches ``(n, dim)`` only; a
-single input is a one-row batch.  Parameter gradients are summed over the
-rows, which is what the mini-batch trainers need (they scale the upstream
-signal by ``1/n`` themselves).  A batch may have zero rows: its forward
-pass is empty and its parameter gradients are exact zeros.
+Forward and backward take and return row batches ``(n, dim)``; a single
+input is a one-row batch.  The frozen :func:`mlp_forward` also takes an
+``(s, n, dim)`` stack of row batches, and gives each slice the bits a call
+on that slice alone gives: numpy's ``matmul`` makes one BLAS call per slice,
+with the routine and arguments of the 2-D product.  Parameter gradients are
+summed over the rows, which is what the mini-batch trainers need (they
+scale the upstream signal by ``1/n`` themselves).  A batch may have zero
+rows: its forward pass is empty and its parameter gradients are exact zeros.
 """
 
 from __future__ import annotations
@@ -137,10 +140,11 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _as_batch(x, dim: int, what: str) -> np.ndarray:
+def _as_batch(x, dim: int, what: str, stacks: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"{what} must be an (n, {dim}) row batch, got shape {arr.shape}")
+    if arr.ndim not in ((2, 3) if stacks else (2,)) or arr.shape[-1] != dim:
+        stack = f"an (s, n, {dim}) stack or " if stacks else ""
+        raise ValueError(f"{what} must be {stack}an (n, {dim}) row batch, got shape {arr.shape}")
     return arr
 
 
@@ -159,9 +163,23 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
 
 
 def mlp_forward(net: Mlp, x) -> np.ndarray:
-    """Map an ``(n, in_dim)`` batch of rows through the network to ``(n, out_dim)``."""
-    out, _ = mlp_forward_cached(net, x)
-    return out
+    """Map an ``(n, in_dim)`` row batch, or an ``(s, n, in_dim)`` stack of them, through a frozen network.
+
+    Keeps no activations: each layer's product takes its bias and activation
+    in place, which rounds as :func:`mlp_forward_cached` does. Slice ``i`` of
+    a stack's output equals, bit for bit, the output for ``x[i]`` alone.
+    """
+    a = _as_batch(x, net.in_dim, "input", stacks=True)
+    last = net.n_layers - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w.T
+        a += b
+        if l < last:
+            if net.hidden_activation == RELU:
+                np.maximum(a, 0.0, out=a)
+            else:
+                np.tanh(a, out=a)
+    return a
 
 
 def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream, input_grad: bool = True) -> GradBundle:

@@ -332,3 +332,88 @@ def reference_fit_addresser(nets, bank, data, config, epochs, learning_rate, rng
         return float(np.sum(residual**2)), updates
 
     sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step)
+
+
+# ---------------------------------------------------------------------------
+# The per-scene prediction chain: the reference for the stacked block path
+# ---------------------------------------------------------------------------
+
+
+def forward_2d(net, x):
+    """``net`` on one ``(n, in_dim)`` row batch, through the training forward: one 2-D product per layer."""
+    return mlp_forward_cached(net, np.asarray(x, dtype=np.float64))[0]
+
+
+def loop_max_pool(nb_out, offsets):
+    """``(pooled, pool_rows)``: per scene and dim, the first of its neighbor rows holding the maximum; zeros and -1 for a scene without neighbors."""
+    n_scenes, embed = len(offsets) - 1, nb_out.shape[1]
+    pooled = np.zeros((n_scenes, embed))
+    pool_rows = np.full((n_scenes, embed), -1, dtype=np.int64)
+    cols = np.arange(embed)
+    for b in range(n_scenes):
+        lo, hi = offsets[b], offsets[b + 1]
+        if hi > lo:
+            block = nb_out[lo:hi]
+            winners = block.argmax(axis=0)
+            pooled[b] = block[winners, cols]
+            pool_rows[b] = lo + winners
+    return pooled, pool_rows
+
+
+def encode_one(nets, batch):
+    """The past feature of a one-scene batch: its ego, neighbor and fuse rows as 2-D products, pooled by the loop."""
+    ego = forward_2d(nets.ego_embed, batch.ego_x)
+    pooled, _ = loop_max_pool(forward_2d(nets.neighbor_embed, batch.nb_x), batch.offsets)
+    return forward_2d(nets.social_fuse, np.hstack([ego, pooled]))[0]
+
+
+def score_one(nets, query_feat, keys):
+    """One query's cosine scores against a unit key table: 1-D norm, one matrix-vector product; 0 for a degenerate query."""
+    u = forward_2d(nets.query_proj, np.asarray(query_feat, dtype=np.float64)[None])[0]
+    u_norm = float(np.linalg.norm(u))
+    if u_norm < DEGENERATE_NORM:
+        return np.zeros(len(keys))
+    return keys @ (u / u_norm)
+
+
+def decode_one(query_feat, addresses, bank, feature_nets, decode_mode):
+    """One query's (L, 2) anchors in address order, as one 2-D decode of its L rows."""
+    past = bank.past_feats[addresses] if decode_mode == "stored" else np.broadcast_to(query_feat, (len(addresses), len(query_feat)))
+    out = forward_2d(feature_nets.decoder, np.hstack([past, bank.intent_feats[addresses]]))
+    return out[:, 2 * feature_nets.past_len :]
+
+
+def fulfill_one(nets, batch, dests, snap_destination):
+    """One scene's (K, future_len, 2) ego-frame futures for its K destinations, as 2-D products."""
+    feat = encode_one(nets, batch)
+    dest_emb = forward_2d(nets.point_embed, dests)
+    out = forward_2d(nets.decoder, np.hstack([np.broadcast_to(feat, (len(dests), len(feat))), dest_emb]))
+    futures = out[:, 2 * nets.past_len :].reshape(len(dests), -1, 2)
+    if snap_destination:
+        futures[:, -1] = dests
+    return futures
+
+
+def predict_one(bundle, scene, n_retrieve, n_predict, seed, decode_mode="query", snap_destination=False) -> dict:
+    """One raw scene through the chain alone: encode, score, top-L, decode, k-means, fulfill.
+
+    Returns the world-frame ``destinations`` and ``trajectories`` and the
+    retrieved ``addresses``, their ``scores`` and ``sample_ids``, and the
+    scene's IntentionSet as ``iset``.
+    """
+    _, translation = normalize_scene(scene)
+    batch = reference_batch([scene], with_futures=False)
+    query = encode_one(bundle.feature_nets, batch)
+    scores = score_one(bundle.addresser_nets, query, bundle.keys)
+    addresses = full_sort_top_l(scores, n_retrieve)
+    anchors = decode_one(query, addresses, bundle.bank, bundle.feature_nets, decode_mode)
+    iset = kmeans(anchors, n_predict, seed)
+    futures = fulfill_one(bundle.fulfill_nets, batch, iset.destinations, snap_destination)
+    return {
+        "destinations": iset.destinations - translation,
+        "trajectories": futures - translation,
+        "addresses": addresses,
+        "scores": scores[addresses],
+        "sample_ids": bundle.bank.sample_ids[addresses],
+        "iset": iset,
+    }

@@ -229,7 +229,7 @@ def test_criterion_3_addresser_oracle(capsys):
     hits = 0
     rhos = []
     for i, scene in enumerate(scenes):
-        scores = score_all(nets, bank.past_feats[i], keys)
+        scores = score_all(nets, bank.past_feats[i : i + 1], keys)[0]
         dists = np.linalg.norm(scene.ego_future[-1] - decoded, axis=1)
         labels = pseudo_labels(dists, config.label_threshold_value())
         hits += int(np.argmax(scores) == np.argmin(dists))

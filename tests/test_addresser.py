@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from memtraj import addresser
 from memtraj.addresser import (
+    AddresserNets,
     _cosine_backward,
     _cosine_forward,
     decoded_intentions,
@@ -23,11 +24,13 @@ from memtraj.addresser import (
     top_l,
 )
 from memtraj.datasets import synth_generate
+from memtraj.errors import NumericError
 from memtraj.features import init_encoder_decoder, train_features
 from memtraj.membank import BankMeta, MemoryBankPair, bank_init
+from memtraj.numkit import mlp_init
 
 from conftest import quick_config
-from oracles import full_sort_top_l, reference_fit_addresser, score, train_addresser
+from oracles import full_sort_top_l, reference_fit_addresser, score, score_one, train_addresser
 
 
 def cosine(a, b):
@@ -72,7 +75,7 @@ def test_score_all_matches_pairwise(small_scenes):
     rng = np.random.default_rng(4)
     q = rng.normal(size=32)
     keys = key_table(nets, bank)
-    scores = score_all(nets, q, keys)
+    scores = score_all(nets, q[None], keys)[0]
     assert scores.shape == (len(bank),)
     for i in range(len(bank)):
         assert scores[i] == pytest.approx(score(nets, q, bank.past_feats[i]), abs=1e-10)
@@ -83,11 +86,11 @@ def test_score_all_matches_pairwise(small_scenes):
 def test_degenerate_projections_score_zero(caplog):
     bank, _, _ = make_bank()
     nets = fixed_cosine_nets(32)
-    scores = score_all(nets, np.zeros(32), key_table(nets, bank))
+    scores = score_all(nets, np.zeros((1, 32)), key_table(nets, bank))[0]
     np.testing.assert_array_equal(scores, np.zeros(len(bank)))
     assert not caplog.records  # a degenerate query is counted per block by its caller, not logged here
     bank.past_feats[2] = 0.0
-    scores = score_all(nets, np.ones(32), key_table(nets, bank))
+    scores = score_all(nets, np.ones((1, 32)), key_table(nets, bank))[0]
     assert scores[2] == 0.0
     assert score(nets, np.zeros(32), np.ones(32)) == 0.0
 
@@ -99,7 +102,7 @@ def test_degenerate_key_is_a_zero_row_warned_once(caplog):
     with caplog.at_level("WARNING", logger="memtraj.addresser"):
         keys = key_table(nets, bank)
         rng = np.random.default_rng(9)
-        scores = [score_all(nets, rng.normal(size=32), keys) for _ in range(3)]
+        scores = score_all(nets, rng.normal(size=(3, 32)), keys)
     warnings = [r for r in caplog.records if "degenerate key" in r.getMessage()]
     assert len(warnings) == 1
     np.testing.assert_array_equal(keys[2], np.zeros(32))
@@ -107,6 +110,55 @@ def test_degenerate_key_is_a_zero_row_warned_once(caplog):
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
     for s in scores:
         assert s[2] == 0.0 and not np.signbit(s[2])  # +0.0, as trace.csv writes it
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slice_rows=st.sampled_from([64, 256, addresser.SCORE_SLICE]),
+    full_slices=st.integers(0, 2),
+    extra=st.integers(-3, 70),
+    n_queries=st.integers(1, 5),
+    dims=st.sampled_from([(16, 16), (32, 64), (64, 64)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(slice_rows=addresser.SCORE_SLICE, full_slices=2, extra=1, n_queries=3, dims=(64, 64), seed=0)  # a last slice of one row
+@example(slice_rows=64, full_slices=0, extra=1, n_queries=1, dims=(16, 16), seed=1)  # a one-entry bank
+def test_slice_scoring_equals_one_product_per_query(slice_rows, full_slices, extra, n_queries, dims, seed):
+    # every query's row of a block's scores has the bits of one matrix-vector
+    # product of the whole table with that query alone, whatever the table size
+    n_keys = max(1, full_slices * slice_rows + extra)
+    rng = np.random.default_rng(seed)
+    past_dim, addr_dim = dims
+    nets = AddresserNets(query_proj=mlp_init(seed, [past_dim, addr_dim]), key_proj=mlp_init(seed + 1, [past_dim, addr_dim]))
+    keys = rng.normal(size=(n_keys, addr_dim))
+    keys /= np.linalg.norm(keys, axis=1)[:, None]
+    queries = rng.normal(size=(n_queries, past_dim))
+    queries[rng.random(n_queries) < 0.2] = 0.0  # degenerate queries score 0
+    with mock.patch.object(addresser, "SCORE_SLICE", slice_rows):
+        scores = score_all(nets, queries, keys)
+    assert scores.shape == (n_queries, n_keys)
+    for query, row in zip(queries, scores):
+        expected = score_one(nets, query, keys)
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_a_diverged_projection_raises_naming_lr_addresser():
+    bank, _, _ = make_bank()
+    nets = init_addresser_nets(past_dim=32, addr_dim=32)
+    queries = bank.past_feats[:3].copy()
+    keys = key_table(nets, bank)
+    huge_keys, huge_queries = nets.copy(), nets.copy()
+    huge_keys.key_proj.weights[0] *= 1e300  # finite weights whose projections overflow
+    huge_queries.query_proj.weights[0] *= 1e300
+    with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs every command
+        with pytest.raises(NumericError, match=r"^stage 'addresser' gives a non-finite key projection norm for bank entry \d+; retrain it with a lower lr_addresser$"):
+            key_table(huge_keys, bank)
+        with pytest.raises(NumericError, match=r"^stage 'addresser' gives a non-finite projection norm for query 0; retrain it with a lower lr_addresser$"):
+            score_all(huge_queries, queries, keys)
+    # a query that is not finite itself is not the addresser's fault: it scores NaN, as alone
+    queries[1] = np.nan
+    scores = score_all(nets, queries, keys)
+    assert np.isnan(scores[1]).all() and np.isfinite(np.delete(scores, 1, axis=0)).all()
 
 
 def test_pseudo_label_hand_cases():
@@ -122,7 +174,7 @@ def test_top_l_orders_and_breaks_ties_low_address():
     bank.past_feats[5] = bank.past_feats[1]
     nets = fixed_cosine_nets(32)
     q = bank.past_feats[1]
-    all_scores = score_all(nets, q, key_table(nets, bank))
+    all_scores = score_all(nets, q[None], key_table(nets, bank))[0]
     addrs = top_l(all_scores, count=8)
     scores = all_scores[addrs]
     assert addrs[0] == 1 and addrs[1] == 5  # tie at score 1.0, lower address first
@@ -215,7 +267,7 @@ def test_train_addresser_reduces_label_loss():
         total = 0.0
         for past_feat, dest in zip(bank.past_feats, bank.dests):
             labels = pseudo_labels(np.linalg.norm(decoded - dest, axis=1), threshold)
-            total += float(np.sum((score_all(nets, past_feat, keys) - labels) ** 2))
+            total += float(np.sum((score_all(nets, past_feat[None], keys)[0] - labels) ** 2))
         return total
 
     assert total_loss(trained) < total_loss(init)

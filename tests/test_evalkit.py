@@ -1,13 +1,17 @@
 """Unit tests for displacement metrics and the evaluation harness."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import quick_config
 from memtraj import inference
-from memtraj.addresser import fixed_cosine_nets, score_all, top_l
+from memtraj import addresser
+from memtraj.addresser import AddresserNets, fixed_cosine_nets, top_l
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
 from memtraj.features import init_encoder_decoder, social_encode
@@ -24,8 +28,9 @@ from memtraj.inference import (
 )
 from memtraj.intention import decode_anchors
 from memtraj.membank import bank_init
+from memtraj.numkit import mlp_init
 
-from oracles import kmeans, normalize_scene, scene_set
+from oracles import decode_one, kmeans, normalize_scene, predict_one, scene_set, score_one
 
 
 def test_min_ade_hand_cases():
@@ -112,7 +117,7 @@ def test_propose_destinations_matches_predict_scene():
     # the world-frame outputs are the oracle's inversion of the ego-frame ones, bit for bit
     _, translation = normalize_scene(scene)
     np.testing.assert_array_equal(iset.destinations - translation, pred.destinations)
-    futures = fulfill_many(bundle.fulfill_nets, alone, iset.destinations)
+    futures = fulfill_many(bundle.fulfill_nets, scene_batch(alone), iset.destinations[None])[0]
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
     # more proposals than retrieved anchors: kmeans refuses to cluster 3 points into 6
     with pytest.raises(ValueError, match=r"k must be in \[1, 3\] \(number of points\), got 6"):
@@ -265,6 +270,63 @@ def test_predict_scenes_in_blocks_equals_predict_scene(monkeypatch, block):
         assert pred.intention_set.iter_costs == alone.intention_set.iter_costs
 
 
+def _stacked_bundle():
+    """A bundle whose every net, the addresser projections included, multiplies by dense random weights."""
+    config = quick_config()
+    bundle = make_bundle(config, synth_generate(45, 150, n_neighbors=3))
+    seeds = np.random.default_rng(8).integers(0, 2**32, size=2)
+    bundle.addresser_nets = AddresserNets(
+        query_proj=mlp_init(int(seeds[0]), [config.past_dim, config.addr_dim]),
+        key_proj=mlp_init(int(seeds[1]), [config.past_dim, config.addr_dim]),
+    )
+    bundle.keys = addresser.key_table(bundle.addresser_nets, bundle.bank)
+    return bundle
+
+
+STACKED_BUNDLE = _stacked_bundle()
+STACKED_SCENES = synth_generate(47, 3 * PREDICT_BLOCK, n_neighbors=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block=st.sampled_from([1, 3, PREDICT_BLOCK]),
+    counts=st.lists(st.integers(0, 4), min_size=1, max_size=2 * PREDICT_BLOCK + 3),
+    decode_mode=st.sampled_from(["query", "stored"]),
+    snap_destination=st.booleans(),
+    score_slice=st.sampled_from([64, addresser.SCORE_SLICE]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(block=PREDICT_BLOCK, counts=[0] * PREDICT_BLOCK, decode_mode="query", snap_destination=False, score_slice=64, seed=0)
+@example(block=3, counts=[0, 4, 1, 0, 2, 3, 4], decode_mode="stored", snap_destination=True, score_slice=64, seed=1)
+@example(  # two full blocks and a short one, every neighbor count in each
+    block=PREDICT_BLOCK,
+    counts=[i % 5 for i in range(2 * PREDICT_BLOCK + 3)],
+    decode_mode="query",
+    snap_destination=True,
+    score_slice=addresser.SCORE_SLICE,
+    seed=2,
+)
+def test_block_predictions_equal_the_per_scene_chain(block, counts, decode_mode, snap_destination, score_slice, seed):
+    # every output of a block, scene by scene, has the bits of that scene run
+    # through the chain alone as 2-D products: oracles.predict_one
+    picked = STACKED_SCENES[: len(counts)]
+    scenes = scene_set(
+        Scene(s.ego_past, s.neighbor_pasts[:n], s.ego_future, s.scene_id) for s, n in zip(picked, counts)
+    )
+    with mock.patch.object(inference, "PREDICT_BLOCK", block), mock.patch.object(addresser, "SCORE_SLICE", score_slice):
+        preds = list(predict_scenes(STACKED_BUNDLE, scenes, 8, 3, seed, decode_mode, snap_destination))
+        alone = predict_scene(STACKED_BUNDLE, scenes[0], 8, 3, scene_seed(seed, 0), decode_mode, snap_destination)
+    assert len(preds) == len(scenes)
+    for i, (scene, pred) in enumerate(zip(scenes, preds)):
+        expected = predict_one(STACKED_BUNDLE, scene, 8, 3, scene_seed(seed, i), decode_mode, snap_destination)
+        assert pred.scene_id == scene.scene_id
+        for name in ("destinations", "trajectories", "addresses", "scores", "sample_ids"):
+            assert getattr(pred, name).tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
+        np.testing.assert_array_equal(pred.intention_set.anchor_assignment, expected["iset"].anchor_assignment)
+        assert pred.intention_set.iter_costs == expected["iset"].iter_costs
+    assert alone.trajectories.tobytes() == preds[0].trajectories.tobytes()
+
+
 def test_destination_error_equals_a_one_scene_reference_loop(monkeypatch):
     config = quick_config()
     scenes = synth_generate(37, 20)
@@ -276,8 +338,8 @@ def test_destination_error_equals_a_one_scene_reference_loop(monkeypatch):
     err = destination_error(bundle.feature_nets, bundle.addresser_nets, bundle.bank, queries, dests, 6, 3, master_seed=9)
     gaps = []
     for i, (query, dest) in enumerate(zip(queries, dests)):
-        addresses = top_l(score_all(bundle.addresser_nets, query, bundle.keys), 6)
-        anchors = decode_anchors(query, addresses, bundle.bank, bundle.feature_nets)
+        addresses = top_l(score_one(bundle.addresser_nets, query, bundle.keys), 6)
+        anchors = decode_one(query, addresses, bundle.bank, bundle.feature_nets, "query")
         iset = kmeans(anchors, 3, scene_seed(9, i))
         gaps.append(float(np.linalg.norm(iset.destinations - dest, axis=1).min()))
     assert err == float(np.mean(gaps))
@@ -302,11 +364,12 @@ def test_non_finite_predictions_name_the_first_bad_scene(monkeypatch):
     bundle = make_bundle(config, scenes)
     monkeypatch.setattr(inference, "PREDICT_BLOCK", 4)
     bad = scenes.scene_ids[6]
+    calls = itertools.count()
 
-    def fulfill_diverging(nets, alone, dests, snap_destination=False):
-        futures = fulfill_many(nets, alone, dests, snap_destination)
-        if alone.scene_ids[0] == bad:
-            futures[1, -1, 0] = np.inf
+    def fulfill_diverging(nets, batch, dests, snap_destination=False):
+        futures = fulfill_many(nets, batch, dests, snap_destination)
+        if next(calls) == 1:  # the block of scenes 4 to 7
+            futures[2, 1, -1, 0] = np.inf  # scene 6
         return futures
 
     monkeypatch.setattr(inference, "fulfill_many", fulfill_diverging)
@@ -315,6 +378,7 @@ def test_non_finite_predictions_name_the_first_bad_scene(monkeypatch):
     message = rf"non-finite trajectories for scene 6 \('{bad}'\)"
     with pytest.raises(NumericError, match=message):
         list(preds)
+    calls = itertools.count()
     with pytest.raises(NumericError, match=message):
         evaluate(bundle, scenes, n_predict=3, n_retrieve=8, seed=2)
 
@@ -328,8 +392,8 @@ def test_non_finite_anchors_name_the_first_bad_scene(monkeypatch):
 
     def decode_diverging(*args, **kwargs):
         anchors = decode_anchors(*args, **kwargs)
-        if next(calls) == 5:
-            anchors[2, 1] = np.nan
+        if next(calls) == 1:  # the block of scenes 4 to 7
+            anchors[1, 2, 1] = np.nan  # scene 5
         return anchors
 
     monkeypatch.setattr(inference, "decode_anchors", decode_diverging)

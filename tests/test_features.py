@@ -17,13 +17,15 @@ from memtraj.features import (
     init_encoder_decoder,
     social_backward_batch,
     social_encode,
+    social_encode_alone,
     social_forward_batch,
     train_features,
 )
 from memtraj.numkit import TANH, mlp_forward, mlp_init
 
 from conftest import quick_config, single_mode_spec
-from oracles import mean_rec_loss, normalize_scene, scene_set
+import oracles
+from oracles import loop_max_pool, mean_rec_loss, normalize_scene, reference_batch, scene_set
 
 
 def encode_one(nets, scene):
@@ -160,6 +162,61 @@ def test_social_encode_matches_one_batch_bit_for_bit(counts, seed):
         rows = [batch.offsets[hi] - batch.offsets[lo] for lo, hi in ranges]
         assert all(hi - lo >= 24 for lo, hi in ranges) and all(r == 0 or r >= 24 for r in rows)
     np.testing.assert_array_equal(chunked, whole)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def integer_scenes(rng, counts):
+    """Scenes on the integer grid, so nets with integer weights compute exactly and tie often."""
+    return [
+        Scene(
+            ego_past=rng.integers(-2, 3, size=(8, 2)).astype(np.float64),
+            neighbor_pasts=rng.integers(-2, 3, size=(n, 8, 2)).astype(np.float64),
+            ego_future=None,
+            scene_id=f"t{i}",
+        )
+        for i, n in enumerate(counts)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(counts=[0, 0, 0], seed=0)
+@example(counts=[4, 0, 1, 4, 2, 0], seed=1)
+def test_grouped_max_pool_equals_the_per_scene_loop(counts, seed):
+    # weights in {-1, 0, 1} on integer pasts: the neighbor embeddings are small
+    # integers, with many ties and many ReLU zeros (hidden units off, so whole
+    # columns tie at 0), where the first row holding the maximum must win
+    rng = np.random.default_rng(seed)
+    nets = init_encoder_decoder(seed % 1000, past_len=8, target_len=1, past_dim=16)
+    for w, b in zip(nets.neighbor_embed.weights, nets.neighbor_embed.biases):
+        w[:] = rng.integers(-1, 2, size=w.shape)
+        b[:] = rng.integers(-1, 1, size=b.shape)
+    scenes = scene_set(integer_scenes(rng, counts))
+    batch = scene_batch(scenes)
+    out, cache = social_forward_batch(nets, batch)
+    pooled, pool_rows = loop_max_pool(cache.nb_cache.activations[-1], batch.offsets)
+    np.testing.assert_array_equal(cache.pool_rows, pool_rows)
+    assert_same_bits(cache.fuse_cache.activations[0][:, nets.ego_embed.out_dim :], pooled)
+    # the frozen encode pools the same way
+    assert_same_bits(social_encode(nets, scenes), out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(counts=[0, 0, 0], seed=0)
+@example(counts=[1], seed=1)
+def test_stacked_encode_rows_equal_each_scene_encoded_alone(counts, seed):
+    rng = np.random.default_rng(seed)
+    scenes = [
+        Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"s{i}")
+        for i, n in enumerate(counts)
+    ]
+    stacked = social_encode_alone(MIX_NETS, scene_batch(scene_set(scenes)))
+    for i, scene in enumerate(scenes):
+        assert_same_bits(stacked[i], oracles.encode_one(MIX_NETS, reference_batch([scene], with_futures=False)))
 
 
 def test_neighborless_training_step_leaves_neighbor_embed_unchanged():

@@ -252,27 +252,29 @@ def test_decode_anchors_modes_and_shapes():
     scenes, nets, bank = make_stack()
     from memtraj.features import social_forward_batch
 
-    query = social_forward_batch(nets, scene_batch(scenes[:1]))[0][0]
-    addresses = [3, 0, 7]
-    anchors_q = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_QUERY)
+    query = social_forward_batch(nets, scene_batch(scenes[:1]))[0]
+    addresses = [[3, 0, 7]]
+    anchors_q = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_QUERY)[0]
     # row i is the anchor of addresses[i]
-    for i, address in enumerate(addresses):
-        np.testing.assert_allclose(anchors_q[i], decode_anchors(query, [address], bank, nets)[0], rtol=1e-12, atol=1e-14)
+    for i, address in enumerate(addresses[0]):
+        np.testing.assert_allclose(anchors_q[i], decode_anchors(query, [[address]], bank, nets)[0, 0], rtol=1e-12, atol=1e-14)
     assert anchors_q.shape == (3, 2)
-    anchors_s = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_STORED)
+    anchors_s = decode_anchors(query, addresses, bank, nets, decode_mode=DECODE_STORED)[0]
     # pairing with the stored past feature decodes a different anchor in general
     assert not np.allclose(anchors_q[0], anchors_s[0])
 
 
 def test_decode_anchors_validation():
     scenes, nets, bank = make_stack(4)
-    query = np.zeros(32)
+    query = np.zeros((1, 32))
     with pytest.raises(ValueError, match="decode_mode"):
-        decode_anchors(query, [0], bank, nets, decode_mode="both")
+        decode_anchors(query, [[0]], bank, nets, decode_mode="both")
     with pytest.raises(ValueError, match="no addresses"):
-        decode_anchors(query, [], bank, nets)
+        decode_anchors(query, np.zeros((1, 0)), bank, nets)
     with pytest.raises(ValueError, match="range"):
-        decode_anchors(query, [4], bank, nets)
+        decode_anchors(query, [[4]], bank, nets)
+    with pytest.raises(ValueError, match=r"\(queries, L\)"):
+        decode_anchors(query, [0], bank, nets)
 
 
 def test_predict_intentions_shapes_and_determinism():

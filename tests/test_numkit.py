@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memtraj.errors import FormatError, NumericError
 from memtraj.numkit import (
@@ -58,8 +60,14 @@ def test_forward_input_validation():
     with pytest.raises(ValueError):
         mlp_forward(net, np.zeros((2, 5)))
     with pytest.raises(ValueError):
-        mlp_forward(net, np.zeros((1, 1, 4)))
+        mlp_forward(net, np.zeros((3, 1, 5)))
+    with pytest.raises(ValueError):
+        mlp_forward(net, np.zeros((1, 1, 1, 4)))
+    with pytest.raises(ValueError):
+        mlp_forward_cached(net, np.zeros((1, 1, 4)))  # training takes row batches only
     assert mlp_forward(net, np.zeros((0, 4))).shape == (0, 2)
+    assert mlp_forward(net, np.zeros((3, 0, 4))).shape == (3, 0, 2)
+    assert mlp_forward(net, np.zeros((3, 1, 4))).shape == (3, 1, 2)
 
 
 def test_vectors_are_rejected_with_the_batch_shape():
@@ -257,3 +265,33 @@ def test_shuffled_batches_partition():
     # same seed, same order
     again = list(shuffled_batches(10, 3, np.random.default_rng(5)))
     np.testing.assert_array_equal(np.concatenate(batches), np.concatenate(again))
+
+
+# The layer dims of every net the benchmark workloads train (embedders, fuse,
+# both point embedders and decoders, the addresser projections), so their
+# eleven layer shapes are all covered.
+STACK_NETS = [[16, 64, 64], [128, 128, 64], [2, 64, 32], [96, 256, 18], [2, 64, 64], [128, 256, 40], [64, 64]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from(STACK_NETS),
+    depth=st.integers(1, 4),
+    rows=st.integers(0, 60),
+    activation=st.sampled_from(["relu", TANH]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_slices_equal_two_d_calls(dims, depth, rows, activation, seed):
+    # a frozen forward of an (s, n, dim) stack gives slice i the bits of the
+    # training forward of x[i] alone: one BLAS call per slice, the same routine
+    # (matrix-vector for one row), bias and activation rounded the same
+    rng = np.random.default_rng(seed)
+    net = mlp_init(seed, dims, hidden_activation=activation)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(size=(depth, rows, dims[0]))
+    stacked = mlp_forward(net, x)
+    assert stacked.shape == (depth, rows, dims[-1])
+    for i in range(depth):
+        np.testing.assert_array_equal(stacked[i], mlp_forward_cached(net, x[i])[0])
+    np.testing.assert_array_equal(mlp_forward(net, x[0]), stacked[0])

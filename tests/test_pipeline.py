@@ -275,11 +275,12 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
     feature_nets = train_features(scenes, config)
     bank = bank_init(feature_nets, scenes)
     encoded = []
-    monkeypatch.setattr(pipeline, "social_encode", lambda nets, chunk: encoded.append(len(chunk)) or social_encode(nets, chunk))
+    stacked = pipeline.social_encode_alone
+    monkeypatch.setattr(pipeline, "social_encode_alone", lambda nets, batch: encoded.append(len(batch.ego_x)) or stacked(nets, batch))
     init = init_addresser_nets(config.past_dim, config.addr_dim)
     _, report = train_addresser_selected(init, bank, feature_nets, scenes, config)
-    # 30 scenes hold out the last 3, each encoded alone once for all three snapshots
-    assert encoded == [1, 1, 1] and len(report["errors"]) == 3
+    # 30 scenes hold out the last 3, each encoded alone, in one stacked encode for all three snapshots
+    assert encoded == [3] and len(report["errors"]) == 3
     # the start's error to the last bit, from the query predict_scene encodes for each held-out scene
     memory = bank.take(bank.sample_ids < 27)
     keys = key_table(init, memory)
@@ -880,6 +881,27 @@ def test_cli_a_diverged_feature_stage_stops_build_memory_with_one_error_line(tmp
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # numpy's overflow warnings stay quiet
     assert not (tmp_path / STAGE_BANK).exists()
     assert STAGE_BANK not in RunManifest.load(config.out_dir).stages
+
+
+def test_cli_a_diverged_addresser_stops_train_addresser_with_one_error_line(tmp_path, capsys):
+    # a diverging addresser keeps finite weights whose projection norms
+    # overflow, so every score would be 0 and retrieval would ignore the bank
+    config = tiny_config(tmp_path, **_DIVERGING, lr_addresser=1e300)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    for command in ("synth", "train-features", "build-memory"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train-addresser", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'addresser' gives a non-finite ")
+    assert err.endswith("; retrain it with a lower lr_addresser\n")
+    assert err.count("error:") == 1 and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / STAGE_ADDRESSER).exists()
+    assert STAGE_ADDRESSER not in RunManifest.load(config.out_dir).stages
 
 
 # the trainer each net stage calls, and the subcommand that runs it
