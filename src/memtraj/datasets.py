@@ -295,12 +295,13 @@ def _window_rows(
     rows = np.arange(n_rows)
     local = rows - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
-    gaps = np.diff(frames)
     in_track = track_of[1:] == track_of[:-1]
-    unsorted = in_track & (gaps <= 0)
+    unsorted = in_track & (frames[1:] <= frames[:-1])
     if unsorted.any():
         bad = int(track_of[1:][unsorted][0])
         raise ValueError(f"frames of track {bad} (agent {agent_ids[bad]}) are not strictly increasing")
+    # uint64 holds every gap of increasing int64 frames, up to 2**64 - 1
+    gaps = np.diff(frames.astype(np.uint64))
     # the dataset's frame step: its smallest gap within a track, 1 if no track has two samples
     step = int(gaps[in_track].min()) if in_track.any() else 1
     evenly = np.concatenate([[False], in_track & (gaps == step)])
@@ -389,6 +390,9 @@ def scene_batch(scenes: SceneSet, future_for: str | None = None) -> SceneBatch:
     )
 
 
+SYNTH_START_BOX = 10.0  # half-width of the square that synthetic walks start in
+
+
 @dataclass
 class SynthMode:
     """One future-heading mode: turn angle (radians) and its probability."""
@@ -429,14 +433,13 @@ def synth_generate(
     jitter: float = 0.02,
     speed: float = 0.25,
     n_neighbors: int = 2,
-    start_box: float = 10.0,
 ) -> SceneSet:
     """Generate constant-speed walks with a mode-sampled future heading.
 
     Each scene: the ego walks ``past_len`` steps at ``speed`` along a random
-    heading from a random start in ``[-start_box, start_box]^2``, then turns
-    by a mode angle drawn from ``mode_spec`` and walks ``future_len`` more
-    steps. Independent Gaussian jitter of scale ``jitter`` is added to every
+    heading from a random start in ``[-SYNTH_START_BOX, SYNTH_START_BOX]^2``,
+    then turns by a mode angle drawn from ``mode_spec`` and walks
+    ``future_len`` more steps. Independent Gaussian jitter of scale ``jitter`` is added to every
     point. Neighbors are parallel walkers offset sideways, past only.
 
     The scene_id records the drawn mode index plus the clean heading, turn
@@ -463,7 +466,7 @@ def synth_generate(
     scene_ids = []
     for i in range(n_scenes):
         heading = float(rng.uniform(0.0, 2.0 * np.pi))
-        start = rng.uniform(-start_box, start_box, size=2)
+        start = rng.uniform(-SYNTH_START_BOX, SYNTH_START_BOX, size=2)
         mode_idx = int(rng.choice(len(modes), p=probs))
         steps_past = start + np.outer(np.arange(past_len), speed * _unit(heading))
         turn_point = steps_past[-1]

@@ -15,15 +15,12 @@ stage decodes a destination.
 Stages pass in a world-frame :class:`~memtraj.datasets.SceneSet`; the nets
 read :func:`~memtraj.datasets.scene_batch` translations of it, so positions
 here are in the ego frame. Training translates each mini-batch it takes from
-the set. Two frozen encodes keep no activations. :func:`social_encode`
-encodes a whole set one batch per :func:`encode_chunks` range, so no batch
-of a whole set is built. :func:`social_encode_alone` encodes each scene of a
-prediction block as that scene alone: a block computes stacks of per-scene
-products, so a scene's features do not depend on its block. Every encode
-max-pools neighbors the same way, the scenes of one neighbor count as one
-block. A batch without neighbor rows runs the neighbor embedder on zero
-rows, pools to zeros, and gets all-zero neighbor gradients, which leave
-that net unchanged.
+the set. :func:`social_encode` is the one frozen encode: it keeps no
+activations and gives each scene the features that scene encoded alone
+gets, whatever else the set holds. Every encode max-pools neighbors the same
+way, the scenes of one neighbor count as one block. A batch without neighbor
+rows runs the neighbor embedder on zero rows, pools to zeros, and gets
+all-zero neighbor gradients, which leave that net unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .numkit import (
 )
 
 EMBED_DIM = 64  # ego/neighbor embedding width; the fuse input is twice this
-ENCODE_CHUNK = 1024  # fewest scenes, and fewest neighbor rows unless none, in a range of social_encode
+ENCODE_CHUNK = 1024  # scenes social_encode translates at once, which bounds its memory
 
 
 @dataclass
@@ -153,70 +150,26 @@ def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCac
     return out, SocialCache(ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows)
 
 
-def encode_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
-    """The ``(lo, hi)`` scene ranges in which :func:`social_encode` encodes a set with these ``offsets``.
-
-    Ranges hold ``ENCODE_CHUNK`` scenes and either no neighbor rows or at
-    least ``ENCODE_CHUNK`` of them: a range short of either merges into the
-    range before it (the first range into the one after), so ranges grow
-    where neighbors are sparse. A range is one 2-D product per layer, and a
-    product of few rows can take another BLAS kernel whose last bits differ:
-    numpy sends one row to a matrix-vector product, and OpenBLAS 0.3.31 uses
-    a small-matrix kernel while rows times output width stay within 1200.
-    Ranges this long keep every row's bits equal to one batch of all
-    scenes. :func:`social_encode_alone` needs no ranges: a prediction block
-    computes stacks of per-scene products, so a scene's features do not
-    depend on its block.
-    """
-    n_scenes = len(offsets) - 1
-    cuts = [*range(0, n_scenes, ENCODE_CHUNK), n_scenes]
-    j = 0
-    while j < len(cuts) - 1:
-        lo, hi = cuts[j], cuts[j + 1]
-        if len(cuts) > 2 and (hi - lo < ENCODE_CHUNK or 0 < offsets[hi] - offsets[lo] < ENCODE_CHUNK):
-            del cuts[max(j, 1)]
-            j = max(j - 1, 0)
-        else:
-            j += 1
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _frozen_social(nets, batch: SceneBatch, alone: bool) -> np.ndarray:
-    """Past features of a batch from frozen nets: one product per layer, or with ``alone`` one stack slice per scene."""
-    n_scenes, embed = len(batch.ego_x), nets.ego_embed.out_dim
-    concat = np.zeros((n_scenes, 2 * embed))
-    concat[:, :embed] = mlp_forward(nets.ego_embed, batch.ego_x[:, None] if alone else batch.ego_x).reshape(n_scenes, embed)
-    nb_out = None if alone else mlp_forward(nets.neighbor_embed, batch.nb_x)
-    for scenes, rows in _neighbor_groups(batch.offsets):
-        block = mlp_forward(nets.neighbor_embed, batch.nb_x[rows]) if alone else nb_out[rows]
-        concat[scenes, embed:] = _max_pool(block)[1]
-    return mlp_forward(nets.social_fuse, concat[:, None] if alone else concat).reshape(n_scenes, -1)
-
-
 def social_encode(nets, scenes: SceneSet) -> np.ndarray:
-    """Past features of a set from frozen nets, one batch per range of :func:`encode_chunks`.
-
-    Keeps no activations, so memory is bounded by one range's batch, and
-    every row equals the row :func:`social_forward_batch` gives for a batch
-    of the whole set, bit for bit.
-    """
-    out = np.empty((len(scenes), nets.social_fuse.out_dim))
-    for lo, hi in encode_chunks(scenes.offsets):
-        chunk = scenes if hi - lo == len(scenes) else scenes[lo:hi]
-        out[lo:hi] = _frozen_social(nets, scene_batch(chunk), alone=False)
-    return out
-
-
-def social_encode_alone(nets, batch: SceneBatch) -> np.ndarray:
-    """Past features of each scene of a batch from frozen nets, as that scene encoded alone gives them.
+    """Past features of a set from frozen nets, each row as its scene encoded alone gives it.
 
     Each scene's products are one slice of a stack per layer: its ego and
     fuse rows of ``(S, 1, .)`` stacks, its neighbors of one ``(g, c, .)``
-    stack per neighbor count ``c``. So row ``i`` equals, bit for bit,
-    :func:`social_encode` of scene ``i`` as a one-scene set, whatever else
-    the batch holds. Keeps no activations.
+    stack per neighbor count ``c``. numpy's ``matmul`` runs a stack as one
+    BLAS call per slice, so row ``i`` depends on scene ``i`` alone, bit for
+    bit. Keeps no activations and translates ``ENCODE_CHUNK`` scenes at a
+    time, so no batch of a whole set is built.
     """
-    return _frozen_social(nets, batch, alone=True)
+    embed = nets.ego_embed.out_dim
+    out = np.empty((len(scenes), nets.social_fuse.out_dim))
+    for lo in range(0, len(scenes), ENCODE_CHUNK):
+        batch = scene_batch(scenes if len(scenes) <= ENCODE_CHUNK else scenes[lo : lo + ENCODE_CHUNK])
+        concat = np.zeros((len(batch.ego_x), 2 * embed))
+        concat[:, :embed] = mlp_forward(nets.ego_embed, batch.ego_x[:, None])[:, 0]
+        for group, rows in _neighbor_groups(batch.offsets):
+            concat[group, embed:] = _max_pool(mlp_forward(nets.neighbor_embed, batch.nb_x[rows]))[1]
+        out[lo : lo + len(concat)] = mlp_forward(nets.social_fuse, concat[:, None])[:, 0]
+    return out
 
 
 def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tuple[GradBundle, GradBundle, GradBundle]:

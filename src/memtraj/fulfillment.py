@@ -16,28 +16,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import SceneBatch, SceneSet
-from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, init_encoder_decoder, social_encode_alone
+from .datasets import SceneSet
+from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, init_encoder_decoder, social_encode
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
 
 
-def fulfill_many(nets: EncoderDecoder, batch: SceneBatch, destinations, snap_destination: bool = False) -> np.ndarray:
-    """Fulfill each scene of a batch against its own K ego-frame destinations at once.
+def fulfill_many(nets: EncoderDecoder, scenes: SceneSet, destinations, snap_destination: bool = False) -> np.ndarray:
+    """Fulfill each scene of a set against its own K ego-frame destinations at once.
 
-    ``destinations`` is (S, K, 2) for a batch of S scenes; row ``k`` of
+    ``destinations`` is (S, K, 2) for a set of S scenes; row ``k`` of
     scene ``s`` yields the returned ``[s, k]`` of (S, K, future_len, 2)
-    futures. Each scene is encoded alone and its K decodes are one slice of
-    an ``(S, K, .)`` stack per layer, so a scene's futures equal those of
-    its one-scene batch, bit for bit. With ``snap_destination`` each future
-    ends exactly on its destination.
+    futures. Each scene is encoded by :func:`~memtraj.features.social_encode`
+    and its K decodes are one slice of an ``(S, K, .)`` stack per layer, so
+    a scene's futures equal those of its one-scene set, bit for bit. With
+    ``snap_destination`` each future ends exactly on its destination.
     """
     dests = np.asarray(destinations, dtype=np.float64)
-    n_scenes = len(batch.ego_x)
-    if dests.ndim != 3 or dests.shape[0] != n_scenes or dests.shape[2] != 2:
-        raise ValueError(f"destinations must have shape ({n_scenes}, k, 2), got {dests.shape}")
-    feats = social_encode_alone(nets, batch)
+    if dests.ndim != 3 or dests.shape[0] != len(scenes) or dests.shape[2] != 2:
+        raise ValueError(f"destinations must have shape ({len(scenes)}, k, 2), got {dests.shape}")
+    feats = social_encode(nets, scenes)
     dest_emb = mlp_forward(nets.point_embed, dests)
     _, futures = decode_batch(nets, np.broadcast_to(feats[:, None], (*dests.shape[:2], feats.shape[1])), dest_emb)
     futures = futures.reshape(*dests.shape[:2], -1, 2)

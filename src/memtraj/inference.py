@@ -3,12 +3,9 @@
 Bundles the four trained artifacts and runs the prediction chain over a
 block of scenes, each step once per block: encode each scene in its ego
 frame, score it against the bank and retrieve, decode its anchors, cluster
-them, and fulfill each destination. A product's last bits depend on its row
-count, so a block never multiplies one matrix of all its scenes' rows.
-It computes stacks whose slices are the per-scene products instead: numpy's
-``matmul`` runs a stack as one BLAS call per slice, with the routine and
-arguments of that slice's own 2-D product. The clustering runs as one
-:func:`~memtraj.intention.kmeans_batch` call. So a scene's outputs do not
+them, and fulfill each destination. Each step computes stacks whose slices
+are the per-scene products, and the clustering runs as one
+:func:`~memtraj.intention.kmeans_batch` call, so a scene's outputs do not
 depend on its block, bit for bit. Everything here is read-only on the
 bundle. :func:`predict_scenes` is the one loop over a split that evaluation
 and prediction files share; :func:`predict_scene` is a one-scene block.
@@ -23,9 +20,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
-from .datasets import Scene, SceneSet, scene_batch
+from .datasets import Scene, SceneSet
 from .errors import ConfigError, NumericError
-from .features import EncoderDecoder, social_encode_alone
+from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
 from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans_batch
 from .membank import MemoryBankPair
@@ -189,8 +186,7 @@ def _predict_block(
     def name(i: int) -> str:
         return f"scene {first + i} ({block.scene_ids[i]!r})"
 
-    batch = scene_batch(block)
-    queries = social_encode_alone(bundle.feature_nets, batch)
+    queries = social_encode(bundle.feature_nets, block)
     addresses, scores, isets = propose_block(
         bundle.feature_nets,
         bundle.addresser_nets,
@@ -205,7 +201,7 @@ def _predict_block(
     )
     dests = np.stack([iset.destinations for iset in isets])
     origins = np.asarray(block.ego_pasts[:, -1], dtype=np.float64)
-    trajectories = fulfill_many(bundle.fulfill_nets, batch, dests, snap_destination) + origins[:, None, None]
+    trajectories = fulfill_many(bundle.fulfill_nets, block, dests, snap_destination) + origins[:, None, None]
     destinations = dests + origins[:, None]
     _check_finite("trajectories", trajectories, name)
     _check_finite("destinations", destinations, name)

@@ -82,8 +82,9 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
     Entry ``i`` comes from ``dataset[i]`` and carries ``sample_id == i``.
     Stored features and geometry live in each scene's ego frame, translated
     as :func:`~memtraj.datasets.scene_batch` translates them; the past
-    features come from :func:`~memtraj.features.social_encode`, so no batch
-    of the whole set is built. ValueError for an empty set or one without
+    features come from :func:`~memtraj.features.social_encode`, so entry
+    ``i``'s past feature is the query feature scene ``i`` gets at predict
+    time, bit for bit. ValueError for an empty set or one without
     futures; NumericError naming the first scene whose past or intention
     feature is not finite, which a diverged features stage gives.
     """

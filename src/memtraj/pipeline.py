@@ -35,10 +35,10 @@ import numpy as np
 
 from .addresser import AddresserNets, addresser_training_data, fit_addresser, fixed_cosine_nets, init_addresser_nets
 from .config import Config
-from .datasets import SceneSet, build_scenes, dataset_fingerprint, load_manifest, save_tsv, scene_batch, scenes_to_tracks, synth_generate
+from .datasets import SceneSet, build_scenes, dataset_fingerprint, load_manifest, save_tsv, scenes_to_tracks, synth_generate
 from .errors import ConfigError, DependencyError, NumericError
 from .evalkit import MetricReport, evaluate
-from .features import EncoderDecoder, social_encode_alone, train_features
+from .features import EncoderDecoder, social_encode, train_features
 from .fulfillment import train_fulfillment
 from .inference import ModelBundle, ScenePrediction, destination_error, predict_scenes
 from .membank import MemoryBankPair, bank_filter, bank_init, bank_load, bank_save
@@ -255,9 +255,8 @@ def train_addresser_selected(
     held out; after each training segment the current nets are scored by
     ``destination_error`` on it, retrieving only from the bank entries of the
     other scenes (a held-out scene's own entry would match it exactly), and
-    the best snapshot wins. The held-out scenes are encoded once, each as
-    ``predict_scene`` encodes it alone, by one
-    :func:`~memtraj.features.social_encode_alone`. ConfigError when no such
+    the best snapshot wins. The held-out scenes are encoded once, by
+    :func:`~memtraj.features.social_encode`. ConfigError when no such
     entry is left. The untrained start competes too, so when the
     pseudo-labels carry no ranking signal the addresser keeps its starting
     point instead of degrading retrieval. Ties resolve toward the earlier
@@ -279,7 +278,7 @@ def train_addresser_selected(
         )
     holdout = dataset[n_train:]
     dests = holdout.ego_destinations("addresser selection")
-    queries = social_encode_alone(feature_nets, scene_batch(holdout))
+    queries = social_encode(feature_nets, holdout)
     n_retrieve = min(config.n_retrieve, len(memory))
     n_predict = min(config.n_predict, n_retrieve)
     seed = config.seed_for("addresser-selection")

@@ -25,9 +25,11 @@ from memtraj.datasets import (
     synth_generate,
 )
 from memtraj import datasets
+from memtraj.cli import main
 from memtraj.datasets import _load_tsv_lines
 from memtraj.errors import ParseError
 
+from conftest import quick_config
 from oracles import (
     normalize_scene,
     reference_batch,
@@ -419,6 +421,22 @@ def test_build_scenes_rejects_unsorted_frames():
     track.frames[[3, 4]] = track.frames[[4, 3]]
     with pytest.raises(ValueError, match="agent 1.* not strictly increasing"):
         build_scenes([track], past_len=8, future_len=12)
+
+
+def test_frames_further_apart_than_int64_holds_are_windowed(tmp_path, capsys):
+    # these two frames are strictly increasing, but their difference overflows int64
+    extreme = write(tmp_path, "extreme.tsv", f"{-(2**63)} 1 0 0\n{2**63 - 1} 1 1 1\n")
+    (track,) = load_tsv(extreme)
+    assert len(build_scenes([track, make_line_track(2, 20)], past_len=8, future_len=12)) == 1
+    save_tsv(scenes_to_tracks(synth_generate(7, 3, n_neighbors=0)), tmp_path / "synth.tsv")
+    write(tmp_path, "manifest.txt", "synth.tsv\nextreme.tsv\n")
+    assert len(load_manifest(tmp_path / "manifest.txt", past_len=8, future_len=12)) == 3
+    manifest = str(tmp_path / "manifest.txt")
+    config = quick_config(out_dir=str(tmp_path / "run"), train_manifest=manifest, test_manifest=manifest, epochs_features=1)
+    config.to_file(tmp_path / "run.cfg")
+    assert main(["train-features", "--config", str(tmp_path / "run.cfg")]) == 0
+    err = capsys.readouterr().err
+    assert "error:" not in err and "Traceback" not in err
 
 
 def test_window_counts():

@@ -117,7 +117,7 @@ def test_propose_destinations_matches_predict_scene():
     # the world-frame outputs are the oracle's inversion of the ego-frame ones, bit for bit
     _, translation = normalize_scene(scene)
     np.testing.assert_array_equal(iset.destinations - translation, pred.destinations)
-    futures = fulfill_many(bundle.fulfill_nets, scene_batch(alone), iset.destinations[None])[0]
+    futures = fulfill_many(bundle.fulfill_nets, alone, iset.destinations[None])[0]
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
     # more proposals than retrieved anchors: kmeans refuses to cluster 3 points into 6
     with pytest.raises(ValueError, match=r"k must be in \[1, 3\] \(number of points\), got 6"):
@@ -366,8 +366,8 @@ def test_non_finite_predictions_name_the_first_bad_scene(monkeypatch):
     bad = scenes.scene_ids[6]
     calls = itertools.count()
 
-    def fulfill_diverging(nets, batch, dests, snap_destination=False):
-        futures = fulfill_many(nets, batch, dests, snap_destination)
+    def fulfill_diverging(nets, block, dests, snap_destination=False):
+        futures = fulfill_many(nets, block, dests, snap_destination)
         if next(calls) == 1:  # the block of scenes 4 to 7
             futures[2, 1, -1, 0] = np.inf  # scene 6
         return futures

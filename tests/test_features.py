@@ -12,15 +12,14 @@ from memtraj import features
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import (
     decode_batch,
-    encode_chunks,
     fit_encoder_decoder,
     init_encoder_decoder,
     social_backward_batch,
     social_encode,
-    social_encode_alone,
     social_forward_batch,
     train_features,
 )
+from memtraj.membank import bank_init
 from memtraj.numkit import TANH, mlp_forward, mlp_init
 
 from conftest import quick_config, single_mode_spec
@@ -114,26 +113,6 @@ def test_mixed_neighbor_batches_encode_like_each_scene_alone(counts, seed):
         assert (own_rows >= 0).all() if n else (own_rows == -1).all()
 
 
-def offsets_of(counts):
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-
-def test_encode_chunks_merge_short_ranges():
-    with mock.patch.object(features, "ENCODE_CHUNK", 3):
-        assert encode_chunks(offsets_of([1])) == [(0, 1)]
-        assert encode_chunks(offsets_of([0] * 6)) == [(0, 3), (3, 6)]
-        # a trailing range of fewer than 3 scenes joins the range before it
-        assert encode_chunks(offsets_of([2] * 7)) == [(0, 3), (3, 7)]
-        assert encode_chunks(offsets_of([2] * 8)) == [(0, 3), (3, 8)]
-        # a range with one or two neighbor rows joins the range before it ...
-        assert encode_chunks(offsets_of([3, 0, 0, 0, 1, 0, 1, 1, 1])) == [(0, 6), (6, 9)]
-        # ... and the first range joins the one after it
-        assert encode_chunks(offsets_of([0, 1, 0, 0, 2, 2, 2, 2, 0])) == [(0, 6), (6, 9)]
-        # when every range is short, the whole batch is one range
-        assert encode_chunks(offsets_of([0, 1, 0, 0, 0, 0, 0, 0])) == [(0, 8)]
-        assert encode_chunks(offsets_of([2, 2])) == [(0, 2)]
-
-
 CHUNKED_NETS = init_encoder_decoder(4, past_len=8, target_len=1, past_dim=64)
 
 
@@ -143,25 +122,18 @@ CHUNKED_NETS = init_encoder_decoder(4, past_len=8, target_len=1, past_dim=64)
 @example(counts=[0] * 24 + [1] + [0] * 23 + [2] * 48, seed=1)  # a range with exactly one neighbor row
 @example(counts=[0] * 60, seed=2)
 def test_social_encode_matches_one_batch_bit_for_bit(counts, seed):
-    # Ranges of 24 scenes, not 3: these nets' 64-wide layers take OpenBLAS's
-    # small-matrix kernel up to 18 rows (rows times output width within
-    # 1200), whose last bits differ from the kernel a whole batch this size
-    # takes, so a 3-scene range could not reproduce it.
+    # the set encoded in ranges of 24 scenes gives the bits of the set encoded
+    # as one range: how the ranges fall changes no row
     rng = np.random.default_rng(seed)
-    scenes = [
+    scenes = scene_set([
         Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"c{i}")
         for i, n in enumerate(counts)
-    ]
-    batch = scene_batch(scene_set(scenes))
-    whole, _ = social_forward_batch(CHUNKED_NETS, batch)
+    ])
+    whole = social_encode(CHUNKED_NETS, scenes)  # 100 scenes or fewer are one range
     with mock.patch.object(features, "ENCODE_CHUNK", 24):
-        ranges = encode_chunks(batch.offsets)
-        chunked = social_encode(CHUNKED_NETS, scene_set(scenes))
-    assert [lo for lo, _ in ranges] + [len(scenes)] == [0] + [hi for _, hi in ranges]
-    if len(ranges) > 1:
-        rows = [batch.offsets[hi] - batch.offsets[lo] for lo, hi in ranges]
-        assert all(hi - lo >= 24 for lo, hi in ranges) and all(r == 0 or r >= 24 for r in rows)
-    np.testing.assert_array_equal(chunked, whole)
+        chunked = social_encode(CHUNKED_NETS, scenes)
+    assert_same_bits(chunked, whole)
+    assert whole.shape == (len(counts), CHUNKED_NETS.past_dim)
 
 
 def assert_same_bits(a, b):
@@ -200,23 +172,45 @@ def test_grouped_max_pool_equals_the_per_scene_loop(counts, seed):
     pooled, pool_rows = loop_max_pool(cache.nb_cache.activations[-1], batch.offsets)
     np.testing.assert_array_equal(cache.pool_rows, pool_rows)
     assert_same_bits(cache.fuse_cache.activations[0][:, nets.ego_embed.out_dim :], pooled)
-    # the frozen encode pools the same way
-    assert_same_bits(social_encode(nets, scenes), out)
+    # the frozen encode pools the same way, each scene as if alone
+    alone = [oracles.encode_one(nets, reference_batch([scene], with_futures=False)) for scene in scenes]
+    assert_same_bits(social_encode(nets, scenes), np.array(alone))
 
 
-@settings(max_examples=40, deadline=None)
-@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=40), seed=st.integers(0, 2**32 - 1))
-@example(counts=[0, 0, 0], seed=0)
-@example(counts=[1], seed=1)
-def test_stacked_encode_rows_equal_each_scene_encoded_alone(counts, seed):
+def some_order(n):
+    """A permutation of ``range(n)``, or the indices of a non-empty slice of it."""
+    sliced = st.slices(n).map(lambda part: list(range(n))[part]).filter(len)
+    return st.one_of(st.permutations(range(n)), sliced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 4), min_size=1, max_size=60),
+    chunk=st.sampled_from([1, 3, 24, features.ENCODE_CHUNK]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(counts=[0, 0, 0], chunk=3, seed=0, data=None)
+@example(counts=[1], chunk=1, seed=1, data=None)
+@example(counts=[2] * 49, chunk=24, seed=2, data=None)  # a trailing range of one scene
+@example(counts=[0] * 24 + [1] + [0] * 23 + [2] * 48, chunk=24, seed=3, data=None)  # a range with one neighbor row
+def test_stacked_encode_rows_equal_each_scene_encoded_alone(counts, chunk, seed, data):
+    # whatever the ranges and whatever else the set holds, a row of the frozen
+    # encode, and so a bank entry's past feature, is its scene's feature alone
     rng = np.random.default_rng(seed)
     scenes = [
-        Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=None, scene_id=f"s{i}")
+        Scene(ego_past=rng.normal(size=(8, 2)), neighbor_pasts=rng.normal(size=(n, 8, 2)), ego_future=rng.normal(size=(3, 2)), scene_id=f"s{i}")
         for i, n in enumerate(counts)
     ]
-    stacked = social_encode_alone(MIX_NETS, scene_batch(scene_set(scenes)))
-    for i, scene in enumerate(scenes):
-        assert_same_bits(stacked[i], oracles.encode_one(MIX_NETS, reference_batch([scene], with_futures=False)))
+    order = list(range(len(scenes))) if data is None else data.draw(some_order(len(scenes)))
+    chosen = scene_set(scenes).take(order)
+    with mock.patch.object(features, "ENCODE_CHUNK", chunk):
+        encoded = social_encode(MIX_NETS, chosen)
+        stored = bank_init(MIX_NETS, chosen).past_feats
+    for row, i in enumerate(order):
+        alone = oracles.encode_one(MIX_NETS, reference_batch([scenes[i]], with_futures=False))
+        assert_same_bits(encoded[row], alone)
+        assert_same_bits(stored[row], alone)
 
 
 def test_neighborless_training_step_leaves_neighbor_embed_unchanged():

@@ -35,34 +35,34 @@ def test_init_shapes_and_determinism():
 def test_fulfill_shapes():
     rng = np.random.default_rng(1)
     nets = init_encoder_decoder(2, past_len=8, target_len=12, past_dim=32)
-    batch = scene_batch(one_scene_set(rng))
-    futures = fulfill_many(nets, batch, np.array([[[1.0, 2.0]]]))
+    scenes = one_scene_set(rng)
+    futures = fulfill_many(nets, scenes, np.array([[[1.0, 2.0]]]))
     assert futures.shape == (1, 1, 12, 2)
-    assert fulfill_many(nets, batch, np.zeros((1, 3, 2))).shape == (1, 3, 12, 2)
+    assert fulfill_many(nets, scenes, np.zeros((1, 3, 2))).shape == (1, 3, 12, 2)
     with pytest.raises(ValueError):
-        fulfill_many(nets, batch, np.array([[1.0, 2.0]]))  # one scene's (k, 2) without the scene axis
+        fulfill_many(nets, scenes, np.array([[1.0, 2.0]]))  # one scene's (k, 2) without the scene axis
     with pytest.raises(ValueError):
-        fulfill_many(nets, batch, np.zeros((2, 3, 2)))  # two scenes' destinations for one scene
+        fulfill_many(nets, scenes, np.zeros((2, 3, 2)))  # two scenes' destinations for one scene
 
 
 def test_fulfill_many_matches_single():
     rng = np.random.default_rng(2)
     nets = init_encoder_decoder(3, past_len=8, target_len=12, past_dim=32)
-    batch = scene_batch(one_scene_set(rng))
+    scenes = one_scene_set(rng)
     dests = rng.normal(size=(4, 2))
-    many = fulfill_many(nets, batch, dests[None])[0]
+    many = fulfill_many(nets, scenes, dests[None])[0]
     assert len(many) == 4
     for i, future in enumerate(many):
-        single = fulfill_many(nets, batch, dests[None, i : i + 1])[0, 0]
+        single = fulfill_many(nets, scenes, dests[None, i : i + 1])[0, 0]
         np.testing.assert_allclose(future, single, rtol=1e-12, atol=1e-14)
 
 
 def test_snap_destination_pins_endpoint():
     rng = np.random.default_rng(3)
     nets = init_encoder_decoder(4, past_len=8, target_len=12, past_dim=32)
-    batch = scene_batch(one_scene_set(rng))
+    scenes = one_scene_set(rng)
     dests = rng.normal(size=(3, 2))
-    futures = fulfill_many(nets, batch, dests[None], snap_destination=True)[0]
+    futures = fulfill_many(nets, scenes, dests[None], snap_destination=True)[0]
     for i, future in enumerate(futures):
         np.testing.assert_array_equal(future[-1], dests[i])
 
@@ -94,7 +94,7 @@ def test_true_destination_beats_offset_destination():
     batch = scene_batch(scenes, "this test")
     for i in range(len(scenes)):
         dest = batch.futures[i, -1]
-        pred_true, pred_off = fulfill_many(trained, scene_batch(scenes[i : i + 1]), np.stack([dest, dest + offset])[None])[0]
+        pred_true, pred_off = fulfill_many(trained, scenes[i : i + 1], np.stack([dest, dest + offset])[None])[0]
         fde_true += float(np.linalg.norm(pred_true[-1] - dest))
         fde_off += float(np.linalg.norm(pred_off[-1] - dest))
     assert fde_true < fde_off

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from memtraj import features
 from memtraj.datasets import scene_batch, synth_generate
 from memtraj.errors import FormatError
-from memtraj.features import encode_chunks, init_encoder_decoder, social_forward_batch
+from memtraj.features import init_encoder_decoder, social_forward_batch
 from memtraj.membank import (
     BankMeta,
     MemoryBankPair,
@@ -68,14 +68,14 @@ def test_bank_init_in_ranges_equals_the_unchunked_encode():
     nets = init_encoder_decoder(2, past_len=8, target_len=1, past_dim=64)
     scenes = synth_generate(7, 130)
     batch = scene_batch(scenes, "the test")
-    with mock.patch.object(features, "ENCODE_CHUNK", 32):
-        assert len(encode_chunks(batch.offsets)) == 4  # 32, 32, 32 and 34 scenes
+    with mock.patch.object(features, "ENCODE_CHUNK", 32):  # 32, 32, 32, 32 and 2 scenes
         bank = bank_init(nets, scenes)
     whole = bank_init(nets, scenes)  # 130 scenes are one range of the default size
     for name in ("past_feats", "intent_feats", "starts", "dests", "sample_ids"):
         np.testing.assert_array_equal(getattr(bank, name), getattr(whole, name))
-    # both equal one batch of every scene, bit for bit
-    np.testing.assert_array_equal(bank.past_feats, social_forward_batch(nets, batch)[0])
+    # every entry's past feature is its scene's query feature alone, bit for bit
+    for i in range(len(scenes)):
+        np.testing.assert_array_equal(bank.past_feats[i], social_forward_batch(nets, scene_batch(scenes[i : i + 1]))[0][0])
     np.testing.assert_array_equal(bank.starts, batch.ego_x[:, :2])
     np.testing.assert_array_equal(bank.dests, batch.futures[:, -1])
 

@@ -275,11 +275,11 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
     feature_nets = train_features(scenes, config)
     bank = bank_init(feature_nets, scenes)
     encoded = []
-    stacked = pipeline.social_encode_alone
-    monkeypatch.setattr(pipeline, "social_encode_alone", lambda nets, batch: encoded.append(len(batch.ego_x)) or stacked(nets, batch))
+    encode = pipeline.social_encode
+    monkeypatch.setattr(pipeline, "social_encode", lambda nets, holdout: encoded.append(len(holdout)) or encode(nets, holdout))
     init = init_addresser_nets(config.past_dim, config.addr_dim)
     _, report = train_addresser_selected(init, bank, feature_nets, scenes, config)
-    # 30 scenes hold out the last 3, each encoded alone, in one stacked encode for all three snapshots
+    # 30 scenes hold out the last 3, encoded once for all three snapshots
     assert encoded == [3] and len(report["errors"]) == 3
     # the start's error to the last bit, from the query predict_scene encodes for each held-out scene
     memory = bank.take(bank.sample_ids < 27)
