@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import SceneSet
 from .errors import NumericError
-from .features import EncoderDecoder, decode_batch, social_encode
+from .features import EncoderDecoder, decode_targets, social_encode
 from .membank import MemoryBankPair
 from .numkit import Mlp, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
@@ -208,9 +208,8 @@ def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndar
 
 
 def decoded_intentions(feature_nets: EncoderDecoder, bank: MemoryBankPair) -> np.ndarray:
-    """Every entry's decoded destination from its own stored feature pair."""
-    _, dest_hat = decode_batch(feature_nets, bank.past_feats, bank.intent_feats)
-    return dest_hat
+    """Every entry's decoded destination from its own stored feature pair, the bank as one slice."""
+    return decode_targets(feature_nets, bank.past_feats[None], bank.intent_feats[None])[0]
 
 
 def addresser_training_data(

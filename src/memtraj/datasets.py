@@ -370,6 +370,9 @@ class SceneBatch:
     offsets: np.ndarray  # (B+1,) scene b owns nb_x rows offsets[b]:offsets[b+1]
     futures: np.ndarray | None  # (B, future_len, 2) ego futures; None unless asked for
 
+    def __len__(self) -> int:
+        return len(self.ego_x)
+
 
 def scene_batch(scenes: SceneSet, future_for: str | None = None) -> SceneBatch:
     """The set translated into one :class:`SceneBatch`, each scene to its own ego frame.

@@ -10,7 +10,9 @@ the memory bank, the addresser, and anchor decoding.
 
 The fulfillment stage reuses this network shape (:class:`EncoderDecoder`)
 and its trainer (:func:`fit_encoder_decoder`), decoding a future where this
-stage decodes a destination.
+stage decodes a destination. Frozen nets decode through
+:func:`decode_targets`, which computes only the destination or future
+columns: a prediction never reads the reconstructed past.
 
 Stages pass in a world-frame :class:`~memtraj.datasets.SceneSet`; the nets
 read :func:`~memtraj.datasets.scene_batch` translations of it, so positions
@@ -31,6 +33,7 @@ import numpy as np
 
 from .datasets import SceneBatch, SceneSet, scene_batch
 from .numkit import (
+    RELU,
     GradBundle,
     Mlp,
     ForwardCache,
@@ -150,26 +153,35 @@ def social_forward_batch(nets, batch: SceneBatch) -> tuple[np.ndarray, SocialCac
     return out, SocialCache(ego_cache=ego_cache, nb_cache=nb_cache, fuse_cache=fuse_cache, pool_rows=pool_rows)
 
 
-def social_encode(nets, scenes: SceneSet) -> np.ndarray:
-    """Past features of a set from frozen nets, each row as its scene encoded alone gives it.
+def social_encode(nets, scenes: SceneSet | SceneBatch) -> np.ndarray:
+    """Past features from frozen nets, each row as its scene encoded alone gives it.
 
     Each scene's products are one slice of a stack per layer: its ego and
     fuse rows of ``(S, 1, .)`` stacks, its neighbors of one ``(g, c, .)``
     stack per neighbor count ``c``. numpy's ``matmul`` runs a stack as one
     BLAS call per slice, so row ``i`` depends on scene ``i`` alone, bit for
-    bit. Keeps no activations and translates ``ENCODE_CHUNK`` scenes at a
-    time, so no batch of a whole set is built.
+    bit. Keeps no activations. A :class:`~memtraj.datasets.SceneSet` is
+    translated ``ENCODE_CHUNK`` scenes at a time, so no batch of a whole set
+    is built; a :class:`~memtraj.datasets.SceneBatch` is already translated,
+    so a block that two net sets encode is translated once.
     """
-    embed = nets.ego_embed.out_dim
+    if isinstance(scenes, SceneBatch):
+        return _encode_batch(nets, scenes)
     out = np.empty((len(scenes), nets.social_fuse.out_dim))
     for lo in range(0, len(scenes), ENCODE_CHUNK):
-        batch = scene_batch(scenes if len(scenes) <= ENCODE_CHUNK else scenes[lo : lo + ENCODE_CHUNK])
-        concat = np.zeros((len(batch.ego_x), 2 * embed))
-        concat[:, :embed] = mlp_forward(nets.ego_embed, batch.ego_x[:, None])[:, 0]
-        for group, rows in _neighbor_groups(batch.offsets):
-            concat[group, embed:] = _max_pool(mlp_forward(nets.neighbor_embed, batch.nb_x[rows]))[1]
-        out[lo : lo + len(concat)] = mlp_forward(nets.social_fuse, concat[:, None])[:, 0]
+        chunk = scenes if len(scenes) <= ENCODE_CHUNK else scenes[lo : lo + ENCODE_CHUNK]
+        out[lo : lo + len(chunk)] = _encode_batch(nets, scene_batch(chunk))
     return out
+
+
+def _encode_batch(nets, batch: SceneBatch) -> np.ndarray:
+    """:func:`social_encode` of one translated batch."""
+    embed = nets.ego_embed.out_dim
+    concat = np.zeros((len(batch), 2 * embed))
+    concat[:, :embed] = mlp_forward(nets.ego_embed, batch.ego_x[:, None])[:, 0]
+    for group, rows in _neighbor_groups(batch.offsets):
+        concat[group, embed:] = _max_pool(mlp_forward(nets.neighbor_embed, batch.nb_x[rows]))[1]
+    return mlp_forward(nets.social_fuse, concat[:, None])[:, 0]
 
 
 def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tuple[GradBundle, GradBundle, GradBundle]:
@@ -198,14 +210,38 @@ def social_backward_batch(nets, cache: SocialCache, upstream: np.ndarray) -> tup
 # ---------------------------------------------------------------------------
 
 
-def decode_batch(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of (past feature, point embedding) in; rows of (flat past, flat target) out.
+def decode_targets(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np.ndarray) -> np.ndarray:
+    """The decoder's flat target columns, and only those, for the rows of ``(S, n, .)`` stacks.
 
-    Takes row batches or ``(s, n, .)`` stacks of them, as :func:`~memtraj.numkit.mlp_forward` does.
+    ``point_feats`` is ``(S, n, intent_dim)``; ``past_feats`` is ``(S, 1,
+    past_dim)``, one row that scene ``s``'s ``n`` rows share, or ``(S, n,
+    past_dim)``. The first layer multiplies the past half and the point half
+    of its weights apart, adds the two products, then the bias, then the
+    activation, so a shared past row is multiplied once. The last layer
+    multiplies only the target rows of its weights, so the past columns are
+    never computed. Every product is one slice per scene, so slice ``s``
+    equals scene ``s`` decoded alone, bit for bit; against the whole
+    decoder's target columns only the first layer's summation order differs.
     """
-    out = mlp_forward(nets.decoder, np.concatenate([past_feats, point_feats], axis=-1))
-    n_past = 2 * nets.past_len
-    return out[..., :n_past], out[..., n_past:]
+    dec = nets.decoder
+    split = nets.past_dim
+    targets = slice(2 * nets.past_len, None)
+    last = dec.n_layers - 1
+    for l, (w, b) in enumerate(zip(dec.weights, dec.biases)):
+        if l == last:
+            w, b = w[targets], b[targets]
+        if l == 0:
+            a = point_feats @ w[:, split:].T
+            a += past_feats @ w[:, :split].T  # in place, so a shared past row is broadcast, never tiled
+        else:
+            a = a @ w.T
+        a += b
+        if l < last:
+            if dec.hidden_activation == RELU:
+                np.maximum(a, 0.0, out=a)
+            else:
+                np.tanh(a, out=a)
+    return a
 
 
 # ---------------------------------------------------------------------------

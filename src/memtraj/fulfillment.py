@@ -5,7 +5,7 @@ proposal, an :class:`~memtraj.features.EncoderDecoder` (the
 feature stage's network shape, trained independently by the same trainer)
 embeds the observation and the destination, and its decoder maps the
 concatenation to a full trajectory: a reconstruction of the past followed
-by the future steps.
+by the future steps. Prediction computes only the future steps.
 Training conditions on the ground-truth destination (teacher forcing); at
 prediction time the destinations come from the intention stage. The decoded
 future is used as-is, with an optional flag to snap its final point onto the
@@ -16,29 +16,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import SceneSet
-from .features import EncoderDecoder, decode_batch, fit_encoder_decoder, init_encoder_decoder, social_encode
+from .datasets import SceneBatch, SceneSet
+from .features import EncoderDecoder, decode_targets, fit_encoder_decoder, init_encoder_decoder, social_encode
 from .numkit import mlp_forward
 
 DEST_EMBED_DIM = 64  # width of the destination embedding (the nets' intent_dim)
 
 
-def fulfill_many(nets: EncoderDecoder, scenes: SceneSet, destinations, snap_destination: bool = False) -> np.ndarray:
-    """Fulfill each scene of a set against its own K ego-frame destinations at once.
+def fulfill_many(
+    nets: EncoderDecoder, scenes: SceneSet | SceneBatch, destinations, snap_destination: bool = False
+) -> np.ndarray:
+    """Fulfill each scene of a set or batch against its own K ego-frame destinations at once.
 
-    ``destinations`` is (S, K, 2) for a set of S scenes; row ``k`` of
-    scene ``s`` yields the returned ``[s, k]`` of (S, K, future_len, 2)
-    futures. Each scene is encoded by :func:`~memtraj.features.social_encode`
-    and its K decodes are one slice of an ``(S, K, .)`` stack per layer, so
-    a scene's futures equal those of its one-scene set, bit for bit. With
-    ``snap_destination`` each future ends exactly on its destination.
+    ``destinations`` is (S, K, 2) for S scenes; row ``k`` of scene ``s``
+    yields the returned ``[s, k]`` of (S, K, future_len, 2) futures. Each
+    scene is encoded by :func:`~memtraj.features.social_encode`. The
+    decoder's first layer takes that scene feature once, as slice ``s`` of
+    an ``(S, 1, .)`` stack, and the K destination embeddings as slice ``s``
+    of an ``(S, K, .)`` stack; its last layer computes only the future
+    columns (:func:`~memtraj.features.decode_targets`). So a scene's futures
+    equal those of its one-scene set, bit for bit. With ``snap_destination``
+    each future ends exactly on its destination.
     """
     dests = np.asarray(destinations, dtype=np.float64)
     if dests.ndim != 3 or dests.shape[0] != len(scenes) or dests.shape[2] != 2:
         raise ValueError(f"destinations must have shape ({len(scenes)}, k, 2), got {dests.shape}")
     feats = social_encode(nets, scenes)
-    dest_emb = mlp_forward(nets.point_embed, dests)
-    _, futures = decode_batch(nets, np.broadcast_to(feats[:, None], (*dests.shape[:2], feats.shape[1])), dest_emb)
+    futures = decode_targets(nets, feats[:, None], mlp_forward(nets.point_embed, dests))
     futures = futures.reshape(*dests.shape[:2], -1, 2)
     if snap_destination:
         futures[:, :, -1] = dests

@@ -2,7 +2,8 @@
 
 Bundles the four trained artifacts and runs the prediction chain over a
 block of scenes, each step once per block: encode each scene in its ego
-frame, score it against the bank and retrieve, decode its anchors, cluster
+frame (one translation of the block serves the feature and the fulfillment
+encode), score it against the bank and retrieve, decode its anchors, cluster
 them, and fulfill each destination. Each step computes stacks whose slices
 are the per-scene products, and the clustering runs as one
 :func:`~memtraj.intention.kmeans_batch` call, so a scene's outputs do not
@@ -20,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .addresser import AddresserNets, key_table, score_all, top_l
-from .datasets import Scene, SceneSet
+from .datasets import Scene, SceneSet, scene_batch
 from .errors import ConfigError, NumericError
 from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
@@ -186,7 +187,8 @@ def _predict_block(
     def name(i: int) -> str:
         return f"scene {first + i} ({block.scene_ids[i]!r})"
 
-    queries = social_encode(bundle.feature_nets, block)
+    batch = scene_batch(block)
+    queries = social_encode(bundle.feature_nets, batch)
     addresses, scores, isets = propose_block(
         bundle.feature_nets,
         bundle.addresser_nets,
@@ -201,7 +203,7 @@ def _predict_block(
     )
     dests = np.stack([iset.destinations for iset in isets])
     origins = np.asarray(block.ego_pasts[:, -1], dtype=np.float64)
-    trajectories = fulfill_many(bundle.fulfill_nets, block, dests, snap_destination) + origins[:, None, None]
+    trajectories = fulfill_many(bundle.fulfill_nets, batch, dests, snap_destination) + origins[:, None, None]
     destinations = dests + origins[:, None]
     _check_finite("trajectories", trajectories, name)
     _check_finite("destinations", destinations, name)

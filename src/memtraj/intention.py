@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import EncoderDecoder, decode_batch
+from .features import EncoderDecoder, decode_targets
 from .membank import MemoryBankPair
 
 DECODE_QUERY = "query"  # decode [query past feature ; stored intention feature]
@@ -52,9 +52,13 @@ def decode_anchors(
     """Decode one anchor per retrieved address for each query of a block: ``(S, L, 2)``.
 
     Query ``s`` has the past feature ``queries[s]`` and the retrieved
-    ``addresses[s]``; its ``L`` anchors, in address order, are one slice of
-    an ``(S, L, .)`` stack per decoder layer, so they equal the anchors of
-    that query decoded alone, bit for bit.
+    ``addresses[s]``; its ``L`` anchors come out in address order. The
+    decoder's first layer takes the query's half once, as slice ``s`` of an
+    ``(S, 1, .)`` stack (in ``stored`` mode the ``L`` stored past features,
+    an ``(S, L, .)`` stack), and the ``L`` intention features as slice ``s``
+    of an ``(S, L, .)`` stack; its last layer computes only the 2
+    destination columns (:func:`~memtraj.features.decode_targets`). So a
+    query's anchors equal those of that query decoded alone, bit for bit.
     """
     if decode_mode not in (DECODE_QUERY, DECODE_STORED):
         raise ValueError(f"decode_mode must be '{DECODE_QUERY}' or '{DECODE_STORED}', got {decode_mode!r}")
@@ -66,12 +70,10 @@ def decode_anchors(
     if addr.min() < 0 or addr.max() >= len(bank):
         raise ValueError(f"address out of range for bank of {len(bank)} entries")
     if decode_mode == DECODE_QUERY:
-        q = np.asarray(queries, dtype=np.float64)
-        past_feats = np.broadcast_to(q[:, None], (*addr.shape, q.shape[1]))
+        past_feats = np.asarray(queries, dtype=np.float64)[:, None]
     else:
         past_feats = bank.past_feats[addr]
-    _, dest_hat = decode_batch(feature_nets, past_feats, bank.intent_feats[addr])
-    return dest_hat
+    return decode_targets(feature_nets, past_feats, bank.intent_feats[addr])
 
 
 def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:

@@ -12,7 +12,7 @@ import numpy as np
 from memtraj import addresser
 from memtraj.addresser import DEGENERATE_NORM, _cosine_forward, addresser_training_data, fit_addresser, pseudo_labels
 from memtraj.datasets import Scene, SceneBatch, SceneSet
-from memtraj.features import decode_batch, social_forward_batch
+from memtraj.features import social_forward_batch
 from memtraj.intention import KMEANS_MAX_ITERS, IntentionSet
 from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
@@ -108,8 +108,9 @@ def mean_rec_loss(nets, dataset) -> float:
     batch = reference_batch(dataset)
     k, _ = social_forward_batch(nets, batch)
     dests = batch.futures[:, -1]
-    past_hat, dest_hat = decode_batch(nets, k, mlp_forward(nets.point_embed, dests))
-    per_scene = np.sum((past_hat - batch.ego_x) ** 2, axis=1) + np.sum((dest_hat - dests) ** 2, axis=1)
+    out = mlp_forward(nets.decoder, np.hstack([k, mlp_forward(nets.point_embed, dests)]))
+    n_past = batch.ego_x.shape[1]
+    per_scene = np.sum((out[:, :n_past] - batch.ego_x) ** 2, axis=1) + np.sum((out[:, n_past:] - dests) ** 2, axis=1)
     return float(per_scene.mean())
 
 
@@ -376,19 +377,30 @@ def score_one(nets, query_feat, keys):
     return keys @ (u / u_norm)
 
 
+def decode_targets_one(nets, past, points):
+    """One scene's flat target columns from a two-layer ReLU decoder, as 2-D products.
+
+    ``past`` is the scene half of the first layer, one row or one per row of
+    ``points``; its product and the product of the ``(n, intent_dim)`` point
+    rows are added, then the bias, then ReLU. The last layer multiplies only
+    the weight rows of the target columns.
+    """
+    (w0, w1), (b0, b1) = nets.decoder.weights, nets.decoder.biases
+    split, targets = nets.past_dim, slice(2 * nets.past_len, None)
+    hidden = np.maximum(past @ w0[:, :split].T + points @ w0[:, split:].T + b0, 0.0)
+    return hidden @ w1[targets].T + b1[targets]
+
+
 def decode_one(query_feat, addresses, bank, feature_nets, decode_mode):
-    """One query's (L, 2) anchors in address order, as one 2-D decode of its L rows."""
-    past = bank.past_feats[addresses] if decode_mode == "stored" else np.broadcast_to(query_feat, (len(addresses), len(query_feat)))
-    out = forward_2d(feature_nets.decoder, np.hstack([past, bank.intent_feats[addresses]]))
-    return out[:, 2 * feature_nets.past_len :]
+    """One query's (L, 2) anchors in address order: its query row once (or its L stored rows) and its L intention rows."""
+    past = bank.past_feats[addresses] if decode_mode == "stored" else np.asarray(query_feat, dtype=np.float64)[None]
+    return decode_targets_one(feature_nets, past, bank.intent_feats[addresses])
 
 
 def fulfill_one(nets, batch, dests, snap_destination):
-    """One scene's (K, future_len, 2) ego-frame futures for its K destinations, as 2-D products."""
+    """One scene's (K, future_len, 2) ego-frame futures for its K destinations: its feature row once, K destination rows."""
     feat = encode_one(nets, batch)
-    dest_emb = forward_2d(nets.point_embed, dests)
-    out = forward_2d(nets.decoder, np.hstack([np.broadcast_to(feat, (len(dests), len(feat))), dest_emb]))
-    futures = out[:, 2 * nets.past_len :].reshape(len(dests), -1, 2)
+    futures = decode_targets_one(nets, feat[None], forward_2d(nets.point_embed, dests)).reshape(len(dests), -1, 2)
     if snap_destination:
         futures[:, -1] = dests
     return futures

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import quick_config
 from memtraj import inference
-from memtraj import addresser
+from memtraj import addresser, features
 from memtraj.addresser import AddresserNets, fixed_cosine_nets, top_l
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.evalkit import MetricReport, constant_velocity, evaluate, min_ade, min_fde
@@ -325,6 +325,21 @@ def test_block_predictions_equal_the_per_scene_chain(block, counts, decode_mode,
         np.testing.assert_array_equal(pred.intention_set.anchor_assignment, expected["iset"].anchor_assignment)
         assert pred.intention_set.iter_costs == expected["iset"].iter_costs
     assert alone.trajectories.tobytes() == preds[0].trajectories.tobytes()
+
+
+def test_a_prediction_block_is_translated_once(monkeypatch):
+    # the feature encode and the fulfillment encode read one translation of each block
+    translated = []
+
+    def counting(scenes, *args):
+        translated.append(len(scenes))
+        return scene_batch(scenes, *args)
+
+    monkeypatch.setattr(inference, "scene_batch", counting)
+    monkeypatch.setattr(features, "scene_batch", counting)
+    monkeypatch.setattr(inference, "PREDICT_BLOCK", 3)
+    assert len(list(predict_scenes(STACKED_BUNDLE, STACKED_SCENES[:5], 8, 3, seed=1))) == 5
+    assert translated == [3, 2]
 
 
 def test_destination_error_equals_a_one_scene_reference_loop(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from memtraj import features
 from memtraj.datasets import Scene, scene_batch, synth_generate
 from memtraj.features import (
-    decode_batch,
+    decode_targets,
     fit_encoder_decoder,
     init_encoder_decoder,
     social_backward_batch,
@@ -207,6 +207,8 @@ def test_stacked_encode_rows_equal_each_scene_encoded_alone(counts, chunk, seed,
     with mock.patch.object(features, "ENCODE_CHUNK", chunk):
         encoded = social_encode(MIX_NETS, chosen)
         stored = bank_init(MIX_NETS, chosen).past_feats
+    # a batch translated once, as a prediction block shares it, encodes to the same bits
+    assert_same_bits(social_encode(MIX_NETS, scene_batch(chosen)), encoded)
     for row, i in enumerate(order):
         alone = oracles.encode_one(MIX_NETS, reference_batch([scenes[i]], with_futures=False))
         assert_same_bits(encoded[row], alone)
@@ -294,9 +296,48 @@ def test_intention_encode_validation():
 
 def test_joint_decode_shapes():
     nets = init_encoder_decoder(0, past_len=8, target_len=1, past_dim=32, intent_dim=16)
-    past_hat, dest_hat = decode_batch(nets, np.zeros((3, 32)), np.zeros((3, 16)))
-    assert past_hat.shape == (3, 16)
-    assert dest_hat.shape == (3, 2)
+    # one past row shared by a scene's rows, or one per row; only the destination columns come out
+    assert decode_targets(nets, np.zeros((2, 1, 32)), np.zeros((2, 3, 16))).shape == (2, 3, 2)
+    assert decode_targets(nets, np.zeros((2, 3, 32)), np.zeros((2, 3, 16))).shape == (2, 3, 2)
+    futures = init_encoder_decoder(0, past_len=8, target_len=12, past_dim=32, intent_dim=16)
+    assert decode_targets(futures, np.zeros((1, 1, 32)), np.zeros((1, 4, 16))).shape == (1, 4, 24)
+
+
+DECODER_NETS = {
+    outputs: init_encoder_decoder(outputs, past_len=8, target_len=outputs // 2 - 8, past_dim=64, intent_dim=32)
+    for outputs in (18, 40)
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outputs=st.sampled_from(sorted(DECODER_NETS)),
+    n_scenes=st.sampled_from([1, 3, 32]),
+    n_rows=st.integers(1, 24),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(outputs=18, n_scenes=32, n_rows=20, shared=True, seed=0)
+@example(outputs=40, n_scenes=3, n_rows=1, shared=False, seed=1)
+def test_decode_targets_equals_the_decoders_target_columns(outputs, n_scenes, n_rows, shared, seed):
+    # random weights and biases, so hidden units sit on both sides of the ReLU
+    rng = np.random.default_rng(seed)
+    nets = DECODER_NETS[outputs].copy()
+    for w, b in zip(nets.decoder.weights, nets.decoder.biases):
+        w[:] = rng.normal(size=w.shape) / np.sqrt(w.shape[1])
+        b[:] = rng.normal(size=b.shape)
+    past = rng.normal(size=(n_scenes, 1 if shared else n_rows, nets.past_dim))
+    points = rng.normal(size=(n_scenes, n_rows, nets.intent_dim))
+    got = decode_targets(nets, past, points)
+    assert got.shape == (n_scenes, n_rows, outputs - 2 * nets.past_len)
+    # the whole decoder's target columns, up to the first layer's summation order
+    joint = np.concatenate([np.broadcast_to(past, (*points.shape[:2], nets.past_dim)), points], axis=2)
+    full = mlp_forward(nets.decoder, joint.reshape(-1, joint.shape[2]))[:, 2 * nets.past_len :].reshape(got.shape)
+    assert np.all(np.abs(got - full) <= 1e-12 * (1 + np.abs(full)))
+    # slice i is scene i decoded alone, bit for bit
+    for i in range(n_scenes):
+        assert_same_bits(got[i], decode_targets(nets, past[i : i + 1], points[i : i + 1])[0])
+        assert_same_bits(got[i], oracles.decode_targets_one(nets, past[i], points[i]))
 
 
 def test_mean_rec_loss_matches_scalar_path(small_scenes):
@@ -308,8 +349,8 @@ def test_mean_rec_loss_matches_scalar_path(small_scenes):
         dest = normalized.ego_future[-1]
         k = encode_one(nets, scene)
         v = mlp_forward(nets.point_embed, dest[None])
-        past_hat, dest_hat = decode_batch(nets, k[None, :], v)
-        total += float(np.sum((past_hat[0] - normalized.ego_past.reshape(-1)) ** 2) + np.sum((dest_hat[0] - dest) ** 2))
+        out = mlp_forward(nets.decoder, np.hstack([k[None, :], v]))[0]
+        total += float(np.sum((out[:16] - normalized.ego_past.reshape(-1)) ** 2) + np.sum((out[16:] - dest) ** 2))
     np.testing.assert_allclose(mean_rec_loss(nets, scenes), total / 6, rtol=1e-9)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import quick_config, single_mode_spec
 from memtraj.datasets import Scene, scene_batch, synth_generate
-from memtraj.features import decode_batch, init_encoder_decoder, social_forward_batch
+from memtraj.features import init_encoder_decoder, social_forward_batch
 from memtraj.fulfillment import DEST_EMBED_DIM, fulfill_many, train_fulfillment
 from memtraj.numkit import mlp_forward
 from oracles import reference_batch, scene_set
@@ -71,9 +71,9 @@ def mean_teacher_loss(nets, scenes):
     """Mean over scenes of the summed squared past and future error, conditioned on the true destination."""
     batch = reference_batch(scenes)
     feats, _ = social_forward_batch(nets, batch)
-    past_hat, future_hat = decode_batch(nets, feats, mlp_forward(nets.point_embed, batch.futures[:, -1]))
-    future = batch.futures.reshape(len(scenes), -1)
-    return float(np.sum((past_hat - batch.ego_x) ** 2) + np.sum((future_hat - future) ** 2)) / len(scenes)
+    out = mlp_forward(nets.decoder, np.hstack([feats, mlp_forward(nets.point_embed, batch.futures[:, -1])]))
+    target = np.hstack([batch.ego_x, batch.futures.reshape(len(scenes), -1)])
+    return float(np.sum((out - target) ** 2)) / len(scenes)
 
 
 def test_training_reduces_loss():
