@@ -1,13 +1,19 @@
 """Trajectory data: TSV loading, scene windowing, scene batches, synthesis.
 
 The on-disk format is whitespace-separated ``frame agent_id x y`` rows, one
-row per agent per frame.  A *scene* is one prediction instance: an ego agent
-with ``past_len`` observed steps, the other agents fully co-present over
-those steps as neighbors, and (for training/evaluation) ``future_len`` future
-ego steps.  A split is one :class:`SceneSet` of world-coordinate arrays,
-never one object per window; :func:`scene_batch` translates a set into the
-arrays every net reads, so each ego's last observed position is the origin.
-No other module subtracts a scene origin.
+row per agent per frame.  In memory a track file is four row arrays
+``(agent_ids, lengths, frames, coords)``, never one object per agent: track
+``t`` is agent ``agent_ids[t]`` and owns the next ``lengths[t]`` rows of
+``frames`` and ``coords``.  :func:`load_tsv` reads them, :func:`save_tsv`
+writes them and :func:`build_scenes` windows them.
+
+A *scene* is one prediction instance: an ego agent with ``past_len``
+observed steps, the other agents fully co-present over those steps as
+neighbors, and (for training/evaluation) ``future_len`` future ego steps.
+A split is one :class:`SceneSet` of world-coordinate arrays, never one
+object per window; :func:`scene_batch` translates a set into the arrays
+every net reads, so each ego's last observed position is the origin. No
+other module subtracts a scene origin.
 
 The synthetic generator produces constant-speed walks whose future heading is
 drawn from a small set of turn modes, which gives a controlled multimodal
@@ -31,15 +37,6 @@ from .errors import ParseError
 from .numkit import atomic_open
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class RawTrack:
-    """One agent's samples, sorted by frame."""
-
-    agent_id: int
-    frames: np.ndarray  # (n,) int64
-    coords: np.ndarray  # (n, 2) float64
 
 
 @dataclass(frozen=True)
@@ -145,24 +142,14 @@ def _utf8_lines(path):
             yield line_no, line
 
 
-def load_tsv(path) -> list[RawTrack]:
-    """Parse ``frame agent_id x y`` rows into per-agent tracks.
+def load_tsv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse ``frame agent_id x y`` rows into the row arrays ``(agent_ids, lengths, frames, coords)``.
 
-    Agents appear in first-seen order; samples are sorted by frame. Blank
-    lines are skipped. A malformed line, a frame or agent id that is not an
-    integer, a NaN or infinite coordinate, a second row for the same
+    Agents appear in first-seen order; each one's rows are sorted by frame.
+    Blank lines are skipped. A malformed line, a frame or agent id that is
+    not an integer, a NaN or infinite coordinate, a second row for the same
     (frame, agent), or bytes that are not UTF-8 raise ParseError with the
     path and the 1-based line number. A leading byte-order mark is ignored.
-    """
-    agent_ids, lengths, frames, coords = _tsv_rows(path)
-    bounds = np.cumsum(lengths)[:-1]
-    parts = zip(agent_ids.tolist(), np.split(frames, bounds), np.split(coords, bounds))
-    return [RawTrack(agent_id=agent_id, frames=f, coords=c) for agent_id, f, c in parts]
-
-
-def _tsv_rows(path):
-    """:func:`load_tsv`'s tracks as row arrays ``(agent_ids, lengths, frames, coords)``, track after track.
-
     Plain-number text is read in whole arrays; any other text, well formed
     or not, goes through the line-by-line parse, which reports the first bad line.
     """
@@ -178,7 +165,7 @@ _TSV_ROW = np.dtype([("frame", "<i8"), ("agent", "<i8"), ("x", "<f8"), ("y", "<f
 
 
 def _plain_tsv_rows(data: bytes):
-    """:func:`_tsv_rows` for well-formed plain-number text; None for any other text."""
+    """:func:`load_tsv` for well-formed plain-number text; None for any other text."""
     if data.translate(None, _PLAIN_TSV):
         return None
     if not data or data.isspace():
@@ -203,7 +190,7 @@ def _group_rows(frames, agents, coords):
 
 
 def _load_tsv_lines(path):
-    """:func:`_tsv_rows` one checked line at a time."""
+    """:func:`load_tsv` one checked line at a time."""
     samples: list[tuple[int, int, float, float]] = []
     first_line: dict[tuple[int, int], int] = {}
     try:
@@ -234,54 +221,46 @@ def _load_tsv_lines(path):
     return _group_rows(frames, agents, np.array([s[2:] for s in samples], dtype=np.float64).reshape(-1, 2))
 
 
-def save_tsv(tracks: Sequence[RawTrack], path) -> None:
-    """Write tracks back to the TSV format.
+def save_tsv(rows, path) -> None:
+    """Write the row arrays ``(agent_ids, lengths, frames, coords)`` in the TSV format, track after track.
 
-    Coordinates are printed with %.17g, so a load/save/load cycle reproduces
-    the float64 values exactly. The file is replaced only once every line is written.
+    Coordinates are printed with %.17g, so ``save_tsv(load_tsv(p), q)``
+    reproduces every float64 value. The file is replaced only once every line is written.
     """
+    agent_ids, lengths, frames, coords = rows
+    agents = np.repeat(agent_ids, lengths).tolist()
     with atomic_open(path) as fh:
-        for track in tracks:
-            for frame, (x, y) in zip(track.frames, track.coords):
-                fh.write("%d %d %.17g %.17g\n" % (frame, track.agent_id, x, y))
+        for frame, agent_id, (x, y) in zip(frames.tolist(), agents, coords.tolist(), strict=True):
+            fh.write("%d %d %.17g %.17g\n" % (frame, agent_id, x, y))
 
 
 def build_scenes(
-    tracks: Sequence[RawTrack],
+    agent_ids: np.ndarray,
+    lengths: np.ndarray,
+    frames: np.ndarray,
+    coords: np.ndarray,
     past_len: int,
     future_len: int,
     stride: int = 1,
     max_neighbors: int = 8,
     tag: str = "",
 ) -> SceneSet:
-    """Cut sliding windows of ``past_len + future_len`` frames into scenes.
+    """Cut sliding windows of ``past_len + future_len`` frames out of the row arrays of a track file.
 
     A window is valid when the ego agent covers it with evenly spaced frames
     (spacing = the dataset's smallest frame gap). Window start positions
-    advance by ``stride`` samples. Every other agent present at all
+    advance by ``stride`` samples. Every other track present at all
     ``past_len`` past frames becomes a neighbor; if there are more than
     ``max_neighbors``, the nearest ones at the last observed frame win (ties
     broken by agent id). Scenes come in track order, then in window-start
-    order; the emitted set of scenes does not depend on the ordering of
-    ``tracks``. Each track's frames must be strictly increasing.
-    """
-    agent_ids = np.array([track.agent_id for track in tracks], dtype=np.int64)
-    lengths = np.array([len(track.frames) for track in tracks], dtype=np.int64)
-    frames = np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)])
-    coords = np.concatenate([np.zeros((0, 2)), *(track.coords for track in tracks)])
-    return _window_rows(agent_ids, lengths, frames, coords, past_len, future_len, stride, max_neighbors, tag)[0]
+    order; the emitted set of scenes does not depend on the order of the
+    tracks. Each track's frames must be strictly increasing. Logs the track,
+    window and skipped-window counts under ``tag``.
 
-
-def _window_rows(
-    agent_ids, lengths, frames, coords, past_len, future_len, stride, max_neighbors, tag
-) -> tuple[SceneSet, int]:
-    """:func:`build_scenes` over row arrays, plus the number of stride positions skipped for a frame gap.
-
-    Track ``t`` is agent ``agent_ids[t]`` and owns the next ``lengths[t]``
-    rows of ``frames`` and ``coords``. All tracks are windowed at once. A
-    row's run position counts the evenly spaced frames of its track just
-    before it, so a window is valid where its last row has ``window - 1`` of
-    them, and a row can close a neighbor's past where it has ``past_len - 1``.
+    All tracks are windowed at once. A row's run position counts the evenly
+    spaced frames of its track just before it, so a window is valid where
+    its last row has ``window - 1`` of them, and a row can close a
+    neighbor's past where it has ``past_len - 1``.
     """
     if past_len < 1 or future_len < 1:
         raise ValueError(f"past_len and future_len must be >= 1, got {past_len}, {future_len}")
@@ -289,10 +268,14 @@ def _window_rows(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if max_neighbors < 0:
         raise ValueError(f"max_neighbors must be >= 0, got {max_neighbors}")
+    if len(agent_ids) != len(lengths) or not len(frames) == len(coords) == lengths.sum():
+        raise ValueError(
+            f"{len(agent_ids)} agent ids and {len(lengths)} lengths summing to {lengths.sum()} "
+            f"do not describe {len(frames)} frames and {len(coords)} coordinate rows"
+        )
     window = past_len + future_len
-    n_rows = int(lengths.sum())
     track_of = np.repeat(np.arange(len(lengths)), lengths)
-    rows = np.arange(n_rows)
+    rows = np.arange(len(frames))
     local = rows - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
     in_track = track_of[1:] == track_of[:-1]
@@ -312,20 +295,20 @@ def _window_rows(
     starts = starts[local[starts] % stride == 0]
     fits = (local % stride == 0) & (local + window <= np.repeat(lengths, lengths))
     skipped = int(fits.sum()) - len(starts)
+    logger.info("%s: %d tracks, %d windows, %d skipped for a frame gap", tag or "tracks", len(lengths), len(starts), skipped)
     last = starts + (past_len - 1)
     offsets = np.arange(past_len)
 
     sel_win, sel_rows = _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_neighbors, agent_ids)
     prefix = f"{tag}:" if tag else ""
     ids = zip(agent_ids[track_of[starts]].tolist(), frames[last].tolist())
-    scenes = SceneSet(
+    return SceneSet(
         ego_pasts=coords[starts[:, None] + offsets],
         futures=coords[starts[:, None] + (past_len + np.arange(future_len))],
         neighbor_pasts=coords[sel_rows[:, None] + (offsets - (past_len - 1))],
         offsets=np.searchsorted(sel_win, np.arange(len(starts) + 1)),
         scene_ids=[f"{prefix}{agent_id}:{last_frame}" for agent_id, last_frame in ids],
     )
-    return scenes, skipped
 
 
 def _nearest_neighbors(frames, coords, track_of, run_pos, last, past_len, max_neighbors, agent_ids):
@@ -494,8 +477,8 @@ def synth_generate(
     )
 
 
-def scenes_to_tracks(scenes: SceneSet) -> list[RawTrack]:
-    """Flatten scenes into disjoint tracks for TSV export.
+def scenes_to_tracks(scenes: SceneSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten scenes into the row arrays of disjoint tracks, for TSV export.
 
     Scene ``i`` occupies frames ``[i * gap, ...)``, ``gap`` being 1000 or the
     scenes' frame count if that is more, so no two scenes share a frame; its
@@ -506,14 +489,18 @@ def scenes_to_tracks(scenes: SceneSet) -> list[RawTrack]:
     """
     past_len = scenes.ego_pasts.shape[1]
     egos = scenes.ego_pasts if scenes.futures is None else np.concatenate([scenes.ego_pasts, scenes.futures], axis=1)
-    gap = max(1000, egos.shape[1])
-    tracks = []
-    for i, ego in enumerate(egos):
-        base = i * gap
-        tracks.append(RawTrack(agent_id=len(tracks), frames=base + np.arange(len(ego), dtype=np.int64), coords=ego))
-        for nb in scenes.neighbor_pasts[scenes.offsets[i] : scenes.offsets[i + 1]]:
-            tracks.append(RawTrack(agent_id=len(tracks), frames=base + np.arange(past_len, dtype=np.int64), coords=nb))
-    return tracks
+    n_scenes, ego_len = egos.shape[:2]
+    per_scene = 1 + np.diff(scenes.offsets)  # tracks of each scene: its ego, then its neighbors
+    is_ego = np.zeros(per_scene.sum(), dtype=bool)
+    is_ego[np.cumsum(per_scene) - per_scene] = True
+    lengths = np.where(is_ego, ego_len, past_len)
+    first_row = np.cumsum(lengths) - lengths
+    coords = np.empty((lengths.sum(), 2))
+    coords[first_row[is_ego, None] + np.arange(ego_len)] = egos
+    coords[first_row[~is_ego, None] + np.arange(past_len)] = scenes.neighbor_pasts
+    base = np.repeat(np.arange(n_scenes, dtype=np.int64) * max(1000, ego_len), per_scene)
+    frames = np.repeat(base - first_row, lengths) + np.arange(len(coords))
+    return np.arange(len(lengths), dtype=np.int64), lengths, frames, coords
 
 
 def load_manifest(
@@ -530,7 +517,7 @@ def load_manifest(
     A file's stem prefixes its scene ids, so a stem holding ``,`` or ``"``
     or listed on an earlier line raises ParseError with the manifest line
     number; so do non-UTF-8 bytes. Each listed file logs its track, window
-    and skipped-window counts.
+    and skipped-window counts under its stem.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -558,17 +545,12 @@ def load_manifest(
             tsv_path = manifest_path.parent / tsv_path
         if not tsv_path.exists():
             raise ParseError(f"listed file does not exist: {tsv_path}", line_no=line_no, path=manifest_path)
-        agent_ids, *rows = _tsv_rows(tsv_path)
-        windows, skipped = _window_rows(agent_ids, *rows, past_len, future_len, stride, max_neighbors, tsv_path.stem)
-        logger.info(
-            "%s: %d tracks, %d windows, %d skipped for a frame gap", tsv_path, len(agent_ids), len(windows), skipped
-        )
-        sets.append(windows)
+        sets.append(build_scenes(*load_tsv(tsv_path), past_len, future_len, stride, max_neighbors, tsv_path.stem))
     if not sets:
         logger.warning("manifest %s lists no files", manifest_path)
+        return build_scenes(*_plain_tsv_rows(b""), past_len, future_len)
     if len(sets) == 1:
         return sets[0]
-    sets.insert(0, build_scenes([], past_len, future_len))  # the shapes of a manifest without files
     return SceneSet(
         ego_pasts=np.concatenate([s.ego_pasts for s in sets]),
         futures=np.concatenate([s.futures for s in sets]),

@@ -85,8 +85,9 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
     features come from :func:`~memtraj.features.social_encode`, so entry
     ``i``'s past feature is the query feature scene ``i`` gets at predict
     time, bit for bit. ValueError for an empty set or one without
-    futures; NumericError naming the first scene whose past or intention
-    feature is not finite, which a diverged features stage gives.
+    futures; NumericError naming ``lr_features`` and the first scene whose
+    past or intention feature is not finite, or whose past feature's norm
+    overflows, which a diverged features stage gives.
     """
     dests = dataset.ego_destinations("the memory bank")
     pasts = np.asarray(dataset.ego_pasts, dtype=np.float64)
@@ -99,11 +100,14 @@ def bank_init(nets: EncoderDecoder, dataset: SceneSet) -> MemoryBankPair:
     )
     past_feats = social_encode(nets, dataset)
     intent_feats = mlp_forward(nets.point_embed, dests)
-    finite = np.isfinite(past_feats).all(axis=1) & np.isfinite(intent_feats).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
+    # every score takes a past feature's norm, so one that overflows is as unusable as a NaN
+    sound = np.isfinite(np.linalg.norm(past_feats, axis=1)) & np.isfinite(intent_feats).all(axis=1)
+    if not sound.all():
+        first = int(np.argmin(sound))
+        finite = np.isfinite(past_feats[first]).all() and np.isfinite(intent_feats[first]).all()
+        what = "a past feature whose norm overflows" if finite else "non-finite features"
         raise NumericError(
-            f"stage 'features' gives non-finite features for scene {first} ({dataset.scene_ids[first]!r}); "
+            f"stage 'features' gives {what} for scene {first} ({dataset.scene_ids[first]!r}); "
             "retrain it with a lower lr_features"
         )
     logger.info("memory bank: %d entries before filtering", len(dataset))

@@ -443,14 +443,14 @@ def run_synth(config: Config) -> Path:
     )
     synth_dir = Path(config.out_dir) / "synth"
     synth_dir.mkdir(parents=True, exist_ok=True)
-    tracks = scenes_to_tracks(scenes)
+    rows = scenes_to_tracks(scenes)
     tsv_path = synth_dir / "scenes.tsv"
-    save_tsv(tracks, tsv_path)
+    save_tsv(rows, tsv_path)
     with atomic_open(synth_dir / "manifest.txt") as fh:
         fh.write(f"{tsv_path.name}\n")
     # windowed as the manifest loader windows it: one scene per generated scene,
     # in order, so labels.csv maps each window id to its generator metadata
-    windows = build_scenes(tracks, config.past_len, config.future_len, tag=tsv_path.stem)
+    windows = build_scenes(*rows, config.past_len, config.future_len, tag=tsv_path.stem)
     with atomic_open(synth_dir / "labels.csv") as fh:
         fh.write("window_scene_id,synth_scene_id\n")
         for window_id, scene_id in zip(windows.scene_ids, scenes.scene_ids, strict=True):

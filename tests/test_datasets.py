@@ -3,7 +3,7 @@
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memtraj.datasets import (
-    RawTrack,
     Scene,
     SynthMode,
     build_scenes,
@@ -56,10 +55,10 @@ def test_load_tsv_first_seen_order_and_frame_sort(tmp_path):
         "1 3 5.0 5.0\n"
         "3 7 2.0 4.0\n",
     )
-    tracks = load_tsv(path)
-    assert [t.agent_id for t in tracks] == [7, 3]
-    np.testing.assert_array_equal(tracks[0].frames, [1, 2, 3])
-    np.testing.assert_array_equal(tracks[0].coords, [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
+    agent_ids, lengths, frames, coords = load_tsv(path)
+    assert agent_ids.tolist() == [7, 3] and lengths.tolist() == [3, 1]
+    np.testing.assert_array_equal(frames[:3], [1, 2, 3])
+    np.testing.assert_array_equal(coords[:3], [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
 
 
 def test_load_tsv_errors_carry_line_numbers(tmp_path):
@@ -93,9 +92,9 @@ def test_load_tsv_rejects_fractional_frames(tmp_path):
     # truncating would load frames [1 2]; integral float spellings still load
     with pytest.raises(ParseError, match="line 2: frame 2.5 is not an integer"):
         load_tsv(write(tmp_path, "frac.tsv", "1 7 0.0 0.0\n2.5 7 1.0 1.0\n"))
-    tracks = load_tsv(write(tmp_path, "spelled.tsv", "3.0 7 0.0 0.0\n1e1 7 1.0 1.0\n4 2.0 0.0 0.0\n"))
-    np.testing.assert_array_equal(tracks[0].frames, [3, 10])
-    assert [t.agent_id for t in tracks] == [7, 2]
+    agent_ids, lengths, frames, _ = load_tsv(write(tmp_path, "spelled.tsv", "3.0 7 0.0 0.0\n1e1 7 1.0 1.0\n4 2.0 0.0 0.0\n"))
+    np.testing.assert_array_equal(frames[: lengths[0]], [3, 10])
+    assert agent_ids.tolist() == [7, 2]
     # frames are int64; a larger one is an input error, not an overflow while building the track
     with pytest.raises(ParseError, match="line 1: frame 9223372036854775808 is out of the int64 range"):
         load_tsv(write(tmp_path, "huge.tsv", "9223372036854775808 7 0.0 0.0\n"))
@@ -124,19 +123,12 @@ def test_load_tsv_rejects_any_non_integral_index(tmp_path_factory, value, good_r
 )
 def test_integral_frames_and_ids_round_trip(tmp_path_factory, frames, agent_id):
     frames = np.sort(np.array(frames, dtype=np.int64))
-    track = RawTrack(agent_id=agent_id, frames=frames, coords=np.zeros((len(frames), 2)))
+    rows = np.array([agent_id], dtype=np.int64), np.array([len(frames)]), frames, np.zeros((len(frames), 2))
     path = tmp_path_factory.mktemp("ints") / "round.tsv"
-    save_tsv([track], path)
-    (back,) = load_tsv(path)
-    assert back.agent_id == agent_id
-    np.testing.assert_array_equal(back.frames, frames)
-
-
-def _tsv_outcome(parse, path):
-    try:
-        return [(t.agent_id, t.frames.tolist(), t.coords.tobytes(), t.frames.dtype, t.coords.dtype) for t in parse(path)]
-    except ParseError as exc:
-        return str(exc)
+    save_tsv(rows, path)
+    back_ids, back_lengths, back_frames, _ = load_tsv(path)
+    assert back_ids.tolist() == [agent_id] and back_lengths.tolist() == [len(frames)]
+    np.testing.assert_array_equal(back_frames, frames)
 
 
 def _rows_outcome(rows_of, path):
@@ -184,7 +176,7 @@ def test_load_tsv_reads_plain_and_other_text_alike(tmp_path_factory, rows, gap, 
     # the whole-array read of plain-number text gives what the line-by-line parse gives
     path = tmp_path_factory.mktemp("tsv") / "rows.tsv"
     path.write_bytes((newline.join(gap.join(row) for row in rows) + newline).encode("utf-8"))
-    assert _rows_outcome(datasets._tsv_rows, path) == _rows_outcome(_load_tsv_lines, path)
+    assert _rows_outcome(load_tsv, path) == _rows_outcome(_load_tsv_lines, path)
 
 
 def test_load_tsv_plain_text_keeps_every_check(tmp_path):
@@ -198,10 +190,10 @@ def test_load_tsv_plain_text_keeps_every_check(tmp_path):
         path = write(tmp_path, "plain.tsv", text)
         with pytest.raises(ParseError, match=expected):
             load_tsv(path)
-    tracks = load_tsv(write(tmp_path, "plain.tsv", "2 9 0.0 0.0\n1 9 -0.0 .5\n1 3 1e1 0\n"))
-    assert [t.agent_id for t in tracks] == [9, 3]
-    np.testing.assert_array_equal(tracks[0].frames, [1, 2])
-    assert tracks[0].coords.tobytes() == np.array([[-0.0, 0.5], [0.0, 0.0]]).tobytes()
+    agent_ids, lengths, frames, coords = load_tsv(write(tmp_path, "plain.tsv", "2 9 0.0 0.0\n1 9 -0.0 .5\n1 3 1e1 0\n"))
+    assert agent_ids.tolist() == [9, 3] and lengths.tolist() == [2, 1]
+    np.testing.assert_array_equal(frames[:2], [1, 2])
+    assert coords[:2].tobytes() == np.array([[-0.0, 0.5], [0.0, 0.0]]).tobytes()
 
 
 def test_load_tsv_rejects_duplicate_rows(tmp_path):
@@ -210,8 +202,8 @@ def test_load_tsv_rejects_duplicate_rows(tmp_path):
     with pytest.raises(ParseError, match="line 4: duplicate row for frame 2, agent 7 \\(first on line 2\\)"):
         load_tsv(path)
     # the same frame for different agents is fine
-    tracks = load_tsv(write(tmp_path, "ok.tsv", "1 7 0.0 0.0\n1 3 0.0 0.0\n"))
-    assert [t.agent_id for t in tracks] == [7, 3]
+    agent_ids, *_ = load_tsv(write(tmp_path, "ok.tsv", "1 7 0.0 0.0\n1 3 0.0 0.0\n"))
+    assert agent_ids.tolist() == [7, 3]
 
 
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Windows editors often write first
@@ -225,28 +217,51 @@ def test_load_tsv_ignores_a_leading_byte_order_mark(tmp_path, monkeypatch, plain
     without, with_bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
     without.write_bytes(text.encode("utf-8"))
     with_bom.write_bytes(BOM + text.encode("utf-8"))
-    expected = _tsv_outcome(load_tsv, without)
+    expected = _rows_outcome(load_tsv, without)
     if plain:
         # a plain-number file with a BOM still takes the whole-array read
         monkeypatch.setattr(datasets, "_load_tsv_lines", lambda path: pytest.fail("took the line-by-line parse"))
-    assert _tsv_outcome(load_tsv, with_bom) == expected
+    assert _rows_outcome(load_tsv, with_bom) == expected
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(4)
     coords = np.vstack([rng.normal(scale=100.0, size=(5, 2)), [[1e-17, -3.25]]])
-    tracks = [RawTrack(agent_id=2, frames=np.arange(6, dtype=np.int64), coords=coords)]
+    rows = np.array([2]), np.array([6]), np.arange(6, dtype=np.int64), coords
     path = tmp_path / "round.tsv"
-    save_tsv(tracks, path)
+    save_tsv(rows, path)
     back = load_tsv(path)
-    np.testing.assert_array_equal(back[0].coords, coords)
-    np.testing.assert_array_equal(back[0].frames, tracks[0].frames)
+    np.testing.assert_array_equal(back[3], coords)
+    np.testing.assert_array_equal(back[2], rows[2])
+    # the rows written are the rows read, byte for byte
+    save_tsv(back, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
 
-def make_line_track(agent_id, n, start=0.0, frame0=0, step=1):
+def line_rows(agent_id, n, start=0.0, frame0=0, step=1, y=0.0):
+    """The row arrays of a file holding one agent that walks along x, one unit per sample."""
     frames = frame0 + step * np.arange(n, dtype=np.int64)
-    coords = np.stack([start + np.arange(n, dtype=np.float64), np.zeros(n)], axis=1)
-    return RawTrack(agent_id=agent_id, frames=frames, coords=coords)
+    coords = np.stack([start + np.arange(n, dtype=np.float64), np.full(n, y)], axis=1)
+    return np.array([agent_id], dtype=np.int64), np.array([n], dtype=np.int64), frames, coords
+
+
+def join(*files):
+    """The row arrays of several track files as one file, track after track."""
+    return tuple(np.concatenate(parts) for parts in zip(*files))
+
+
+def split(rows):
+    """Each track of the row arrays as the row arrays of a file of its own."""
+    agent_ids, lengths, frames, coords = rows
+    bounds = np.cumsum(lengths)[:-1]
+    parts = zip(np.split(frames, bounds), np.split(coords, bounds))
+    return [(agent_ids[t : t + 1], lengths[t : t + 1], f, c) for t, (f, c) in enumerate(parts)]
+
+
+def without_row(rows, row):
+    """One-track row arrays with one row deleted."""
+    agent_ids, lengths, frames, coords = rows
+    return agent_ids, lengths - 1, np.delete(frames, row), np.delete(coords, row, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +270,15 @@ def make_line_track(agent_id, n, start=0.0, frame0=0, step=1):
 # ---------------------------------------------------------------------------
 
 
-def _reference_frame_step(tracks: Sequence[RawTrack]) -> int:
+class _Track(NamedTuple):
+    """One agent's samples: the per-agent form the oracle loops over."""
+
+    agent_id: int
+    frames: np.ndarray
+    coords: np.ndarray
+
+
+def _reference_frame_step(tracks: Sequence[_Track]) -> int:
     """Smallest positive frame gap in the data; 1 if nothing has two samples."""
     step = None
     for track in tracks:
@@ -270,7 +293,7 @@ def _reference_frame_step(tracks: Sequence[RawTrack]) -> int:
 
 
 def reference_build_scenes(
-    tracks: Sequence[RawTrack],
+    rows,
     past_len: int,
     future_len: int,
     stride: int = 1,
@@ -285,7 +308,7 @@ def reference_build_scenes(
     ``past_len`` past frames becomes a neighbor; if there are more than
     ``max_neighbors``, the nearest ones at the last observed frame win (ties
     broken by agent id). The emitted set of scenes does not depend on the
-    ordering of ``tracks``.
+    ordering of the tracks in ``rows``.
     """
     if past_len < 1 or future_len < 1:
         raise ValueError(f"past_len and future_len must be >= 1, got {past_len}, {future_len}")
@@ -293,6 +316,7 @@ def reference_build_scenes(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if max_neighbors < 0:
         raise ValueError(f"max_neighbors must be >= 0, got {max_neighbors}")
+    tracks = [_Track(int(ids[0]), frames, coords) for ids, _, frames, coords in split(rows)]
     step = _reference_frame_step(tracks)
     window = past_len + future_len
     # Who is where: frame -> [(track index, row index)], for neighbor lookup.
@@ -360,7 +384,7 @@ def reference_build_scenes(
 
 @st.composite
 def random_tracks(draw, unique_ids=False):
-    """Tracks with gaps, a shared coarser frame step and many exactly equidistant neighbors."""
+    """The row arrays of tracks with gaps, a shared coarser frame step and many exactly equidistant neighbors."""
     step = draw(st.sampled_from([1, 2, 10]))
     n_tracks = draw(st.integers(1, 6))
     ids = draw(st.lists(st.integers(-3, 9), min_size=n_tracks, max_size=n_tracks, unique=unique_ids))
@@ -373,8 +397,8 @@ def random_tracks(draw, unique_ids=False):
         gaps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 2, 3]), max_size=14))
         frames = step * (first + np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)]))
         coords = draw(st.lists(st.tuples(coordinate, coordinate), min_size=len(frames), max_size=len(frames)))
-        tracks.append(RawTrack(agent_id=agent_id, frames=frames.astype(np.int64), coords=np.array(coords, dtype=np.float64)))
-    return tracks
+        tracks.append((np.array([agent_id]), np.array([len(frames)]), frames.astype(np.int64), np.array(coords, dtype=np.float64)))
+    return join(*tracks)
 
 
 window_args = dict(
@@ -399,7 +423,7 @@ def assert_same_scenes(got, want):
 @given(tracks=random_tracks(), **window_args)
 def test_build_scenes_matches_reference(tracks, past_len, future_len, stride, max_neighbors):
     args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors, tag="t")
-    got, want = build_scenes(tracks, **args), reference_build_scenes(tracks, **args)
+    got, want = build_scenes(*tracks, **args), reference_build_scenes(tracks, **args)
     assert_same_scenes(got, want)
     assert dataset_fingerprint(got) == reference_fingerprint(want)
 
@@ -408,26 +432,26 @@ def test_build_scenes_matches_reference(tracks, past_len, future_len, stride, ma
 @given(tracks=random_tracks(unique_ids=True), seed=st.integers(0, 2**32 - 1), **window_args)
 def test_build_scenes_invariant_to_track_order(tracks, seed, past_len, future_len, stride, max_neighbors):
     args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors)
-    shuffled = [tracks[i] for i in np.random.default_rng(seed).permutation(len(tracks))]
-    a = {s.scene_id: s for s in build_scenes(tracks, **args)}
-    b = {s.scene_id: s for s in build_scenes(shuffled, **args)}
+    parts = split(tracks)
+    shuffled = join(*(parts[i] for i in np.random.default_rng(seed).permutation(len(parts))))
+    a = {s.scene_id: s for s in build_scenes(*tracks, **args)}
+    b = {s.scene_id: s for s in build_scenes(*shuffled, **args)}
     assert a.keys() == b.keys()
     for sid in a:
         assert_same_scenes([a[sid]], [b[sid]])
 
 
 def test_build_scenes_rejects_unsorted_frames():
-    track = make_line_track(1, 20)
-    track.frames[[3, 4]] = track.frames[[4, 3]]
+    agent_ids, lengths, frames, coords = line_rows(1, 20)
+    frames[[3, 4]] = frames[[4, 3]]
     with pytest.raises(ValueError, match="agent 1.* not strictly increasing"):
-        build_scenes([track], past_len=8, future_len=12)
+        build_scenes(agent_ids, lengths, frames, coords, past_len=8, future_len=12)
 
 
 def test_frames_further_apart_than_int64_holds_are_windowed(tmp_path, capsys):
     # these two frames are strictly increasing, but their difference overflows int64
     extreme = write(tmp_path, "extreme.tsv", f"{-(2**63)} 1 0 0\n{2**63 - 1} 1 1 1\n")
-    (track,) = load_tsv(extreme)
-    assert len(build_scenes([track, make_line_track(2, 20)], past_len=8, future_len=12)) == 1
+    assert len(build_scenes(*join(load_tsv(extreme), line_rows(2, 20)), past_len=8, future_len=12)) == 1
     save_tsv(scenes_to_tracks(synth_generate(7, 3, n_neighbors=0)), tmp_path / "synth.tsv")
     write(tmp_path, "manifest.txt", "synth.tsv\nextreme.tsv\n")
     assert len(load_manifest(tmp_path / "manifest.txt", past_len=8, future_len=12)) == 3
@@ -441,46 +465,36 @@ def test_frames_further_apart_than_int64_holds_are_windowed(tmp_path, capsys):
 
 def test_window_counts():
     # 20 consecutive frames fit exactly one 8+12 window; 21 frames fit two.
-    scenes = build_scenes([make_line_track(1, 20)], past_len=8, future_len=12)
+    scenes = build_scenes(*line_rows(1, 20), past_len=8, future_len=12)
     assert len(scenes) == 1
     assert scenes[0].n_neighbors == 0
     assert scenes[0].ego_past.shape == (8, 2)
     assert scenes[0].ego_future.shape == (12, 2)
-    scenes = build_scenes([make_line_track(1, 21)], past_len=8, future_len=12)
+    scenes = build_scenes(*line_rows(1, 21), past_len=8, future_len=12)
     assert len(scenes) == 2
 
 
 def test_window_respects_frame_gaps():
-    track = make_line_track(1, 21)
-    track.frames = np.delete(track.frames, 10)
-    track.coords = np.delete(track.coords, 10, axis=0)
-    scenes = build_scenes([track], past_len=8, future_len=12)
+    scenes = build_scenes(*without_row(line_rows(1, 21), 10), past_len=8, future_len=12)
     assert len(scenes) == 0
 
 
 def test_window_with_coarser_frame_step():
     # all data sampled every 10 frames: spacing is even, windows still cut
-    scenes = build_scenes([make_line_track(1, 20, step=10)], past_len=8, future_len=12)
+    scenes = build_scenes(*line_rows(1, 20, step=10), past_len=8, future_len=12)
     assert len(scenes) == 1
 
 
 def test_stride_skips_window_starts():
-    scenes = build_scenes([make_line_track(1, 24)], past_len=8, future_len=12, stride=2)
+    scenes = build_scenes(*line_rows(1, 24), past_len=8, future_len=12, stride=2)
     assert len(scenes) == 3  # starts 0, 2, 4
 
 
 def test_neighbor_selection_and_cap():
-    ego = make_line_track(1, 20)
+    ego = line_rows(1, 20)
     # neighbors at increasing lateral distance, present over the whole window
-    others = [
-        RawTrack(
-            agent_id=10 + j,
-            frames=np.arange(20, dtype=np.int64),
-            coords=np.stack([np.arange(20, dtype=np.float64), np.full(20, 1.0 + j)], axis=1),
-        )
-        for j in range(5)
-    ]
-    scenes = build_scenes([ego] + others, past_len=8, future_len=12, max_neighbors=3)
+    others = [line_rows(10 + j, 20, y=1.0 + j) for j in range(5)]
+    scenes = build_scenes(*join(ego, *others), past_len=8, future_len=12, max_neighbors=3)
     assert len(scenes) == 6  # every track is ego of its own scene
     ego_scene = [s for s in scenes if s.scene_id.endswith("1:7")][0]
     assert ego_scene.n_neighbors == 3
@@ -488,39 +502,27 @@ def test_neighbor_selection_and_cap():
 
 
 def test_neighbor_tie_breaks_on_agent_id():
-    ego = make_line_track(1, 20)
-    near = RawTrack(
-        agent_id=9,
-        frames=np.arange(8, dtype=np.int64),
-        coords=np.stack([np.arange(8, dtype=np.float64), np.full(8, 2.0)], axis=1),
-    )
-    far = RawTrack(
-        agent_id=5,
-        frames=np.arange(8, dtype=np.int64),
-        coords=np.stack([np.arange(8, dtype=np.float64), np.full(8, -2.0)], axis=1),
-    )
-    scenes = build_scenes([ego, near, far], past_len=8, future_len=12, max_neighbors=1)
+    ego = line_rows(1, 20)
+    near = line_rows(9, 8, y=2.0)
+    far = line_rows(5, 8, y=-2.0)
+    scenes = build_scenes(*join(ego, near, far), past_len=8, future_len=12, max_neighbors=1)
     ego_scene = [s for s in scenes if ":1:" in f":{s.scene_id}:"][0]
     # equidistant at the last observed frame; agent 5 wins the tie
     assert ego_scene.neighbor_pasts[0, -1, 1] == -2.0
 
 
 def test_neighbor_needs_every_past_frame():
-    ego = make_line_track(1, 20)
-    partial = RawTrack(
-        agent_id=2,
-        frames=np.array([0, 1, 2, 3, 4, 5, 7], dtype=np.int64),  # frame 6 missing
-        coords=np.zeros((7, 2)),
-    )
-    scenes = build_scenes([ego, partial], past_len=8, future_len=12)
+    ego = line_rows(1, 20)
+    partial = without_row(line_rows(2, 8), 6)  # frame 6 missing
+    scenes = build_scenes(*join(ego, partial), past_len=8, future_len=12)
     ego_scene = [s for s in scenes if s.scene_id == "1:7"][0]
     assert ego_scene.n_neighbors == 0
 
 
 def test_scene_multiset_invariant_to_track_order(small_scenes):
-    tracks = scenes_to_tracks(small_scenes[:10])
-    a = build_scenes(tracks, past_len=8, future_len=12)
-    b = build_scenes(list(reversed(tracks)), past_len=8, future_len=12)
+    rows = scenes_to_tracks(small_scenes[:10])
+    a = build_scenes(*rows, past_len=8, future_len=12)
+    b = build_scenes(*join(*reversed(split(rows))), past_len=8, future_len=12)
     assert len(a) == len(b)
     by_id_a = {s.scene_id: s for s in a}
     by_id_b = {s.scene_id: s for s in b}
@@ -732,13 +734,37 @@ def test_synth_generate_checks_its_sizes():
     assert len(scenes.neighbor_pasts) == 0 and scenes.offsets.tolist() == [0, 0, 0, 0]
 
 
+def reference_scenes_to_tracks(scenes):
+    """The per-track loop ``scenes_to_tracks`` replaced: each scene's ego, then its neighbors, 1000 frames apart."""
+    past_len = scenes.ego_pasts.shape[1]
+    tracks = []
+    for i, scene in enumerate(scenes):
+        ego = scene.ego_past if scene.ego_future is None else np.concatenate([scene.ego_past, scene.ego_future])
+        gap = max(1000, len(ego))
+        for coords in (ego, *scene.neighbor_pasts):
+            tracks.append((np.array([len(tracks)]), np.array([len(coords)]), i * gap + np.arange(len(coords)), coords))
+    return join(*tracks)
+
+
+@pytest.mark.parametrize("with_futures", [True, False])
+def test_scenes_to_tracks_equals_the_per_track_loop(with_futures):
+    scenes = synth_generate(31, 3, past_len=3, future_len=2, n_neighbors=2)
+    # scene 1 has no neighbors, between two scenes with two
+    scenes = replace(scenes, neighbor_pasts=scenes.neighbor_pasts[:4], offsets=np.array([0, 2, 2, 4]))
+    if not with_futures:
+        scenes = replace(scenes, futures=None)
+    got, want = scenes_to_tracks(scenes), reference_scenes_to_tracks(scenes)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_scenes_to_tracks_roundtrip(tmp_path):
     scenes = synth_generate(31, 5, past_len=8, future_len=12, n_neighbors=2)
-    tracks = scenes_to_tracks(scenes)
-    assert len(tracks) == 5 * 3
+    rows = scenes_to_tracks(scenes)
+    assert len(rows[0]) == 5 * 3
     path = tmp_path / "export.tsv"
-    save_tsv(tracks, path)
-    rebuilt = build_scenes(load_tsv(path), past_len=8, future_len=12, tag="export")
+    save_tsv(rows, path)
+    rebuilt = build_scenes(*load_tsv(path), past_len=8, future_len=12, tag="export")
     assert len(rebuilt) == 5
     for orig, back in zip(scenes, rebuilt):
         np.testing.assert_array_equal(back.ego_past, orig.ego_past)
@@ -790,7 +816,9 @@ def test_load_manifest_ignores_a_leading_byte_order_mark(tmp_path):
 )
 def test_load_manifest_windows_what_load_tsv_reads(tracks, seed, blank_lines, bom, newline, past_len, future_len, stride, max_neighbors):
     # the rows of every track, shuffled so that agents interleave, with blank lines among them
-    rows = [f"{f} {t.agent_id} {x!r} {y!r}" for t in tracks for f, (x, y) in zip(t.frames.tolist(), t.coords.tolist())]
+    agent_ids, lengths, frames, coords = tracks
+    agents = np.repeat(agent_ids, lengths).tolist()
+    rows = [f"{f} {a} {x!r} {y!r}" for f, a, (x, y) in zip(frames.tolist(), agents, coords.tolist())]
     rows += [""] * blank_lines
     rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
     args = dict(past_len=past_len, future_len=future_len, stride=stride, max_neighbors=max_neighbors)
@@ -802,7 +830,7 @@ def test_load_manifest_windows_what_load_tsv_reads(tracks, seed, blank_lines, bo
             # plain-number text, with or without a BOM, never takes the line-by-line parse
             patch.setattr(datasets, "_load_tsv_lines", lambda path: pytest.fail("took the line-by-line parse"))
         got = load_manifest(Path(tmp) / "manifest.txt", **args)
-        want = build_scenes(load_tsv(path), tag="walk", **args)
+        want = build_scenes(*load_tsv(path), tag="walk", **args)
     assert got.scene_ids == want.scene_ids
     for field in ("ego_pasts", "futures", "neighbor_pasts", "offsets"):
         a, b = getattr(got, field), getattr(want, field)
@@ -810,15 +838,13 @@ def test_load_manifest_windows_what_load_tsv_reads(tracks, seed, blank_lines, bo
 
 
 def test_load_manifest_logs_window_counts(tmp_path, caplog):
-    gappy = make_line_track(1, 24)
-    gappy.frames = np.delete(gappy.frames, 21)  # starts 2 and 3 cross the gap; 0 and 1 fit; 4 does not fit
-    gappy.coords = np.delete(gappy.coords, 21, axis=0)
-    save_tsv([gappy, make_line_track(2, 5, frame0=40)], tmp_path / "gap.tsv")
+    gappy = without_row(line_rows(1, 24), 21)  # starts 2 and 3 cross the gap; 0 and 1 fit; 4 does not fit
+    save_tsv(join(gappy, line_rows(2, 5, frame0=40)), tmp_path / "gap.tsv")
     (tmp_path / "manifest.txt").write_text("gap.tsv\n", encoding="utf-8")
     with caplog.at_level("INFO", logger="memtraj.datasets"):
         scenes = load_manifest(tmp_path / "manifest.txt", past_len=8, future_len=12)
     assert [s.scene_id for s in scenes] == ["gap:1:7", "gap:1:8"]
-    assert f"{tmp_path / 'gap.tsv'}: 2 tracks, 2 windows, 2 skipped for a frame gap" in caplog.messages
+    assert "gap: 2 tracks, 2 windows, 2 skipped for a frame gap" in caplog.messages
 
 
 def test_load_manifest_rejects_csv_breaking_file_names(tmp_path):
@@ -889,10 +915,15 @@ def test_dataset_fingerprint_of_a_manifest_matches_the_per_scene_loop(parts, pas
 
 
 def test_build_scenes_validation():
-    track = make_line_track(1, 20)
+    rows = line_rows(1, 20)
     with pytest.raises(ValueError):
-        build_scenes([track], past_len=0, future_len=12)
+        build_scenes(*rows, past_len=0, future_len=12)
     with pytest.raises(ValueError):
-        build_scenes([track], past_len=8, future_len=12, stride=0)
+        build_scenes(*rows, past_len=8, future_len=12, stride=0)
     with pytest.raises(ValueError):
-        build_scenes([track], past_len=8, future_len=12, max_neighbors=-1)
+        build_scenes(*rows, past_len=8, future_len=12, max_neighbors=-1)
+    # row arrays that do not describe each other
+    agent_ids, lengths, frames, coords = rows
+    for bad in ((agent_ids, lengths + 1, frames, coords), (agent_ids, lengths, frames, coords[:-1]), (agent_ids[:0], lengths, frames, coords)):
+        with pytest.raises(ValueError, match="do not describe"):
+            build_scenes(*bad, past_len=8, future_len=12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from memtraj import features
 from memtraj.datasets import scene_batch, synth_generate
-from memtraj.errors import FormatError
+from memtraj.errors import FormatError, NumericError
 from memtraj.features import init_encoder_decoder, social_forward_batch
 from memtraj.membank import (
     BankMeta,
@@ -343,6 +343,21 @@ def test_filter_validation():
         bank_filter(bank, -1.0, 0.5, seed=0)
     with pytest.raises(ValueError):
         bank_filter(bank, 0.5, -1.0, seed=0)
+
+
+def test_bank_init_refuses_a_past_feature_whose_norm_overflows():
+    # finite weights scaled as a diverged features stage scales them: every
+    # feature is finite, but the sum of its squares overflows
+    nets = init_encoder_decoder(3, past_len=8, target_len=1, past_dim=16, intent_dim=8)
+    scenes = synth_generate(2, 5)
+    fuse = nets.social_fuse
+    fuse.weights[-1] *= 1e200
+    fuse.biases[-1] *= 1e200
+    with np.errstate(over="ignore"):
+        feats = features.social_encode(nets, scenes)
+        assert np.isfinite(feats).all() and not np.isfinite(np.linalg.norm(feats, axis=1)).any()
+        with pytest.raises(NumericError, match=r"gives a past feature whose norm overflows for scene 0 \('synth-000000.*lr_features$"):
+            bank_init(nets, scenes)
 
 
 def test_bank_init_requires_futures(small_scenes):

@@ -4,14 +4,18 @@ import builtins
 import errno
 import io
 import json
+import re
 import shutil
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memtraj import pipeline
 from memtraj.cli import COMMANDS, main
@@ -20,6 +24,8 @@ from memtraj.datasets import load_manifest, synth_generate
 from memtraj.errors import DependencyError
 from memtraj.evalkit import evaluate, min_ade, min_fde
 from memtraj.inference import predict_scene, scene_seed
+from memtraj.membank import bank_load
+from memtraj.numkit import load_mlp
 from memtraj.pipeline import (
     MANIFEST_NAME,
     STAGE_ADDRESSER,
@@ -902,6 +908,69 @@ def test_cli_a_diverged_addresser_stops_train_addresser_with_one_error_line(tmp_
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / STAGE_ADDRESSER).exists()
     assert STAGE_ADDRESSER not in RunManifest.load(config.out_dir).stages
+
+
+@pytest.fixture(scope="module")
+def diverging_manifest(tmp_path_factory):
+    """The manifest of one synthetic split of the diverging size, shared by every run drawn below."""
+    out = tmp_path_factory.mktemp("diverging")
+    tiny_config(out, **_DIVERGING).to_file(out / "run.cfg")
+    assert main(["synth", "--config", str(out / "run.cfg")]) == 0
+    return out / "synth" / "manifest.txt"
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+_NON_FINITE_TEXT = re.compile(rb"\b(?:nan|inf|infinity)\b", re.IGNORECASE)  # as CSV, text and JSON spell them
+
+
+def _assert_finite(name: str, raw: bytes) -> None:
+    """A run file holds no non-finite number: nets and banks by their arrays, text by its tokens."""
+    if name.endswith(".mtnn"):
+        net = load_mlp(raw)
+        assert all(np.isfinite(a).all() for a in (*net.weights, *net.biases)), name
+    elif name.endswith(".mtbk"):
+        bank = bank_load(raw)
+        assert all(np.isfinite(a).all() for a in (bank.past_feats, bank.intent_feats, bank.starts, bank.dests)), name
+    else:
+        assert not _NON_FINITE_TEXT.search(raw), name
+
+
+_RATE_KEYS = ("lr_features", "lr_addresser", "lr_fulfillment")
+_ABNORMAL_RATES = (1e6, 1e12, 1e300)
+
+
+# 64 draws in all, few enough that every one runs (about 3 s)
+@settings(max_examples=100, deadline=None)
+@given(rates=st.tuples(*[st.sampled_from((None, *_ABNORMAL_RATES))] * len(_RATE_KEYS)))
+@example(rates=(1e6, None, None))  # a feature stage whose feature norms overflow, once blamed on lr_addresser
+def test_cli_any_learning_rate_gives_finite_outputs_or_one_error_line(tmp_path_factory, diverging_manifest, rates):
+    # each stage trains one epoch at its drawn rate (None: the default); the
+    # first command that fails must say so in one line, naming no rate but a drawn one
+    drawn = {key: rate for key, rate in zip(_RATE_KEYS, rates) if rate is not None}
+    out = tmp_path_factory.mktemp("rates")
+    manifest = str(diverging_manifest)
+    tiny_config(out, **_DIVERGING, **drawn, train_manifest=manifest, test_manifest=manifest).to_file(out / "run.cfg")
+    for command in ("train-features", "build-memory", "train-addresser", "train-fulfillment", "predict", "eval"):
+        before = _files(out)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            status = main([command, "--config", str(out / "run.cfg")])
+        err = err.getvalue()
+        assert "Traceback" not in err and "RuntimeWarning" not in err, command
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
+        if status == 0:
+            for name, raw in _files(out).items():
+                _assert_finite(name, raw)
+            continue
+        assert drawn and status == 1, (command, err)
+        assert err.count("error:") == 1 and err.startswith("error:"), (command, err)
+        assert set(re.findall(r"lr_\w+", err)) <= drawn.keys(), (command, err)
+        assert _files(out) == before, command  # the failing command wrote nothing
+        break
 
 
 # the trainer each net stage calls, and the subcommand that runs it
