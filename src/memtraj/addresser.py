@@ -70,10 +70,16 @@ def fixed_cosine_nets(past_dim: int) -> AddresserNets:
 
 
 def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit rows, their norms and degenerate flags (norm below DEGENERATE_NORM); a degenerate row becomes zeros."""
-    norms = np.linalg.norm(mat, axis=1)
+    """Unit rows, their norms and degenerate flags (norm below DEGENERATE_NORM); a degenerate row becomes zeros.
+
+    The norms are ``np.linalg.norm(mat, axis=1)`` to the bit: the square root
+    of each row's sum of squares. The unit rows are divided into the buffer
+    that held the squares, so ``mat`` itself is left as it was.
+    """
+    unit = mat * mat
+    norms = np.sqrt(np.add.reduce(unit, axis=1))
     degenerate = norms < DEGENERATE_NORM
-    unit = mat / np.where(degenerate, 1.0, norms)[:, None]
+    np.divide(mat, np.where(degenerate, 1.0, norms)[:, None], out=unit)
     unit[degenerate] = 0.0
     return unit, norms, degenerate
 
@@ -147,7 +153,9 @@ def pseudo_labels(dists: np.ndarray, threshold: float) -> np.ndarray:
     """Regression targets for entries at ``dists``: 1 at distance 0, 0 from ``threshold`` on."""
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    return np.maximum(0.0, (threshold - dists) / threshold)
+    labels = np.subtract(threshold, dists)
+    labels /= threshold
+    return np.maximum(0.0, labels, out=labels)
 
 
 def top_l(scores: np.ndarray, count: int) -> np.ndarray:
@@ -173,7 +181,7 @@ def top_l(scores: np.ndarray, count: int) -> np.ndarray:
 
 @dataclass
 class _CosineBatch:
-    """Forward state of one scoring step, reused by the backward pass."""
+    """Forward state of one scoring step, spent by the backward pass, which overwrites ``scores`` and ``w_normed``."""
 
     scores: np.ndarray  # (B, C)
     u_normed: np.ndarray
@@ -191,19 +199,25 @@ def _cosine_forward(u: np.ndarray, w: np.ndarray) -> _CosineBatch:
 
 
 def _cosine_backward(state: _CosineBatch, d_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients w.r.t. the raw projections given dLoss/dScores."""
+    """Gradients w.r.t. the raw projections given dLoss/dScores.
+
+    ``d_scores * scores`` is formed in ``state.scores`` and the key-side
+    products in ``state.w_normed``, each read for the last time there.
+    """
     d = d_scores
     if state.u_degenerate.any() or state.w_degenerate.any():
         d = d_scores.copy()
         d[state.u_degenerate, :] = 0.0
         d[:, state.w_degenerate] = 0.0
-    mixed = d * state.scores
+    mixed = np.multiply(d, state.scores, out=state.scores)
     row_mix = np.sum(mixed, axis=1, keepdims=True)
     col_mix = np.sum(mixed, axis=0)[:, None]
-    safe_u = np.where(state.u_degenerate, 1.0, state.u_norms)[:, None]
-    safe_w = np.where(state.w_degenerate, 1.0, state.w_norms)[:, None]
-    d_u = (d @ state.w_normed - row_mix * state.u_normed) / safe_u
-    d_w = (d.T @ state.u_normed - col_mix * state.w_normed) / safe_w
+    d_u = d @ state.w_normed
+    d_u -= row_mix * state.u_normed
+    d_u /= np.where(state.u_degenerate, 1.0, state.u_norms)[:, None]
+    d_w = d.T @ state.u_normed
+    d_w -= np.multiply(col_mix, state.w_normed, out=state.w_normed)
+    d_w /= np.where(state.w_degenerate, 1.0, state.w_norms)[:, None]
     return d_u, d_w
 
 
@@ -227,18 +241,48 @@ def addresser_training_data(
     return social_encode(feature_nets, dataset), dests, decoded_intentions(feature_nets, bank)
 
 
-def _distances(points: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``(len(points), len(xs))`` Euclidean distances from 2-D points to the points ``(xs, ys)``.
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)``, computed in ``dx``'s buffer (``dy`` is squared in place).
 
-    ``sqrt(dx*dx + dy*dy)`` rounds exactly as ``np.linalg.norm(..., axis=-1)``
-    does on a length-2 axis, without its ``(n, m, 2)`` temporaries.
+    Rounds exactly as ``np.linalg.norm(..., axis=-1)`` does on a length-2
+    axis, without its ``(n, m, 2)`` temporaries.
     """
-    dist = points[:, 0:1] - xs
-    dy = points[:, 1:2] - ys
-    dist *= dist
+    dx *= dx
     dy *= dy
-    dist += dy
-    return np.sqrt(dist, out=dist)
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _positive_labels(
+    points: np.ndarray, order: np.ndarray, sorted_xs: np.ndarray, xs: np.ndarray, ys: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, entries, labels)``: every pseudo-label of a row of ``points`` against an entry that is not 0.0.
+
+    ``order`` sorts the entries by x and ``sorted_xs`` is ``xs[order]``. Each
+    point is measured only against its strip, the entries with ``|x - px| <=
+    2 * threshold``, found by two binary searches. Outside the strip
+    ``sqrt(dx*dx + dy*dy) >= |dx| > threshold`` after rounding too, so the
+    label is exactly 0.0, and the labels returned have the bits of
+    :func:`pseudo_labels` over the whole table. Memory is a few arrays of
+    the strips' total length.
+    """
+    reach = 2.0 * threshold
+    lo = np.searchsorted(sorted_xs, points[:, 0] - reach, side="left")
+    counts = np.searchsorted(sorted_xs, points[:, 0] + reach, side="right") - lo
+    ends = np.cumsum(counts)
+    entries = np.repeat(lo - (ends - counts), counts)  # each strip's ranks in x order, then the entries they name
+    entries += np.arange(len(entries))
+    entries = order[entries]
+    dist = np.repeat(points[:, 0], counts)
+    dist -= xs[entries]
+    dy = np.repeat(points[:, 1], counts)
+    dy -= ys[entries]
+    labels = pseudo_labels(_hypot(dist, dy), threshold)
+    del dist, dy  # strip-long buffers; free them before the hits are gathered
+    hits = np.flatnonzero(labels != 0.0)
+    labels = labels[hits]
+    entries = entries[hits]
+    return np.searchsorted(ends, hits, side="right"), entries, labels
 
 
 def fit_addresser(
@@ -249,46 +293,77 @@ def fit_addresser(
     epochs: int,
     learning_rate: float,
     rng: np.random.Generator,
+    epochs_done: int = 0,
 ) -> None:
     """Train ``nets`` in place on :func:`addresser_training_data` output.
 
     Batch shuffles and candidate samples come from ``rng``, so calls that
-    share one generator continue a single stream. A step scores the full
-    bank only when it has at most ``CANDIDATE_CAP`` entries; above that it
-    scores a uniform sample of ``CANDIDATE_CAP`` entries plus each query's
-    oracle-nearest entry, so the strongest positive is always present. The
-    nearest entries are found once per call, ``config.batch_size`` queries
-    at a time, so a step computes distances to its candidates only.
+    share one generator continue a single stream; ``epochs_done`` is the
+    number of epochs the stage ran in earlier calls, so log lines and errors
+    number epochs from the stage's start. A step scores the full bank only
+    when it has at most ``CANDIDATE_CAP`` entries; above that it scores a
+    uniform sample of ``CANDIDATE_CAP`` entries plus each query's
+    oracle-nearest entry, so the strongest positive is always present.
+
+    The step regresses its ``(batch, candidates)`` scores onto pseudo-labels,
+    which are 0.0 for every entry whose decoded destination is at least the
+    threshold away. So no label table is built: the decoded destinations are
+    sorted by x once per call, a step measures each query only against the
+    entries within ``2 * threshold`` of it in x, and its residual is the
+    scores with the positive labels subtracted, bit for bit the dense
+    regression. The nearest entries are also found once per call,
+    ``config.batch_size`` queries at a time, so memory is set by the batch,
+    not by the number of queries. No strip holds a NaN, so a NaN destination
+    raises ValueError, and a NaN decoded intention NumericError naming
+    ``lr_features``.
     """
     queries, dests, decoded = data
     threshold = config.label_threshold_value()
     m = len(bank)
-    xs, ys = np.ascontiguousarray(decoded[:, 0]), np.ascontiguousarray(decoded[:, 1])
-    if m > CANDIDATE_CAP:
-        nearest = np.concatenate(
-            [
-                np.argmin(_distances(dests[lo : lo + config.batch_size], xs, ys), axis=1)
-                for lo in range(0, len(dests), config.batch_size)
-            ]
+    if np.isnan(dests).any():
+        raise ValueError(f"addresser training destination {int(np.argmax(np.isnan(dests).any(axis=1)))} is NaN")
+    if np.isnan(decoded).any():
+        raise NumericError(
+            f"stage 'features' decodes a NaN intention for bank entry {int(np.argmax(np.isnan(decoded).any(axis=1)))}; "
+            "retrain it with a lower lr_features"
         )
+    xs, ys = np.ascontiguousarray(decoded[:, 0]), np.ascontiguousarray(decoded[:, 1])
+    order = np.argsort(xs, kind="stable")
+    sorted_xs = xs[order]
+    if m > CANDIDATE_CAP:
+        nearest = np.empty(len(dests), dtype=np.int64)
+        for lo in range(0, len(dests), config.batch_size):
+            batch = dests[lo : lo + config.batch_size]
+            nearest[lo : lo + len(batch)] = np.argmin(_hypot(batch[:, 0:1] - xs, batch[:, 1:2] - ys), axis=1)
 
     def step(idx):
-        keys_in, cand_xs, cand_ys = bank.past_feats, xs, ys
+        keys_in = bank.past_feats
+        rows, cols, labels = _positive_labels(dests[idx], order, sorted_xs, xs, ys, threshold)
         if m > CANDIDATE_CAP:
             sampled = rng.choice(m, size=CANDIDATE_CAP, replace=False)
             cand = np.union1d(sampled, nearest[idx])
-            keys_in, cand_xs, cand_ys = bank.past_feats[cand], xs[cand], ys[cand]
-        labels = pseudo_labels(_distances(dests[idx], cand_xs, cand_ys), threshold)
+            keys_in = bank.past_feats[cand]
+            at = np.minimum(np.searchsorted(cand, cols), len(cand) - 1)
+            kept = cand[at] == cols
+            rows, cols, labels = rows[kept], at[kept], labels[kept]
         u, u_cache = mlp_forward_cached(nets.query_proj, queries[idx])
         w, w_cache = mlp_forward_cached(nets.key_proj, keys_in)
         state = _cosine_forward(u, w)
-        residual = state.scores - labels
-        d_u, d_w = _cosine_backward(state, (2.0 / len(idx)) * residual)
+        # The residual is the score minus its label: the score itself where the label is 0.0.
+        # One buffer holds its squares, until they are summed, and then the score gradients.
+        scores = state.scores
+        residual = scores[rows, cols] - labels
+        squares = scores * scores
+        squares[rows, cols] = residual * residual
+        loss = float(np.sum(squares))
+        scale = 2.0 / len(idx)
+        d_scores = np.multiply(scale, scores, out=squares)
+        d_scores[rows, cols] = scale * residual
+        d_u, d_w = _cosine_backward(state, d_scores)
         updates = [
             (nets.query_proj, mlp_backward_from_cache(nets.query_proj, u_cache, d_u, input_grad=False)),
             (nets.key_proj, mlp_backward_from_cache(nets.key_proj, w_cache, d_w, input_grad=False)),
         ]
-        return float(np.sum(residual**2)), updates
+        return loss, updates
 
-    sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step)
-
+    sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step, epochs_done)

@@ -134,8 +134,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at ``z``; for ReLU the boolean mask ``z > 0``, which multiplies as 1.0 and 0.0."""
     if kind == RELU:
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -155,7 +156,8 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
     preacts = []
     last = net.n_layers - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         preacts.append(z)
         a = z if l == last else _activate(z, net.hidden_activation)
         activations.append(a)
@@ -205,7 +207,7 @@ def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream, input_grad:
             return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=None)
         delta = delta @ net.weights[l]
         if l > 0:
-            delta = delta * _activate_grad(cache.preacts[l - 1], net.hidden_activation)
+            delta *= _activate_grad(cache.preacts[l - 1], net.hidden_activation)
     return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=delta)
 
 
@@ -245,26 +247,37 @@ def sgd_loop(
     learning_rate: float,
     rng: np.random.Generator,
     step: Callable[[np.ndarray], tuple[float, list[tuple[Mlp, GradBundle]]]],
+    epochs_done: int = 0,
 ) -> None:
     """Mini-batch SGD over ``n`` samples for ``epochs`` epochs at one learning rate.
 
     Every epoch draws its batches from ``rng`` with :func:`shuffled_batches`.
     ``step(idx)`` returns the batch's summed loss and the ``(net, grads)``
-    pairs to update; a non-finite loss raises NumericError before any of
-    them is applied. The mean loss per sample is logged for the first epoch
-    and every 25th.
+    pairs to update. A non-finite loss raises NumericError before any of
+    them is applied, and a non-finite gradient before its net is updated;
+    both name the epoch and the stage's learning-rate key ``lr_<name>``.
+    Epochs are numbered from ``epochs_done + 1``, so a stage trained in
+    several calls numbers them from its start. The mean loss per sample is
+    logged for the stage's first epoch and every 25th.
     """
-    for epoch in range(1, epochs + 1):
+    for epoch in range(epochs_done + 1, epochs_done + epochs + 1):
         total = 0.0
         for idx in shuffled_batches(n, batch_size, rng):
             loss, updates = step(idx)
             if not np.isfinite(loss):
-                raise NumericError(f"non-finite {name} loss at epoch {epoch}")
+                raise NumericError(f"non-finite {name} loss {_retrain_hint(name, epoch)}")
             total += loss
             for net, grads in updates:
-                sgd_step(net, grads, learning_rate)
+                try:
+                    sgd_step(net, grads, learning_rate)
+                except NumericError as err:
+                    raise NumericError(f"{err} {_retrain_hint(name, epoch)}") from None
         if epoch == 1 or epoch % 25 == 0:
             logger.info("%s epoch %d: mean loss %.6f", name, epoch, total / n)
+
+
+def _retrain_hint(name: str, epoch: int) -> str:
+    return f"at epoch {epoch}; retrain stage '{name}' with a lower lr_{name}"
 
 
 @contextmanager

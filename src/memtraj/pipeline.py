@@ -300,7 +300,7 @@ def train_addresser_selected(
     for chunk in _segment_epochs(epochs, SELECTION_SEGMENTS):
         if data is None:
             data = addresser_training_data(bank, feature_nets, dataset[:n_train])
-        fit_addresser(current, bank, data, config, chunk, learning_rate, rng)
+        fit_addresser(current, bank, data, config, chunk, learning_rate, rng, epochs_done=epoch_no)
         epoch_no += chunk
         error = selection_error(current)
         errors.append((epoch_no, error))

@@ -10,11 +10,11 @@ import math
 import numpy as np
 
 from memtraj import addresser
-from memtraj.addresser import DEGENERATE_NORM, _cosine_forward, addresser_training_data, fit_addresser, pseudo_labels
+from memtraj.addresser import DEGENERATE_NORM, _CosineBatch, addresser_training_data, fit_addresser
 from memtraj.datasets import Scene, SceneBatch, SceneSet
 from memtraj.features import social_forward_batch
 from memtraj.intention import KMEANS_MAX_ITERS, IntentionSet
-from memtraj.numkit import GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
+from memtraj.numkit import RELU, ForwardCache, GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
 
 def scene_set(scenes) -> SceneSet:
@@ -285,18 +285,34 @@ def config_hash(config) -> str:
     return hashlib.sha256(config.canonical_text().encode("utf-8")).hexdigest()
 
 
-def reference_fit_addresser(nets, bank, data, config, epochs, learning_rate, rng) -> None:
+def reference_fit_addresser(nets, bank, data, config, epochs, learning_rate, rng, epochs_done=0) -> None:
     """``fit_addresser`` as a step that recomputes everything: the reference its leaner step must equal bit for bit.
 
     Each step builds the batch's distance table to the whole bank with
     ``np.linalg.norm`` over an ``(n, m, 2)`` difference, finds the nearest
     entries in it, and indexes the bank and the table by the candidates,
-    ``arange(m)`` included; the cosine backward copies its upstream and
-    forms ``d * scores`` twice.
+    ``arange(m)`` included; its dense label table is
+    ``max(0, (threshold - dist) / threshold)`` and its residual the scores
+    minus that table. Rows are normalized by ``np.linalg.norm`` into new
+    arrays, the cosine backward copies its upstream and forms ``d * scores``
+    twice, and the nets run through the pre-change
+    :func:`reference_forward_cached` and :func:`reference_backward_from_cache`.
     """
     queries, dests, decoded = data
     threshold = config.label_threshold_value()
     m = len(bank)
+
+    def normalize_rows(mat):
+        norms = np.linalg.norm(mat, axis=1)
+        degenerate = norms < DEGENERATE_NORM
+        unit = mat / np.where(degenerate, 1.0, norms)[:, None]
+        unit[degenerate] = 0.0
+        return unit, norms, degenerate
+
+    def cosine_forward(u, w):
+        un, nu, u_bad = normalize_rows(u)
+        wn, nw, w_bad = normalize_rows(w)
+        return _CosineBatch(un @ wn.T, un, wn, nu, nw, u_bad, w_bad)
 
     def cosine_backward(state, d_scores):
         d = d_scores.copy()
@@ -320,19 +336,55 @@ def reference_fit_addresser(nets, bank, data, config, epochs, learning_rate, rng
         else:
             sampled = rng.choice(m, size=cap, replace=False)
             cand = np.union1d(sampled, np.argmin(full_dists, axis=1))
-        labels = pseudo_labels(full_dists[:, cand], threshold)
-        u, u_cache = mlp_forward_cached(nets.query_proj, queries[idx])
-        w, w_cache = mlp_forward_cached(nets.key_proj, bank.past_feats[cand])
-        state = _cosine_forward(u, w)
+        labels = np.maximum(0.0, (threshold - full_dists[:, cand]) / threshold)
+        u, u_cache = reference_forward_cached(nets.query_proj, queries[idx])
+        w, w_cache = reference_forward_cached(nets.key_proj, bank.past_feats[cand])
+        state = cosine_forward(u, w)
         residual = state.scores - labels
         d_u, d_w = cosine_backward(state, (2.0 / len(idx)) * residual)
         updates = [
-            (nets.query_proj, mlp_backward_from_cache(nets.query_proj, u_cache, d_u)),
-            (nets.key_proj, mlp_backward_from_cache(nets.key_proj, w_cache, d_w)),
+            (nets.query_proj, reference_backward_from_cache(nets.query_proj, u_cache, d_u)),
+            (nets.key_proj, reference_backward_from_cache(nets.key_proj, w_cache, d_w)),
         ]
         return float(np.sum(residual**2)), updates
 
-    sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step)
+    sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step, epochs_done)
+
+
+def reference_forward_cached(net, x):
+    """``mlp_forward_cached`` before its bias moved in place: ``a @ w.T + b`` per layer, every layer kept."""
+    a = np.asarray(x, dtype=np.float64)
+    activations = [a]
+    preacts = []
+    last = net.n_layers - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        preacts.append(z)
+        a = z if l == last else (np.maximum(z, 0.0) if net.hidden_activation == RELU else np.tanh(z))
+        activations.append(a)
+    return a, ForwardCache(activations=activations, preacts=preacts)
+
+
+def reference_backward_from_cache(net, cache, upstream, input_grad=True) -> GradBundle:
+    """``mlp_backward_from_cache`` before its ReLU mask stayed boolean: the mask is an ``astype(float64)`` copy."""
+    delta = np.asarray(upstream, dtype=np.float64)
+    d_weights = [None] * net.n_layers
+    d_biases = [None] * net.n_layers
+    for l in range(net.n_layers - 1, -1, -1):
+        d_weights[l] = delta.T @ cache.activations[l]
+        d_biases[l] = delta.sum(axis=0)
+        if l == 0 and not input_grad:
+            return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=None)
+        delta = delta @ net.weights[l]
+        if l > 0:
+            z = cache.preacts[l - 1]
+            if net.hidden_activation == RELU:
+                grad = (z > 0.0).astype(np.float64)
+            else:
+                t = np.tanh(z)
+                grad = 1.0 - t * t
+            delta = delta * grad
+    return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,17 @@ def net_bytes(nets):
     return [a.tobytes() for net in (nets.query_proj, nets.key_proj) for a in net.weights + net.biases]
 
 
+def place(case, dests, decoded, threshold):
+    """Move destinations and decoded intentions onto the edges that ``case`` names."""
+    if case == "x ties":  # x on a grid of 1/4: entries share an x, and strip edges land on one
+        dests[:, 0] = np.round(dests[:, 0] * 4) / 4
+        decoded[:, 0] = np.round(decoded[:, 0] * 4) / 4
+    elif case == "at threshold":  # entry 1 at the threshold of query 0, the last at its strip's edge in x
+        dests[0] = (0.25, -0.375)
+        decoded[1] = (0.25 + threshold, -0.375)
+        decoded[-1] = (0.25 - 2 * threshold, -0.375)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -328,17 +339,25 @@ def net_bytes(nets):
     batch_size=st.integers(1, 8),
     cap=st.integers(1, 40),
     epochs=st.integers(1, 3),
+    threshold=st.one_of(st.just(1.0), st.floats(1e-3, 4.0)),
+    case=st.sampled_from(["random", "x ties", "at threshold"]),
 )
-@example(seed=1, m=30, n=25, batch_size=8, cap=40, epochs=2)  # the whole bank every step
-@example(seed=1, m=30, n=25, batch_size=8, cap=4, epochs=2)  # a sample plus each query's nearest entry
-@example(seed=0, m=2, n=3, batch_size=1, cap=1, epochs=1)  # every step samples only the zeroed key row
-def test_fit_addresser_equals_the_reference_step_bit_for_bit(seed, m, n, batch_size, cap, epochs):
+@example(seed=1, m=30, n=25, batch_size=8, cap=40, epochs=2, threshold=1.0, case="random")  # the whole bank every step
+@example(seed=1, m=30, n=25, batch_size=8, cap=4, epochs=2, threshold=1.0, case="random")  # a sample plus each query's nearest entry
+@example(seed=0, m=2, n=3, batch_size=1, cap=1, epochs=1, threshold=1.0, case="random")  # every step samples only the zeroed key row
+@example(seed=2, m=30, n=25, batch_size=8, cap=40, epochs=2, threshold=0.25, case="x ties")  # decoded x ties
+@example(seed=2, m=30, n=25, batch_size=8, cap=6, epochs=2, threshold=0.25, case="x ties")  # ties, positives mapped onto a sample
+@example(seed=3, m=30, n=25, batch_size=8, cap=40, epochs=2, threshold=0.5, case="at threshold")  # a distance of exactly the threshold
+@example(seed=4, m=30, n=25, batch_size=8, cap=40, epochs=2, threshold=1e-9, case="random")  # below every distance: no positive label
+@example(seed=5, m=30, n=25, batch_size=8, cap=40, epochs=2, threshold=100.0, case="random")  # above every distance: all positive
+def test_fit_addresser_equals_the_reference_step_bit_for_bit(seed, m, n, batch_size, cap, epochs, threshold, case):
     rng = np.random.default_rng(seed)
     bank, (queries, dests, decoded) = random_training_inputs(rng, m, n, past_dim=6)
     bank.past_feats[0] = 0.0  # a degenerate key row, while the key bias is still zero
     queries[0] = 0.0  # a degenerate query row
     decoded[-1] = decoded[0]  # two entries tie for some query's nearest
-    config = quick_config(batch_size=batch_size, label_threshold=1.0)
+    place(case, dests, decoded, threshold)
+    config = quick_config(batch_size=batch_size, label_threshold=threshold)
     results = []
     live_steps = []  # per step: did a query that is not degenerate meet a key that is not?
     cosine_forward = addresser._cosine_forward
@@ -362,6 +381,21 @@ def test_fit_addresser_equals_the_reference_step_bit_for_bit(seed, m, n, batch_s
     # With m > cap, every step of a small run can sample only the zeroed key row and score none.
     moved = results[0][0] != net_bytes(init_addresser_nets(past_dim=6, addr_dim=5))
     assert moved == any(live_steps)
+
+
+def test_fit_addresser_refuses_a_nan_destination_or_decoded_intention():
+    # no x-sorted strip holds a NaN, so a NaN is refused before the first step instead of reaching a loss
+    bank, (queries, dests, decoded) = random_training_inputs(np.random.default_rng(0), 6, 4, past_dim=3)
+    config = quick_config(batch_size=2, label_threshold=1.0)
+    nets = init_addresser_nets(past_dim=3, addr_dim=3)
+    nan_decoded = decoded.copy()
+    nan_decoded[4, 0] = np.nan
+    with pytest.raises(NumericError, match=r"^stage 'features' decodes a NaN intention for bank entry 4; .* lr_features$"):
+        fit_addresser(nets, bank, (queries, dests, nan_decoded), config, 1, 0.1, np.random.default_rng(0))
+    dests[2, 1] = np.nan
+    with pytest.raises(ValueError, match="destination 2 is NaN"):
+        fit_addresser(nets, bank, (queries, dests, decoded), config, 1, 0.1, np.random.default_rng(0))
+    assert net_bytes(nets) == net_bytes(init_addresser_nets(past_dim=3, addr_dim=3))
 
 
 def traced_peak(fn) -> int:

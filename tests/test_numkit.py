@@ -21,7 +21,13 @@ from memtraj.numkit import (
     shuffled_batches,
 )
 
-from oracles import finite_diff_check, hidden_preactivations, mlp_backward
+from oracles import (
+    finite_diff_check,
+    hidden_preactivations,
+    mlp_backward,
+    reference_backward_from_cache,
+    reference_forward_cached,
+)
 
 
 def test_glorot_bound_and_shapes():
@@ -210,6 +216,34 @@ def test_sgd_loop_raises_before_updating_on_nonfinite_loss():
     np.testing.assert_array_equal(net.weights[0], weights_seen[-1])
 
 
+def test_sgd_loop_numbers_epochs_after_the_ones_done_and_names_the_rate_key(caplog):
+    net = Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
+    losses = iter([1.0] * 3 * 24 + [np.nan])
+
+    def step(idx):
+        return next(losses), [(net, mlp_backward(net, np.ones((len(idx), 2)), np.ones((len(idx), 2))))]
+
+    # three batches per epoch: epochs 2 .. 25 run, and the first batch of epoch 26 is not finite
+    with caplog.at_level("INFO", logger="memtraj.numkit"):
+        with pytest.raises(NumericError, match=r"^non-finite test loss at epoch 26; retrain stage 'test' with a lower lr_test$"):
+            sgd_loop("test", 6, 2, 30, 0.1, np.random.default_rng(0), step, epochs_done=1)
+    # the stage's first epoch was run by an earlier call, so only its 25th logs
+    assert [r.getMessage() for r in caplog.records] == ["test epoch 25: mean loss 0.500000"]
+
+
+def test_sgd_loop_names_the_epoch_and_rate_key_of_a_non_finite_gradient():
+    net = Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
+
+    def step(idx):
+        grads = mlp_backward(net, np.ones((len(idx), 2)), np.ones((len(idx), 2)))
+        grads.d_weights[0][0, 0] = np.inf
+        return 1.0, [(net, grads)]
+
+    with pytest.raises(NumericError, match=r"^non-finite weight gradient in sgd_step at epoch 4; retrain stage 'features' with a lower lr_features$"):
+        sgd_loop("features", 4, 2, 2, 0.1, np.random.default_rng(0), step, epochs_done=3)
+    np.testing.assert_array_equal(net.weights[0], np.eye(2))
+
+
 def test_sgd_rejects_mismatched_shapes():
     net = mlp_init(0, [2, 2])
     other = mlp_init(0, [2, 3])
@@ -295,3 +329,35 @@ def test_stack_slices_equal_two_d_calls(dims, depth, rows, activation, seed):
     for i in range(depth):
         np.testing.assert_array_equal(stacked[i], mlp_forward_cached(net, x[i])[0])
     np.testing.assert_array_equal(mlp_forward(net, x[0]), stacked[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from(STACK_NETS + [[5, 7, 6, 3]]),
+    rows=st.integers(0, 40),
+    activation=st.sampled_from([RELU, TANH]),
+    input_grad=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_forward_and_backward_equal_the_reference_bit_for_bit(dims, rows, activation, input_grad, seed):
+    # the in-place bias and the boolean ReLU mask round as the copies they replaced
+    rng = np.random.default_rng(seed)
+    net = mlp_init(seed, dims, hidden_activation=activation)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    net.biases[0][:2] = 0.0
+    x = rng.normal(size=(rows, dims[0]))
+    x[:1] = 0.0  # a first row whose first hidden units sit exactly on the ReLU kink
+    upstream = rng.normal(size=(rows, dims[-1]))
+    out, cache = mlp_forward_cached(net, x)
+    ref_out, ref_cache = reference_forward_cached(net, x)
+    assert out.tobytes() == ref_out.tobytes()
+    for got, want in zip(cache.activations + cache.preacts, ref_cache.activations + ref_cache.preacts, strict=True):
+        assert got.tobytes() == want.tobytes()
+    grads = mlp_backward_from_cache(net, cache, upstream, input_grad=input_grad)
+    ref = reference_backward_from_cache(net, ref_cache, upstream, input_grad=input_grad)
+    for got, want in zip(grads.d_weights + grads.d_biases, ref.d_weights + ref.d_biases, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert (grads.d_input is None) == (ref.d_input is None) == (not input_grad)
+    if input_grad:
+        assert grads.d_input.tobytes() == ref.d_input.tobytes()

@@ -240,6 +240,25 @@ def test_selection_segments_continue_one_batch_stream(tmp_path, monkeypatch):
         np.testing.assert_array_equal(a.biases[0], b.biases[0])
 
 
+def test_selection_numbers_epochs_from_the_stage_start(tmp_path, monkeypatch, caplog):
+    from memtraj.addresser import init_addresser_nets
+    from memtraj.features import init_encoder_decoder
+    from memtraj.membank import bank_init
+
+    config = tiny_config(tmp_path, epochs_addresser=26)
+    scenes = synth_generate(41, 20)
+    feature_nets = init_encoder_decoder(1, past_len=8, target_len=1, past_dim=config.past_dim, intent_dim=config.intent_dim)
+    bank = bank_init(feature_nets, scenes)
+    init = init_addresser_nets(past_dim=config.past_dim, addr_dim=config.addr_dim)
+    monkeypatch.setattr(pipeline, "destination_error", lambda *args: 1.0)
+    with caplog.at_level("INFO", logger="memtraj.numkit"):
+        _, report = train_addresser_selected(init, bank, feature_nets, scenes, config)
+    # eight segments of 4, 4, 3, ... epochs log the stage's first epoch and its 25th, once each
+    assert [e for e, _ in report["errors"]] == [0, 4, 8, 11, 14, 17, 20, 23, 26]
+    logged = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "memtraj.numkit"]
+    assert logged == ["addresser epoch 1", "addresser epoch 25"]
+
+
 def test_selection_scores_the_holdout_without_its_own_entries(tmp_path, monkeypatch, capsys):
     from memtraj import pipeline
     from memtraj.addresser import init_addresser_nets
@@ -887,6 +906,23 @@ def test_cli_a_diverged_feature_stage_stops_build_memory_with_one_error_line(tmp
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # numpy's overflow warnings stay quiet
     assert not (tmp_path / STAGE_BANK).exists()
     assert STAGE_BANK not in RunManifest.load(config.out_dir).stages
+
+
+def test_cli_a_diverging_feature_loss_stops_train_features_naming_lr_features(tmp_path, capsys):
+    # at lr_features = 1e3 the first steps overshoot until a batch loss is no longer finite
+    config = tiny_config(tmp_path, **{**_DIVERGING, "epochs_features": 3}, lr_features=1e3)
+    cfg_path = tmp_path / "run.cfg"
+    config.to_file(cfg_path)
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train-features", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: non-finite features loss at epoch \d+; retrain stage 'features' with a lower lr_features\n", err), err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / STAGE_FEATURES).exists()
 
 
 def test_cli_a_diverged_addresser_stops_train_addresser_with_one_error_line(tmp_path, capsys):
