@@ -1,8 +1,9 @@
 """Flat key=value run configuration.
 
 One file drives every pipeline stage. Lines are ``key = value``; blank lines,
-``#`` comments and a leading UTF-8 byte-order mark are skipped; unknown keys
-are errors so typos cannot silently fall back to defaults. The ``scale`` key
+``#`` comment lines and a leading UTF-8 byte-order mark are skipped; unknown
+keys, and values holding whitespace followed by ``#``, are errors, so neither
+a typo nor an inline comment silently becomes a setting. The ``scale`` key
 ("pixel" or "meter") picks the default redundancy thresholds and retrieval
 count for coordinates in pixels or meters; explicit keys always win.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -179,7 +181,8 @@ class Config:
         """Write the config as a file :func:`load_config` reads back into an equal Config.
 
         Raises ConfigError for a string value the file format cannot hold: one
-        with a line break, leading or trailing whitespace, or no UTF-8 encoding.
+        with a line break, leading or trailing whitespace, whitespace followed
+        by ``#``, or no UTF-8 encoding.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -189,9 +192,13 @@ class Config:
             fh.write(self.canonical_text())
 
 
+_INLINE_COMMENT = re.compile(r"\s#")  # a comment is a whole line, so no value may hold this
+
+
 def _writable(text: str) -> bool:
     """True when ``text`` survives as the value of one UTF-8 ``key = value`` line."""
-    return text == text.strip() and not any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in text)
+    bad_char = any(c in "\r\n" or "\ud800" <= c <= "\udfff" for c in text)
+    return text == text.strip() and not bad_char and not _INLINE_COMMENT.search(text)
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -219,7 +226,7 @@ def _coerce(name: str, kind, text: str):
 
 
 def load_config(path) -> Config:
-    """Parse a flat key=value config file; ConfigError for a key set on two lines."""
+    """Parse a flat key=value config file; ConfigError for a key set on two lines or a value with an inline comment."""
     field_types = {f.name: f.type for f in fields(Config)}
     values: dict = {}
     key_lines: dict[str, int] = {}
@@ -243,5 +250,8 @@ def load_config(path) -> Config:
         first_line = key_lines.setdefault(key, line_no)
         if first_line != line_no:
             raise ConfigError(f"set on line {first_line} and again on line {line_no}", key=key)
+        if _INLINE_COMMENT.search(value):
+            message = f"line {line_no}: value {value!r} holds a '#' after whitespace; a comment goes on its own line"
+            raise ConfigError(message, key=key)
         values[key] = _coerce(key, field_types[key], value)
     return Config(**values)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .datasets import SceneBatch, SceneSet, scene_batch
 from .numkit import (
-    RELU,
     GradBundle,
     Mlp,
     ForwardCache,
@@ -41,6 +40,7 @@ from .numkit import (
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
+    _activate_in_place,
     sgd_loop,
 )
 
@@ -237,10 +237,7 @@ def decode_targets(nets: EncoderDecoder, past_feats: np.ndarray, point_feats: np
             a = a @ w.T
         a += b
         if l < last:
-            if dec.hidden_activation == RELU:
-                np.maximum(a, 0.0, out=a)
-            else:
-                np.tanh(a, out=a)
+            _activate_in_place(a, dec.hidden_activation)
     return a
 
 

@@ -25,7 +25,7 @@ from .datasets import Scene, SceneSet, scene_batch
 from .errors import ConfigError, NumericError
 from .features import EncoderDecoder, social_encode
 from .fulfillment import fulfill_many
-from .intention import DECODE_QUERY, IntentionSet, decode_anchors, kmeans_batch
+from .intention import DECODE_QUERY, decode_anchors, kmeans_batch
 from .membank import MemoryBankPair
 
 logger = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ class ModelBundle:
 
 @dataclass
 class ScenePrediction:
-    """World-frame outputs for one scene."""
+    """World-frame outputs for one scene; the per-entry arrays list the retrieved entries in rank order."""
 
     scene_id: str
     destinations: np.ndarray  # (k, 2)
@@ -59,7 +59,7 @@ class ScenePrediction:
     addresses: np.ndarray  # retrieved bank addresses, best first
     scores: np.ndarray  # their addresser scores
     sample_ids: np.ndarray  # their originating training-scene ordinals
-    intention_set: IntentionSet
+    anchor_assignment: np.ndarray  # the destination index each of their anchors joined
 
 
 def scene_seed(master_seed: int, scene_index: int) -> int:
@@ -102,14 +102,15 @@ def propose_block(
     seeds: Sequence[int],
     decode_mode: str = DECODE_QUERY,
     name: Callable[[int], str] = "scene {}".format,
-) -> tuple[np.ndarray, np.ndarray, list[IntentionSet]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Retrieve, decode anchors, and cluster for a block of query past features.
 
     Query ``i`` is scored, retrieved and decoded as it would be alone, and
     clustered with ``seeds[i]``. Returns per query (one row each) the
-    retrieved bank addresses (best first) and their scores, and the
-    ego-frame destinations clustered from their anchors. ``keys`` is the
-    bank's :func:`key_table` under ``addresser_nets``. This is the
+    ``(S, L)`` retrieved bank addresses (best first) and their scores, the
+    ``(S, K, 2)`` ego-frame destinations clustered from their anchors, and
+    the ``(S, L)`` destination index of each anchor, in address order.
+    ``keys`` is the bank's :func:`key_table` under ``addresser_nets``. This is the
     destination half of the prediction chain; it needs no fulfillment nets,
     so it also serves training-time model selection. A query that scores 0
     against every entry, as a degenerate query projection does, is counted,
@@ -126,7 +127,7 @@ def propose_block(
         addresses[i] = top_l(row, n_retrieve)
     anchors = decode_anchors(queries, addresses, bank, feature_nets, decode_mode=decode_mode)
     _check_finite("intention anchors", anchors, name)
-    return addresses, scored[np.arange(len(scored))[:, None], addresses], kmeans_batch(anchors, n_predict, seeds)
+    return addresses, scored[np.arange(len(scored))[:, None], addresses], *kmeans_batch(anchors, n_predict, seeds)
 
 
 def destination_error(
@@ -158,10 +159,9 @@ def destination_error(
         def name(i: int) -> str:
             return f"scene {lo + i}" if scene_ids is None else f"scene {lo + i} ({scene_ids[lo + i]!r})"
 
-        _, _, isets = propose_block(
+        _, _, proposals, _ = propose_block(
             feature_nets, addresser_nets, bank, keys, queries[lo:hi], n_retrieve, n_predict, seeds, name=name
         )
-        proposals = np.stack([iset.destinations for iset in isets])
         errors[lo:hi] = np.linalg.norm(proposals - dests[lo:hi, None], axis=2).min(axis=1)
     return float(np.mean(errors))
 
@@ -189,7 +189,7 @@ def _predict_block(
 
     batch = scene_batch(block)
     queries = social_encode(bundle.feature_nets, batch)
-    addresses, scores, isets = propose_block(
+    addresses, scores, dests, assignment = propose_block(
         bundle.feature_nets,
         bundle.addresser_nets,
         bundle.bank,
@@ -201,7 +201,6 @@ def _predict_block(
         decode_mode,
         name,
     )
-    dests = np.stack([iset.destinations for iset in isets])
     origins = np.asarray(block.ego_pasts[:, -1], dtype=np.float64)
     trajectories = fulfill_many(bundle.fulfill_nets, batch, dests, snap_destination) + origins[:, None, None]
     destinations = dests + origins[:, None]
@@ -215,7 +214,7 @@ def _predict_block(
             addresses=addresses[i],
             scores=scores[i],
             sample_ids=bundle.bank.sample_ids[addresses[i]],
-            intention_set=isets[i],
+            anchor_assignment=assignment[i],
         )
         for i in range(len(block))
     ]

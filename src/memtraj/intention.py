@@ -7,15 +7,15 @@ flag). Seeded k-means++ with Lloyd iterations then compresses the anchors
 into K cluster centroids, which are the destination proposals handed to the
 fulfillment stage.
 
-One :func:`kmeans_batch` call clusters a block of scenes. Each scene draws
-its seeding from its own generator over a lexicographically sorted copy of
-its anchors and leaves the Lloyd passes at its own fixpoint, so its result
+One :func:`kmeans_batch` call clusters a block of scenes into ``(S, K, 2)``
+destinations and an ``(S, L)`` anchor assignment. Each scene draws its
+seeding from its own generator over a lexicographically sorted copy of its
+anchors and leaves the Lloyd passes at its own fixpoint, so its result
 depends neither on the order its anchors arrive in nor on its block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,19 +27,6 @@ DECODE_QUERY = "query"  # decode [query past feature ; stored intention feature]
 DECODE_STORED = "stored"  # decode [stored past feature ; stored intention feature]
 KMEANS_MAX_ITERS = 100  # Lloyd passes before k-means stops short of a fixpoint
 _XY = np.arange(2)  # coordinate offsets within a (scene, cluster) pair of centroid bins
-
-
-@dataclass
-class IntentionSet:
-    """K destination proposals plus the anchor-to-cluster assignment."""
-
-    destinations: np.ndarray  # (k, 2) cluster centroids
-    anchor_assignment: np.ndarray  # (n_anchors,) cluster index per anchor
-    iter_costs: list[float] = field(default_factory=list)  # Lloyd cost per iteration
-
-    @property
-    def k(self) -> int:
-        return self.destinations.shape[0]
 
 
 def decode_anchors(
@@ -76,12 +63,14 @@ def decode_anchors(
     return decode_targets(feature_nets, past_feats, bank.intent_feats[addr])
 
 
-def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:
+def kmeans_batch(points, k: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ with Lloyd iterations and empty-cluster repair, for each scene of a block.
 
     ``points`` is (scenes, n, 2) and scene ``s`` is clustered with
     ``seeds[s]``: its result depends on its own points and seed only, not
-    on the other scenes of the block. Each scene runs until its assignment
+    on the other scenes of the block. Returns the float64 ``(scenes, k, 2)``
+    centroids and the int64 ``(scenes, n)`` cluster index of each point, in
+    the order the points came in. Each scene runs until its assignment
     reaches a fixpoint or ``KMEANS_MAX_ITERS`` passes. When a cluster
     empties, it steals the point currently farthest from its own centroid
     (donors must keep at least one member), so no cluster is ever empty in
@@ -102,7 +91,7 @@ def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     if not n_scenes:
-        return []
+        return np.empty((0, k, 2)), np.empty((0, n), dtype=np.int64)
 
     # Each scene works on a lexicographically sorted copy of its points, so
     # seeding (and therefore the whole run) is invariant to their order.
@@ -145,8 +134,6 @@ def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:
     centers = flat[(first_point + chosen).T]  # (scenes, k, 2)
     result_centers = np.empty((n_scenes, k, 2))
     assignment = np.empty((n_scenes, n), dtype=np.int64)
-    costs = np.empty((n_scenes, KMEANS_MAX_ITERS))
-    n_iters = np.empty(n_scenes, dtype=np.int64)
     live = np.arange(n_scenes)
     bin_base = live[:, None] * k  # scene s owns the flattened (scene, cluster) bins s*k .. s*k + k - 1
     px = srt[:, :, 0, None]
@@ -170,9 +157,6 @@ def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:
         coord_bins = (2 * bins)[:, :, None] + _XY
         centers = np.bincount(coord_bins.ravel(), weights=srt.ravel(), minlength=2 * m * k).reshape(m, k, 2)
         centers /= sizes[:, :, None]
-        gaps = srt - centers.reshape(-1, 2).take(bins, axis=0)
-        gaps *= gaps
-        costs[live, it] = np.add.reduce(gaps.reshape(m, 2 * n), axis=1)
         if it == KMEANS_MAX_ITERS - 1:
             done = np.ones(m, dtype=bool)
         elif prev_assign is None:
@@ -183,7 +167,6 @@ def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:
             finished = live[done]
             result_centers[finished] = centers[done]
             assignment[finished] = assign[done]
-            n_iters[finished] = it + 1
             keep = ~done
             if not keep.any():
                 break
@@ -194,11 +177,7 @@ def kmeans_batch(points, k: int, seeds: Sequence[int]) -> list[IntentionSet]:
 
     unsorted = np.empty(n_scenes * n, dtype=np.int64)
     unsorted[order] = assignment.ravel()
-    unsorted = unsorted.reshape(n_scenes, n)
-    return [
-        IntentionSet(destinations=result_centers[s], anchor_assignment=unsorted[s], iter_costs=costs[s, : n_iters[s]].tolist())
-        for s in range(n_scenes)
-    ]
+    return result_centers, unsorted.reshape(n_scenes, n)
 
 
 def _repair_empty(d2: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> None:

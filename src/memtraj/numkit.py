@@ -88,15 +88,14 @@ class GradBundle:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations kept around for a cheap backward pass.
+    """The layer outputs a backward pass reads, each stored once.
 
-    ``activations[0]`` is the input batch, ``activations[l+1]`` the output
-    of layer ``l`` after its activation; ``preacts[l]`` is layer ``l`` before
-    the activation.
+    ``activations[0]`` is the input batch and ``activations[l+1]`` the output
+    of layer ``l`` after its activation. The backward takes each hidden
+    layer's derivative from that output, so no pre-activation is kept.
     """
 
     activations: list[np.ndarray]
-    preacts: list[np.ndarray]
 
 
 def _check_activation(name: str) -> None:
@@ -127,18 +126,22 @@ def mlp_init(seed: int, layer_dims: Sequence[int], hidden_activation: str = RELU
     return Mlp(layer_dims=dims, weights=weights, biases=biases, hidden_activation=hidden_activation)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_in_place(a: np.ndarray, kind: str) -> None:
+    """Apply the hidden activation to ``a``, overwriting it."""
     if kind == RELU:
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(a, 0.0, out=a)
+    else:
+        np.tanh(a, out=a)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative at ``z``; for ReLU the boolean mask ``z > 0``, which multiplies as 1.0 and 0.0."""
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative from its output ``a``, with the bits of the one taken from the pre-activation.
+
+    ReLU gives the boolean mask ``a > 0``, which multiplies as 1.0 and 0.0; tanh gives ``1 - a*a``.
+    """
     if kind == RELU:
-        return z > 0.0
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return a > 0.0
+    return 1.0 - a * a
 
 
 def _as_batch(x, dim: int, what: str, stacks: bool = False) -> np.ndarray:
@@ -153,15 +156,14 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass of an ``(n, in_dim)`` batch that also returns the activations needed for backward."""
     a = _as_batch(x, net.in_dim, "input")
     activations = [a]
-    preacts = []
     last = net.n_layers - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T
-        z += b
-        preacts.append(z)
-        a = z if l == last else _activate(z, net.hidden_activation)
+        a = a @ w.T
+        a += b
+        if l < last:
+            _activate_in_place(a, net.hidden_activation)
         activations.append(a)
-    return a, ForwardCache(activations=activations, preacts=preacts)
+    return a, ForwardCache(activations=activations)
 
 
 def mlp_forward(net: Mlp, x) -> np.ndarray:
@@ -177,10 +179,7 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
         a = a @ w.T
         a += b
         if l < last:
-            if net.hidden_activation == RELU:
-                np.maximum(a, 0.0, out=a)
-            else:
-                np.tanh(a, out=a)
+            _activate_in_place(a, net.hidden_activation)
     return a
 
 
@@ -207,7 +206,7 @@ def mlp_backward_from_cache(net: Mlp, cache: ForwardCache, upstream, input_grad:
             return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=None)
         delta = delta @ net.weights[l]
         if l > 0:
-            delta *= _activate_grad(cache.preacts[l - 1], net.hidden_activation)
+            delta *= _activate_grad(cache.activations[l], net.hidden_activation)
     return GradBundle(d_weights=d_weights, d_biases=d_biases, d_input=delta)
 
 

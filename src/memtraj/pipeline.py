@@ -399,7 +399,7 @@ def write_predictions(out_dir, preds: Iterable[ScenePrediction], trace: bool = F
             for k, trajectory in enumerate(pred.trajectories):
                 for t, (x, y) in enumerate(trajectory, start=1):
                     traj_fh.write("%s,%d,%d,%r,%r\n" % (pred.scene_id, k, t, float(x), float(y)))
-            members = np.bincount(pred.intention_set.anchor_assignment, minlength=pred.intention_set.k)
+            members = np.bincount(pred.anchor_assignment, minlength=len(pred.destinations))
             for c, (x, y) in enumerate(pred.destinations):
                 dest_fh.write("%s,%d,%r,%r,%d\n" % (pred.scene_id, c, float(x), float(y), int(members[c])))
             if trace_fh:

@@ -26,8 +26,9 @@ def quick_config(**overrides):
 
 
 def kmeans_one(points, k, seed):
-    """The package's k-means for one scene: :func:`kmeans_batch` on a block of one."""
-    return kmeans_batch(np.asarray(points, dtype=np.float64)[None], k, [seed])[0]
+    """The package's k-means for one scene, its ``(destinations, assignment)``: :func:`kmeans_batch` on a block of one."""
+    destinations, assignment = kmeans_batch(np.asarray(points, dtype=np.float64)[None], k, [seed])
+    return destinations[0], assignment[0]
 
 
 def single_mode_spec():

@@ -6,6 +6,7 @@ so that it shares as little code as possible with the path under test.
 
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from memtraj import addresser
 from memtraj.addresser import DEGENERATE_NORM, _CosineBatch, addresser_training_data, fit_addresser
 from memtraj.datasets import Scene, SceneBatch, SceneSet
 from memtraj.features import social_forward_batch
-from memtraj.intention import KMEANS_MAX_ITERS, IntentionSet
-from memtraj.numkit import RELU, ForwardCache, GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
+from memtraj.intention import KMEANS_MAX_ITERS
+from memtraj.numkit import RELU, GradBundle, mlp_backward_from_cache, mlp_forward, mlp_forward_cached, sgd_loop
 
 
 def scene_set(scenes) -> SceneSet:
@@ -114,7 +115,15 @@ def mean_rec_loss(nets, dataset) -> float:
     return float(per_scene.mean())
 
 
-def kmeans(points, k: int, seed: int) -> IntentionSet:
+class Clustering(NamedTuple):
+    """One scene's reference k-means result, with the cost after each Lloyd pass."""
+
+    destinations: np.ndarray  # (k, 2) cluster centroids
+    assignment: np.ndarray  # (n,) cluster index per point
+    costs: list[float]
+
+
+def kmeans(points, k: int, seed: int) -> Clustering:
     """One scene's seeded k-means++ with Lloyd iterations and empty-cluster repair, one loop step at a time.
 
     The reference for ``kmeans_batch``: seeding draws with ``rng.choice``,
@@ -173,13 +182,13 @@ def kmeans(points, k: int, seed: int) -> IntentionSet:
 
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = assign
-    return IntentionSet(destinations=centers, anchor_assignment=assignment, iter_costs=costs)
+    return Clustering(destinations=centers, assignment=assignment, costs=costs)
 
 
-def kmeans_cost(points, iset) -> float:
+def kmeans_cost(points, destinations, assignment) -> float:
     """Total squared distance of points to their assigned centroids."""
     pts = np.asarray(points, dtype=np.float64)
-    return float(np.sum((pts - iset.destinations[iset.anchor_assignment]) ** 2))
+    return float(np.sum((pts - destinations[assignment]) ** 2))
 
 
 def is_redundant(a, b, theta_past: float, theta_int: float) -> bool:
@@ -207,7 +216,7 @@ def mlp_backward(net, x, upstream) -> GradBundle:
 
 def hidden_preactivations(net, x) -> list:
     """Pre-activation values of the hidden layers (used to stay off ReLU kinks)."""
-    _, cache = mlp_forward_cached(net, x)
+    _, cache = reference_forward_cached(net, x)
     return cache.preacts[:-1]
 
 
@@ -351,8 +360,15 @@ def reference_fit_addresser(nets, bank, data, config, epochs, learning_rate, rng
     sgd_loop("addresser", len(queries), config.batch_size, epochs, learning_rate, rng, step, epochs_done)
 
 
+class ReferenceCache(NamedTuple):
+    """Every layer of a reference forward pass, before and after its activation."""
+
+    activations: list[np.ndarray]  # the input, then each layer's output
+    preacts: list[np.ndarray]  # each layer before its activation
+
+
 def reference_forward_cached(net, x):
-    """``mlp_forward_cached`` before its bias moved in place: ``a @ w.T + b`` per layer, every layer kept."""
+    """``mlp_forward_cached`` before its bias and activation moved in place: ``a @ w.T + b`` per layer, kept twice."""
     a = np.asarray(x, dtype=np.float64)
     activations = [a]
     preacts = []
@@ -362,11 +378,14 @@ def reference_forward_cached(net, x):
         preacts.append(z)
         a = z if l == last else (np.maximum(z, 0.0) if net.hidden_activation == RELU else np.tanh(z))
         activations.append(a)
-    return a, ForwardCache(activations=activations, preacts=preacts)
+    return a, ReferenceCache(activations=activations, preacts=preacts)
 
 
 def reference_backward_from_cache(net, cache, upstream, input_grad=True) -> GradBundle:
-    """``mlp_backward_from_cache`` before its ReLU mask stayed boolean: the mask is an ``astype(float64)`` copy."""
+    """``mlp_backward_from_cache`` on a :class:`ReferenceCache`.
+
+    Each derivative is taken from the pre-activation, and the ReLU mask is an ``astype(float64)`` copy.
+    """
     delta = np.asarray(upstream, dtype=np.float64)
     d_weights = [None] * net.n_layers
     d_biases = [None] * net.n_layers
@@ -463,7 +482,7 @@ def predict_one(bundle, scene, n_retrieve, n_predict, seed, decode_mode="query",
 
     Returns the world-frame ``destinations`` and ``trajectories`` and the
     retrieved ``addresses``, their ``scores`` and ``sample_ids``, and the
-    scene's IntentionSet as ``iset``.
+    reference k-means's ``anchor_assignment``.
     """
     _, translation = normalize_scene(scene)
     batch = reference_batch([scene], with_futures=False)
@@ -471,13 +490,13 @@ def predict_one(bundle, scene, n_retrieve, n_predict, seed, decode_mode="query",
     scores = score_one(bundle.addresser_nets, query, bundle.keys)
     addresses = full_sort_top_l(scores, n_retrieve)
     anchors = decode_one(query, addresses, bundle.bank, bundle.feature_nets, decode_mode)
-    iset = kmeans(anchors, n_predict, seed)
-    futures = fulfill_one(bundle.fulfill_nets, batch, iset.destinations, snap_destination)
+    clustering = kmeans(anchors, n_predict, seed)
+    futures = fulfill_one(bundle.fulfill_nets, batch, clustering.destinations, snap_destination)
     return {
-        "destinations": iset.destinations - translation,
+        "destinations": clustering.destinations - translation,
         "trajectories": futures - translation,
         "addresses": addresses,
         "scores": scores[addresses],
         "sample_ids": bundle.bank.sample_ids[addresses],
-        "iset": iset,
+        "anchor_assignment": clustering.assignment,
     }

@@ -271,8 +271,8 @@ def test_criterion_4_kmeans_oracle(capsys):
         k = int(rng.integers(1, min(3, n) + 1))
         points = rng.normal(size=(n, 2)) * float(rng.choice([0.1, 1.0, 10.0]))
         # the ten seeds cluster the same points as one block
-        isets = kmeans_batch(np.broadcast_to(points, (10, n, 2)), k, [1000 + s for s in range(10)])
-        best = min(kmeans_cost(points, iset) for iset in isets)
+        destinations, assignment = kmeans_batch(np.broadcast_to(points, (10, n, 2)), k, [1000 + s for s in range(10)])
+        best = min(kmeans_cost(points, d, a) for d, a in zip(destinations, assignment))
         optimal = _exhaustive_best_cost(points, k)
         worst_rel = max(worst_rel, abs(best - optimal) / max(1.0, optimal))
     elapsed = time.perf_counter() - t0

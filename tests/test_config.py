@@ -170,6 +170,22 @@ def test_load_config_rejects_a_key_set_twice(tmp_path):
         load_config(path)
 
 
+def test_an_inline_comment_is_refused_not_read_as_part_of_the_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    for key, value in (("out_dir", "runs/demo   # where runs go"), ("synth_scenes", "20\t# small")):
+        path.write_text(f"scale = meter\n# a comment line is fine\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^key '{key}': line 3: .*a comment goes on its own line$") as info:
+            load_config(path)
+        assert info.value.key == key
+    # a '#' with no whitespace before it is part of the value
+    path.write_text("out_dir = runs/#1\n", encoding="utf-8")
+    assert load_config(path).out_dir == "runs/#1"
+    # so to_file refuses the string it could not read back
+    with pytest.raises(ConfigError, match="^key 'test_manifest': cannot be written"):
+        Config(test_manifest="data/test.txt # held out").to_file(path)
+    assert load_config(path).out_dir == "runs/#1"
+
+
 def test_cli_rejects_a_config_key_set_twice(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     out = tmp_path / "out"

@@ -108,16 +108,16 @@ def test_propose_destinations_matches_predict_scene():
     pred = predict_scene(bundle, scene, n_retrieve=6, n_predict=3, seed=11)
     alone = scenes[4:5]
     queries = social_encode(bundle.feature_nets, alone)
-    (addresses,), (scores,), (iset,) = propose_block(
+    (addresses,), (scores,), (destinations,), (assignment,) = propose_block(
         bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries, 6, 3, [11]
     )
     np.testing.assert_array_equal(addresses, pred.addresses)
     np.testing.assert_array_equal(scores, pred.scores)
-    np.testing.assert_array_equal(iset.destinations, pred.intention_set.destinations)
+    np.testing.assert_array_equal(assignment, pred.anchor_assignment)
     # the world-frame outputs are the oracle's inversion of the ego-frame ones, bit for bit
     _, translation = normalize_scene(scene)
-    np.testing.assert_array_equal(iset.destinations - translation, pred.destinations)
-    futures = fulfill_many(bundle.fulfill_nets, alone, iset.destinations[None])[0]
+    np.testing.assert_array_equal(destinations - translation, pred.destinations)
+    futures = fulfill_many(bundle.fulfill_nets, alone, destinations[None])[0]
     np.testing.assert_array_equal(futures - translation, pred.trajectories)
     # more proposals than retrieved anchors: kmeans refuses to cluster 3 points into 6
     with pytest.raises(ValueError, match=r"k must be in \[1, 3\] \(number of points\), got 6"):
@@ -145,7 +145,7 @@ def test_degenerate_queries_are_one_warning_per_block(monkeypatch, caplog):
     ]
     caplog.clear()
     with caplog.at_level("WARNING", logger="memtraj"):
-        (addresses,), _, _ = propose_block(
+        (addresses,), *_ = propose_block(
             bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries[1:2], 6, 3, [11]
         )
     assert [r.getMessage() for r in caplog.records] == ["1 of 1 queries had a degenerate projection; they scored 0"]
@@ -172,10 +172,10 @@ def test_destination_error_properties():
     for i, scene in enumerate(scenes[:6]):
         normalized, _ = normalize_scene(scene)
         queries = social_encode(bundle.feature_nets, scene_set([scene]))
-        _, _, (iset,) = propose_block(
+        _, _, (destinations,), _ = propose_block(
             bundle.feature_nets, bundle.addresser_nets, bundle.bank, bundle.keys, queries, 6, 3, [scene_seed(3, i)]
         )
-        gaps.append(np.linalg.norm(iset.destinations - normalized.ego_future[-1], axis=1).min())
+        gaps.append(np.linalg.norm(destinations - normalized.ego_future[-1], axis=1).min())
     assert err == pytest.approx(np.mean(gaps), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
         scene_batch(scenes[:0], "destination error")
@@ -263,11 +263,9 @@ def test_predict_scenes_in_blocks_equals_predict_scene(monkeypatch, block):
     for i, (scene, pred) in enumerate(zip(scenes, blocked)):
         alone = predict_scene(bundle, scene, n_retrieve=8, n_predict=3, seed=scene_seed(6, i))
         assert pred.scene_id == alone.scene_id == scene.scene_id
-        for name in ("trajectories", "destinations", "addresses", "scores", "sample_ids"):
+        for name in ("trajectories", "destinations", "addresses", "scores", "sample_ids", "anchor_assignment"):
             np.testing.assert_array_equal(getattr(pred, name), getattr(alone, name))
-        np.testing.assert_array_equal(pred.intention_set.destinations, alone.intention_set.destinations)
-        np.testing.assert_array_equal(pred.intention_set.anchor_assignment, alone.intention_set.anchor_assignment)
-        assert pred.intention_set.iter_costs == alone.intention_set.iter_costs
+            assert getattr(pred, name).dtype == getattr(alone, name).dtype, name
 
 
 def _stacked_bundle():
@@ -320,10 +318,9 @@ def test_block_predictions_equal_the_per_scene_chain(block, counts, decode_mode,
     for i, (scene, pred) in enumerate(zip(scenes, preds)):
         expected = predict_one(STACKED_BUNDLE, scene, 8, 3, scene_seed(seed, i), decode_mode, snap_destination)
         assert pred.scene_id == scene.scene_id
-        for name in ("destinations", "trajectories", "addresses", "scores", "sample_ids"):
+        for name in ("destinations", "trajectories", "addresses", "scores", "sample_ids", "anchor_assignment"):
             assert getattr(pred, name).tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
-        np.testing.assert_array_equal(pred.intention_set.anchor_assignment, expected["iset"].anchor_assignment)
-        assert pred.intention_set.iter_costs == expected["iset"].iter_costs
+            assert getattr(pred, name).dtype == expected[name].dtype, name
     assert alone.trajectories.tobytes() == preds[0].trajectories.tobytes()
 
 
@@ -355,8 +352,8 @@ def test_destination_error_equals_a_one_scene_reference_loop(monkeypatch):
     for i, (query, dest) in enumerate(zip(queries, dests)):
         addresses = top_l(score_one(bundle.addresser_nets, query, bundle.keys), 6)
         anchors = decode_one(query, addresses, bundle.bank, bundle.feature_nets, "query")
-        iset = kmeans(anchors, 3, scene_seed(9, i))
-        gaps.append(float(np.linalg.norm(iset.destinations - dest, axis=1).min()))
+        destinations, _, _ = kmeans(anchors, 3, scene_seed(9, i))
+        gaps.append(float(np.linalg.norm(destinations - dest, axis=1).min()))
     assert err == float(np.mean(gaps))
 
 

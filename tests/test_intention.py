@@ -45,40 +45,42 @@ def test_kmeans_separated_blobs():
     blob_a = rng.normal(size=(20, 2)) * 0.05 + [0.0, 0.0]
     blob_b = rng.normal(size=(20, 2)) * 0.05 + [10.0, 0.0]
     points = np.vstack([blob_a, blob_b])
-    iset = kmeans_one(points, 2, seed=3)
-    assert iset.k == 2
-    centers = iset.destinations[np.argsort(iset.destinations[:, 0])]
+    destinations, assignment = kmeans_one(points, 2, seed=3)
+    assert destinations.shape == (2, 2)
+    centers = destinations[np.argsort(destinations[:, 0])]
     np.testing.assert_allclose(centers[0], blob_a.mean(axis=0), atol=1e-9)
     np.testing.assert_allclose(centers[1], blob_b.mean(axis=0), atol=1e-9)
     # one cluster per blob
-    assert len(set(iset.anchor_assignment[:20])) == 1
-    assert len(set(iset.anchor_assignment[20:])) == 1
+    assert len(set(assignment[:20])) == 1
+    assert len(set(assignment[20:])) == 1
 
 
 def test_kmeans_k1_is_mean():
     rng = np.random.default_rng(2)
     points = rng.normal(size=(9, 2))
-    iset = kmeans_one(points, 1, seed=0)
-    np.testing.assert_allclose(iset.destinations[0], points.mean(axis=0), atol=1e-12)
-    np.testing.assert_array_equal(iset.anchor_assignment, np.zeros(9, dtype=np.int64))
+    destinations, assignment = kmeans_one(points, 1, seed=0)
+    np.testing.assert_allclose(destinations[0], points.mean(axis=0), atol=1e-12)
+    np.testing.assert_array_equal(assignment, np.zeros(9, dtype=np.int64))
 
 
 def test_kmeans_k_equals_n():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(5, 2))
-    iset = kmeans_one(points, 5, seed=1)
-    assert kmeans_cost(points, iset) < 1e-18
-    assert sorted(iset.anchor_assignment.tolist()) == [0, 1, 2, 3, 4]
+    destinations, assignment = kmeans_one(points, 5, seed=1)
+    assert kmeans_cost(points, destinations, assignment) < 1e-18
+    assert sorted(assignment.tolist()) == [0, 1, 2, 3, 4]
 
 
 def test_kmeans_costs_non_increasing():
     rng = np.random.default_rng(4)
     points = rng.uniform(size=(40, 2))
-    iset = kmeans_one(points, 4, seed=9)
-    costs = iset.iter_costs
+    reference = kmeans(points, 4, seed=9)
+    costs = reference.costs
     assert len(costs) >= 1
     assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
-    assert costs[-1] == pytest.approx(kmeans_cost(points, iset), abs=1e-9)
+    assert costs[-1] == pytest.approx(kmeans_cost(points, reference.destinations, reference.assignment), abs=1e-9)
+    # and the package's k-means reaches the reference's result, bit for bit
+    assert_same_clustering(*kmeans_one(points, 4, seed=9), reference)
 
 
 @st.composite
@@ -104,24 +106,24 @@ _ORDER_RNG = np.random.default_rng(5)
 @example(case=(_ORDER_RNG.normal(size=(15, 2)), 3, _ORDER_RNG.permutation(15), 6))
 def test_kmeans_order_invariance(case):
     points, k, perm, seed = case
-    a = kmeans_one(points, k, seed=seed)
-    b = kmeans_one(points[perm], k, seed=seed)
-    for iset in (a, b):
-        assert np.bincount(iset.anchor_assignment, minlength=k).min() >= 1
-    np.testing.assert_array_equal(a.destinations, b.destinations)
+    a_dest, a_assign = kmeans_one(points, k, seed=seed)
+    b_dest, b_assign = kmeans_one(points[perm], k, seed=seed)
+    for assignment in (a_assign, b_assign):
+        assert np.bincount(assignment, minlength=k).min() >= 1
+    np.testing.assert_array_equal(a_dest, b_dest)
     # copies of one point are interchangeable, so only their clusters' multiset is fixed
-    assert labelled(points[perm], a.anchor_assignment[perm]) == labelled(points[perm], b.anchor_assignment)
+    assert labelled(points[perm], a_assign[perm]) == labelled(points[perm], b_assign)
     if len(np.unique(points, axis=0)) == len(points):
-        np.testing.assert_array_equal(a.anchor_assignment[perm], b.anchor_assignment)
+        np.testing.assert_array_equal(a_assign[perm], b_assign)
 
 
 def test_kmeans_deterministic_by_seed():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(12, 2))
-    a = kmeans_one(points, 3, seed=8)
-    b = kmeans_one(points, 3, seed=8)
-    np.testing.assert_array_equal(a.destinations, b.destinations)
-    np.testing.assert_array_equal(a.anchor_assignment, b.anchor_assignment)
+    a_dest, a_assign = kmeans_one(points, 3, seed=8)
+    b_dest, b_assign = kmeans_one(points, 3, seed=8)
+    np.testing.assert_array_equal(a_dest, b_dest)
+    np.testing.assert_array_equal(a_assign, b_assign)
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,10 +136,10 @@ def test_kmeans_deterministic_by_seed():
 def test_kmeans_identical_points_do_not_crash(point, n_k, seed):
     n, k = n_k
     points = np.tile(point, (n, 1))
-    iset = kmeans_one(points, k, seed=seed)
-    assert iset.k == k
-    np.testing.assert_allclose(iset.destinations, np.tile(point, (k, 1)), atol=0)
-    assert np.bincount(iset.anchor_assignment, minlength=k).min() >= 1
+    destinations, assignment = kmeans_one(points, k, seed=seed)
+    assert destinations.shape == (k, 2)
+    np.testing.assert_allclose(destinations, np.tile(point, (k, 1)), atol=0)
+    assert np.bincount(assignment, minlength=k).min() >= 1
 
 
 def test_kmeans_validation():
@@ -150,13 +152,12 @@ def test_kmeans_validation():
         kmeans_one(np.zeros(4), 1, seed=0)
 
 
-def assert_same_clustering(got, expected):
-    """Bit-equal destinations and assignment, and the same Lloyd costs."""
-    assert got.destinations.dtype == expected.destinations.dtype == np.float64
-    np.testing.assert_array_equal(got.destinations, expected.destinations)
-    assert got.anchor_assignment.dtype == expected.anchor_assignment.dtype
-    np.testing.assert_array_equal(got.anchor_assignment, expected.anchor_assignment)
-    assert got.iter_costs == expected.iter_costs
+def assert_same_clustering(destinations, assignment, expected):
+    """One scene's destinations and assignment equal the reference's, bit for bit and dtype for dtype."""
+    assert destinations.dtype == expected.destinations.dtype == np.float64
+    np.testing.assert_array_equal(destinations, expected.destinations)
+    assert assignment.dtype == expected.assignment.dtype == np.int64
+    np.testing.assert_array_equal(assignment, expected.assignment)
 
 
 @st.composite
@@ -189,14 +190,15 @@ _REPAIRED = np.tile([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], (4, 1, 1))
 def test_kmeans_batch_matches_the_reference_scene_by_scene(case):
     points, k, seeds, perm, cuts = case
     expected = [kmeans(scene, k, seed) for scene, seed in zip(points, seeds)]
-    for got, want in zip(kmeans_batch(points, k, seeds), expected, strict=True):
-        assert_same_clustering(got, want)
+    for destinations, assignment, want in zip(*kmeans_batch(points, k, seeds), expected, strict=True):
+        assert_same_clustering(destinations, assignment, want)
     # the same scenes permuted and cut into other blocks cluster to the same bits
     bounds = [0, *cuts, len(perm)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = perm[lo:hi]
-        for scene, got in zip(block, kmeans_batch(points[block], k, [seeds[s] for s in block]), strict=True):
-            assert_same_clustering(got, expected[scene])
+        got = kmeans_batch(points[block], k, [seeds[s] for s in block])
+        for scene, destinations, assignment in zip(block, *got, strict=True):
+            assert_same_clustering(destinations, assignment, expected[scene])
 
 
 def test_kmeans_batch_repairs_empty_clusters_as_the_reference_does(monkeypatch):
@@ -207,9 +209,9 @@ def test_kmeans_batch_repairs_empty_clusters_as_the_reference_does(monkeypatch):
     monkeypatch.setattr(intention, "_repair_empty", lambda *args: repaired.append(1) or original(*args))
     seeds = list(range(16))
     points = np.tile(_REPAIRED[0], (16, 1, 1))
-    for scene, got in enumerate(kmeans_batch(points, 3, seeds)):
-        assert_same_clustering(got, kmeans(points[scene], 3, seeds[scene]))
-        assert np.bincount(got.anchor_assignment, minlength=3).min() >= 1
+    for scene, (destinations, assignment) in enumerate(zip(*kmeans_batch(points, 3, seeds), strict=True)):
+        assert_same_clustering(destinations, assignment, kmeans(points[scene], 3, seeds[scene]))
+        assert np.bincount(assignment, minlength=3).min() >= 1
     assert repaired  # some of the 16 scenes emptied a cluster
 
 
@@ -227,7 +229,9 @@ def test_kmeans_batch_rejects_non_finite_points_and_overflow():
         kmeans_batch(np.zeros((2, 3, 2)), 1, [0])
     with pytest.raises(ValueError, match=r"shape \(scenes, n, 2\)"):
         kmeans_batch(np.zeros((2, 3, 3)), 1, [0, 1])
-    assert kmeans_batch(np.zeros((0, 3, 2)), 2, []) == []
+    destinations, assignment = kmeans_batch(np.zeros((0, 3, 2)), 2, [])
+    assert (destinations.shape, destinations.dtype) == ((0, 2, 2), np.float64)
+    assert (assignment.shape, assignment.dtype) == ((0, 3), np.int64)
 
 
 def test_kmeans_matches_exhaustive_on_small_instances():
@@ -236,7 +240,7 @@ def test_kmeans_matches_exhaustive_on_small_instances():
         n = int(rng.integers(4, 8))
         k = int(rng.integers(2, 4))
         points = rng.uniform(size=(n, 2))
-        best = min(kmeans_cost(points, kmeans_one(points, k, seed=s)) for s in range(10))
+        best = min(kmeans_cost(points, *kmeans_one(points, k, seed=s)) for s in range(10))
         optimal = exhaustive_best_cost(points, k)
         assert best <= optimal + 1e-9 * max(1.0, optimal)
 
@@ -283,26 +287,27 @@ def test_predict_intentions_shapes_and_determinism():
     keys = key_table(addresser, bank)
     queries = social_encode(nets, scenes[:1])
     # retrieve, decode and cluster: the destination half of a prediction
-    _, _, (a,) = propose_block(nets, addresser, bank, keys, queries, n_retrieve=8, n_predict=3, seeds=[5])
-    _, _, (b,) = propose_block(nets, addresser, bank, keys, queries, n_retrieve=8, n_predict=3, seeds=[5])
-    assert a.destinations.shape == (3, 2)
-    assert a.anchor_assignment.shape == (8,)
-    np.testing.assert_array_equal(a.destinations, b.destinations)
+    _, _, a_dest, a_assign = propose_block(nets, addresser, bank, keys, queries, n_retrieve=8, n_predict=3, seeds=[5])
+    _, _, b_dest, b_assign = propose_block(nets, addresser, bank, keys, queries, n_retrieve=8, n_predict=3, seeds=[5])
+    assert a_dest.shape == (1, 3, 2)
+    assert a_assign.shape == (1, 8)
+    np.testing.assert_array_equal(a_dest, b_dest)
+    np.testing.assert_array_equal(a_assign, b_assign)
     with pytest.raises(ValueError):
         propose_block(nets, addresser, bank, keys, queries, n_retrieve=2, n_predict=3, seeds=[5])
 
 
 def test_save_intention_sets(tmp_path):
     rng = np.random.default_rng(8)
-    iset = kmeans_one(rng.normal(size=(6, 2)), 2, seed=1)
+    destinations, assignment = kmeans_one(rng.normal(size=(6, 2)), 2, seed=1)
     pred = ScenePrediction(
         scene_id="scene-a",
-        destinations=iset.destinations,
+        destinations=destinations,
         trajectories=np.zeros((2, 1, 2)),
         addresses=np.arange(6),
         scores=np.zeros(6),
         sample_ids=np.arange(6),
-        intention_set=iset,
+        anchor_assignment=assignment,
     )
     assert write_predictions(tmp_path, [pred]) == 1
     path = tmp_path / "destinations.csv"
@@ -311,24 +316,25 @@ def test_save_intention_sets(tmp_path):
     assert len(lines) == 3
     fields = lines[1].split(",")
     assert fields[0] == "scene-a"
-    assert float(fields[2]) == iset.destinations[0, 0]
+    assert float(fields[2]) == destinations[0, 0]
     counts = [int(line.split(",")[4]) for line in lines[1:]]
+    assert counts == np.bincount(assignment, minlength=2).tolist()
     assert sum(counts) == 6
 
 
 def test_failed_prediction_stream_keeps_the_earlier_files(tmp_path):
     rng = np.random.default_rng(9)
-    iset = kmeans_one(rng.normal(size=(6, 2)), 2, seed=1)
+    destinations, assignment = kmeans_one(rng.normal(size=(6, 2)), 2, seed=1)
 
     def prediction(scene_id):
         return ScenePrediction(
             scene_id=scene_id,
-            destinations=iset.destinations,
+            destinations=destinations,
             trajectories=rng.normal(size=(2, 3, 2)),
             addresses=np.arange(6),
             scores=np.zeros(6),
             sample_ids=np.arange(6),
-            intention_set=iset,
+            anchor_assignment=assignment,
         )
 
     assert write_predictions(tmp_path, [prediction("a"), prediction("b")], trace=True) == 2

@@ -340,7 +340,8 @@ def test_stack_slices_equal_two_d_calls(dims, depth, rows, activation, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_cached_forward_and_backward_equal_the_reference_bit_for_bit(dims, rows, activation, input_grad, seed):
-    # the in-place bias and the boolean ReLU mask round as the copies they replaced
+    # the in-place bias and activation, and the derivative taken from each
+    # layer's output as a boolean ReLU mask, round as the copies they replaced
     rng = np.random.default_rng(seed)
     net = mlp_init(seed, dims, hidden_activation=activation)
     for b in net.biases:
@@ -352,7 +353,7 @@ def test_cached_forward_and_backward_equal_the_reference_bit_for_bit(dims, rows,
     out, cache = mlp_forward_cached(net, x)
     ref_out, ref_cache = reference_forward_cached(net, x)
     assert out.tobytes() == ref_out.tobytes()
-    for got, want in zip(cache.activations + cache.preacts, ref_cache.activations + ref_cache.preacts, strict=True):
+    for got, want in zip(cache.activations, ref_cache.activations, strict=True):
         assert got.tobytes() == want.tobytes()
     grads = mlp_backward_from_cache(net, cache, upstream, input_grad=input_grad)
     ref = reference_backward_from_cache(net, ref_cache, upstream, input_grad=input_grad)

@@ -315,8 +315,10 @@ def test_selection_encodes_each_holdout_scene_once_as_predict_does(tmp_path, mon
         batch = scene_batch(alone, "the held-out scene")
         queries = social_encode(feature_nets, alone)
         seed = scene_seed(config.seed_for("addresser-selection"), i)
-        _, _, (iset,) = propose_block(feature_nets, init, memory, keys, queries, config.n_retrieve, config.n_predict, [seed])
-        gaps.append(float(np.linalg.norm(iset.destinations - batch.futures[0, -1], axis=1).min()))
+        _, _, (destinations,), _ = propose_block(
+            feature_nets, init, memory, keys, queries, config.n_retrieve, config.n_predict, [seed]
+        )
+        gaps.append(float(np.linalg.norm(destinations - batch.futures[0, -1], axis=1).min()))
     assert report["errors"][0] == (0, float(np.mean(gaps)))
 
 
